@@ -237,9 +237,8 @@ def cmd_fit_exponent(args):
             parts = line.strip().split(",")
             if len(parts) >= 2 and parts[0]:
                 rows.append((int(parts[0]), int(parts[1])))
-    series = CountSeries(rows, "loaded")
     try:
-        fit = fit_exponent(series)
+        fit = fit_exponent(CountSeries(rows, "loaded"))
     except ValueError as e:
         raise SystemExit(f"fit-exponent: {e}")
     sections = {

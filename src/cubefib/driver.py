@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gridcount
-from .lattice import hyperplane_count_exact
+from .lattice import enumerate_quadratic, hyperplane_count_exact
 from .linalg import QuadraticPolynomial
 from .nt import squarefree_divisors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
@@ -142,8 +142,9 @@ class CountSeries:
 
     def __post_init__(self):
         for (b1, c1), (b2, c2) in zip(self.rows, self.rows[1:]):
-            if b2 >= b1 and c2 < c1:
-                raise ValueError("count series must be monotone in B")
+            if b2 <= b1 or c2 < c1:
+                raise ValueError("count series rows must have strictly increasing B "
+                                 "and non-decreasing counts")
 
     def to_csv(self) -> str:
         lines = ["B,count,logB,logN"]
@@ -177,7 +178,7 @@ def brute_force_N(C: IntPolynomial, B_list: Sequence[int],
         height = np.abs(sel).max(axis=0)
         buckets += np.bincount(height, minlength=Bmax + 1)
     cum = np.cumsum(buckets)
-    rows = [(B, int(cum[B])) for B in sorted(B_list)]
+    rows = [(B, int(cum[B])) for B in sorted(set(B_list))]
     return CountSeries(rows, "primitive-box")
 
 
@@ -213,15 +214,13 @@ def fibration_count(
     and is labeled sampling-based."""
     if mode == "pi":
         return _fibration_count_pi(C, split, B_list, Y_rule, budget)
-    xs = split.x_indices
-    k = len(xs)
-    from .fibration import split_cubic
+    from .fibration import FalsificationAlarm, split_cubic
 
     _, q_list, R = split_cubic(C, split)
     if spec is None:
         cond = build_conditions(C, split, "pi_prime", budget=budget)
         if cond.insoluble_at is not None:
-            rows = [(B, 0) for B in sorted(B_list)]
+            rows = [(B, 0) for B in sorted(set(B_list))]
             empty = AdmissibleSetSpec(len(split.y_indices), [], cond)
             return FibrationCountResult(
                 CountSeries(rows, "fibration-lower-bound"), {}, mode,
@@ -238,7 +237,7 @@ def fibration_count(
     samples: List[Tuple[int, ...]] = []
     Yvals = {}
     fibre_counts = {}
-    for B in sorted(B_list):
+    for B in sorted(set(B_list)):
         Y = Y_rule(B)
         Yvals[B] = Y
         total = 0
@@ -249,7 +248,9 @@ def fibration_count(
                 continue
             d0 = vector_gcd(vals)
             rval = R.evaluate(list(y))
-            assert rval % d0 == 0, "admissibility must force local solubility at every prime"
+            if rval % d0:
+                raise FalsificationAlarm(
+                    f"admissible y={y} is not locally soluble: {d0} does not divide R(y)={rval}")
             a = [v // d0 for v in vals]
             b = rval // d0
             g = vector_gcd(y)
@@ -259,9 +260,10 @@ def fibration_count(
             nfib += 1
             for pt in res.samples:
                 if len(samples) < 16 and gcd(vector_gcd(pt), g) == 1:
-                    full = list(pt) + list(y)
-                    assert C.evaluate(full) == 0
-                    samples.append(tuple(full))
+                    full = tuple(pt) + tuple(y)
+                    if C.evaluate(list(full)) != 0:
+                        raise FalsificationAlarm(f"fibre sample {full} is not a zero of C")
+                    samples.append(full)
         rows.append((B, total))
         fibre_counts[B] = nfib
     series = CountSeries(rows, "fibration-lower-bound", samples=samples,
@@ -279,7 +281,7 @@ def _fibration_count_pi(C, split, B_list, Y_rule, budget):
     spec = AdmissibleSetSpec(h, [(Fraction(-1), Fraction(1))] * h, cond)
     rows = []
     Yvals = {}
-    for B in sorted(B_list):
+    for B in sorted(set(B_list)):
         Y = Y_rule(B)
         Yvals[B] = Y
         total = 0
@@ -289,7 +291,6 @@ def _fibration_count_pi(C, split, B_list, Y_rule, budget):
             if verdict.point is not None:
                 pt = verdict.point
                 if max(abs(v) for v in pt) <= B:
-                    full = list(pt) + list(y)
                     if gcd(vector_gcd(pt), vector_gcd(y)) == 1:
                         total += 1
         rows.append((B, total))
@@ -310,13 +311,9 @@ class RepresentationCount:
 
 
 def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> List[Tuple[int, ...]]:
-    """All integer z with F(z) = N, for positive-definite quadratic part.
-
-    Recursive interval descent with an exact root test at the innermost
-    level; never scans a full box.
-    """
-    from .lattice import QuadraticSolvedLevels
-
+    """All integer z with F(z) = N, for positive-definite quadratic part:
+    the exact-root leaf of the lattice enumeration kernel (never scans a
+    full box)."""
     m = F.m
     den = 1
     for row in F.Q.entries:
@@ -331,43 +328,7 @@ def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> List[Tuple[int, ..
         c *= 2
     else:
         w = [l // 2 for l in lin]
-    solver = QuadraticSolvedLevels(G, w, c)
-    out: List[Tuple[int, ...]] = []
-
-    def value(t):
-        tot = c
-        for i in range(m):
-            tot += G[i][i] * t[i] * t[i] + 2 * w[i] * t[i]
-            for j in range(i + 1, m):
-                tot += 2 * G[i][j] * t[i] * t[j]
-        return tot
-
-    def recurse(j, outer):
-        cnt, lo, hi = solver.bounds_at(j, outer)
-        if cnt == 0:
-            return
-        if j == 0:
-            a = G[0][0]
-            bq = 2 * (w[0] + sum(G[0][1 + i] * outer[i] for i in range(m - 1)))
-            cq = value([0] + outer)
-            disc = bq * bq - 4 * a * cq
-            if disc < 0:
-                return
-            s = isqrt(disc)
-            if s * s != disc:
-                return
-            for sgn in (1, -1):
-                num = -bq + sgn * s
-                if num % (2 * a) == 0:
-                    out.append(tuple([num // (2 * a)] + outer))
-                if s == 0:
-                    break
-            return
-        for tj in range(lo, hi + 1):
-            recurse(j - 1, [tj] + outer)
-
-    recurse(m - 1, [])
-    return sorted(set(out))
+    return sorted(enumerate_quadratic(G, w, c, "roots")[1])
 
 
 def representation_count_coprime(

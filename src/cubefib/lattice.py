@@ -2,16 +2,19 @@
 reduction, exact shortest vectors, and exact / asymptotic counts of
 lattice points on affine hyperplanes inside balls.
 
-The ball counter never visits points one by one: it recurses over outer
-coordinates with integer Schur-complement bound quadratics and counts the
-innermost coordinate as an interval, so per-fibre counts stay cheap even
-when the counted set is huge.
+One kernel, `enumerate_quadratic`, walks {t : t^T G t + 2 w.t + c <= 0} for
+positive-definite G: the outer levels recurse with integer Schur-complement
+bounds, and each innermost row is one isqrt of a discriminant stepped
+incrementally along t_1. Its leaves are the ball counts (count plus samples,
+never point by point), the representation numbers of the driver (exact roots)
+and exact shortest vectors (minimum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .nt import count_quadratic_interval, solve_linear_diophantine, squarefree_divisors, xgcd
@@ -111,30 +114,25 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4))
 
 
 # ---------------------------------------------------------------------------
-# exact counting of {t : t^t G t + 2 w.t + c <= 0} over t in Z^k
+# exact enumeration of {t : t^t G t + 2 w.t + c <= 0} over t in Z^k
 
 
 class QuadraticSolvedLevels:
     """Integer Schur-complement bound quadratics for positive-definite G.
 
     P_j = Delta_j * (min over t_0..t_{j-1} of Q) is an integer quadratic in
-    (t_j, ..., t_{k-1}); its t_j-interval bounds drive the recursion and the
-    innermost level is counted in O(1).
+    (t_j, ..., t_{k-1}); its t_j-interval bounds drive the outer levels of
+    `enumerate_quadratic`.
     """
 
     def __init__(self, G: Sequence[Sequence[int]], w: Sequence[int], c: int):
         self.k = len(G)
-        self.G = [[int(v) for v in row] for row in G]
-        self.w = [int(v) for v in w]
-        self.c = int(c)
         self.levels = []  # levels[j]: dict with quadratic coefficients of P_j
-        full = [[Fraction(self.G[i][j]) for j in range(self.k)] + [Fraction(self.w[i])]
-                for i in range(self.k)]
-        full.append([Fraction(self.w[j]) for j in range(self.k)] + [Fraction(self.c)])
         # full is the (k+1)x(k+1) matrix of the homogenized quadratic
         # [t,1]^T full [t,1]; eliminate variables 0..j-1 symmetrically
-        delta = Fraction(1)
-        mat = full
+        full = [[Fraction(int(v)) for v in row] + [Fraction(int(wi))] for row, wi in zip(G, w)]
+        full.append([Fraction(int(v)) for v in w] + [Fraction(int(c))])
+        delta, mat = Fraction(1), full
         self.levels.append(self._extract_level(mat, delta, 0))
         for j in range(self.k - 1):
             piv = mat[0][0]
@@ -172,8 +170,8 @@ class QuadraticSolvedLevels:
                     rest_terms.append((i - 1, l - 1, v if i == l else 2 * v))
         return {"a": a_i, "lin": lin_i, "rest": tuple(rest_terms), "j": j}
 
-    def bounds_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
-        """(count, lo, hi) for t_j given outer = (t_{j+1}, ..., t_{k-1})."""
+    def quadratic_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
+        """(a, bq, cq) with P_j = a t_j^2 + 2 bq t_j + cq at outer."""
         lev = self.levels[j]
         vec = tuple(outer) + (1,)
         bq = 0
@@ -182,45 +180,100 @@ class QuadraticSolvedLevels:
         cq = 0
         for i, l, c in lev["rest"]:
             cq += c * vec[i] * vec[l]
-        return count_quadratic_interval(lev["a"], 2 * bq, cq)
+        return lev["a"], bq, cq
+
+    def bounds_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
+        """(count, lo, hi) for t_j given outer = (t_{j+1}, ..., t_{k-1})."""
+        a, bq, cq = self.quadratic_at(j, outer)
+        return count_quadratic_interval(a, 2 * bq, cq)
 
 
-def count_quadratic_leq_zero(
-    G: Sequence[Sequence[int]],
-    w: Sequence[int],
-    c: int,
-    sample_limit: int = 0,
-) -> Tuple[int, List[Tuple[int, ...]]]:
-    """#{t in Z^k : t^T G t + 2 w.t + c <= 0} for positive-definite G.
+def enumerate_quadratic(
+    G: Sequence[Sequence[int]], w: Sequence[int], c: int, leaf: str = "count", sample_limit: int = 0
+) -> Tuple[Optional[int], List[Tuple[int, ...]]]:
+    """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
+    for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
 
-    Optionally collects up to sample_limit solution vectors t.
+    Levels j >= 1 take their t_j-interval from `bounds_at`. Level 0 makes no
+    call per row. Its row is Q = a0 t_0^2 + 2 bq t_0 + cq, and bq and the
+    reduced discriminant D = bq^2 - a0 cq are polynomials in t_1 (D = -P_1),
+    stepped by finite differences along the level-1 interval, where D >= 0.
+    The row is [ceil((-bq - s) / a0), floor((-bq + s) / a0)] with
+    s = isqrt(D), exactly: floor(x / a) = floor(floor(x) / a) for integer
+    a > 0. Leaves, in enumeration order (t_{k-1} outermost, each level
+    ascending), return (value, points):
+
+      "count"  (#solutions, the first sample_limit solutions)
+      "roots"  (#roots, every t with Q(t) = 0): D a square, a0 | -bq +- s
+      "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
     """
-    k = len(G)
-    if k == 0:
-        return (1 if c <= 0 else 0), []
     solver = QuadraticSolvedLevels(G, w, c)
-    samples: List[Tuple[int, ...]] = []
-    total = 0
-    outer = [0] * 0
+    k, a0, lin0 = solver.k, solver.levels[0]["a"], solver.levels[0]["lin"]
+    if a0 <= 0:
+        raise ValueError("Gram matrix is not positive definite")
+    # bq = b1 t_1 + (terms in t_2, ...); D steps by dD, which steps by dd
+    b1, dd = (lin0[0], -2 * solver.levels[1]["a"]) if k > 1 else (0, 0)
+    points: List[Tuple[int, ...]] = []
+    value = None if leaf == "min" else 0
 
-    def recurse(j: int, outer: List[int]) -> int:
-        nonlocal samples
+    def count_rows(lo, hi, bq, D, dD, outer):
+        nonlocal value
+        n = 0
+        for t1 in range(lo, hi + 1):
+            s = isqrt(D)
+            row = (s - bq) // a0 + (s + bq) // a0 + 1
+            if row and len(points) < sample_limit:
+                first = -((s + bq) // a0)
+                points.extend((t0, t1) + outer for t0 in
+                              range(first, first + min(row, sample_limit - len(points))))
+            n += row
+            bq, D, dD = bq + b1, D + dD, dD + dd
+        value += n
+
+    def root_rows(lo, hi, bq, D, dD, outer):
+        nonlocal value
+        for t1 in range(lo, hi + 1):
+            s = isqrt(D)
+            if s * s == D:
+                for num in (-s - bq, s - bq) if s else (-bq,):
+                    if num % a0 == 0:
+                        points.append((num // a0, t1) + outer)
+                        value += 1
+            bq, D, dD = bq + b1, D + dD, dD + dd
+
+    def min_rows(lo, hi, bq, D, dD, outer):
+        nonlocal value
+        for t1 in range(lo, hi + 1):
+            s = isqrt(D)
+            for t0 in range(-((s + bq) // a0), (s - bq) // a0 + 1):
+                u = a0 * t0 + bq
+                q = (u * u - D) // a0  # = Q(t), exactly
+                if (value is None or q < value) and (t0 or t1 or any(outer)):
+                    value, points[:] = q, [(t0, t1) + outer]
+            bq, D, dD = bq + b1, D + dD, dD + dd
+
+    rows = {"count": count_rows, "roots": root_rows, "min": min_rows}[leaf]
+
+    def descend(j, outer):
         cnt, lo, hi = solver.bounds_at(j, outer)
-        if cnt == 0:
-            return 0
-        if j == 0:
-            if sample_limit and len(samples) < sample_limit:
-                for t0 in range(lo, min(hi, lo + sample_limit) + 1):
-                    if len(samples) < sample_limit:
-                        samples.append(tuple([t0] + outer))
-            return cnt
-        sub = 0
-        for tj in range(lo, hi + 1):
-            sub += recurse(j - 1, [tj] + outer)
-        return sub
+        if not cnt:
+            return
+        if j > 1:
+            for tj in range(lo, hi + 1):
+                descend(j - 1, (tj,) + outer)
+            return
+        a1, b, c1 = solver.quadratic_at(1, outer)  # P_1 = -D
+        bq = sum(x * y for x, y in zip(lin0, (lo,) + outer + (1,)))
+        rows(lo, hi, bq, -((a1 * lo + 2 * b) * lo + c1), -(a1 * (2 * lo + 1) + 2 * b), outer)
 
-    total = recurse(k - 1, [])
-    return total, samples
+    if k > 1:
+        descend(k - 1, ())
+    else:
+        _, bq, cq = solver.quadratic_at(0, ())
+        if bq * bq >= a0 * cq:
+            rows(0, 0, bq, bq * bq - a0 * cq, 0, ())
+            points = [t[:1] for t in points]  # drop the phantom t_1 = 0
+    return value, points
 
 
 def count_affine_points_in_ball(
@@ -242,7 +295,7 @@ def count_affine_points_in_ball(
     G = [[den * dot(u, v) for v in basis] for u in basis]
     w = [den * dot(u, shift) for u in basis]
     c = den * dot(shift, shift) - radius2.numerator
-    count, tsamples = count_quadratic_leq_zero(G, w, c, sample_limit)
+    count, tsamples = enumerate_quadratic(G, w, c, "count", sample_limit)
     points = []
     for t in tsamples:
         points.append(tuple(s + sum(t[i] * basis[i][j] for i in range(k)) for j, s in enumerate(shift)))
@@ -285,31 +338,13 @@ class IntegerLattice:
         if self.rank > max_rank:
             raise ValueError(f"rank {self.rank} exceeds exact-SVP budget {max_rank}")
         red = self.reduced_basis()
-        bound = min(dot(v, v) for v in red)
-        G = gram_matrix(red)
-        best = bound
         best_vec = min(red, key=lambda v: dot(v, v))
-        solver = QuadraticSolvedLevels(G, [0] * self.rank, -bound)
-
-        def recurse(j, outer):
-            nonlocal best, best_vec
-            cnt, lo, hi = solver.bounds_at(j, outer)
-            if cnt == 0:
-                return
-            for tj in range(lo, hi + 1):
-                if j == 0:
-                    t = [tj] + outer
-                    if all(v == 0 for v in t):
-                        continue
-                    vec = [sum(t[i] * red[i][l] for i in range(self.rank)) for l in range(self.ambient)]
-                    nn = dot(vec, vec)
-                    if 0 < nn < best:
-                        best = nn
-                        best_vec = vec
-                else:
-                    recurse(j - 1, [tj] + outer)
-
-        recurse(self.rank - 1, [])
+        bound = dot(best_vec, best_vec)
+        # the region holds best_vec's coefficient vector, so low <= 0
+        low, ts = enumerate_quadratic(gram_matrix(red), [0] * self.rank, -bound, "min")
+        best = low + bound
+        if low < 0:
+            best_vec = [dot(ts[0], col) for col in zip(*red)]
         self._lambda1_sq = best
         self._lambda1_exact = True
         return best, tuple(best_vec)

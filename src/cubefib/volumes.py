@@ -2,8 +2,8 @@
 
 The Beta-product form (product of Gamma-quotient wedge integrals) with the
 signed-u integration domain is the frozen convention: it reproduces the
-exact l-ball volume identically, which is the calibration oracle. See the
-decisions ledger for why the simplified closed form was rejected.
+exact l-ball volume identically, which is the calibration oracle
+(`VolumeConstantTable.calibration_matches`).
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cubefib.cli import main
 
 FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
@@ -74,6 +76,13 @@ def test_count_fibration_and_fit(capsys, tmp_path):
     rep = json.loads(out)
     assert "slope" in rep["sections"]
     assert rep["sections"]["verdict"] in ("PASS", "FAIL")
+
+
+def test_fit_exponent_rejects_unsorted_rows(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("B,count\n4,3\n2,5\n8,9\n16,27\n")
+    with pytest.raises(SystemExit, match="fit-exponent: count series rows"):
+        main(["fit-exponent", str(path)])
 
 
 def test_density_command(capsys):

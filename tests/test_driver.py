@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubefib import driver
 from cubefib.driver import (
     CountSeries,
     FormDocument,
@@ -20,8 +21,10 @@ from cubefib.driver import (
     representation_count_coprime,
     serialize_form_document,
 )
+from cubefib.fibration import FalsificationAlarm
+from cubefib.lattice import HyperplaneCount
 from cubefib.linalg import QuadraticPolynomial
-from cubefib.polynomials import IntPolynomial
+from cubefib.polynomials import IntPolynomial, VariableSplit
 
 FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
 
@@ -89,6 +92,7 @@ def test_brute_force_hand_values():
     C = IntPolynomial(2, {(3, 0): 1, (0, 3): -1})
     series = brute_force_N(C, [1, 2, 5])
     assert series.rows == [(1, 2), (2, 2), (5, 2)]
+    assert brute_force_N(C, [5, 1, 5]).rows == [(1, 2), (5, 2)]
 
     # x1 x2 x3 at B = 3: primitive zeros have some coordinate zero
     C = IntPolynomial(3, {(1, 1, 1): 1})
@@ -116,6 +120,29 @@ def test_norm_form_has_no_points():
 def test_count_series_monotone_guard():
     with pytest.raises(ValueError):
         CountSeries([(2, 5), (4, 3)], "primitive-box")
+    with pytest.raises(ValueError):
+        CountSeries([(4, 3), (2, 5)], "primitive-box")
+    with pytest.raises(ValueError):
+        CountSeries([(2, 3), (2, 3)], "primitive-box")
+
+
+def test_fibration_count_alarms_on_non_admissible_fibre(monkeypatch):
+    # C = 2 x0 y0^2 + 2 x1 y1^2 + y0^3: over y = (1, 1) the fibre
+    # 2 x0 + 2 x1 + 1 = 0 is insoluble mod 2, so y is not admissible
+    C = IntPolynomial(4, {(1, 0, 2, 0): 2, (0, 1, 0, 2): 2, (0, 0, 3, 0): 1})
+    split = VariableSplit(4, (0, 1), (2, 3), role="pi_prime")
+    monkeypatch.setattr(driver, "enumerate_admissible",
+                        lambda spec, Y, budget=None: iter([(1, 1)]))
+    with pytest.raises(FalsificationAlarm, match="not locally soluble"):
+        fibration_count(C, split, "pi_prime", [4])
+
+
+def test_fibration_count_alarms_on_sample_off_the_cubic(monkeypatch):
+    doc = parse_form_document(load("pi_prime_n7.json"))
+    bogus = HyperplaneCount(1, ((1, 0, 0, 0, 0),))
+    monkeypatch.setattr(driver, "hyperplane_count_exact", lambda *a, **k: bogus)
+    with pytest.raises(FalsificationAlarm, match="not a zero of C"):
+        fibration_count(doc.poly, doc.split, "pi_prime", [4])
 
 
 def test_fibration_count_leq_bruteforce_reduced_instance():

@@ -3,12 +3,16 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, pi
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefib.lattice import (
     IntegerLattice,
     count_affine_points_in_ball,
     dot,
+    enumerate_quadratic,
     gram_det,
     hyperplane_count_asymptotic,
     hyperplane_count_exact,
@@ -257,3 +261,85 @@ def test_asymptotic_budget_holds_family():
             res = hyperplane_count_asymptotic(a, b, B)
             exact = hyperplane_count_exact(a, b, B).exact
             assert abs(exact - res.main) <= res.budget, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the enumeration kernel against direct box enumeration
+
+
+@st.composite
+def definite_quadratics(draw):
+    """(G, w, c) with G = A^T A + e I, e >= 1, so every t with
+    t^T G t + 2 w.t + c <= 0 has ||t|| <= ||w|| + sqrt(||w||^2 - c)."""
+    k = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    A = [[draw(small) for _ in range(k)] for _ in range(k)]
+    e = draw(st.integers(1, 3))
+    G = [[sum(A[r][i] * A[r][j] for r in range(k)) + (e if i == j else 0) for j in range(k)]
+         for i in range(k)]
+    w = [draw(small) for _ in range(k)]
+    c = draw(st.integers(-12, 4))
+    return G, w, c
+
+
+def box_points(G, w, c, keep):
+    """(t, Q(t)) for every t in a box holding {Q <= 0} with keep(Q(t)), in
+    enumeration order (t_{k-1} outermost, every coordinate ascending)."""
+    k = len(G)
+    R = isqrt(dot(w, w)) + isqrt(max(0, dot(w, w) - c)) + 2
+    ts = np.array(list(itertools.product(range(-R, R + 1), repeat=k)))[:, ::-1]
+    q = np.einsum("ni,ij,nj->n", ts, np.array(G), ts) + 2 * ts @ np.array(w) + c
+    mask = keep(q)
+    return [tuple(int(v) for v in t) for t in ts[mask]], [int(v) for v in q[mask]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(definite_quadratics(), st.integers(0, 6))
+def test_kernel_count_leaf_matches_box(Gwc, sample_limit):
+    G, w, c = Gwc
+    inside, _ = box_points(G, w, c, lambda q: q <= 0)
+    count, samples = enumerate_quadratic(G, w, c, "count", sample_limit)
+    assert count == len(inside)
+    assert samples == inside[:sample_limit]
+
+
+@settings(max_examples=150, deadline=None)
+@given(definite_quadratics())
+def test_kernel_roots_leaf_matches_box(Gwc):
+    G, w, c = Gwc
+    roots, _ = box_points(G, w, c, lambda q: q == 0)
+    assert enumerate_quadratic(G, w, c, "roots") == (len(roots), roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(definite_quadratics())
+def test_kernel_min_leaf_is_lambda1(Gwc):
+    G, _, _ = Gwc
+    k = len(G)
+    bound = min(G[i][i] for i in range(k))
+    ts, qs = box_points(G, [0] * k, -bound, lambda q: q <= 0)
+    norms = [(q + bound, t) for t, q in zip(ts, qs) if any(t)]
+    lam1 = min(n for n, _ in norms)
+    low, first = enumerate_quadratic(G, [0] * k, -bound, "min")
+    assert low + bound == lam1
+    assert first == [next(t for n, t in norms if n == lam1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hyperplane_count_at_scaled_ball_endpoints(data):
+    """B^2 - 1 = d^2 r exactly for a Mobius divisor d of g, so the scaled
+    ball of that term is closed at an integer radius squared."""
+    n = data.draw(st.integers(2, 3))
+    a = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+                  .filter(lambda v: np.gcd.reduce(v) == 1))
+    g = data.draw(st.sampled_from([2, 3, 6]))
+    d = data.draw(st.sampled_from([p for p in (2, 3) if g % p == 0]))
+    B = data.draw(st.integers(1, 2)) * d * d + data.draw(st.sampled_from([-1, 1]))
+    y0 = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    b = -d * dot(a, y0)  # the hyperplane meets d Z^n
+    res = hyperplane_count_exact(a, b, B, g=g)
+    xs = np.array(list(itertools.product(range(-B, B + 1), repeat=n)))
+    keep = (xs @ np.array(a) + b == 0) & ((xs * xs).sum(axis=1) + 1 <= B * B)
+    keep &= np.gcd(np.gcd.reduce(np.abs(xs), axis=1), g) == 1
+    assert res.exact == int(keep.sum())
