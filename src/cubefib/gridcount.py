@@ -108,20 +108,6 @@ def count_zeros_mod_q(
     return count
 
 
-def zeros_mod_q(poly: IntPolynomial, q: int, budget: int | None = None) -> List[Tuple[int, ...]]:
-    """All zeros mod q, lexicographic order. Small grids only."""
-    m = poly.num_vars
-    check_budget(q ** m, budget)
-    out = []
-    tables = _pow_tables(poly, q)
-    for coords in _grid_chunks(m, q):
-        vals = eval_mod_on_coords(poly, q, coords, tables)
-        hit = np.nonzero(vals == 0)[0]
-        for j in hit:
-            out.append(tuple(int(coords[i, j]) for i in range(m)))
-    return out
-
-
 def count_system_zeros_mod_p(
     polys: Sequence[IntPolynomial], p: int, budget: int | None = None
 ) -> int:

@@ -4,10 +4,11 @@ lattice points on affine hyperplanes inside balls.
 
 One kernel, `enumerate_quadratic`, walks {t : t^T G t + 2 w.t + c <= 0} for
 positive-definite G: the outer levels recurse with integer Schur-complement
-bounds, and each innermost row is one isqrt of a discriminant stepped
-incrementally along t_1. Its leaves are the ball counts (count plus samples,
-never point by point), the representation numbers of the driver (exact roots)
-and exact shortest vectors (minimum).
+bounds from fraction-free (Bareiss) elimination, and each innermost row is
+one isqrt of a discriminant stepped incrementally along t_1. The kernel
+does integer arithmetic only. Its leaves are the ball counts (count plus
+samples, never point by point), the representation numbers of the driver
+(exact roots) and exact shortest vectors (minimum).
 """
 
 from __future__ import annotations
@@ -121,54 +122,37 @@ class QuadraticSolvedLevels:
     """Integer Schur-complement bound quadratics for positive-definite G.
 
     P_j = Delta_j * (min over t_0..t_{j-1} of Q) is an integer quadratic in
-    (t_j, ..., t_{k-1}); its t_j-interval bounds drive the outer levels of
-    `enumerate_quadratic`.
+    (t_j, ..., t_{k-1}), with Delta_j the leading principal j-minor of G; its
+    t_j-interval bounds drive the outer levels of `enumerate_quadratic`.
+    The levels come from fraction-free (Bareiss) elimination of the integer
+    homogenised matrix [[G, w], [w^T, c]]: after j steps each entry is
+    Delta_j times the Schur complement, so every division by the previous
+    pivot is exact (Sylvester's identity).
     """
 
     def __init__(self, G: Sequence[Sequence[int]], w: Sequence[int], c: int):
         self.k = len(G)
-        self.levels = []  # levels[j]: dict with quadratic coefficients of P_j
-        # full is the (k+1)x(k+1) matrix of the homogenized quadratic
-        # [t,1]^T full [t,1]; eliminate variables 0..j-1 symmetrically
-        full = [[Fraction(int(v)) for v in row] + [Fraction(int(wi))] for row, wi in zip(G, w)]
-        full.append([Fraction(int(v)) for v in w] + [Fraction(int(c))])
-        delta, mat = Fraction(1), full
-        self.levels.append(self._extract_level(mat, delta, 0))
-        for j in range(self.k - 1):
-            piv = mat[0][0]
+        # mat is the symmetric matrix of P_j in (t_j..t_{k-1}, 1)
+        mat = [[int(v) for v in row] + [int(wi)] for row, wi in zip(G, w)]
+        mat.append([int(v) for v in w] + [int(c)])
+        self.levels = []
+        prev = 1
+        for j in range(self.k):
+            piv = mat[0][0]  # Delta_{j+1}; all > 0 iff G is positive definite
             if piv <= 0:
                 raise ValueError("Gram matrix is not positive definite")
-            size = len(mat)
-            nxt = [
-                [mat[i + 1][l + 1] - mat[i + 1][0] * mat[0][l + 1] / piv for l in range(size - 1)]
-                for i in range(size - 1)
-            ]
-            delta = delta * piv
-            mat = nxt
-            self.levels.append(self._extract_level(mat, delta, j + 1))
+            self.levels.append(self._extract_level(mat, j))
+            mat = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], mat[0][1:])]
+                   for row in mat[1:]]
+            prev = piv
 
-    def _extract_level(self, mat, delta, j):
-        # mat is the symmetric matrix of the minimized quadratic in
-        # (t_j..t_{k-1}, 1); scale by delta to clear denominators
-        size = len(mat) - 1
-
-        def conv(x):
-            if isinstance(x, int):
-                return x
-            if x.denominator == 1:
-                return x.numerator
-            raise AssertionError("Schur complement scaling failed to clear denominators")
-
-        a_i = conv(mat[0][0] * delta)
-        lin_i = tuple(conv(mat[0][l] * delta) for l in range(1, size + 1))
-        # flattened upper triangle of the remaining block, off-diagonals doubled
-        rest_terms = []
-        for i in range(1, size + 1):
-            for l in range(i, size + 1):
-                v = conv(mat[i][l] * delta)
-                if v:
-                    rest_terms.append((i - 1, l - 1, v if i == l else 2 * v))
-        return {"a": a_i, "lin": lin_i, "rest": tuple(rest_terms), "j": j}
+    @staticmethod
+    def _extract_level(mat, j):
+        # flattened upper triangle of the block after t_j, off-diagonals doubled
+        size = len(mat)
+        rest = tuple((i - 1, l - 1, v if i == l else 2 * v)
+                     for i in range(1, size) for l in range(i, size) if (v := mat[i][l]))
+        return {"a": mat[0][0], "lin": tuple(mat[0][1:]), "rest": rest, "j": j}
 
     def quadratic_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
         """(a, bq, cq) with P_j = a t_j^2 + 2 bq t_j + cq at outer."""
@@ -209,8 +193,6 @@ def enumerate_quadratic(
     """
     solver = QuadraticSolvedLevels(G, w, c)
     k, a0, lin0 = solver.k, solver.levels[0]["a"], solver.levels[0]["lin"]
-    if a0 <= 0:
-        raise ValueError("Gram matrix is not positive definite")
     # bq = b1 t_1 + (terms in t_2, ...); D steps by dD, which steps by dd
     b1, dd = (lin0[0], -2 * solver.levels[1]["a"]) if k > 1 else (0, 0)
     points: List[Tuple[int, ...]] = []

@@ -239,7 +239,7 @@ def count_quadratic_interval(a: int, b: int, c: int) -> Tuple[int, int, int]:
     """Integers t with a t^2 + b t + c <= 0, for a > 0.
 
     Returns (count, lo, hi) with the convention (0, 1, 0) when empty.
-    Exact: uses isqrt and endpoint fixups only.
+    Exact with one isqrt and no endpoint checks (see below).
     """
     if a <= 0:
         raise ValueError("leading coefficient must be positive")
@@ -247,15 +247,11 @@ def count_quadratic_interval(a: int, b: int, c: int) -> Tuple[int, int, int]:
     if disc < 0:
         return 0, 1, 0
     s = isqrt(disc)
-    # floor(-b + s, 2a) is floor of the upper root or one below it; one
-    # incremental check settles it (isqrt error is < 1, so < 1/(2a) after
-    # division). Same on the lower end.
+    # the roots are (-b -+ sqrt(disc)) / 2a, and floor(-b + sqrt(disc)) =
+    # -b + s; floor(x / m) = floor(floor(x) / m) for integer m > 0, so both
+    # ends are exact
     hi = floor_div(-b + s, 2 * a)
-    if a * (hi + 1) * (hi + 1) + b * (hi + 1) + c <= 0:
-        hi += 1
     lo = ceil_div(-b - s, 2 * a)
-    if a * (lo - 1) * (lo - 1) + b * (lo - 1) + c <= 0:
-        lo -= 1
     if lo > hi:
         return 0, 1, 0
     return hi - lo + 1, lo, hi

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .finitefield import PadicWitness, find_padic_nonsingular
-from .fibration import build_fibration, order3_minors, split_cubic
+from .fibration import FalsificationAlarm, build_fibration, order3_minors, split_cubic
 from .linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
 from .localdensity import real_solubility, solubility_quadric_Zp
 from .nt import is_prime, prime_factors, solve_linear_diophantine, vector_gcd
@@ -33,12 +33,6 @@ class LocalConditionSet:
     M: int                                      # product of bad primes (with 2)
     y_indices: Tuple[int, ...]                  # positions of y in the witness residues
     insoluble_at: Optional[int] = None          # prime where witness search failed
-
-    def bad_modulus(self) -> int:
-        out = 1
-        for p, w in self.bad_primes.items():
-            out *= p ** (2 * w.v - 1)
-        return out
 
     def y_residue(self, p: int) -> Tuple[int, ...]:
         """The y-part of the witness residues mod p^(2v-1)."""
@@ -58,13 +52,24 @@ class AdmissibleSetSpec:
     good_prime_cutoff: Optional[int] = None     # None = exact mode
     good_primes_only: Optional[Tuple[int, ...]] = None  # restrict the predicate
 
-    def box_change_inverse(self) -> Optional[RationalMatrix]:
-        if self.box_change is None:
-            return None
-        cached = getattr(self, "_box_change_inv", None)
+    def box_change_integer(self) -> Tuple[Tuple[Tuple[int, ...], int, int, int, int], ...]:
+        """The box test of `membership` in integers, cached: T^-1 = A / d with
+        integer A and d = lcm of the denominators of T^-1, and per box
+        coordinate (A_i, d lo_num, lo_den, d hi_num, hi_den), so that
+        lo Y <= (T^-1 y)_i <= hi Y iff d lo_num Y <= (A_i . y) lo_den and
+        (A_i . y) hi_den <= d hi_num Y (both denominators and d are > 0)."""
+        cached = getattr(self, "_box_change_int", None)
         if cached is None:
-            cached = RationalMatrix(self.box_change).inverse()
-            object.__setattr__(self, "_box_change_inv", cached)
+            inv = RationalMatrix(self.box_change).inverse().entries
+            d = lcm(*(x.denominator for row in inv for x in row))
+            cached = []
+            for row, (lo, hi) in zip(inv, self.box):
+                lo, hi = Fraction(lo), Fraction(hi)
+                A_i = tuple(x.numerator * (d // x.denominator) for x in row)
+                cached.append((A_i, d * lo.numerator, lo.denominator,
+                               d * hi.numerator, hi.denominator))
+            cached = tuple(cached)
+            object.__setattr__(self, "_box_change_int", cached)
         return cached
 
     def scaled_bounds(self, Y: int) -> List[Tuple[int, int]]:
@@ -147,16 +152,19 @@ def _good_prime_ok(spec: AdmissibleSetSpec, y: Sequence[int]) -> Tuple[bool, str
 
 
 def membership(y: Sequence[int], spec: AdmissibleSetSpec, Y: int) -> MembershipResult:
-    """Deterministic membership with the first failed predicate as a reason."""
+    """Deterministic membership with the first failed predicate as a reason.
+
+    Under a box change y = T z the box test is integer cross-multiplication
+    (`AdmissibleSetSpec.box_change_integer`), exactly lo Y <= (T^-1 y)_i <= hi Y."""
     y = list(y)
     if spec.box_change is None:
         for yi, (lo, hi) in zip(y, spec.box):
             if not (lo * Y <= yi <= hi * Y):
                 return MembershipResult(False, "box")
     else:
-        t = spec.box_change_inverse().matvec(y)
-        for zi, (lo, hi) in zip(t, spec.box):
-            if not (lo * Y <= zi <= hi * Y):
+        for row, lo_n, lo_d, hi_n, hi_d in spec.box_change_integer():
+            u = sum(a * yi for a, yi in zip(row, y))  # d (T^-1 y)_i
+            if not (lo_n * Y <= u * lo_d and u * hi_d <= hi_n * Y):
                 return MembershipResult(False, "box")
     if spec.y1_prime_window is not None:
         lo, hi = spec.y1_prime_window
@@ -307,8 +315,11 @@ def fibre_solubility(
             return FibreVerdict("insoluble", "gcd", None,
                                 f"gcd {d} does not divide {target}")
         sol = solve_linear_diophantine(vals, target)
-        assert sol is not None
-        assert sum(v * s for v, s in zip(vals, sol)) == target
+        if sol is None:
+            raise FalsificationAlarm(
+                f"no solution of {vals} . x = {target} although gcd {d} divides it")
+        if sum(v * s for v, s in zip(vals, sol)) != target:
+            raise FalsificationAlarm(f"point {sol} does not solve {vals} . x = {target}")
         return FibreVerdict("soluble", "explicit-point-found", tuple(sol))
     # pi mode: quadric fibre F_y(x) = sum y_i F_i(x) + sum x_j q_j(y) + R(y)
     m = len(split.x_indices)

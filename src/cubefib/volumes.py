@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,3 @@ def ball_slice_volume(l: int, B, a) -> float:
         raise ValueError("B^2 < a^2: empty slice")
     return _DEFAULT_TABLE.constant_float(l) * float(rad2) ** (l / 2)
 
-
-def ball_slice_volume_exact(l: int, rad2: Fraction) -> Tuple[PiMonomial, Fraction]:
-    """(c(l), B^2 - a^2) pair for callers that keep exactness."""
-    return _DEFAULT_TABLE.constant(l), Fraction(rad2)

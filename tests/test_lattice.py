@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cubefib.lattice import (
     IntegerLattice,
+    QuadraticSolvedLevels,
     count_affine_points_in_ball,
     dot,
     enumerate_quadratic,
@@ -280,6 +281,55 @@ def definite_quadratics(draw):
     w = [draw(small) for _ in range(k)]
     c = draw(st.integers(-12, 4))
     return G, w, c
+
+
+def schur_levels(G, w, c):
+    """Reference levels by rational Schur complements: level j is Delta_j
+    times the matrix of min over t_0..t_{j-1} of Q, in (t_j..t_{k-1}, 1)."""
+    mat = [[Fraction(v) for v in row] + [Fraction(wi)] for row, wi in zip(G, w)]
+    mat.append([Fraction(v) for v in w] + [Fraction(c)])
+    delta, levels = Fraction(1), []
+    for j in range(len(G)):
+        m = [[delta * v for v in row] for row in mat]
+        assert all(v.denominator == 1 for row in m for v in row)
+        size = len(m)
+        rest = tuple((i - 1, l - 1, int(m[i][l]) * (1 if i == l else 2))
+                     for i in range(1, size) for l in range(i, size) if m[i][l])
+        levels.append({"a": int(m[0][0]), "lin": tuple(int(v) for v in m[0][1:]),
+                       "rest": rest, "j": j})
+        piv = mat[0][0]
+        mat = [[mat[i][l] - mat[i][0] * mat[0][l] / piv for l in range(1, size)]
+               for i in range(1, size)]
+        delta *= piv
+    return levels
+
+
+@st.composite
+def definite_matrices(draw):
+    """(G, w, c), G = A^T A + e I positive definite, k = 1..5."""
+    k = draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    A = [[draw(small) for _ in range(k)] for _ in range(k)]
+    e = draw(st.integers(1, 4))
+    G = [[sum(A[r][i] * A[r][j] for r in range(k)) + (e if i == j else 0) for j in range(k)]
+         for i in range(k)]
+    return G, [draw(st.integers(-30, 30)) for _ in range(k)], draw(st.integers(-500, 500))
+
+
+@settings(max_examples=200, deadline=None)
+@given(definite_matrices())
+def test_bareiss_levels_equal_rational_schur_complements(Gwc):
+    assert QuadraticSolvedLevels(*Gwc).levels == schur_levels(*Gwc)
+
+
+@pytest.mark.parametrize("G", [[[0]], [[-1]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 1], [0, 1, 0]],
+                               [[1, 1], [1, 1]], [[0, 1], [1, 5]]])
+def test_levels_reject_a_gram_matrix_that_is_not_positive_definite(G):
+    k = len(G)
+    with pytest.raises(ValueError, match="not positive definite"):
+        QuadraticSolvedLevels(G, [0] * k, -1)
+    with pytest.raises(ValueError):
+        enumerate_quadratic(G, [0] * k, -1)
 
 
 def box_points(G, w, c, keep):

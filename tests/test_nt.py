@@ -2,6 +2,8 @@ import random
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubefib.nt import (
     count_quadratic_interval,
@@ -155,6 +157,39 @@ def test_count_quadratic_interval_against_bruteforce():
         assert count == len(brute)
         if brute:
             assert lo == brute[0] and hi == brute[-1]
+
+
+@st.composite
+def interval_quadratics(draw):
+    """(a, b, c) with a > 0, one of: random; (m t - u)(n t - v) scaled, whose
+    discriminant is a square, with integer roots when m = n = 1; or a
+    negative discriminant."""
+    kind = draw(st.sampled_from(["random", "square", "integer_roots", "negative"]))
+    if kind == "random":
+        return (draw(st.integers(1, 40)), draw(st.integers(-200, 200)),
+                draw(st.integers(-2000, 2000)))
+    if kind == "negative":
+        a, b = draw(st.integers(1, 40)), draw(st.integers(-200, 200))
+        return a, b, b * b // (4 * a) + draw(st.integers(1, 50))
+    s = draw(st.integers(1, 4))
+    m, n = (1, 1) if kind == "integer_roots" else (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    u, v = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    return s * m * n, -s * (m * v + n * u), s * u * v
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_quadratics())
+@example((1, 0, -25))     # roots +-5
+@example((1, -2, 1))      # double integer root
+@example((4, -4, 1))      # double root 1/2, no integer inside
+@example((1, 0, 1))       # negative discriminant
+def test_count_quadratic_interval_property(abc):
+    a, b, c = abc
+    R = abs(b) + isqrt(abs(c)) + 2  # every root has |t| < R for a >= 1
+    brute = [t for t in range(-R, R + 1) if a * t * t + b * t + c <= 0]
+    count, lo, hi = count_quadratic_interval(a, b, c)
+    assert count == len(brute)
+    assert (lo, hi) == ((brute[0], brute[-1]) if brute else (1, 0))
 
 
 def test_count_quadratic_interval_perfect_squares():

@@ -1,8 +1,13 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cubefib import sieve
+from cubefib.fibration import FalsificationAlarm
 from cubefib.polynomials import IntPolynomial, VariableSplit
 from cubefib.sieve import (
     AdmissibleSetSpec,
@@ -113,6 +118,14 @@ def test_fibre_solubility_linear_gcd1():
     # re-verify: C(point, y) = 0
     point = list(v.point) + [1, 1]
     assert C.evaluate(point) == 0
+
+
+@pytest.mark.parametrize("bogus, match", [(None, "no solution"), ([0] * 5, "does not solve")])
+def test_fibre_solubility_alarms_on_a_bad_diophantine_solution(monkeypatch, bogus, match):
+    C, sp = sample_pi_prime()
+    monkeypatch.setattr(sieve, "solve_linear_diophantine", lambda vals, target: bogus)
+    with pytest.raises(FalsificationAlarm, match=match):
+        fibre_solubility((1, 1), C, sp, "pi_prime")
 
 
 def test_fibre_solubility_linear_insoluble():
@@ -266,3 +279,89 @@ def test_density_cutoff_mode_reports_tail_loss():
     exact_spec = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
     for (Y, c1, _, _), (_, c2, _, _) in zip(est.rows, density_estimate(exact_spec, [10, 20]).rows):
         assert c2 <= c1
+
+
+# ---------------------------------------------------------------------------
+# the box test under a rational change y = T z, against a Fraction reference
+
+
+def _solve(T, y):
+    """z with T z = y, by Fraction Gauss-Jordan elimination (T invertible)."""
+    k = len(T)
+    m = [[Fraction(v) for v in row] + [Fraction(yi)] for row, yi in zip(T, y)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return [row[k] for row in m]
+
+
+def _in_changed_box(T, box, Y, y):
+    return all(lo * Y <= z <= hi * Y for z, (lo, hi) in zip(_solve(T, y), box))
+
+
+def _det(T):
+    if len(T) == 1:
+        return T[0][0]
+    return sum((-1) ** j * T[0][j] * _det([row[:j] + row[j + 1:] for row in T[1:]])
+               for j in range(len(T)))
+
+
+fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def changed_boxes(draw, k_max=3):
+    """(T, box, Y, points): invertible rational T, a rational box and integer
+    points y, some of them put exactly on a box face."""
+    k = draw(st.integers(1, k_max))
+    T = [[draw(fractions) for _ in range(k)] for _ in range(k)]
+    assume(_det(T) != 0)
+    Y = draw(st.integers(1, 4))
+    box = []
+    for _ in range(k):
+        lo, hi = sorted((draw(fractions), draw(fractions)))
+        box.append([lo, hi])
+    points = [tuple(draw(st.lists(st.integers(-12, 12), min_size=k, max_size=k)))
+              for _ in range(draw(st.integers(1, 6)))]
+    for y in points[:2]:
+        # move one face of the box onto y
+        i = draw(st.integers(0, k - 1))
+        face = _solve(T, y)[i] / Y
+        if draw(st.booleans()):
+            box[i] = [face, max(face, box[i][1])]
+        else:
+            box[i] = [min(face, box[i][0]), face]
+    return T, [tuple(b) for b in box], Y, points
+
+
+def _changed_box_spec(T, box):
+    k = len(T)
+    cond = LocalConditionSet("pi_prime", {}, [], 2, tuple(range(k)))
+    return AdmissibleSetSpec(k, list(box), cond, box_change=T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(changed_boxes())
+def test_membership_box_change_matches_fraction_reference(case):
+    T, box, Y, points = case
+    spec = _changed_box_spec(T, box)
+    for y in points:
+        res = membership(y, spec, Y)
+        assert res.member == _in_changed_box(T, box, Y, y)
+        assert res.reason == ("" if res.member else "box")
+
+
+@settings(max_examples=60, deadline=None)
+@given(changed_boxes(k_max=2))
+def test_enumerate_admissible_box_change_is_the_filtered_bounding_box(case):
+    T, box, Y, _ = case
+    # the changed box is convex, so it lies in the bounding box of its corners
+    corners = [[sum(t * v * Y for t, v in zip(row, z)) for row in T] for z in product(*box)]
+    ranges = [range(int(min(c)) - 1, int(max(c)) + 2) for c in zip(*corners)]
+    spec = _changed_box_spec(T, box)
+    expected = [y for y in product(*ranges) if _in_changed_box(T, box, Y, y)]
+    assert list(enumerate_admissible(spec, Y)) == expected
