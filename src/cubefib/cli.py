@@ -18,7 +18,6 @@ from .driver import (
     parse_form_document,
     report_to_json,
 )
-from .polynomials import IntPolynomial
 
 
 def _load_form(path: str):
@@ -26,13 +25,24 @@ def _load_form(path: str):
         return parse_form_document(f.read())
 
 
-def _emit(args, report: dict):
-    text = report_to_json(report)
+def _write(args, text: str):
+    """Write text to the --out file, or to stdout without --out."""
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, report: dict):
+    _write(args, report_to_json(report))
+
+
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise SystemExit(f"{flag} must be comma-separated integers, got {text!r}")
 
 
 def _common(sub):
@@ -98,31 +108,19 @@ def cmd_analyze(args):
 
 
 def cmd_local(args):
-    from .fibration import split_cubic
+    from .fibration import fibre_polynomial, split_cubic
     from .linalg import QuadraticPolynomial
     from .localdensity import singular_series
 
     doc = _load_form(args.form)
-    yvals = [int(v) for v in args.y.split(",")]
+    yvals = _int_list(args.y, "--y")
     if doc.split is None:
         raise SystemExit("local requires a form with a declared split")
+    h = len(doc.split.y_indices)
+    if len(yvals) != h:
+        raise SystemExit(f"local: --y has {len(yvals)} coordinates, the split has h = {h}")
     F_list, q_list, R = split_cubic(doc.poly, doc.split)
-    m = len(doc.split.x_indices)
-    terms = {}
-    for i, F in enumerate(F_list):
-        for e, c in F.terms.items():
-            v = c * yvals[i]
-            if v:
-                terms[e] = terms.get(e, 0) + v
-    for j, q in enumerate(q_list):
-        e = tuple(1 if t == j else 0 for t in range(m))
-        v = q.evaluate(yvals)
-        if v:
-            terms[e] = terms.get(e, 0) + v
-    rv = R.evaluate(yvals)
-    if rv:
-        terms[tuple([0] * m)] = terms.get(tuple([0] * m), 0) + rv
-    fibre = QuadraticPolynomial.from_polynomial(IntPolynomial(m, terms))
+    fibre = QuadraticPolynomial.from_polynomial(fibre_polynomial(F_list, q_list, R, yvals))
     est = singular_series(fibre, args.pmax, budget=args.budget)
     config = {"command": "local", "form": doc.name, "y": yvals, "pmax": args.pmax}
     sections = {
@@ -137,7 +135,7 @@ def cmd_local(args):
 def cmd_lattice_count(args):
     from .lattice import hyperplane_count_asymptotic, hyperplane_count_exact
 
-    a = [int(v) for v in args.a.split(",")]
+    a = _int_list(args.a, "--a")
     config = {"command": "lattice-count", "a": a, "b": args.b, "B": args.B, "g": args.g}
     res = hyperplane_count_exact(a, args.b, args.B, g=args.g)
     sections = {"exact": res.exact}
@@ -171,24 +169,15 @@ def cmd_density(args):
     k = len(doc.split.y_indices)
     box = [(Fraction(-1), Fraction(1))] * k
     spec = AdmissibleSetSpec(k, box, cond)
-    Ys = [int(v) for v in args.Y.split(",")]
+    Ys = _int_list(args.Y, "--Y")
     if args.points:
-        text = admissible_points_lines(enumerate_admissible(spec, max(Ys), args.budget)) + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        points = enumerate_admissible(spec, max(Ys), args.budget)
+        _write(args, admissible_points_lines(points) + "\n")
         return
     est = density_estimate(spec, Ys, budget=args.budget)
     config = {"command": "density", "form": doc.name, "mode": mode, "Y": Ys}
     if args.csv:
-        text = est.to_csv() + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, est.to_csv() + "\n")
         return
     sections = {"rows": est.rows, "tail_loss_bound": est.tail_loss_bound}
     _emit(args, build_report(config, sections, args.seed))
@@ -196,7 +185,7 @@ def cmd_density(args):
 
 def cmd_count(args):
     doc = _load_form(args.form)
-    Bs = [int(v) for v in args.B.split(",")]
+    Bs = _int_list(args.B, "--B")
     config = {
         "command": "count",
         "form": doc.name,
@@ -219,12 +208,7 @@ def cmd_count(args):
         }
     if args.csv:
         series = CountSeries(sections["series"], sections["predicate"])
-        text = series.to_csv() + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, series.to_csv() + "\n")
         return
     _emit(args, build_report(config, sections, args.seed))
 

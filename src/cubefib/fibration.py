@@ -102,18 +102,24 @@ def minor_det(entries: Sequence[Sequence[DPoly]], rows: Tuple[int, ...],
     return out
 
 
-def all_minors_vanish(entries, size: int, memo: dict, dim_cap: int = 12) -> Optional[Tuple]:
-    """None if every size x size minor is the zero polynomial, else the
-    first (rows, cols) with a nonzero minor."""
+def _nonzero_minors(entries, size: int, memo: dict, dim_cap: int):
+    """(rows, cols, det) of each nonzero size x size minor, rows and then
+    cols in lexicographic order; matrices above dim_cap are refused."""
     m = len(entries)
     if m > dim_cap:
         raise ValueError(f"matrix dimension {m} exceeds the minor-enumeration cap {dim_cap}")
-    if size > m:
-        return None
     for rows in combinations(range(m), size):
         for cols in combinations(range(m), size):
-            if minor_det(entries, rows, cols, memo):
-                return rows, cols
+            det = minor_det(entries, rows, cols, memo)
+            if det:
+                yield rows, cols, det
+
+
+def all_minors_vanish(entries, size: int, memo: dict, dim_cap: int = 12) -> Optional[Tuple]:
+    """None if every size x size minor is the zero polynomial, else the
+    first (rows, cols) with a nonzero minor."""
+    for rows, cols, _ in _nonzero_minors(entries, size, memo, dim_cap):
+        return rows, cols
     return None
 
 
@@ -201,14 +207,17 @@ def split_cubic(C: IntPolynomial, split: VariableSplit):
     return F_list, q_list, IntPolynomial(h, R_terms)
 
 
-def bundle_matrix(F_list: Sequence[IntPolynomial], h: int) -> List[List[DPoly]]:
-    """M2[y] with entry (a,b) = sum_i y_i * d^2 F_i / dx_a dx_b."""
-    if not F_list:
+def bundle_matrix(forms: Sequence[IntPolynomial]) -> List[List[DPoly]]:
+    """Twice the matrix of sum_i z_i forms[i](x): entry (a,b) is the linear
+    form sum_i z_i * d^2 forms[i] / dx_a dx_b in z = (z_1, ..., z_k), k =
+    len(forms). The F_i(x) of a split cubic give M2[y]; the psi_i(y) of
+    Psi = sum x_i psi_i(y) give A2[x]."""
+    if not forms:
         raise ValueError("empty bundle")
-    m = F_list[0].num_vars
+    m = forms[0].num_vars
     entries: List[List[DPoly]] = [[dict() for _ in range(m)] for _ in range(m)]
-    for i, F in enumerate(F_list):
-        ye = tuple(1 if k == i else 0 for k in range(h))
+    for i, F in enumerate(forms):
+        ye = tuple(1 if k == i else 0 for k in range(len(forms)))
         for exps, coef in F.terms.items():
             sup = [k for k, e in enumerate(exps) if e]
             if sum(exps) != 2:
@@ -221,6 +230,29 @@ def bundle_matrix(F_list: Sequence[IntPolynomial], h: int) -> List[List[DPoly]]:
                 entries[a][b][ye] = entries[a][b].get(ye, 0) + coef
                 entries[b][a][ye] = entries[b][a].get(ye, 0) + coef
     return entries
+
+
+def fibre_polynomial(F_list: Sequence[IntPolynomial], q_list: Sequence[IntPolynomial],
+                     R: IntPolynomial, y: Sequence[int]) -> IntPolynomial:
+    """The fibre F_y(x) = sum_i y_i F_i(x) + sum_j x_j q_j(y) + R(y) of the
+    split cubic (F_list, q_list, R) = split_cubic(C, split) over the integer y."""
+    m = len(q_list)
+    terms: DPoly = {}
+    for i, F in enumerate(F_list):
+        for e, c in F.terms.items():
+            v = c * y[i]
+            if v:
+                terms[e] = terms.get(e, 0) + v
+    for j, q in enumerate(q_list):
+        e = tuple(1 if t == j else 0 for t in range(m))
+        v = q.evaluate(y)
+        if v:
+            terms[e] = terms.get(e, 0) + v
+    rv = R.evaluate(y)
+    if rv:
+        zero = tuple([0] * m)
+        terms[zero] = terms.get(zero, 0) + rv
+    return IntPolynomial(m, terms)
 
 
 def _int_matrix_rank(rows: List[List[int]]) -> int:
@@ -314,7 +346,7 @@ def build_fibration(
 ) -> FibrationData:
     F_list, q_list, R = split_cubic(C, split)
     h = len(split.y_indices)
-    M2 = bundle_matrix(F_list, h)
+    M2 = bundle_matrix(F_list)
     rank, witness, record = fibration_rank(M2, h, seed, trials, dim_cap)
     return FibrationData(split, F_list, q_list, R, M2, rank, witness, record)
 
@@ -744,7 +776,9 @@ def detect_common_linear_factor_Qi(
                     cofs.append((IntPolynomial.zero(q.num_vars), 1))
                 else:
                     quo, den = divide_form_by_linear_rational(q, l)
-                    assert (l * quo) == q * den
+                    if l * quo != q * den:
+                        raise FalsificationAlarm("common factor times its cofactor "
+                                                 "is not den * Q_i")
                     cofs.append((quo, den))
             return CommonFactorResult(l, cofs, True)
     return None
@@ -764,29 +798,6 @@ class Rank2Shape:
     factor_pieces: Optional[dict] = None
     delta_relations_ok: Optional[bool] = None
     notes: str = ""
-
-
-def bilinear_bundle_matrix(psi_list: Sequence[IntPolynomial], v: int) -> List[List[DPoly]]:
-    """A2[x] for Psi = sum x_i psi_i(y): entry (a,b) is the linear form in x
-    carrying twice the y_a y_b coefficient."""
-    if not psi_list:
-        raise ValueError("empty bundle")
-    myv = psi_list[0].num_vars
-    entries: List[List[DPoly]] = [[dict() for _ in range(myv)] for _ in range(myv)]
-    for i, psi in enumerate(psi_list):
-        xe = tuple(1 if k == i else 0 for k in range(v))
-        for exps, coef in psi.terms.items():
-            sup = [k for k, e in enumerate(exps) if e]
-            if sum(exps) != 2:
-                raise ValueError("psi_i must be quadratic forms")
-            if len(sup) == 1:
-                a = sup[0]
-                entries[a][a][xe] = entries[a][a].get(xe, 0) + 2 * coef
-            else:
-                a, b = sup
-                entries[a][b][xe] = entries[a][b].get(xe, 0) + coef
-                entries[b][a][xe] = entries[b][a].get(xe, 0) + coef
-    return entries
 
 
 def _psi_independent(psi_list: Sequence[IntPolynomial]) -> bool:
@@ -824,7 +835,7 @@ def classify_rank2_bundle(
     """
     v = len(psi_list)
     my = psi_list[0].num_vars
-    A2 = bilinear_bundle_matrix(psi_list, v)
+    A2 = bundle_matrix(psi_list)
     rank, witness, record = fibration_rank(A2, v, seed=seed, dim_cap=dim_cap)
     if rank >= 3:
         nondeg = _psi_independent(psi_list)
@@ -989,17 +1000,8 @@ class Order3FactorResult:
 
 
 def order3_minors(M2: List[List[DPoly]], h: int, dim_cap: int = 12) -> List[IntPolynomial]:
-    m = len(M2)
-    if m > dim_cap:
-        raise ValueError("matrix dimension exceeds the minor cap")
-    memo: dict = {}
-    out = []
-    for rows in combinations(range(m), 3):
-        for cols in combinations(range(m), 3):
-            d = minor_det(M2, rows, cols, memo)
-            if d:
-                out.append(IntPolynomial(h, d))
-    return out
+    """The nonzero order-3 minors of M2, as polynomials in its h variables."""
+    return [IntPolynomial(h, det) for _, _, det in _nonzero_minors(M2, 3, {}, dim_cap)]
 
 
 def _restrict_to_pencil(poly: IntPolynomial, u: Sequence[int], w: Sequence[int]) -> List[int]:
@@ -1199,15 +1201,7 @@ def low_rank_specialization_count(
     """#{|x| <= R : rank of the specialized bundle matrix <= 2} by exact
     enumeration; flags a bundle whose matrix has rank <= 2 identically."""
     v = len(psi_list)
-    A2 = bilinear_bundle_matrix(psi_list, v)
-    my = len(A2)
-    minors = []
-    memo: dict = {}
-    for rows in combinations(range(my), 3):
-        for cols in combinations(range(my), 3):
-            d = minor_det(A2, rows, cols, memo)
-            if d:
-                minors.append(IntPolynomial(v, d))
+    minors = order3_minors(bundle_matrix(psi_list), v)
     if not minors:
         return (2 * R_box + 1) ** v, True
     lows = [-R_box] * v

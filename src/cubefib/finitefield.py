@@ -10,6 +10,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import gridcount
+from .fibration import FalsificationAlarm
 from .gridcount import BudgetExceeded, check_budget
 from .linalg import QuadraticPolynomial
 from .nt import is_prime, jacobi_symbol, sqrt_mod_p
@@ -168,7 +169,9 @@ def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCo
     kappa = 1 if w == 0 else 0
     total = p ** (m - 1) + gauss
     nonsingular = total - kappa * p ** (m - r)
-    assert 0 <= nonsingular <= total, "assembled count must be a non-negative integer"
+    if not 0 <= nonsingular <= total:
+        raise FalsificationAlarm(
+            f"assembled nonsingular count {nonsingular} is outside [0, {total}]")
     data = GaussSumData(p, r, eps_tag, jac, w, kappa, gauss, "gauss")
     return QuadricCount(nonsingular, total, data)
 
@@ -223,18 +226,35 @@ class PadicWitness:
         return C.derivative(self.index).evaluate_mod(self.residues, pv) != 0
 
 
-def _lex_chunks(m: int, q: int):
-    total = q ** m
-    start = 0
-    while start < total:
-        stop = min(start + (1 << 18), total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((m, stop - start), dtype=np.int64)
-        for i in range(m - 1, -1, -1):
-            coords[i] = idx % q
-            idx //= q
-        yield coords
-        start = stop
+def _x_partials(C: IntPolynomial, x_indices: Sequence[int] | None):
+    idx = tuple(x_indices) if x_indices is not None else tuple(range(C.num_vars))
+    return [(i, C.derivative(i)) for i in idx]
+
+
+def _witness_scan(C: IntPolynomial, p: int, v: int, grads, budget: int | None):
+    """Witnesses mod p^(2v-1) in lexicographic order, one grid chunk at a
+    time: yields (points, first_index), where the columns of points are the
+    zeros of C mod p^(2v-1) at which some partial of grads, a list of
+    (index, derivative) pairs, is nonzero mod p^v, and first_index holds
+    the first such index for each."""
+    m = C.num_vars
+    q = p ** (2 * v - 1)
+    pv = p ** v
+    check_budget(q ** m, budget)
+    tables = gridcount._pow_tables(C, q)
+    gtables = [gridcount._pow_tables(g, pv) for _, g in grads]
+    for coords in gridcount._box_chunks([0] * m, [q - 1] * m):
+        vals = gridcount.eval_mod_on_coords(C, q, coords, tables)
+        cand = np.nonzero(vals == 0)[0]
+        if cand.size == 0:
+            continue
+        sub = coords[:, cand] % pv
+        first_index = np.full(cand.size, -1, dtype=np.int64)
+        for (i, g), tb in zip(grads, gtables):
+            nz = gridcount.eval_mod_on_coords(g, pv, sub, tb) != 0
+            first_index[nz & (first_index < 0)] = i
+        good = first_index >= 0
+        yield coords[:, cand[good]], first_index[good]
 
 
 def find_padic_nonsingular(
@@ -249,35 +269,14 @@ def find_padic_nonsingular(
     Returns the first (x, r) mod p^(2v-1) with C = 0 mod p^(2v-1) and some
     x-block partial nonzero mod p^v, or None if v_max is exhausted.
     """
-    idx = tuple(x_indices) if x_indices is not None else tuple(range(C.num_vars))
-    grads = [(i, C.derivative(i)) for i in idx]
+    grads = _x_partials(C, x_indices)
     if all(g.is_zero() for _, g in grads):
         raise ValueError("all x-partials vanish identically")
-    m = C.num_vars
     for v in range(1, v_max + 1):
-        q = p ** (2 * v - 1)
-        pv = p ** v
-        check_budget(q ** m, budget)
-        tables = gridcount._pow_tables(C, q)
-        gtables = [gridcount._pow_tables(g, pv) for _, g in grads]
-        for coords in _lex_chunks(m, q):
-            vals = gridcount.eval_mod_on_coords(C, q, coords, tables)
-            cand = np.nonzero(vals == 0)[0]
-            if cand.size == 0:
-                continue
-            sub = coords[:, cand] % pv
-            good = np.zeros(cand.size, dtype=bool)
-            first_index = np.full(cand.size, -1, dtype=np.int64)
-            for (i, g), tb in zip(grads, gtables):
-                nz = gridcount.eval_mod_on_coords(g, pv, sub, tb) != 0
-                newly = nz & ~good
-                first_index[newly] = i
-                good |= nz
-            hits = np.nonzero(good)[0]
-            if hits.size:
-                j = hits[0]
-                point = tuple(int(coords[i, cand[j]]) for i in range(m))
-                return PadicWitness(p, v, point, int(first_index[j]))
+        for points, first_index in _witness_scan(C, p, v, grads, budget):
+            if first_index.size:
+                point = tuple(int(a) for a in points[:, 0])
+                return PadicWitness(p, v, point, int(first_index[0]))
     return None
 
 
@@ -286,26 +285,9 @@ def count_witnesses(
     budget: int | None = None,
 ) -> int:
     """#{x mod p^(2v-1) : C = 0 mod p^(2v-1), some x-partial != 0 mod p^v}."""
-    idx = tuple(x_indices) if x_indices is not None else tuple(range(C.num_vars))
-    grads = [C.derivative(i) for i in idx]
-    m = C.num_vars
-    q = p ** (2 * v - 1)
-    pv = p ** v
-    check_budget(q ** m, budget)
-    tables = gridcount._pow_tables(C, q)
-    gtables = [gridcount._pow_tables(g, pv) for g in grads]
-    count = 0
-    for coords in _lex_chunks(m, q):
-        vals = gridcount.eval_mod_on_coords(C, q, coords, tables)
-        cand = np.nonzero(vals == 0)[0]
-        if cand.size == 0:
-            continue
-        sub = coords[:, cand] % pv
-        good = np.zeros(cand.size, dtype=bool)
-        for g, tb in zip(grads, gtables):
-            good |= gridcount.eval_mod_on_coords(g, pv, sub, tb) != 0
-        count += int(good.sum())
-    return count
+    grads = _x_partials(C, x_indices)
+    return sum(int(first_index.size)
+               for _, first_index in _witness_scan(C, p, v, grads, budget))
 
 
 @dataclass(frozen=True)
@@ -357,7 +339,7 @@ def hensel_count(
     if exact is None and certified is None:
         raise BudgetExceeded("neither exact nor certified count computable")
     if exact is not None and certified is not None and certified > exact:
-        raise AssertionError("certified bound exceeds exact count; arithmetic bug")
+        raise FalsificationAlarm("certified bound exceeds exact count; arithmetic bug")
     return HenselCount(p, t, exact, certified, v_used, wcount)
 
 

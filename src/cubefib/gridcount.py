@@ -2,8 +2,9 @@
 and integer boxes. This is the oracle side of the package: closed forms
 elsewhere are always checked against these counts.
 
-Chunks partition the grid into disjoint index ranges with a deterministic
-integer-sum reduction, so enumerations could be fanned out concurrently
+One chunker walks every grid in lexicographic order. Chunks partition the
+grid into disjoint index ranges with a deterministic integer-sum
+reduction, so enumerations could be fanned out concurrently
 without changing any result; externally every function is pure and
 single-valued."""
 
@@ -29,17 +30,20 @@ def check_budget(points: int, budget: int | None):
         raise BudgetExceeded(f"{points} points exceed budget {budget}")
 
 
-def _grid_chunks(m: int, q: int) -> Iterator[np.ndarray]:
-    """Yield (m, N) int64 coordinate arrays covering (Z/q)^m."""
-    total = q ** m
+def _box_chunks(lows: Sequence[int], highs: Sequence[int]) -> Iterator[np.ndarray]:
+    """Yield (m, N) int64 coordinate arrays, at most _CHUNK points each,
+    covering the integer box prod [lows_i, highs_i] in lexicographic
+    (itertools.product) order. A residue grid (Z/q)^m is the box [0, q-1]^m."""
+    sizes = [h - l + 1 for l, h in zip(lows, highs)]
+    total = box_point_count(lows, highs)
     start = 0
     while start < total:
         stop = min(start + _CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((m, stop - start), dtype=np.int64)
-        for i in range(m):
-            coords[i] = idx % q
-            idx //= q
+        coords = np.empty((len(sizes), stop - start), dtype=np.int64)
+        for i in range(len(sizes) - 1, -1, -1):
+            np.divmod(idx, sizes[i], out=(idx, coords[i]))
+            coords[i] += lows[i]
         yield coords
         start = stop
 
@@ -94,7 +98,7 @@ def count_zeros_mod_q(
     grads = poly.gradient() if nonsingular_p is not None else []
     gtables = [_pow_tables(g, nonsingular_p) for g in grads]
     count = 0
-    for coords in _grid_chunks(m, q):
+    for coords in _box_chunks([0] * m, [q - 1] * m):
         vals = eval_mod_on_coords(poly, q, coords, tables)
         mask = vals == 0
         if nonsingular_p is not None:
@@ -118,7 +122,7 @@ def count_system_zeros_mod_p(
     check_budget(p ** m, budget)
     tables = [_pow_tables(f, p) for f in polys]
     count = 0
-    for coords in _grid_chunks(m, p):
+    for coords in _box_chunks([0] * m, [p - 1] * m):
         mask = np.ones(coords.shape[1], dtype=bool)
         for f, tb in zip(polys, tables):
             mask &= eval_mod_on_coords(f, p, coords, tb) == 0
@@ -141,30 +145,12 @@ def character_sum_counts(
         chi[a] = jacobi_symbol(a, p)
     tables = _pow_tables(poly, p)
     plus = minus = zero = 0
-    for coords in _grid_chunks(m, p):
+    for coords in _box_chunks([0] * m, [p - 1] * m):
         vals = chi[eval_mod_on_coords(poly, p, coords, tables)]
         plus += int((vals == 1).sum())
         minus += int((vals == -1).sum())
         zero += int((vals == 0).sum())
     return plus, minus, zero
-
-
-def _box_chunks(lows: Sequence[int], highs: Sequence[int]) -> Iterator[np.ndarray]:
-    sizes = [h - l + 1 for l, h in zip(lows, highs)]
-    total = 1
-    for s in sizes:
-        total *= s
-    m = len(sizes)
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((m, stop - start), dtype=np.int64)
-        for i in range(m):
-            coords[i] = idx % sizes[i] + lows[i]
-            idx //= sizes[i]
-        yield coords
-        start = stop
 
 
 def box_point_count(lows: Sequence[int], highs: Sequence[int]) -> int:

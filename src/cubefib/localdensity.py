@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gridcount
+from .fibration import FalsificationAlarm
 from .finitefield import (
     PadicWitness,
     count_quadric_mod_p_closed_form,
@@ -98,7 +99,8 @@ def counts_good_prime(F: QuadraticPolynomial, p: int, t: int) -> List[int]:
     sub_counts = None
     if cstar % (p * p) == 0:
         grad = [g.evaluate(xstar) for g in poly.gradient()]
-        assert all(v % p == 0 for v in grad)
+        if any(v % p for v in grad):
+            raise FalsificationAlarm(f"gradient {grad} at the critical residue is nonzero mod {p}")
         quad_part = poly.homogeneous_part(2)
         terms = dict(quad_part.terms)
         for i, gv in enumerate(grad):
@@ -167,7 +169,8 @@ def S_pk_extract(F: QuadraticPolynomial, p: int, k: int, counts: Sequence[int] |
     m = F.m
     val = Fraction(counts[k], p ** (k * (m - 1))) - Fraction(counts[k - 1], p ** ((k - 1) * (m - 1)))
     out = val * p ** (k * m)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise FalsificationAlarm(f"S_{p}^{k} = {out} from exact counts is not an integer")
     return int(out)
 
 
@@ -178,7 +181,7 @@ def S_q_character_sum(F: QuadraticPolynomial, q: int, budget: int | None = None)
     check_budget(q ** m, budget)
     hist = np.zeros(q, dtype=np.int64)
     tables = gridcount._pow_tables(poly, q)
-    for coords in gridcount._grid_chunks(m, q):
+    for coords in gridcount._box_chunks([0] * m, [q - 1] * m):
         vals = gridcount.eval_mod_on_coords(poly, q, coords, tables)
         hist += np.bincount(vals, minlength=q)
     # Ramanujan sum c_q(v) = sum_{d | gcd(v, q)} d mu(q/d)
@@ -378,10 +381,13 @@ def solubility_quadric_Zp(
             ns = count_quadric_mod_p_closed_form(F, p)
             if ns.nonsingular > 0:
                 pt = find_nonsingular_zero_mod_p(F, p)
-                assert pt is not None
+                if pt is None:
+                    raise FalsificationAlarm(f"closed form counts nonsingular zeros mod {p}, "
+                                             "but the point search found none")
                 idx = next(i for i, g in enumerate(poly.gradient()) if g.evaluate_mod(pt, p))
                 wit = PadicWitness(p, 1, pt, idx)
-                assert wit.verify(poly)
+                if not wit.verify(poly):
+                    raise FalsificationAlarm(f"nonsingular zero {pt} mod {p} fails verification")
                 return ZpSolubility("soluble", wit, 1, "nonsingular point mod p")
         except ValueError:
             pass

@@ -278,31 +278,6 @@ class IntPolynomial:
             result = result + term
         return result
 
-    def permute_variables(self, perm: Sequence[int]) -> "IntPolynomial":
-        """New variable i is old variable perm[i]."""
-        inv = [0] * self.num_vars
-        for new, old in enumerate(perm):
-            inv[old] = new
-        out = {}
-        for exps, coef in self.terms.items():
-            ne = [0] * self.num_vars
-            for old, e in enumerate(exps):
-                ne[inv[old]] = e
-            out[tuple(ne)] = coef
-        return IntPolynomial(self.num_vars, out)
-
-    def extend_vars(self, new_num_vars: int, offset: int = 0) -> "IntPolynomial":
-        """Embed into a larger variable ring, old variable i -> i + offset."""
-        if offset + self.num_vars > new_num_vars:
-            raise ValueError("does not fit")
-        out = {}
-        for exps, coef in self.terms.items():
-            ne = [0] * new_num_vars
-            for i, e in enumerate(exps):
-                ne[offset + i] = e
-            out[tuple(ne)] = coef
-        return IntPolynomial(new_num_vars, out)
-
     # -- serialization ------------------------------------------------
 
     def to_text(self) -> str:

@@ -18,7 +18,8 @@ from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .finitefield import PadicWitness, find_padic_nonsingular
-from .fibration import FalsificationAlarm, build_fibration, order3_minors, split_cubic
+from .fibration import (FalsificationAlarm, build_fibration, fibre_polynomial,
+                        order3_minors, split_cubic)
 from .linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
 from .localdensity import real_solubility, solubility_quadric_Zp
 from .nt import is_prime, prime_factors, solve_linear_diophantine, vector_gcd
@@ -321,24 +322,8 @@ def fibre_solubility(
         if sum(v * s for v, s in zip(vals, sol)) != target:
             raise FalsificationAlarm(f"point {sol} does not solve {vals} . x = {target}")
         return FibreVerdict("soluble", "explicit-point-found", tuple(sol))
-    # pi mode: quadric fibre F_y(x) = sum y_i F_i(x) + sum x_j q_j(y) + R(y)
-    m = len(split.x_indices)
-    terms: Dict[Tuple[int, ...], int] = {}
-    for i, F in enumerate(F_list):
-        for e, c in F.terms.items():
-            v = c * y[i]
-            if v:
-                terms[e] = terms.get(e, 0) + v
-    for j, q in enumerate(q_list):
-        e = tuple(1 if t == j else 0 for t in range(m))
-        v = q.evaluate(y)
-        if v:
-            terms[e] = terms.get(e, 0) + v
-    rv = R.evaluate(y)
-    if rv:
-        zero = tuple([0] * m)
-        terms[zero] = terms.get(zero, 0) + rv
-    fibre = IntPolynomial(m, terms)
+    # pi mode: the quadric fibre F_y
+    fibre = fibre_polynomial(F_list, q_list, R, y)
     Fq = QuadraticPolynomial.from_polynomial(fibre)
     if want_point or search_bound:
         pt = _search_integer_point(fibre, min(search_bound, 6))

@@ -127,3 +127,32 @@ def test_density_points_export(capsys):
     for ln in lines:
         parts = ln.split()
         assert len(parts) == 2 and all(int(p) or True for p in parts)
+
+
+@pytest.mark.parametrize("mode_args", [["--Y", "6,12", "--csv"], ["--Y", "8", "--points"]])
+def test_density_out_file_matches_stdout(capsys, tmp_path, mode_args):
+    form = os.path.join(FORMS, "pi_prime_n7.json")
+    args = ["density", "--form", form, "--mode", "pi_prime"] + mode_args
+    _, out = run_cli(args, capsys)
+    out_path = tmp_path / "density.txt"
+    _, nothing = run_cli(args + ["--out", str(out_path)], capsys)
+    assert nothing == ""
+    assert out_path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("y, message", [
+    ("1", "local: --y has 1 coordinates, the split has h = 2"),
+    ("1,2,5", "local: --y has 3 coordinates, the split has h = 2"),
+    ("1,a", "--y must be comma-separated integers, got '1,a'"),
+])
+def test_local_rejects_a_bad_fibre_point(y, message):
+    form = os.path.join(FORMS, "pi_n7.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubefib.cli", "local", "--form", form, "--y", y],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(FORMS),
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"

@@ -1,16 +1,23 @@
+import itertools
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubefib.driver import parse_form_document
 from cubefib.fibration import (
     FalsificationAlarm,
     build_fibration,
+    bundle_matrix,
     classify_rank2_bundle,
     detect_common_linear_factor_Qi,
     detect_hypothesis_h1,
     divide_form_by_linear_rational,
     divides_form,
     extract_linear_block,
+    fibre_polynomial,
     indefinite_witness,
     linear_factors_of_quadratic,
     low_rank_specialization_count,
@@ -494,3 +501,85 @@ def test_low_rank_specialization_count():
     # dimension-growth flavour: count grows far slower than the box
     assert c4 / 9 ** 3 < 0.5
     assert c8 <= 40 * 8 ** 3 / 64  # crude sanity ceiling
+
+
+def _low_rank_count_by_rank(psis, R):
+    """#{x in [-R, R]^v : the matrix of sum x_i psi_i(y) has rank <= 2},
+    from RationalMatrix ranks of its specialised second partials."""
+    my = psis[0].num_vars
+    origin = [0] * my
+    count = 0
+    for x in itertools.product(range(-R, R + 1), repeat=len(psis)):
+        form = IntPolynomial.zero(my)
+        for xi, psi in zip(x, psis):
+            form = form + psi * xi
+        hessian = [[form.derivative(a).derivative(b).evaluate(origin) for b in range(my)]
+                   for a in range(my)]
+        count += RationalMatrix(hessian).rank() <= 2
+    return count
+
+
+def test_low_rank_specialization_count_matches_rank_oracle():
+    psis = [
+        poly(3, lambda a, b, c: a * a + b * c),
+        poly(3, lambda a, b, c: b * b - a * c),
+        poly(3, lambda a, b, c: c * c + a * b),
+    ]
+    count, degenerate = low_rank_specialization_count(psis, 2)
+    assert not degenerate
+    assert count == _low_rank_count_by_rank(psis, 2)
+
+
+@st.composite
+def _quadratic_bundles(draw):
+    v, my = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    psis = []
+    for _ in range(v):
+        terms = {}
+        for a in range(my):
+            for b in range(a, my):
+                e = [0] * my
+                e[a] += 1
+                e[b] += 1
+                terms[tuple(e)] = draw(st.integers(-2, 2))
+        psis.append(IntPolynomial(my, terms))
+    return psis
+
+
+@settings(max_examples=60, deadline=None)
+@given(psis=_quadratic_bundles(), R=st.integers(0, 2))
+def test_low_rank_specialization_count_random_bundles(psis, R):
+    count, degenerate = low_rank_specialization_count(psis, R)
+    assert count == _low_rank_count_by_rank(psis, R)
+    if degenerate:
+        assert count == (2 * R + 1) ** len(psis)
+
+
+def test_low_rank_specialization_count_has_the_minor_cap():
+    psis = [X(13, 0) * X(13, 12), X(13, 1) * X(13, 1)]
+    with pytest.raises(ValueError, match="minor-enumeration cap 12"):
+        low_rank_specialization_count(psis, 1)
+
+
+def test_bundle_matrix_hand_example():
+    # F_1 = x1^2 + 3 x1 x2, F_2 = -x2^2: entry (a, b) = sum_i z_i d^2 F_i / dx_a dx_b
+    forms = [poly(2, lambda a, b: a * a + 3 * a * b), poly(2, lambda a, b: -(b * b))]
+    assert bundle_matrix(forms) == [[{(1, 0): 2}, {(1, 0): 3}], [{(1, 0): 3}, {(0, 1): -2}]]
+    with pytest.raises(ValueError, match="quadratic forms"):
+        bundle_matrix([poly(2, lambda a, b: a * a * b)])
+
+
+def test_fibre_polynomial_is_the_cubic_on_the_fibre():
+    path = os.path.join(os.path.dirname(__file__), "..", "forms", "pi_n7.json")
+    with open(path) as f:
+        doc = parse_form_document(f.read())
+    xs, ys = doc.split.x_indices, doc.split.y_indices
+    F_list, q_list, R = split_cubic(doc.poly, doc.split)
+    rng = random.Random(4)
+    for _ in range(20):
+        y = [rng.randint(-5, 5) for _ in ys]
+        x = [rng.randint(-5, 5) for _ in xs]
+        point = [0] * doc.poly.num_vars
+        for i, v in zip(list(xs) + list(ys), x + y):
+            point[i] = v
+        assert fibre_polynomial(F_list, q_list, R, y).evaluate(x) == doc.poly.evaluate(point)

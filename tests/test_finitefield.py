@@ -1,12 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cubefib import gridcount
 from cubefib.finitefield import (
     PadicWitness,
     PrimeModulus,
     count_mod_q_bruteforce,
     count_quadric_mod_p_closed_form,
+    count_witnesses,
     diagonalize_mod_p,
     find_nonsingular_zero_mod_p,
     find_padic_nonsingular,
@@ -285,6 +290,61 @@ def test_witnesses_reverify_random():
             continue
         assert w.verify(c)
         found += 1
+
+
+def _witnesses_by_enumeration(c, p, v, xs):
+    """(point, first x-index with a partial nonzero mod p^v) for every
+    witness mod p^(2v-1), in itertools.product order."""
+    q, pv = p ** (2 * v - 1), p ** v
+    grads = [(i, c.derivative(i)) for i in xs]
+    out = []
+    for x in itertools.product(range(q), repeat=c.num_vars):
+        if c.evaluate_mod(x, q) == 0:
+            first = next((i for i, g in grads if g.evaluate_mod(x, pv)), None)
+            if first is not None:
+                out.append((x, first))
+    return out
+
+
+@st.composite
+def _small_polynomials(draw):
+    m = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        e = [0] * m
+        for _ in range(draw(st.integers(0, 3))):
+            e[draw(st.integers(0, m - 1))] += 1
+        terms[tuple(e)] = draw(st.integers(-6, 6))
+    return IntPolynomial(m, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=_small_polynomials(), p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_witness_search_and_count_share_one_scan(c, p, data):
+    """find_padic_nonsingular returns the first witness of the lowest level
+    in lexicographic order, the witness verifies, and count_witnesses
+    counts exactly the witnesses of each level, the found one included."""
+    m = c.num_vars
+    xs = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    assume(not all(c.derivative(i).is_zero() for i in xs))
+    v_max = 2 if p ** (3 * m) <= 3000 else 1
+    w = find_padic_nonsingular(c, p, v_max, x_indices=xs)
+    levels = [_witnesses_by_enumeration(c, p, v, xs) for v in range(1, v_max + 1)]
+    for v, expected in enumerate(levels, start=1):
+        assert count_witnesses(c, p, v, x_indices=xs) == len(expected)
+    first = next(((v, hits[0]) for v, hits in enumerate(levels, start=1) if hits), None)
+    if first is None:
+        assert w is None
+        return
+    v, (point, index) = first
+    assert (w.v, w.residues, w.index) == (v, point, index)
+    assert w.verify(c, x_indices=xs)
+    assert count_witnesses(c, p, w.v, x_indices=xs) >= 1
+    # the same witness and counts when every chunk holds only a few residues
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridcount, "_CHUNK", 5)
+        assert find_padic_nonsingular(c, p, v_max, x_indices=xs) == w
+        assert count_witnesses(c, p, w.v, x_indices=xs) == len(levels[w.v - 1])
 
 
 def test_katz_counts_hand_values():
