@@ -1,5 +1,11 @@
 """Command-line interface: analyze, local, lattice-count, density, count,
-fit-exponent. JSON to stdout unless --out is given."""
+fit-exponent. JSON to stdout unless --out is given.
+
+Errors print one line on stderr, with no traceback. Exit codes: 1 a bad
+argument value, 2 an argparse usage error, 3 an invalid form document
+(`FormValidationError`), 4 an enumeration over its point budget
+(`BudgetExceeded`), 5 a file that cannot be read or written (`OSError`).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .driver import (
     CountSeries,
+    FormValidationError,
     brute_force_N,
     build_report,
     compare_fit,
@@ -18,6 +25,7 @@ from .driver import (
     parse_form_document,
     report_to_json,
 )
+from .gridcount import BudgetExceeded
 
 
 def _load_form(path: str):
@@ -287,8 +295,18 @@ def main(argv=None):
     p.set_defaults(func=cmd_fit_exponent)
 
     args = parser.parse_args(argv)
-    args.func(args)
-    return 0
+    try:
+        args.func(args)
+    except FormValidationError as e:
+        message, code = f"invalid form: {e}", 3
+    except BudgetExceeded as e:
+        message, code = f"budget exceeded: {e}", 4
+    except OSError as e:
+        message, code = (f"{e.filename}: {e.strerror}" if e.filename else str(e)), 5
+    else:
+        return 0
+    print(f"cubefib: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

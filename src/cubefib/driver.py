@@ -163,11 +163,11 @@ def brute_force_N(C: IntPolynomial, B_list: Sequence[int],
     highs = [Bmax] * n
     gridcount.check_budget(gridcount.box_point_count(lows, highs), budget)
     buckets = np.zeros(Bmax + 1, dtype=np.int64)
-    for coords, vals in gridcount.eval_on_box(C, lows, highs, budget):
-        mask = vals == 0
-        if not mask.any():
+    for blo, vals in gridcount.eval_on_box(C, lows, highs, budget):
+        hits = np.flatnonzero(vals == 0)
+        if not hits.size:
             continue
-        sel = coords[:, np.asarray(mask, dtype=bool)]
+        sel = np.stack(np.unravel_index(hits, vals.shape)) + np.array(blo)[:, None]
         g = np.zeros(sel.shape[1], dtype=np.int64)
         for i in range(n):
             g = np.gcd(g, np.abs(sel[i]))

@@ -1204,16 +1204,6 @@ def low_rank_specialization_count(
     minors = order3_minors(bundle_matrix(psi_list), v)
     if not minors:
         return (2 * R_box + 1) ** v, True
-    lows = [-R_box] * v
-    highs = [R_box] * v
+    lows, highs = [-R_box] * v, [R_box] * v
     gridcount.check_budget(gridcount.box_point_count(lows, highs) * len(minors), budget)
-    total = (2 * R_box + 1) ** v
-    count = 0
-    iters = [gridcount.eval_on_box(q, lows, highs, budget) for q in minors]
-    for chunks in zip(*iters):
-        mask = None
-        for coords, vals in chunks:
-            zero = vals == 0
-            mask = zero if mask is None else (mask & zero)
-        count += int(mask.sum())
-    return count, False
+    return gridcount.count_common_zeros(minors, lows, highs), False

@@ -232,29 +232,27 @@ def _x_partials(C: IntPolynomial, x_indices: Sequence[int] | None):
 
 
 def _witness_scan(C: IntPolynomial, p: int, v: int, grads, budget: int | None):
-    """Witnesses mod p^(2v-1) in lexicographic order, one grid chunk at a
-    time: yields (points, first_index), where the columns of points are the
-    zeros of C mod p^(2v-1) at which some partial of grads, a list of
-    (index, derivative) pairs, is nonzero mod p^v, and first_index holds
-    the first such index for each."""
+    """Witnesses mod p^(2v-1) in lexicographic order, one grid block at a
+    time: yields (lows, good, first_index), where good marks the zeros of C
+    mod p^(2v-1) in the block with corner lows at which some partial of
+    grads, a list of (index, derivative) pairs, is nonzero mod p^v, and
+    first_index holds the first such index for each, in C order."""
     m = C.num_vars
     q = p ** (2 * v - 1)
     pv = p ** v
     check_budget(q ** m, budget)
-    tables = gridcount._pow_tables(C, q)
-    gtables = [gridcount._pow_tables(g, pv) for _, g in grads]
-    for coords in gridcount._box_chunks([0] * m, [q - 1] * m):
-        vals = gridcount.eval_mod_on_coords(C, q, coords, tables)
-        cand = np.nonzero(vals == 0)[0]
-        if cand.size == 0:
+    lows, highs = [0] * m, [q - 1] * m
+    value = gridcount._evaluator(C, lows, highs, q)
+    partials = [(i, gridcount._evaluator(g, lows, highs, pv)) for i, g in grads]
+    for blo, bhi in gridcount._blocks(lows, highs):
+        zero = value(blo, bhi) == 0
+        if not zero.any():
             continue
-        sub = coords[:, cand] % pv
-        first_index = np.full(cand.size, -1, dtype=np.int64)
-        for (i, g), tb in zip(grads, gtables):
-            nz = gridcount.eval_mod_on_coords(g, pv, sub, tb) != 0
-            first_index[nz & (first_index < 0)] = i
-        good = first_index >= 0
-        yield coords[:, cand[good]], first_index[good]
+        first_index = np.full(zero.shape, -1, dtype=np.int64)
+        for i, partial in partials:
+            first_index[(first_index < 0) & (partial(blo, bhi) != 0)] = i
+        good = zero & (first_index >= 0)
+        yield blo, good, first_index[good]
 
 
 def find_padic_nonsingular(
@@ -273,9 +271,10 @@ def find_padic_nonsingular(
     if all(g.is_zero() for _, g in grads):
         raise ValueError("all x-partials vanish identically")
     for v in range(1, v_max + 1):
-        for points, first_index in _witness_scan(C, p, v, grads, budget):
+        for lows, good, first_index in _witness_scan(C, p, v, grads, budget):
             if first_index.size:
-                point = tuple(int(a) for a in points[:, 0])
+                first = np.unravel_index(int(np.argmax(good)), good.shape)
+                point = tuple(lo + int(i) for lo, i in zip(lows, first))
                 return PadicWitness(p, v, point, int(first_index[0]))
     return None
 
@@ -287,7 +286,7 @@ def count_witnesses(
     """#{x mod p^(2v-1) : C = 0 mod p^(2v-1), some x-partial != 0 mod p^v}."""
     grads = _x_partials(C, x_indices)
     return sum(int(first_index.size)
-               for _, first_index in _witness_scan(C, p, v, grads, budget))
+               for _, _, first_index in _witness_scan(C, p, v, grads, budget))
 
 
 @dataclass(frozen=True)
@@ -320,27 +319,27 @@ def hensel_count(
         exact = gridcount.count_zeros_mod_q(poly, p ** t, budget)
     except BudgetExceeded:
         pass
-    certified = None
+    # one scan per level: the first level with witnesses is v, its count W
     wcount = None
-    v_used = v
-    if v_used is None and not all(g.is_zero() for g in poly.gradient()):
+    if v is not None:
+        wcount = count_witnesses(poly, p, v, budget=budget)
+    elif not all(g.is_zero() for g in poly.gradient()):
         try:
-            wit = find_padic_nonsingular(poly, p, v_max, budget=budget)
-            v_used = wit.v if wit else None
+            for level in range(1, v_max + 1):
+                n = count_witnesses(poly, p, level, budget=budget)
+                if n:
+                    v, wcount = level, n
+                    break
         except BudgetExceeded:
-            v_used = None
-    if v_used is not None:
-        wcount = count_witnesses(poly, p, v_used, budget=budget)
-        if wcount:
-            if t >= 2 * v_used - 1:
-                certified = wcount * p ** ((t - (2 * v_used - 1)) * (m - 1))
-            else:
-                certified = 1
+            pass
+    certified = None
+    if wcount:
+        certified = wcount * p ** ((t - (2 * v - 1)) * (m - 1)) if t >= 2 * v - 1 else 1
     if exact is None and certified is None:
         raise BudgetExceeded("neither exact nor certified count computable")
     if exact is not None and certified is not None and certified > exact:
         raise FalsificationAlarm("certified bound exceeds exact count; arithmetic bug")
-    return HenselCount(p, t, exact, certified, v_used, wcount)
+    return HenselCount(p, t, exact, certified, v, wcount)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +378,11 @@ def find_nonsingular_zero_mod_p(F: QuadraticPolynomial, p: int) -> Optional[Tupl
     import itertools
 
     if p == 2:
-        poly = F.to_polynomial()
-        grads = poly.gradient()
-        for point in itertools.product(range(2), repeat=F.m):
-            if poly.evaluate_mod(point, 2) == 0 and any(
-                g.evaluate_mod(point, 2) for g in grads
-            ):
-                return point
-        return None
+        try:
+            wit = find_padic_nonsingular(F.to_polynomial(), 2, 1)
+        except ValueError:  # every partial vanishes identically
+            return None
+        return wit.residues if wit else None
     if count_quadric_mod_p_closed_form(F, p).nonsingular == 0:
         return None
     m = F.m

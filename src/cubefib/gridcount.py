@@ -1,16 +1,19 @@
-"""Chunked brute-force enumeration of polynomial values on residue grids
+"""Blocked brute-force enumeration of polynomial values on residue grids
 and integer boxes. This is the oracle side of the package: closed forms
 elsewhere are always checked against these counts.
 
-One chunker walks every grid in lexicographic order. Chunks partition the
-grid into disjoint index ranges with a deterministic integer-sum
-reduction, so enumerations could be fanned out concurrently
-without changing any result; externally every function is pure and
-single-valued."""
+One block kernel cuts every box into sub-boxes in lexicographic order; a
+residue grid (Z/q)^m is the box [0, q-1]^m. One evaluator gives a
+polynomial's values on a block as an array whose C order is that order,
+so no coordinate array is built except for hits. Blocks are disjoint with
+a deterministic integer-sum reduction, so enumerations could be fanned
+out concurrently without changing any result; externally every function
+is pure and single-valued."""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+import itertools
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,55 +33,89 @@ def check_budget(points: int, budget: int | None):
         raise BudgetExceeded(f"{points} points exceed budget {budget}")
 
 
-def _box_chunks(lows: Sequence[int], highs: Sequence[int]) -> Iterator[np.ndarray]:
-    """Yield (m, N) int64 coordinate arrays, at most _CHUNK points each,
-    covering the integer box prod [lows_i, highs_i] in lexicographic
-    (itertools.product) order. A residue grid (Z/q)^m is the box [0, q-1]^m."""
+def box_point_count(lows: Sequence[int], highs: Sequence[int]) -> int:
+    total = 1
+    for l, h in zip(lows, highs):
+        total *= max(0, h - l + 1)
+    return total
+
+
+def _blocks(lows: Sequence[int], highs: Sequence[int]) -> Iterator[Tuple[List[int], List[int]]]:
+    """Sub-boxes (lows, highs) of at most _CHUNK points covering the box
+    prod [lows_i, highs_i] in lexicographic (itertools.product) order: the
+    trailing coordinates run over their whole ranges, the one before them
+    is cut into runs, and the leading ones are fixed."""
     sizes = [h - l + 1 for l, h in zip(lows, highs)]
-    total = box_point_count(lows, highs)
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((len(sizes), stop - start), dtype=np.int64)
-        for i in range(len(sizes) - 1, -1, -1):
-            np.divmod(idx, sizes[i], out=(idx, coords[i]))
-            coords[i] += lows[i]
-        yield coords
-        start = stop
+    if any(s <= 0 for s in sizes):
+        return
+    k, tail = len(sizes), 1
+    while k and tail * sizes[k - 1] <= _CHUNK:
+        k -= 1
+        tail *= sizes[k]
+    if k == 0:
+        yield list(lows), list(highs)
+        return
+    a, step = k - 1, _CHUNK // tail
+    for prefix in itertools.product(*[range(lows[i], highs[i] + 1) for i in range(a)]):
+        for start in range(lows[a], highs[a] + 1, step):
+            stop = min(start + step - 1, highs[a])
+            yield [*prefix, start, *lows[k:]], [*prefix, stop, *highs[k:]]
 
 
-def _pow_tables(poly: IntPolynomial, q: int) -> List[dict]:
-    base = np.arange(q, dtype=np.int64)
-    tables: List[dict] = [dict() for _ in range(poly.num_vars)]
-    for exps in poly.terms:
-        for i, e in enumerate(exps):
-            if e and e not in tables[i]:
-                acc = np.ones(q, dtype=np.int64)
-                b = base.copy()
-                k = e
-                while k:
-                    if k & 1:
-                        acc = acc * b % q
-                    b = b * b % q
-                    k >>= 1
-                tables[i][e] = acc
-    return tables
+def _evaluator(
+    poly: IntPolynomial, lows: Sequence[int], highs: Sequence[int], q: int | None = None
+) -> Callable[[Sequence[int], Sequence[int]], np.ndarray]:
+    """values(block_lows, block_highs): poly on a sub-box of the box, as an
+    array of the sub-box's shape, reduced mod q (int32 where that cannot
+    overflow, else int64), or exact when q is None (int64, or Python ints
+    when int64 could overflow anywhere in the box).
 
+    Each axis gets one table of x^e (mod q) over its whole range; a
+    monomial is the outer product of its axes' table slices, so only the
+    sum over the monomials touches every point of the block."""
+    m = len(lows)
+    if q is None:
+        radius = max((max(abs(l), abs(h)) for l, h in zip(lows, highs)), default=0)
+        bound = sum(abs(c) * max(1, radius) ** sum(e) for e, c in poly.terms.items())
+        dtype = np.int64 if bound < 2 ** 62 else object
+    else:
+        # products of two residues and the sum over the monomials must fit
+        small = q * max(q, len(poly.terms)) < 2 ** 31
+        dtype = np.int32 if small else np.int64
+    # powers[(lo, hi)][e - 1] = x^e (mod q) for x in [lo, hi]; axes with the
+    # same range (every axis of a residue grid) share them
+    powers: dict = {}
+    tables: dict = {}
+    for i, top in enumerate(max(col) for col in zip(*poly.terms)):
+        pw = powers.setdefault((lows[i], highs[i]), [])
+        if top and not pw:
+            x = np.arange(lows[i], highs[i] + 1, dtype=np.int64)
+            pw.append(x.astype(object) if dtype is object else
+                      x if q is None else (x % q).astype(dtype))
+        while len(pw) < top:
+            pw.append(pw[-1] * pw[0] if q is None else pw[-1] * pw[0] % q)
+        shape = [-1 if j == i else 1 for j in range(m)]
+        for e in range(1, top + 1):
+            tables[i, e] = pw[e - 1].reshape(shape)
+    terms = [(c if q is None else c % q, [(i, e) for i, e in enumerate(exps) if e])
+             for exps, c in poly.terms.items()]
 
-def eval_mod_on_coords(poly: IntPolynomial, q: int, coords: np.ndarray, tables=None) -> np.ndarray:
-    """poly values mod q at the given (m, N) coordinate array."""
-    if tables is None:
-        tables = _pow_tables(poly, q)
-    n = coords.shape[1]
-    out = np.zeros(n, dtype=np.int64)
-    for exps, coef in poly.terms.items():
-        v = np.full(n, coef % q, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e:
-                v = v * tables[i][e][coords[i]] % q
-        out = (out + v) % q
-    return out
+    def values(blo: Sequence[int], bhi: Sequence[int]) -> np.ndarray:
+        cut = [(slice(None),) * i + (slice(b - l, h - l + 1),)
+               for i, (b, h, l) in enumerate(zip(blo, bhi, lows))]
+        out = np.zeros([h - b + 1 for b, h in zip(blo, bhi)], dtype=dtype)
+        for coef, factors in terms:
+            v = coef
+            for i, e in factors:
+                v = v * tables[i, e][cut[i]]
+                if q is not None:
+                    v %= q
+            out += v
+        if q is not None:
+            out -= out // q * q     # floor division by a scalar is much faster than %
+        return out
+
+    return values
 
 
 def count_zeros_mod_q(
@@ -94,21 +131,21 @@ def count_zeros_mod_q(
     """
     m = poly.num_vars
     check_budget(q ** m, budget)
-    tables = _pow_tables(poly, q)
-    grads = poly.gradient() if nonsingular_p is not None else []
-    gtables = [_pow_tables(g, nonsingular_p) for g in grads]
+    lows, highs = [0] * m, [q - 1] * m
+    value = _evaluator(poly, lows, highs, q)
+    grads = [] if nonsingular_p is None else [
+        _evaluator(g, lows, highs, nonsingular_p) for g in poly.gradient()]
     count = 0
-    for coords in _box_chunks([0] * m, [q - 1] * m):
-        vals = eval_mod_on_coords(poly, q, coords, tables)
-        mask = vals == 0
-        if nonsingular_p is not None:
-            p = nonsingular_p
-            pc = coords % p
-            singular = np.ones(coords.shape[1], dtype=bool)
-            for g, tb in zip(grads, gtables):
-                singular &= eval_mod_on_coords(g, p, pc, tb) == 0
-            mask &= ~singular
-        count += int(mask.sum())
+    for blo, bhi in _blocks(lows, highs):
+        mask = value(blo, bhi) == 0
+        if nonsingular_p is not None and mask.any():
+            singular = mask
+            for grad in grads:
+                singular = singular & (grad(blo, bhi) == 0)
+                if not singular.any():
+                    break
+            mask = mask & ~singular
+        count += int(np.count_nonzero(mask))
     return count
 
 
@@ -116,20 +153,44 @@ def count_system_zeros_mod_p(
     polys: Sequence[IntPolynomial], p: int, budget: int | None = None
 ) -> int:
     """#{x in F_p^m : all polys vanish}."""
+    m = polys[0].num_vars if polys else 0
+    return count_common_zeros(polys, [0] * m, [p - 1] * m, p, budget)
+
+
+def count_common_zeros(
+    polys: Sequence[IntPolynomial],
+    lows: Sequence[int],
+    highs: Sequence[int],
+    q: int | None = None,
+    budget: int | None = None,
+) -> int:
+    """#{x in the box prod [lows_i, highs_i] : all polys vanish}, mod q or,
+    with q None, exactly."""
     if not polys:
         raise ValueError("empty system")
-    m = polys[0].num_vars
-    check_budget(p ** m, budget)
-    tables = [_pow_tables(f, p) for f in polys]
+    check_budget(box_point_count(lows, highs), budget)
+    values = [_evaluator(f, lows, highs, q) for f in polys]
     count = 0
-    for coords in _box_chunks([0] * m, [p - 1] * m):
-        mask = np.ones(coords.shape[1], dtype=bool)
-        for f, tb in zip(polys, tables):
-            mask &= eval_mod_on_coords(f, p, coords, tb) == 0
+    for blo, bhi in _blocks(lows, highs):
+        mask = True
+        for value in values:
+            mask = mask & (value(blo, bhi) == 0)
             if not mask.any():
                 break
-        count += int(mask.sum())
+        count += int(np.count_nonzero(mask))
     return count
+
+
+def value_counts(poly: IntPolynomial, q: int, budget: int | None = None) -> np.ndarray:
+    """hist[v] = #{x in (Z/q)^m : poly(x) = v mod q}, v = 0..q-1."""
+    m = poly.num_vars
+    check_budget(q ** m, budget)
+    lows, highs = [0] * m, [q - 1] * m
+    value = _evaluator(poly, lows, highs, q)
+    hist = np.zeros(q, dtype=np.int64)
+    for blo, bhi in _blocks(lows, highs):
+        hist += np.bincount(value(blo, bhi).ravel(), minlength=q)
+    return hist
 
 
 def character_sum_counts(
@@ -138,26 +199,9 @@ def character_sum_counts(
     """(#{chi(f)=1}, #{chi(f)=-1}, #{f=0}) over F_p^m for the Legendre chi."""
     from .nt import jacobi_symbol
 
-    m = poly.num_vars
-    check_budget(p ** m, budget)
-    chi = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        chi[a] = jacobi_symbol(a, p)
-    tables = _pow_tables(poly, p)
-    plus = minus = zero = 0
-    for coords in _box_chunks([0] * m, [p - 1] * m):
-        vals = chi[eval_mod_on_coords(poly, p, coords, tables)]
-        plus += int((vals == 1).sum())
-        minus += int((vals == -1).sum())
-        zero += int((vals == 0).sum())
-    return plus, minus, zero
-
-
-def box_point_count(lows: Sequence[int], highs: Sequence[int]) -> int:
-    total = 1
-    for l, h in zip(lows, highs):
-        total *= max(0, h - l + 1)
-    return total
+    hist = value_counts(poly, p, budget)
+    chi = np.array([0] + [jacobi_symbol(a, p) for a in range(1, p)], dtype=np.int64)
+    return tuple(int(hist[chi == s].sum()) for s in (1, -1, 0))
 
 
 def eval_on_box(
@@ -165,34 +209,13 @@ def eval_on_box(
     lows: Sequence[int],
     highs: Sequence[int],
     budget: int | None = None,
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (coords, exact values) over the integer box.
+) -> Iterator[Tuple[List[int], np.ndarray]]:
+    """Yield (block_lows, exact values) per block of the integer box: the
+    values are an array of the block's shape with corner block_lows.
 
     Falls back to Python bigints when int64 could overflow.
     """
     check_budget(box_point_count(lows, highs), budget)
-    radius = max(max(abs(l), abs(h)) for l, h in zip(lows, highs)) if lows else 0
-    bound = sum(
-        abs(c) * max(1, radius) ** sum(e) for e, c in poly.terms.items()
-    )
-    safe = bound < 2 ** 62
-    for coords in _box_chunks(lows, highs):
-        n = coords.shape[1]
-        if safe:
-            out = np.zeros(n, dtype=np.int64)
-            for exps, coef in poly.terms.items():
-                v = np.full(n, coef, dtype=np.int64)
-                for i, e in enumerate(exps):
-                    for _ in range(e):
-                        v = v * coords[i]
-                out += v
-        else:
-            out = np.zeros(n, dtype=object)
-            cobj = coords.astype(object)
-            for exps, coef in poly.terms.items():
-                v = np.full(n, coef, dtype=object)
-                for i, e in enumerate(exps):
-                    for _ in range(e):
-                        v = v * cobj[i]
-                out += v
-        yield coords, out
+    value = _evaluator(poly, lows, highs)
+    for blo, bhi in _blocks(lows, highs):
+        yield blo, value(blo, bhi)

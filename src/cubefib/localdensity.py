@@ -9,6 +9,7 @@ oracle (Ramanujan sums, still exact integers).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -25,9 +26,9 @@ from .finitefield import (
     find_nonsingular_zero_mod_p,
     find_padic_nonsingular,
 )
-from .gridcount import BudgetExceeded, check_budget
+from .gridcount import BudgetExceeded
 from .linalg import QuadraticPolynomial, symmetric_diagonalize
-from .nt import divisors, prime_factors, primes_up_to
+from .nt import divisors, prime_factors, prime_sieve, primes_up_to
 from .polynomials import IntPolynomial
 
 
@@ -176,14 +177,7 @@ def S_pk_extract(F: QuadraticPolynomial, p: int, k: int, counts: Sequence[int] |
 
 def S_q_character_sum(F: QuadraticPolynomial, q: int, budget: int | None = None) -> int:
     """Direct S_q = sum*_a sum_b e_q(a F(b)) via Ramanujan sums, exact."""
-    poly = F.to_polynomial()
-    m = F.m
-    check_budget(q ** m, budget)
-    hist = np.zeros(q, dtype=np.int64)
-    tables = gridcount._pow_tables(poly, q)
-    for coords in gridcount._box_chunks([0] * m, [q - 1] * m):
-        vals = gridcount.eval_mod_on_coords(poly, q, coords, tables)
-        hist += np.bincount(vals, minlength=q)
+    hist = gridcount.value_counts(F.to_polynomial(), q, budget)
     # Ramanujan sum c_q(v) = sum_{d | gcd(v, q)} d mu(q/d)
     c = np.zeros(q, dtype=np.int64)
     for d in divisors(q):
@@ -215,25 +209,34 @@ class SingularSeriesEstimate:
 SIGMA_TAIL_CONSTANT = 4
 
 _TAIL_SIEVE_TO = 10 ** 6
-_tail_primes_cache: List[int] | None = None
+_TAIL_SCALE = 1 << 40
+
+
+def _tail_terms_fp(n: int) -> int:
+    """sum over primes q <= n of ceil(2^40 / (q isqrt(q))), exact: since
+    isqrt rounds down, each term overestimates 2^40 q^(-3/2)."""
+    q = np.flatnonzero(np.frombuffer(prime_sieve(n), dtype=np.uint8)).astype(np.int64)
+    r = np.sqrt(q).astype(np.int64)
+    r -= r * r > q              # float square roots, corrected to isqrt
+    r += (r + 1) * (r + 1) <= q
+    return int((-(-_TAIL_SCALE // (q * r))).sum())
+
+
+@functools.cache
+def _tail_sum_fp() -> int:
+    return _tail_terms_fp(_TAIL_SIEVE_TO)
 
 
 def _tail_lower_bound(P: int) -> Fraction:
     """Rational lower bound for prod_{p > P} (1 - 4 p^(-3/2)).
 
     Fixed-point accumulation (2^40 scale, rounded up per term) keeps the
-    overestimate of the sum rigorous while avoiding huge denominators.
+    overestimate of the sum rigorous while avoiding huge denominators. The
+    sum over all primes up to _TAIL_SIEVE_TO is taken once per module; each
+    call subtracts the terms of the primes up to P.
     """
-    global _tail_primes_cache
-    if _tail_primes_cache is None:
-        _tail_primes_cache = primes_up_to(_TAIL_SIEVE_TO)
-    scale = 1 << 40
-    total_fp = 0
-    for q in _tail_primes_cache:
-        if q > P:
-            # 1/q^{3/2} <= 1/(q * isqrt(q)) since isqrt rounds down
-            total_fp += -(-scale // (q * isqrt(q)))
-    total = Fraction(total_fp, scale) + Fraction(2, isqrt(_TAIL_SIEVE_TO - 1))
+    total_fp = _tail_sum_fp() - _tail_terms_fp(min(P, _TAIL_SIEVE_TO))
+    total = Fraction(total_fp, _TAIL_SCALE) + Fraction(2, isqrt(_TAIL_SIEVE_TO - 1))
     return 1 - SIGMA_TAIL_CONSTANT * total
 
 

@@ -102,15 +102,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> List[int]:
+def prime_sieve(n: int) -> bytearray:
+    """sieve[i] = 1 if i is prime else 0, for 0 <= i <= n."""
     if n < 2:
-        return []
+        return bytearray(max(n + 1, 0))
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, b in enumerate(sieve) if b]
+    return sieve
+
+
+def primes_up_to(n: int) -> List[int]:
+    return [i for i, b in enumerate(prime_sieve(n)) if b]
 
 
 def primes_in_interval(lo: int, hi: int) -> List[int]:

@@ -156,3 +156,22 @@ def test_local_rejects_a_bad_fibre_point(y, message):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["local", "--form", "forms/pi_n7.json", "--y", "0,1", "--pmax", "7"], 4,
+     "cubefib: budget exceeded: 282475249 points exceed budget 100000000"),
+    (["analyze", "--form", "nope.json"], 5, "cubefib: nope.json: No such file or directory"),
+    (["analyze", "--form", "BROKEN"], 3, "cubefib: invalid form: line 1: Expecting ',' delimiter"),
+])
+def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, message):
+    """Budget, file and form errors: one stderr line, no traceback, and an
+    exit code that is neither argparse's 2 nor the bad-argument 1."""
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"schema": 1 "n": 3}')
+    args = [str(broken) if a == "BROKEN" else a for a in args]
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"

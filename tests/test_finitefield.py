@@ -393,3 +393,79 @@ def test_find_nonsingular_zero_mod_p():
             poly = F.to_polynomial()
             assert poly.evaluate_mod(pt, p) == 0
             assert any(g.evaluate_mod(pt, p) for g in poly.gradient())
+    # p = 2: the lexicographically first nonsingular zero
+    for _ in range(60):
+        F = random_quadratic(rng, rng.randint(1, 4))
+        poly = F.to_polynomial()
+        first = next((x for x in itertools.product(range(2), repeat=F.m)
+                      if poly.evaluate_mod(x, 2) == 0
+                      and any(g.evaluate_mod(x, 2) for g in poly.gradient())), None)
+        assert find_nonsingular_zero_mod_p(F, 2) == first
+
+
+def _hensel_two_calls(poly, p, t, budget, v, v_max):
+    """(exact, v, witness count) the way hensel_count once found them: a
+    first-witness search for the level, then a second scan to count it."""
+    try:
+        exact = gridcount.count_zeros_mod_q(poly, p ** t, budget)
+    except BudgetExceeded:
+        exact = None
+    if v is None and not all(g.is_zero() for g in poly.gradient()):
+        try:
+            wit = find_padic_nonsingular(poly, p, v_max, budget=budget)
+            v = wit.v if wit else None
+        except BudgetExceeded:
+            v = None
+    wcount = count_witnesses(poly, p, v, budget=budget) if v is not None else None
+    return exact, v, wcount
+
+
+def _check_hensel_against_two_calls(poly, p, t, budget=None, v=None, v_max=3):
+    try:
+        exact, v_ref, wcount = _hensel_two_calls(poly, p, t, budget, v, v_max)
+        if exact is None and not wcount:
+            raise BudgetExceeded("neither exact nor certified count computable")
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            hensel_count(poly, p, t, budget=budget, v=v, v_max=v_max)
+        return None
+    h = hensel_count(poly, p, t, budget=budget, v=v, v_max=v_max)
+    assert (h.exact, h.v, h.witness_count) == (exact, v_ref, wcount)
+    if wcount:
+        lift = 2 * v_ref - 1
+        assert h.certified_lower == (wcount * p ** ((t - lift) * (poly.num_vars - 1))
+                                     if t >= lift else 1)
+    else:
+        assert h.certified_lower is None
+    return h
+
+
+@st.composite
+def _quadratics(draw):
+    m = draw(st.integers(1, 3))
+    monomials = [e for e in itertools.product(range(3), repeat=m) if sum(e) <= 2]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.integers(-12, 12), max_size=6))
+    return IntPolynomial(m, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly=_quadratics(), p=st.sampled_from([2, 3, 5]), t=st.integers(1, 4),
+       level=st.sampled_from([None, 1, 2]), v=st.sampled_from([None, None, 1, 2]))
+def test_hensel_count_equals_the_two_call_form(poly, p, t, level, v):
+    """One scan per level finds the same level, count and bound as the
+    search-then-count form; a budget of (p^(2 level - 1))^m admits that
+    level and trips at the next one."""
+    budget = None if level is None else p ** ((2 * level - 1) * poly.num_vars)
+    if budget is None and p ** ((2 * (v or 3) - 1) * poly.num_vars) > 10 ** 5:
+        budget = 10 ** 5
+    _check_hensel_against_two_calls(poly, p, t, budget=budget, v=v)
+
+
+def test_hensel_count_at_a_higher_witness_level():
+    # x^2 + y^2 + 4z^2 - 8 at p = 2: the first witnesses lie at v = 3
+    f = IntPolynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 4, (0, 0, 0): -8})
+    h = _check_hensel_against_two_calls(f, 2, 5)
+    assert h.v == 3 and h.witness_count > 0
+    # a budget that admits levels 1 and 2 but trips at level 3: no level
+    h = _check_hensel_against_two_calls(f, 2, 2, budget=2 ** 9)
+    assert h.v is None and h.witness_count is None and h.exact is not None

@@ -329,3 +329,15 @@ def test_solubility_shortcut_agrees_with_residue_search():
         brute_ns = count_mod_q_bruteforce(F.to_polynomial(), p, nonsingular_only=True)
         assert brute_ns > 0
         agreed += 1
+
+
+@pytest.mark.parametrize("P", [1, 2, 7, 31, 101, 10 ** 6 - 1, 10 ** 6, 2 * 10 ** 6])
+def test_tail_lower_bound_equals_the_per_call_sum(P):
+    """The sum over all sieved primes, taken once, minus the primes up to
+    P is the same Fraction as summing the primes above P on each call."""
+    from math import isqrt
+
+    scale, sieve_to = 1 << 40, 10 ** 6
+    total_fp = sum(-(-scale // (q * isqrt(q))) for q in primes_up_to(sieve_to) if q > P)
+    expected = 1 - 4 * (Fraction(total_fp, scale) + Fraction(2, isqrt(sieve_to - 1)))
+    assert _tail_lower_bound(P) == expected
