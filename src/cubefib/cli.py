@@ -74,6 +74,9 @@ def cmd_analyze(args):
     if doc.split is None:
         raise SystemExit("analyze requires a form with a declared split")
     mode = args.mode or doc.mode or "pi"
+    if mode == "pi_prime" and doc.split.role != "pi_prime":
+        raise SystemExit("analyze: mode pi_prime requires a linear-fibre (pi_prime) split, "
+                         f"the form declares {doc.split.role}")
     config = {"command": "analyze", "form": doc.name, "mode": mode, "seed": args.seed}
     sections = {}
     if mode == "pi":

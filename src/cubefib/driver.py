@@ -65,19 +65,37 @@ def _find_line(text: str, needle: str) -> Optional[int]:
     return None
 
 
+def _int_field(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise FormValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def parse_form_document(text: str) -> FormDocument:
+    """Parse and check a form document; every defect in it raises
+    FormValidationError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormValidationError(e.msg, line=e.lineno)
+    if not isinstance(obj, dict):
+        raise FormValidationError("a form document must be a JSON object")
     if obj.get("schema") != FORM_SCHEMA:
         raise FormValidationError(f"schema must be {FORM_SCHEMA}")
-    n = int(obj["n"])
-    degree = int(obj.get("degree", 3))
+    for key in ("n", "terms"):
+        if key not in obj:
+            raise FormValidationError(f'missing "{key}"')
+    n = _int_field(obj["n"], '"n"')
+    degree = _int_field(obj.get("degree", 3), '"degree"')
+    if not isinstance(obj["terms"], list):
+        raise FormValidationError('"terms" must be a list')
     terms = {}
-    for idx, item in enumerate(obj.get("terms", [])):
-        exps = tuple(int(e) for e in item["exps"])
-        coef = int(item["coef"])
+    for idx, item in enumerate(obj["terms"]):
+        if not (isinstance(item, dict) and isinstance(item.get("exps"), list) and "coef" in item):
+            raise FormValidationError(f'term {idx}: needs an "exps" list and a "coef"')
+        exps = tuple(_int_field(e, f"term {idx}: an exponent") for e in item["exps"])
+        coef = _int_field(item["coef"], f'term {idx}: "coef"')
         if len(exps) != n:
             raise FormValidationError(
                 f"term {idx}: exponent vector has length {len(exps)}, expected {n}",
@@ -94,13 +112,17 @@ def parse_form_document(text: str) -> FormDocument:
     mode = None
     if obj.get("split"):
         s = obj["split"]
+        line = _find_line(text, '"split"')
+        if not (isinstance(s, dict) and isinstance(s.get("x_vars"), list)
+                and isinstance(s.get("y_vars"), list)):
+            raise FormValidationError('"split" needs "x_vars" and "y_vars" lists', line=line)
         mode = s.get("mode", "pi")
         role = mode if mode in ("pi", "pi_prime") else "pi"
         try:
             split = VariableSplit(n, tuple(s["x_vars"]), tuple(s["y_vars"]), role=role)
             split.validate_against(poly)
-        except ValueError as e:
-            raise FormValidationError(str(e), line=_find_line(text, '"split"'))
+        except (TypeError, ValueError) as e:
+            raise FormValidationError(str(e), line=line)
     return FormDocument(n, poly, obj.get("name", ""), split, mode,
                         dict(obj.get("metadata", {})), degree)
 

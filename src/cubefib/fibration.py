@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gridcount
-from .linalg import RationalMatrix, rank_signature_over_Q, symmetric_diagonalize
+from .linalg import RationalMatrix, bareiss, rank_signature_over_Q, symmetric_diagonalize
 from .polynomials import IntPolynomial, LinearChange, VariableSplit
 
 
@@ -255,10 +255,6 @@ def fibre_polynomial(F_list: Sequence[IntPolynomial], q_list: Sequence[IntPolyno
     return IntPolynomial(m, terms)
 
 
-def _int_matrix_rank(rows: List[List[int]]) -> int:
-    return RationalMatrix(rows).rank()
-
-
 def fibration_rank(
     M2: List[List[DPoly]],
     h: int,
@@ -272,19 +268,17 @@ def fibration_rank(
     minor of the next order is expanded and must vanish identically. A
     mismatch with the randomized phase raises FalsificationAlarm.
     """
-    m = len(M2)
     rng = random.Random(seed)
     best_rank = 0
-    best_point = None
+    best_pivots = ()
     sample_ranks = []
     for _ in range(trials):
         y = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(h)]
-        mat = [[_dp_eval(e, y) for e in row] for row in M2]
-        rk = _int_matrix_rank(mat)
+        rk, pivots, _, _ = bareiss([[_dp_eval(e, y) for e in row] for row in M2])
         sample_ranks.append(rk)
         if rk > best_rank:
             best_rank = rk
-            best_point = y
+            best_pivots = pivots
     record = ConfidenceRecord(seed, trials, tuple(sample_ranks))
     memo: dict = {}
     if best_rank == 0:
@@ -292,8 +286,9 @@ def fibration_rank(
         if missing is not None:
             raise FalsificationAlarm("sampling said rank 0 but an entry is nonzero")
         return 0, ((), (), IntPolynomial.constant(h, 1)), record
-    # witness subset from pivoted elimination at the best sample
-    rows, cols = _pivot_subsets(M2, best_point, best_rank)
+    # witness subset: the pivot rows and columns of the best sample
+    rows = tuple(sorted(i for i, _ in best_pivots))
+    cols = tuple(sorted(j for _, j in best_pivots))
     det = minor_det(M2, rows, cols, memo)
     if not det:
         raise FalsificationAlarm("randomized witness minor vanished symbolically")
@@ -304,40 +299,6 @@ def fibration_rank(
             f"{best_rank + 1} is not identically zero"
         )
     return best_rank, (rows, cols, IntPolynomial(h, det)), record
-
-
-def _pivot_subsets(M2, y, rank):
-    """Row/column subsets of a rank-witnessing minor at the sample point."""
-    m = len(M2)
-    mat = [[Fraction(_dp_eval(M2[i][j], y)) for j in range(m)] for i in range(m)]
-    row_used: List[int] = []
-    col_used: List[int] = []
-    rows_left = list(range(m))
-    cols_left = list(range(m))
-    work = [row[:] for row in mat]
-    for _ in range(rank):
-        piv = None
-        for i in rows_left:
-            for j in cols_left:
-                if work[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            raise FalsificationAlarm("pivot search ran out before reaching the sampled rank")
-        pi, pj = piv
-        row_used.append(pi)
-        col_used.append(pj)
-        rows_left.remove(pi)
-        cols_left.remove(pj)
-        inv = 1 / work[pi][pj]
-        for i in rows_left:
-            f = work[i][pj] * inv
-            if f:
-                for j in cols_left:
-                    work[i][j] -= f * work[pi][j]
-    return tuple(sorted(row_used)), tuple(sorted(col_used))
 
 
 def build_fibration(
@@ -365,10 +326,9 @@ class LinearBlockResult:
 
 def _search_rank_r_combination(M2, h, r, seed=0, budget=4000):
     """Small integer y-combination c with rank M2[c] = r."""
-    m = len(M2)
 
     def rank_at(c):
-        return _int_matrix_rank([[_dp_eval(e, c) for e in row] for row in M2])
+        return bareiss([[_dp_eval(e, c) for e in row] for row in M2]).rank
 
     for i in range(h):
         c = [0] * h
@@ -395,18 +355,10 @@ def _search_rank_r_combination(M2, h, r, seed=0, budget=4000):
 def _congruence_to_front(mat: List[List[int]]):
     """Rational T with T^t mat T diagonal, nonzero pivots first; returns
     (T as integer matrix, denominator, number of nonzeros)."""
-    q = RationalMatrix(mat)
-    t, diag = symmetric_diagonalize(q)
-    order = sorted(range(len(diag)), key=lambda i: (diag[i] == 0))
-    perm = [[1 if order[j] == i else 0 for j in range(len(diag))] for i in range(len(diag))]
-    tp = t * RationalMatrix(perm)
-    den = 1
-    for row in tp.entries:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    tint = [[int(v * den) for v in row] for row in tp.entries]
-    nonzero = sum(1 for d in diag if d != 0)
-    return tint, den, nonzero
+    t, diag = symmetric_diagonalize(RationalMatrix(mat))
+    den = lcm(*(v.denominator for row in t.entries for v in row))
+    tint = [[int(v * den) for v in row] for row in t.entries]
+    return tint, den, sum(1 for d in diag if d != 0)
 
 
 def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
@@ -641,16 +593,8 @@ def linear_factors_of_quadratic(q: IntPolynomial) -> List[IntPolynomial]:
     tinv = t.inverse()
 
     def row_form(coeffs: Sequence[Fraction]) -> IntPolynomial:
-        den = 1
-        for v in coeffs:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        lead = next(v for v in ints if v)
-        sgn = 1 if lead > 0 else -1
-        return IntPolynomial.linear_form([sgn * v // g for v in ints])
+        den = lcm(*(v.denominator for v in coeffs))
+        return _primitive_form([int(v * den) for v in coeffs])
 
     if rank == 1:
         i = nonzero[0]
@@ -676,14 +620,29 @@ def linear_factors_of_quadratic(q: IntPolynomial) -> List[IntPolynomial]:
     return [f1, f2] if f1 != f2 else [f1]
 
 
+def _linear_coefficients(l: IntPolynomial) -> Tuple[List[int], int]:
+    """The coefficients of the linear form l and the index of the first
+    nonzero one."""
+    n = l.num_vars
+    coeffs = [l.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
+    return coeffs, next(j for j, c in enumerate(coeffs) if c)
+
+
+def _primitive_form(coeffs: Sequence[int]) -> IntPolynomial:
+    """The linear form with the given integer coefficients divided by their
+    gcd, first nonzero coefficient made positive."""
+    g = gcd(*coeffs)
+    sgn = 1 if next(v for v in coeffs if v) > 0 else -1
+    return IntPolynomial.linear_form([sgn * v // g for v in coeffs])
+
+
 def divides_form(l: IntPolynomial, f: IntPolynomial) -> bool:
     """Whether the linear form l divides the homogeneous form f: f restricted
     to the hyperplane l = 0 must vanish, checked by an integral substitution."""
     if l.total_degree() != 1:
         raise ValueError("divisor must be linear")
     n = f.num_vars
-    coeffs = [l.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    piv = next(j for j, c in enumerate(coeffs) if c)
+    coeffs, piv = _linear_coefficients(l)
     lp = coeffs[piv]
     images = []
     for j in range(n):
@@ -699,8 +658,7 @@ def divides_form(l: IntPolynomial, f: IntPolynomial) -> bool:
 def divide_form_by_linear(f: IntPolynomial, l: IntPolynomial) -> IntPolynomial:
     """Exact quotient f / l for a homogeneous f divisible by the linear l."""
     n = f.num_vars
-    coeffs = [l.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    piv = next(j for j, c in enumerate(coeffs) if c)
+    coeffs, piv = _linear_coefficients(l)
     lp = coeffs[piv]
     # long division along the pivot variable
     remainder = dict(f.terms)
@@ -736,10 +694,8 @@ def divide_form_by_linear_rational(f, l) -> Tuple[IntPolynomial, int]:
     """Quotient as (IntPolynomial, denominator) even when not integral."""
     n = f.num_vars
     deg = f.total_degree()
-    coeffs = [l.coefficient(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    piv = next(j for j, c in enumerate(coeffs) if c)
-    lp = coeffs[piv]
-    scale = abs(lp) ** max(deg - 1, 0)
+    coeffs, piv = _linear_coefficients(l)
+    scale = abs(coeffs[piv]) ** max(deg - 1, 0)
     q = divide_form_by_linear(f * scale, l)
     den = scale
     g = den
@@ -803,10 +759,9 @@ class Rank2Shape:
 def _psi_independent(psi_list: Sequence[IntPolynomial]) -> bool:
     """Linear independence over Q of the coefficient vectors (x-nondegeneracy)."""
     keys = sorted({e for psi in psi_list for e in psi.terms})
-    rows = [[Fraction(psi.terms.get(e, 0)) for e in keys] for psi in psi_list]
     if not keys:
         return False
-    return RationalMatrix(rows).rank() == len(psi_list)
+    return bareiss([[psi.terms.get(e, 0) for e in keys] for psi in psi_list]).rank == len(psi_list)
 
 
 def _pairwise_proportional(psi_list: Sequence[IntPolynomial]) -> bool:
@@ -977,12 +932,7 @@ def _linear_factors_of_cubic(poly: IntPolynomial) -> List[IntPolynomial]:
         for mono, coef in zip(p.monoms(), p.coeffs()):
             idx = mono.index(1)
             coeffs[idx] = int(coef)
-        g = 0
-        for v in coeffs:
-            g = gcd(g, v)
-        lead = next(v for v in coeffs if v)
-        sgn = 1 if lead > 0 else -1
-        cand = IntPolynomial.linear_form([sgn * v // g for v in coeffs])
+        cand = _primitive_form(coeffs)
         if divides_form(cand, poly):
             out.append(cand)
     return out
@@ -1101,11 +1051,9 @@ def order3_minor_common_factor(
 def _linear_change_with_first_coordinate(l: IntPolynomial) -> LinearChange:
     """Invertible V with l(V z) = c * z_1: new first coordinate tracks l."""
     h = l.num_vars
-    coeffs = [l.coefficient(tuple(1 if i == j else 0 for i in range(h))) for j in range(h)]
-    piv = next(j for j, c in enumerate(coeffs) if c)
+    coeffs, piv = _linear_coefficients(l)
     lp = coeffs[piv]
     # V: z -> y with y_piv = z_0 - sum_{j != piv} c_j z_(j-slot), y_other = lp * z_slot
-    cols = [0] * h
     V = [[0] * h for _ in range(h)]
     slot = 1
     slots = {}

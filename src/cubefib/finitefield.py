@@ -12,7 +12,7 @@ import numpy as np
 from . import gridcount
 from .fibration import FalsificationAlarm
 from .gridcount import BudgetExceeded, check_budget
-from .linalg import QuadraticPolynomial
+from .linalg import QuadraticPolynomial, congruence_diagonalize
 from .nt import is_prime, jacobi_symbol, sqrt_mod_p
 from .polynomials import IntPolynomial
 
@@ -58,70 +58,22 @@ def diagonalize_mod_p(Q: Sequence[Sequence[int]], p: int):
     """Congruence diagonalization over F_p, p odd.
 
     Returns (R, D): R invertible mod p with R^t Q R = diag(D) mod p; the
-    number of nonzero entries of D is the rank of Q mod p. Nonzero
-    entries are moved to the front.
+    nonzero entries of D come first and their number is the rank of Q mod
+    p. The reduction is `linalg.congruence_diagonalize`, the one used over Q.
     """
     if p == 2:
         raise ValueError("p = 2 is excluded")
-    n = len(Q)
-    a = [[Q[i][j] % p for j in range(n)] for i in range(n)]
-    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix is not symmetric mod p")
-    r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return congruence_diagonalize(Q, p)
 
-    def col_add(dst, src, f):
-        for i in range(n):
-            a[i][dst] = (a[i][dst] + f * a[i][src]) % p
-        for i in range(n):
-            a[dst][i] = (a[dst][i] + f * a[src][i]) % p
-        for i in range(n):
-            r[i][dst] = (r[i][dst] + f * r[i][src]) % p
 
-    def col_swap(i, j):
-        for t in range(n):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(n):
-            a[i][t], a[j][t] = a[j][t], a[i][t]
-        for t in range(n):
-            r[t][i], r[t][j] = r[t][j], r[t][i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
-            if piv is not None:
-                col_swap(k, piv)
-            else:
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j]:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break
-                i, j = found
-                if i != k:
-                    col_swap(k, i)
-                col_add(k, j, 1)  # a[k][k] becomes 2*a[k][j] != 0 (p odd)
-        piv = a[k][k]
-        if piv == 0:
-            continue
-        inv = pow(piv, p - 2, p)
-        for j in range(k + 1, n):
-            if a[k][j]:
-                col_add(j, k, (-a[k][j] * inv) % p)
-    diag = [a[i][i] for i in range(n)]
-    # move zero pivots to the back with column swaps
-    front = 0
-    for i in range(n):
-        if diag[i]:
-            if i != front:
-                col_swap(front, i)
-                diag[front], diag[i] = diag[i], diag[front]
-            front += 1
-    return r, [a[i][i] for i in range(n)]
+def _diagonal_data(F: QuadraticPolynomial, p: int):
+    """(R, diag, r, D) for odd p: Q mod p diagonalized by R with its r
+    nonzero pivots first, and the transformed linear part D = R^t B mod p."""
+    m = F.m
+    inv2 = (p + 1) // 2
+    R, diag = diagonalize_mod_p([[v * inv2 % p for v in row] for row in F.two_Q_int()], p)
+    D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
+    return R, diag, sum(1 for d in diag if d), D
 
 
 def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCount:
@@ -139,13 +91,7 @@ def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCo
     m = F.m
     if m == 0:
         raise ValueError("need at least one variable")
-    two_q = F.two_Q_int()
-    inv2 = (p + 1) // 2
-    qp = [[v * inv2 % p for v in row] for row in two_q]
-    R, diag = diagonalize_mod_p(qp, p)
-    r = sum(1 for d in diag if d)
-    # transformed linear part D = R^t B mod p
-    D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
+    _, diag, r, D = _diagonal_data(F, p)
     eps_tag = "1" if p % 4 == 1 else "i"
     if any(D[i] for i in range(r, m)):
         data = GaussSumData(p, r, eps_tag, 0, 0, 0, 0, "linear-unit")
@@ -386,12 +332,7 @@ def find_nonsingular_zero_mod_p(F: QuadraticPolynomial, p: int) -> Optional[Tupl
     if count_quadric_mod_p_closed_form(F, p).nonsingular == 0:
         return None
     m = F.m
-    two_q = F.two_Q_int()
-    inv2 = (p + 1) // 2
-    qp = [[v * inv2 % p for v in row] for row in two_q]
-    R, diag = diagonalize_mod_p(qp, p)
-    r = sum(1 for d in diag if d)
-    D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
+    R, diag, r, D = _diagonal_data(F, p)
     N = F.N % p
 
     def back(point):

@@ -1,11 +1,13 @@
-"""Exact rational linear algebra: determinants, adjugates, congruence
-diagonalization and inertia of symmetric matrices, quadratic-polynomial
-extraction. No floating point anywhere."""
+"""Exact linear algebra, no floating point anywhere: one fraction-free
+elimination (ranks, pivots, determinants, adjugates), one Lagrange
+congruence diagonalization over Q or F_p, inertia of symmetric matrices,
+and quadratic-polynomial extraction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import lcm, prod
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .polynomials import IntPolynomial
 
@@ -14,40 +16,82 @@ from .polynomials import IntPolynomial
 # integer matrices
 
 
-def int_matrix_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
+class Elimination(NamedTuple):
+    """What `bareiss` finds in an integer matrix."""
+
+    rank: int
+    pivots: Tuple[Tuple[int, int], ...]   # (row, col), in the order taken
+    det: int                              # 0 unless square of full rank
+    adjugate: Optional[Tuple[Tuple[int, ...], ...]] = None  # when asked, if det != 0
+
+
+def bareiss(m: Sequence[Sequence[int]], adjugate: bool = False) -> Elimination:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968, Math. Comp. 22;
+    Cohen, GTM 138, 2.2) of an integer matrix of any shape.
+
+    The next pivot is the first nonzero entry, in row-major order, among
+    the rows and columns not yet used. After k pivots every live entry is a
+    (k+1) x (k+1) minor of m, so each division is exact and the last pivot
+    is the determinant of the pivot submatrix taken in pivot order. With
+    adjugate=True the identity is appended and the earlier pivot rows are
+    reduced as well, so that the appended block ends as the adjugate, up to
+    the pivot permutation and sign.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
     a = [list(map(int, row)) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    if adjugate:
+        if rows != cols:
+            raise ValueError("adjugate of non-square matrix")
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(rows))
+    free_rows = list(range(rows))
+    free_cols = list(range(cols))
+    appended = list(range(cols, 2 * cols if adjugate else cols))
+    pivots = []
+    sign = prev = 1
+    while True:
+        piv = next(((r, c) for r, i in enumerate(free_rows)
+                    for c, j in enumerate(free_cols) if a[i][j]), None)
+        if piv is None:
+            break
+        # taking the r-th free row and c-th free column adds r + c
+        # inversions to the row and column orders of the pivots
+        r, c = piv
+        if (r + c) % 2:
+            sign = -sign
+        pi = free_rows.pop(r)
+        pj = free_cols.pop(c)
+        pivots.append((pi, pj))
+        live = free_cols + appended
+        prow = a[pi]
+        d = prow[pj]
+        for i in range(rows) if adjugate else free_rows:
+            if i == pi:
+                continue
+            row = a[i]
+            f = row[pj]
+            for j in live:
+                row[j] = (d * row[j] - f * prow[j]) // prev
+        prev = d
+    rank = len(pivots)
+    if not rows == cols == rank:
+        return Elimination(rank, tuple(pivots), 0)
+    adj = None
+    if adjugate:
+        # reduced, [m | I] reads (prev * P | X) with P[i][j] = 1 at each pivot
+        # (only X is kept up to date), so m^-1 = P^t X / prev and
+        # adj(m) = det(m) m^-1 = sign * P^t X
+        out = [()] * rows
+        for i, j in pivots:
+            out[j] = tuple(sign * v for v in a[i][cols:])
+        adj = tuple(out)
+    return Elimination(rank, tuple(pivots), sign * prev, adj)
 
 
-def int_matrix_adjugate_det(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
-    n = len(m)
-    det = int_matrix_det(m)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            adj[i][j] = (-1) ** (i + j) * int_matrix_det(sub)
-    return adj, det
+def int_matrix_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    return bareiss(m).det
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +149,6 @@ class RationalMatrix:
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
         return RationalMatrix([[v * c for v in row] for row in self.entries])
@@ -144,82 +172,32 @@ class RationalMatrix:
         v = [Fraction(x) for x in v]
         return [sum(self.entries[i][j] * v[j] for j in range(self.cols)) for i in range(self.rows)]
 
+    def _cleared(self) -> Tuple[List[List[int]], List[int]]:
+        """Integer rows s_i * row_i, with s_i the lcm of the row's
+        denominators, and the scales s_i."""
+        scales = [lcm(*(v.denominator for v in row)) for row in self.entries]
+        ints = [[v.numerator * (s // v.denominator) for v in row]
+                for row, s in zip(self.entries, scales)]
+        return ints, scales
+
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("det of non-square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det *= a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    f = a[i][k] * inv
-                    for j in range(k, n):
-                        a[i][j] -= f * a[k][j]
-        return det
+        ints, scales = self._cleared()
+        return Fraction(bareiss(ints).det, prod(scales))
 
     def rank(self) -> int:
-        a = [list(row) for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            piv = None
-            for i in range(rank, self.rows):
-                if a[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = 1 / a[rank][col]
-            for i in range(rank + 1, self.rows):
-                if a[i][col]:
-                    f = a[i][col] * inv
-                    for j in range(col, self.cols):
-                        a[i][j] -= f * a[rank][j]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        return bareiss(self._cleared()[0]).rank
 
     def inverse(self) -> "RationalMatrix":
-        adj, det = self.adjugate_and_det()
-        if det == 0:
+        """Exact inverse; ValueError when the matrix is singular."""
+        ints, scales = self._cleared()
+        e = bareiss(ints, adjugate=True)
+        if e.adjugate is None:
             raise ValueError("singular matrix")
-        return adj.scale(Fraction(1, 1) / det)
-
-    def adjugate_and_det(self) -> Tuple["RationalMatrix", Fraction]:
-        """Returns (adj M, det M) with M * adj M = det(M) * I, exactly."""
-        if not self.is_square():
-            raise ValueError("adjugate of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return RationalMatrix([]), Fraction(1)
-        det = self.det()
-        adj = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub = [
-                    [self.entries[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                if n == 1:
-                    adj[i][j] = Fraction(1)
-                else:
-                    adj[i][j] = (-1) ** (i + j) * RationalMatrix(sub).det()
-        return RationalMatrix(adj), det
+        # self = S^-1 A with S = diag(scales), so self^-1 = adj(A) S / det(A)
+        return RationalMatrix([[Fraction(v * s, e.det) for v, s in zip(row, scales)]
+                               for row in e.adjugate])
 
     def tolist(self) -> List[List[Fraction]]:
         return [list(r) for r in self.entries]
@@ -239,67 +217,69 @@ def quadratic_form_value(Q: RationalMatrix, x: Sequence) -> Fraction:
 # symmetric reduction: rank and inertia without floating point
 
 
-def symmetric_diagonalize(Q: RationalMatrix) -> Tuple[RationalMatrix, List[Fraction]]:
-    """Congruence diagonalization: returns (T, d) with T^t Q T = diag(d).
+def congruence_diagonalize(q: Sequence[Sequence], p: Optional[int] = None):
+    """Lagrange reduction of a symmetric matrix over Q (p None, exact
+    Fractions) or over F_p (p an odd prime, residues in [0, p)).
 
-    Lagrange reduction with exact rationals. Zero or missing diagonal
-    pivots are repaired by column/row moves or by mixing in a row that
-    carries a nonzero off-diagonal entry.
+    Returns (T, d) as lists with T^t q T = diag(d); the nonzero entries of
+    d come first, so their number is the rank. A zero diagonal pivot is
+    repaired by a swap with a later nonzero diagonal entry or, when the
+    rest of the diagonal is zero, by adding to it the row and column of the
+    first nonzero off-diagonal entry.
     """
-    if not Q.is_symmetric():
-        raise ValueError("symmetric matrix required")
-    n = Q.rows
-    a = [[Fraction(v) for v in row] for row in Q.entries]
-    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    n = len(q)
+    a = [[Fraction(v) if p is None else v % p for v in row] for row in q]
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("symmetric matrix required" if p is None
+                         else "matrix is not symmetric mod p")
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def col_add(dst, src, factor):
-        # x_src -> x_src + factor * x_dst corresponds to C_dst += factor*C_src
-        for i in range(n):
-            a[i][dst] += factor * a[i][src]
-        for i in range(n):
-            a[dst][i] += factor * a[src][i]
-        for i in range(n):
-            t[i][dst] += factor * t[i][src]
+    def col_add(dst, src, f):
+        # x_src -> x_src + f x_dst: column and row dst gain f times src
+        for row in a:
+            row[dst] += f * row[src]
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        for row in t:
+            row[dst] += f * row[src]
+        if p is not None:
+            for row in a:
+                row[dst] %= p
+            a[dst] = [x % p for x in a[dst]]
+            for row in t:
+                row[dst] %= p
 
     def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            a[i][r], a[j][r] = a[j][r], a[i][r]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        a[i], a[j] = a[j], a[i]
+        for row in t:
+            row[i], row[j] = row[j], row[i]
 
     for k in range(n):
         if a[k][k] == 0:
-            # look for a later diagonal pivot
-            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
             if piv is not None:
                 col_swap(k, piv)
             else:
-                # all remaining diagonal entries are 0: grab an off-diagonal one
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break  # remaining block is zero
-                i, j = found
+                hit = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                           None)
+                if hit is None:
+                    break  # the remaining block is zero
+                i, j = hit
                 if i != k:
                     col_swap(k, i)
-                    if j == k:
-                        j = i
-                col_add(k, j, Fraction(1))  # now a[k][k] = 2*a[k][j] != 0
-        pivot = a[k][k]
-        if pivot == 0:
-            continue
+                col_add(k, j, 1)  # a[k][k] becomes 2 a[k][j] != 0 (p odd)
+        inv = 1 / a[k][k] if p is None else pow(a[k][k], p - 2, p)
         for j in range(k + 1, n):
-            if a[k][j] != 0:
-                col_add(j, k, -a[k][j] / pivot)
-    diag = [a[i][i] for i in range(n)]
+            if a[k][j]:
+                col_add(j, k, -a[k][j] * inv)
+    return t, [a[i][i] for i in range(n)]
+
+
+def symmetric_diagonalize(Q: RationalMatrix) -> Tuple[RationalMatrix, List[Fraction]]:
+    """Congruence diagonalization over Q: (T, d) with T^t Q T = diag(d), the
+    nonzero entries of d first (see `congruence_diagonalize`)."""
+    t, diag = congruence_diagonalize(Q.entries)
     return RationalMatrix(t), diag
 
 
@@ -321,10 +301,12 @@ class QuadraticPolynomial:
     Q is symmetric rational (off-diagonal denominators divide 2 when the
     polynomial has integer coefficients), B integer, N integer. The matrix
     convention is F(x) = x^t Q x + B^t x + N; the discriminant used for
-    "bad prime" bookkeeping is det(2Q).
+    "bad prime" bookkeeping is det(2Q). The integer 2Q is built on first
+    use and kept; `disc`, `rank` and `rank_support` read it, and so need
+    an integral 2Q.
     """
 
-    __slots__ = ("m", "Q", "B", "N")
+    __slots__ = ("m", "Q", "B", "N", "_two_q")
 
     def __init__(self, Q: RationalMatrix, B: Sequence[int], N: int):
         if not Q.is_symmetric():
@@ -335,6 +317,7 @@ class QuadraticPolynomial:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "B", tuple(int(b) for b in B))
         object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "_two_q", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticPolynomial is immutable")
@@ -395,25 +378,23 @@ class QuadraticPolynomial:
         g = self.Q.matvec(x)
         return [2 * gi + bi for gi, bi in zip(g, self.B)]
 
-    def two_Q_int(self) -> List[List[int]]:
-        """The integer matrix 2Q."""
-        out = []
-        for row in self.Q.entries:
-            r = []
-            for v in row:
-                w = 2 * v
-                if w.denominator != 1:
-                    raise ValueError("2Q is not integral")
-                r.append(int(w))
-            out.append(r)
-        return out
+    def two_Q_int(self) -> Tuple[Tuple[int, ...], ...]:
+        """The integer matrix 2Q, built on first use and kept, as nested
+        tuples; ValueError when 2Q is not integral."""
+        if self._two_q is None:
+            twice = [[2 * v for v in row] for row in self.Q.entries]
+            if any(w.denominator != 1 for row in twice for w in row):
+                raise ValueError("2Q is not integral")
+            object.__setattr__(self, "_two_q", tuple(tuple(int(w) for w in row) for row in twice))
+        return self._two_q
 
     def disc(self) -> int:
         """det(2Q) as an integer."""
         return int_matrix_det(self.two_Q_int())
 
     def rank(self) -> int:
-        return self.Q.rank()
+        """Rank of Q over Q, read from the integer 2Q."""
+        return bareiss(self.two_Q_int()).rank
 
     def rank_support(self) -> Tuple[int, int]:
         """(rank over Q, gcd of the order-rank minors of 2Q).

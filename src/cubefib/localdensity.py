@@ -27,7 +27,7 @@ from .finitefield import (
     find_padic_nonsingular,
 )
 from .gridcount import BudgetExceeded
-from .linalg import QuadraticPolynomial, symmetric_diagonalize
+from .linalg import QuadraticPolynomial, bareiss, symmetric_diagonalize
 from .nt import divisors, prime_factors, prime_sieve, primes_up_to
 from .polynomials import IntPolynomial
 
@@ -53,27 +53,13 @@ class LocalDensityEstimate:
 
 
 def _critical_data(F: QuadraticPolynomial, p: int):
-    """Unique singular residue mod p for a full-rank reduction, plus F there."""
-    from .finitefield import diagonalize_mod_p
-
-    m = F.m
-    two_q = F.two_Q_int()
-    # solve 2Q x = -B mod p by inverting mod p
-    a = [[two_q[i][j] % p for j in range(m)] + [(-F.B[i]) % p] for i in range(m)]
-    # gaussian elimination mod p
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] % p), None)
-        if piv is None:
-            raise ValueError("2Q singular mod p")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], p - 2, p)
-        a[col] = [v * inv % p for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[col])]
-    xstar = [a[i][m] for i in range(m)]
-    return xstar
+    """The unique singular residue x* mod p, the solution of 2Q x = -B, for
+    p not dividing det(2Q): x* = -adj(2Q) B det(2Q)^-1 mod p."""
+    _, _, det, adj = bareiss(F.two_Q_int(), adjugate=True)
+    if det % p == 0:
+        raise ValueError("2Q singular mod p")
+    inv = pow(det, -1, p)
+    return [-sum(a * b for a, b in zip(row, F.B)) * inv % p for row in adj]
 
 
 def counts_good_prime(F: QuadraticPolynomial, p: int, t: int) -> List[int]:

@@ -379,10 +379,11 @@ class LinearChange:
 
     def inverse(self) -> "LinearChange":
         """Exact inverse, represented as adj(T) * den / det(T)."""
-        from .linalg import int_matrix_adjugate_det
-
-        adj, det = int_matrix_adjugate_det(self.matrix)
         from math import gcd
+
+        from .linalg import bareiss
+
+        _, _, det, adj = bareiss(self.matrix, adjugate=True)
 
         num = [[v * self.den for v in row] for row in adj]
         g = abs(det)

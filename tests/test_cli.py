@@ -175,3 +175,39 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr == message + "\n"
+
+
+SCHEMA = '"schema": "cubefib-form-v1"'
+
+
+@pytest.mark.parametrize("document, message", [
+    ('{%s, "terms": []}' % SCHEMA, 'missing "n"'),
+    ('{%s, "n": "x", "terms": []}' % SCHEMA, "\"n\" must be an integer, got 'x'"),
+    ('{%s, "n": 1, "terms": [{"coef": "1"}]}' % SCHEMA,
+     'term 0: needs an "exps" list and a "coef"'),
+    ('{%s, "n": 1, "terms": [{"exps": [3]}]}' % SCHEMA,
+     'term 0: needs an "exps" list and a "coef"'),
+    ('[{%s, "n": 1, "terms": []}]' % SCHEMA, "a form document must be a JSON object"),
+    ('{%s, "n": 1}' % SCHEMA, 'missing "terms"'),
+    ('{%s, "n": 2, "terms": [], "split": {"y_vars": [1]}}' % SCHEMA,
+     'line 1: "split" needs "x_vars" and "y_vars" lists'),
+])
+def test_malformed_form_documents_exit_3_with_one_line(tmp_path, document, message):
+    path = tmp_path / "form.json"
+    path.write_text(document)
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", "analyze", "--form", str(path)],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"cubefib: invalid form: {message}\n"
+
+
+def test_analyze_pi_prime_mode_on_a_pi_split_exits_with_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubefib.cli", "analyze", "--form", "forms/pi_n7.json",
+         "--mode", "pi_prime"],
+        capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("analyze: mode pi_prime requires a linear-fibre (pi_prime) split, "
+                           "the form declares pi\n")

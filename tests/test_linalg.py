@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubefib.finitefield import diagonalize_mod_p
 from cubefib.linalg import (
     QuadraticPolynomial,
     RationalMatrix,
-    int_matrix_adjugate_det,
+    bareiss,
     int_matrix_det,
     quadratic_form_value,
     rank_signature_over_Q,
@@ -14,32 +17,235 @@ from cubefib.linalg import (
 )
 from cubefib.polynomials import IntPolynomial
 
-
-def test_adjugate_and_det_hand_values():
-    I3 = RationalMatrix.identity(3)
-    adj, det = I3.adjugate_and_det()
-    assert det == 1 and adj == I3
-
-    m = RationalMatrix([[1, 2], [3, 4]])
-    adj, det = m.adjugate_and_det()
-    assert det == -2
-    assert adj == RationalMatrix([[4, -2], [-3, 1]])
-
-    sing = RationalMatrix([[1, 2], [2, 4]])
-    adj, det = sing.adjugate_and_det()
-    assert det == 0
-    prod = sing * adj
-    assert prod == RationalMatrix.zero(2, 2)
+# ---------------------------------------------------------------------------
+# reference implementations: the Fraction, cofactor and two Lagrange
+# algorithms that `bareiss` and `congruence_diagonalize` replaced
 
 
-def test_adjugate_identity_random():
-    rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        m = RationalMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-        adj, det = m.adjugate_and_det()
-        prod = m * adj
-        assert prod == RationalMatrix.identity(n).scale(det)
+def fraction_rank(rows):
+    """Gaussian elimination over Fractions, column by column."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    rank = 0
+    for col in range(n_cols):
+        piv = next((i for i in range(rank, n_rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, n_rows):
+            f = a[i][col] / a[rank][col]
+            for j in range(col, n_cols):
+                a[i][j] -= f * a[rank][j]
+        rank += 1
+    return rank
+
+
+def fraction_pivots(rows):
+    """Full pivoting over Fractions: the first nonzero entry, row-major, of
+    the rows and columns not yet used (the old fibration._pivot_subsets)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    rows_left = list(range(len(a)))
+    cols_left = list(range(len(a[0]) if a else 0))
+    pivots = []
+    while True:
+        piv = next(((i, j) for i in rows_left for j in cols_left if a[i][j]), None)
+        if piv is None:
+            return pivots
+        pi, pj = piv
+        pivots.append(piv)
+        rows_left.remove(pi)
+        cols_left.remove(pj)
+        for i in rows_left:
+            f = a[i][pj] / a[pi][pj]
+            for j in cols_left:
+                a[i][j] -= f * a[pi][j]
+
+
+def cofactor_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def cofactor_adjugate(m):
+    n = len(m)
+    return [[(-1) ** (i + j) * cofactor_det([[m[r][c] for c in range(n) if c != i]
+                                             for r in range(n) if r != j])
+             for j in range(n)] for i in range(n)]
+
+
+def old_lagrange_Q(Q):
+    """symmetric_diagonalize before the Lagrange body was shared."""
+    n = Q.rows
+    a = [[Fraction(v) for v in row] for row in Q.entries]
+    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+    def col_add(dst, src, factor):
+        for i in range(n):
+            a[i][dst] += factor * a[i][src]
+        for i in range(n):
+            a[dst][i] += factor * a[src][i]
+        for i in range(n):
+            t[i][dst] += factor * t[i][src]
+
+    def col_swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(n):
+            a[i][r], a[j][r] = a[j][r], a[i][r]
+        for r in range(n):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                col_swap(k, piv)
+            else:
+                found = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                              if a[i][j] != 0), None)
+                if found is None:
+                    break
+                i, j = found
+                if i != k:
+                    col_swap(k, i)
+                    if j == k:
+                        j = i
+                col_add(k, j, Fraction(1))
+        pivot = a[k][k]
+        if pivot == 0:
+            continue
+        for j in range(k + 1, n):
+            if a[k][j] != 0:
+                col_add(j, k, -a[k][j] / pivot)
+    return RationalMatrix(t), [a[i][i] for i in range(n)]
+
+
+def old_lagrange_mod_p(Q, p):
+    """finitefield.diagonalize_mod_p before the Lagrange body was shared."""
+    n = len(Q)
+    a = [[Q[i][j] % p for j in range(n)] for i in range(n)]
+    r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_add(dst, src, f):
+        for i in range(n):
+            a[i][dst] = (a[i][dst] + f * a[i][src]) % p
+        for i in range(n):
+            a[dst][i] = (a[dst][i] + f * a[src][i]) % p
+        for i in range(n):
+            r[i][dst] = (r[i][dst] + f * r[i][src]) % p
+
+    def col_swap(i, j):
+        for t in range(n):
+            a[t][i], a[t][j] = a[t][j], a[t][i]
+        for t in range(n):
+            a[i][t], a[j][t] = a[j][t], a[i][t]
+        for t in range(n):
+            r[t][i], r[t][j] = r[t][j], r[t][i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if piv is not None:
+                col_swap(k, piv)
+            else:
+                found = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                             None)
+                if found is None:
+                    break
+                i, j = found
+                if i != k:
+                    col_swap(k, i)
+                col_add(k, j, 1)
+        piv = a[k][k]
+        if piv == 0:
+            continue
+        inv = pow(piv, p - 2, p)
+        for j in range(k + 1, n):
+            if a[k][j]:
+                col_add(j, k, (-a[k][j] * inv) % p)
+    diag = [a[i][i] for i in range(n)]
+    front = 0
+    for i in range(n):
+        if diag[i]:
+            if i != front:
+                col_swap(front, i)
+                diag[front], diag[i] = diag[i], diag[front]
+            front += 1
+    return r, [a[i][i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Integer matrices up to 6 x 6, zero and non-square ones included; half
+    are products through an inner dimension below the size, so rank
+    deficiency is common, and entries reach ~10^6 as in fibration_rank."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if square or rows == 0 else draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([1, 3, 10 ** 3, 10 ** 6]))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+    u = [[draw(st.integers(-3, 3)) for _ in range(inner)] for _ in range(rows)]
+    v = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return [[sum(u[i][k] * v[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@st.composite
+def symmetric_with_zero_diagonal(draw, p=None):
+    """Symmetric matrices up to 6 x 6 with many zero diagonal entries, over
+    Q (half-integers, as in a quadratic form's Q) or reduced mod p."""
+    n = draw(st.integers(0, 6))
+    bound = 4 if p is None else p - 1
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            zero = draw(st.integers(0, 3)) == 0 if i != j else draw(st.integers(0, 3)) != 0
+            v = 0 if zero else draw(st.integers(-bound, bound))
+            if p is None:
+                v = Fraction(v, draw(st.sampled_from([1, 2])))
+            a[i][j] = a[j][i] = v
+    return a
+
+
+# ---------------------------------------------------------------------------
+# the elimination
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=int_matrices())
+def test_bareiss_matches_fraction_rank_and_pivots(m):
+    e = bareiss(m)
+    assert e.rank == fraction_rank(m)
+    assert list(e.pivots) == fraction_pivots(m)
+    assert e.adjugate is None
+    if len(m) != (len(m[0]) if m else 0) or e.rank < len(m):
+        assert e.det == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=int_matrices(square=True))
+def test_bareiss_det_and_adjugate_match_cofactors(m):
+    det = cofactor_det(m)
+    e = bareiss(m, adjugate=True)
+    assert e.det == det == int_matrix_det(m)
+    assert e[:3] == bareiss(m)[:3]
+    if det:
+        assert [list(row) for row in e.adjugate] == cofactor_adjugate(m)
+    else:
+        assert e.adjugate is None
+
+
+def test_bareiss_rejects_non_square_adjugate():
+    with pytest.raises(ValueError):
+        bareiss([[1, 2, 3], [4, 5, 6]], adjugate=True)
 
 
 def test_int_det_matches_rational_det():
@@ -47,11 +253,104 @@ def test_int_det_matches_rational_det():
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert int_matrix_det(rows) == RationalMatrix(rows).det()
-        adj, det = int_matrix_adjugate_det(rows)
-        radj, rdet = RationalMatrix(rows).adjugate_and_det()
-        assert det == rdet
-        assert RationalMatrix(adj) == radj
+        assert int_matrix_det(rows) == RationalMatrix(rows).det() == cofactor_det(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=int_matrices(square=True), dens=st.lists(st.sampled_from([1, 2, 3, 7]), min_size=6,
+                                                   max_size=6))
+def test_rational_matrix_wrappers_match_fractions(m, dens):
+    n = len(m)
+    q = RationalMatrix([[Fraction(v, dens[i] * dens[j]) for j, v in enumerate(row)]
+                        for i, row in enumerate(m)])
+    assert q.rank() == fraction_rank(q.entries)
+    det = cofactor_det([list(row) for row in q.entries])
+    assert q.det() == det
+    if det:
+        assert q * q.inverse() == RationalMatrix.identity(n)
+    else:
+        with pytest.raises(ValueError):
+            q.inverse()
+
+
+def test_inverse_hand_values():
+    I3 = RationalMatrix.identity(3)
+    assert I3.inverse() == I3
+
+    m = RationalMatrix([[1, 2], [3, 4]])
+    assert m.det() == -2
+    assert m.inverse() == RationalMatrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 2], [2, 4]]).inverse()
+
+
+def test_inverse_identity_random():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = RationalMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+        if m.det() == 0:
+            with pytest.raises(ValueError):
+                m.inverse()
+        else:
+            assert m * m.inverse() == RationalMatrix.identity(n)
+            assert m.inverse() * m == RationalMatrix.identity(n)
+
+
+# ---------------------------------------------------------------------------
+# the Lagrange reduction
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=symmetric_with_zero_diagonal())
+def test_lagrange_over_Q_is_bit_identical_to_the_old_body(a):
+    t, diag = symmetric_diagonalize(RationalMatrix(a))
+    old_t, old_diag = old_lagrange_Q(RationalMatrix(a))
+    assert t == old_t
+    assert diag == old_diag
+    assert all(type(d) is Fraction for d in diag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7, 11]))
+def test_lagrange_mod_p_is_bit_identical_to_the_old_body(data, p):
+    a = data.draw(symmetric_with_zero_diagonal(p))
+    assert diagonalize_mod_p(a, p) == old_lagrange_mod_p(a, p)
+
+
+# ---------------------------------------------------------------------------
+# the cached 2Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=int_matrices(square=True))
+def test_two_Q_cache_matches_a_rebuild(m):
+    n = len(m)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = m[i][j]
+    F = QuadraticPolynomial.from_polynomial(IntPolynomial(n, terms))
+    rebuilt = [[int(2 * v) for v in row] for row in F.Q.entries]
+    two_q = F.two_Q_int()
+    assert [list(row) for row in two_q] == rebuilt
+    assert F.two_Q_int() is two_q and isinstance(two_q, tuple)
+    assert all(isinstance(row, tuple) for row in two_q)
+    assert F.disc() == cofactor_det(rebuilt)
+    assert F.rank() == fraction_rank(F.Q.entries)
+
+
+def test_two_Q_rejects_non_integral_Q():
+    F = QuadraticPolynomial(RationalMatrix([[Fraction(1, 3), 0], [0, 1]]), [0, 0], 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="2Q is not integral"):
+            F.two_Q_int()
+    with pytest.raises(ValueError, match="2Q is not integral"):
+        F.disc()
 
 
 def test_signature_hand_values():

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefib.finitefield import count_mod_q_bruteforce, find_padic_nonsingular
 from cubefib.linalg import QuadraticPolynomial
@@ -13,6 +16,7 @@ from cubefib.localdensity import (
     series_lower_bound_certificate,
     solubility_quadric_Zp,
     real_solubility,
+    _critical_data,
     _tail_lower_bound,
 )
 from cubefib.nt import primes_up_to
@@ -50,6 +54,33 @@ def test_sigma_rank5_enumeration_cross_check():
     est = sigma_p(F, 7, 1)
     brute = count_mod_q_bruteforce(F.to_polynomial(), 7)
     assert est.sigma == Fraction(brute, 7 ** 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 5, 7, 11]), m=st.integers(1, 3))
+def test_critical_data_matches_a_brute_force_solve(data, p, m):
+    """x* is the only x mod p with 2Q x = -B, for p not dividing det(2Q)."""
+    coef = st.integers(-12, 12)
+    terms = {}
+    for i in range(m):
+        for j in range(i, m):
+            e = [0] * m
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = data.draw(coef)
+        e = [0] * m
+        e[i] = 1
+        terms[tuple(e)] = data.draw(coef)
+    F = quad(m, terms)
+    two_q = F.two_Q_int()
+    if F.disc() % p == 0:
+        with pytest.raises(ValueError):
+            _critical_data(F, p)
+        return
+    solutions = [x for x in itertools.product(range(p), repeat=m)
+                 if all((sum(a * v for a, v in zip(row, x)) + b) % p == 0
+                        for row, b in zip(two_q, F.B))]
+    assert solutions == [tuple(_critical_data(F, p))]
 
 
 def test_sigma_recursion_matches_enumeration():
