@@ -301,12 +301,12 @@ class QuadraticPolynomial:
     Q is symmetric rational (off-diagonal denominators divide 2 when the
     polynomial has integer coefficients), B integer, N integer. The matrix
     convention is F(x) = x^t Q x + B^t x + N; the discriminant used for
-    "bad prime" bookkeeping is det(2Q). The integer 2Q is built on first
-    use and kept; `disc`, `rank` and `rank_support` read it, and so need
-    an integral 2Q.
+    "bad prime" bookkeeping is det(2Q). The integer 2Q, its determinant
+    and the IntPolynomial are built on first use and kept; `disc`, `rank`
+    and `rank_support` read 2Q, and so need it integral.
     """
 
-    __slots__ = ("m", "Q", "B", "N", "_two_q")
+    __slots__ = ("m", "Q", "B", "N", "_two_q", "_disc", "_poly")
 
     def __init__(self, Q: RationalMatrix, B: Sequence[int], N: int):
         if not Q.is_symmetric():
@@ -318,6 +318,8 @@ class QuadraticPolynomial:
         object.__setattr__(self, "B", tuple(int(b) for b in B))
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "_two_q", None)
+        object.__setattr__(self, "_disc", None)
+        object.__setattr__(self, "_poly", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticPolynomial is immutable")
@@ -348,6 +350,12 @@ class QuadraticPolynomial:
         return cls(RationalMatrix(q), b, n)
 
     def to_polynomial(self) -> IntPolynomial:
+        """F as an IntPolynomial, built on first use and kept."""
+        if self._poly is None:
+            object.__setattr__(self, "_poly", self._build_polynomial())
+        return self._poly
+
+    def _build_polynomial(self) -> IntPolynomial:
         m = self.m
         terms = {}
         for i in range(m):
@@ -389,8 +397,10 @@ class QuadraticPolynomial:
         return self._two_q
 
     def disc(self) -> int:
-        """det(2Q) as an integer."""
-        return int_matrix_det(self.two_Q_int())
+        """det(2Q) as an integer, computed on first use and kept."""
+        if self._disc is None:
+            object.__setattr__(self, "_disc", int_matrix_det(self.two_Q_int()))
+        return self._disc
 
     def rank(self) -> int:
         """Rank of Q over Q, read from the integer 2Q."""

@@ -14,12 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product as iproduct
+from math import ceil, floor, gcd, lcm
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .finitefield import PadicWitness, find_padic_nonsingular
 from .fibration import (FalsificationAlarm, build_fibration, fibre_polynomial,
                         order3_minors, split_cubic)
+from .gridcount import box_point_count, check_budget, eval_on_box
 from .linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
 from .localdensity import real_solubility, solubility_quadric_Zp
 from .nt import is_prime, prime_factors, solve_linear_diophantine, vector_gcd
@@ -46,7 +51,7 @@ class AdmissibleSetSpec:
     k: int
     box: List[Tuple[Fraction, Fraction]]        # per-coordinate interval of Omega_infty
     conditions: LocalConditionSet
-    box_change: Optional[List[List[Fraction]]] = None   # y = T z with z in the box
+    box_change: Optional[List[List[Fraction]]] = None   # y = T z with z in the box; None: T = I
     y1_prime_window: Optional[Tuple[Fraction, Fraction]] = None  # y1 in P(delta Y)
     coprime_pairs: Tuple[Tuple[int, int], ...] = ()
     jacobi_condition: Optional[Tuple[IntPolynomial, int]] = None  # (G, target symbol)
@@ -61,7 +66,7 @@ class AdmissibleSetSpec:
         (A_i . y) hi_den <= d hi_num Y (both denominators and d are > 0)."""
         cached = getattr(self, "_box_change_int", None)
         if cached is None:
-            inv = RationalMatrix(self.box_change).inverse().entries
+            inv = RationalMatrix(self.change_matrix()).inverse().entries
             d = lcm(*(x.denominator for row in inv for x in row))
             cached = []
             for row, (lo, hi) in zip(inv, self.box):
@@ -73,13 +78,11 @@ class AdmissibleSetSpec:
             object.__setattr__(self, "_box_change_int", cached)
         return cached
 
-    def scaled_bounds(self, Y: int) -> List[Tuple[int, int]]:
-        out = []
-        for lo, hi in self.box:
-            l = -(-(lo * Y).numerator // (lo * Y).denominator)   # ceil
-            h_ = (hi * Y).numerator // (hi * Y).denominator      # floor
-            out.append((l, h_))
-        return out
+    def change_matrix(self) -> List[List[Fraction]]:
+        """T of y = T z; a plain box (box_change None) is the box change T = I."""
+        if self.box_change is None:
+            return [[Fraction(int(i == j)) for j in range(self.k)] for i in range(self.k)]
+        return self.box_change
 
 
 @dataclass
@@ -109,19 +112,15 @@ def build_conditions(
         good = [q for q in q_list if not q.is_zero()]
         if not good:
             raise ValueError("all Q_i vanish: not a pi_prime bundle")
-        coeff_gcd = 0
-        for q in good:
-            coeff_gcd = gcd(coeff_gcd, q.content())
-        M = 2 * coeff_gcd if coeff_gcd else 2
     else:
         fd = build_fibration(C, split)
         if fd.rank < 3:
             raise ValueError("pi mode needs fibration rank >= 3 for order-3 minors")
         good = order3_minors(fd.M2, fd.h)
-        coeff_gcd = 0
-        for q in good:
-            coeff_gcd = gcd(coeff_gcd, q.content())
-        M = 2 * coeff_gcd if coeff_gcd else 2
+    coeff_gcd = 0
+    for q in good:
+        coeff_gcd = gcd(coeff_gcd, q.content())
+    M = 2 * coeff_gcd if coeff_gcd else 2
     bad: Dict[int, PadicWitness] = {}
     for p in sorted(set(prime_factors(M)) | set(extra_bad)):
         wit = find_padic_nonsingular(C, p, v_max, x_indices=xs, budget=budget)
@@ -155,18 +154,14 @@ def _good_prime_ok(spec: AdmissibleSetSpec, y: Sequence[int]) -> Tuple[bool, str
 def membership(y: Sequence[int], spec: AdmissibleSetSpec, Y: int) -> MembershipResult:
     """Deterministic membership with the first failed predicate as a reason.
 
-    Under a box change y = T z the box test is integer cross-multiplication
-    (`AdmissibleSetSpec.box_change_integer`), exactly lo Y <= (T^-1 y)_i <= hi Y."""
+    The box test is integer cross-multiplication
+    (`AdmissibleSetSpec.box_change_integer`), exactly lo Y <= (T^-1 y)_i <= hi Y,
+    with T = I for a plain box."""
     y = list(y)
-    if spec.box_change is None:
-        for yi, (lo, hi) in zip(y, spec.box):
-            if not (lo * Y <= yi <= hi * Y):
-                return MembershipResult(False, "box")
-    else:
-        for row, lo_n, lo_d, hi_n, hi_d in spec.box_change_integer():
-            u = sum(a * yi for a, yi in zip(row, y))  # d (T^-1 y)_i
-            if not (lo_n * Y <= u * lo_d and u * hi_d <= hi_n * Y):
-                return MembershipResult(False, "box")
+    for row, lo_n, lo_d, hi_n, hi_d in spec.box_change_integer():
+        u = sum(map(mul, row, y))  # d (T^-1 y)_i
+        if not (lo_n * Y <= u * lo_d and u * hi_d <= hi_n * Y):
+            return MembershipResult(False, "box")
     if spec.y1_prime_window is not None:
         lo, hi = spec.y1_prime_window
         if not (lo * Y <= y[0] <= hi * Y):
@@ -196,31 +191,18 @@ def membership(y: Sequence[int], spec: AdmissibleSetSpec, Y: int) -> MembershipR
 
 def enumerate_admissible(spec: AdmissibleSetSpec, Y: int,
                          budget: int | None = None) -> Iterator[Tuple[int, ...]]:
-    """Lexicographic stream of admissible y in the scaled box."""
-    from itertools import product as iproduct
-
-    if spec.box_change is None:
-        bounds = spec.scaled_bounds(Y)
-    else:
-        # bounding box of the transformed parallelepiped
-        T = RationalMatrix(spec.box_change)
-        corners = []
-        for signs in iproduct(*[(lo, hi) for lo, hi in spec.box]):
-            z = [s * Y for s in signs]
-            corners.append(T.matvec(z))
-        bounds = []
-        for i in range(spec.k):
-            vals = [c[i] for c in corners]
-            lo = min(vals)
-            hi = max(vals)
-            bounds.append((-(-lo.numerator // lo.denominator), hi.numerator // hi.denominator))
-    total = 1
-    for lo, hi in bounds:
-        total *= max(0, hi - lo + 1)
-    from .gridcount import check_budget
-
-    check_budget(total, budget)
-    for y in iproduct(*[range(lo, hi + 1) for lo, hi in bounds]):
+    """Lexicographic stream of admissible y in the scaled box: the integer
+    points of the bounding box of the corners of T (Y box) that pass
+    `membership`. An empty scaled interval admits nothing and charges nothing."""
+    if any(lo * Y > hi * Y for lo, hi in spec.box):
+        return
+    T = RationalMatrix(spec.change_matrix())
+    corners = [T.matvec([s * Y for s in signs])
+               for signs in iproduct(*[(lo, hi) for lo, hi in spec.box])]
+    axes = list(zip(*corners))
+    lows, highs = [ceil(min(v)) for v in axes], [floor(max(v)) for v in axes]
+    check_budget(box_point_count(lows, highs), budget)
+    for y in iproduct(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
         if membership(y, spec, Y).member:
             yield y
 
@@ -352,14 +334,16 @@ def fibre_solubility(
 
 
 def _search_integer_point(f: IntPolynomial, bound: int) -> Optional[Tuple[int, ...]]:
-    from itertools import product as iproduct
-
-    m = f.num_vars
-    if (2 * bound + 1) ** m > 10 ** 6:
+    """The first zero of f in [-bound, bound]^m in lexicographic order, or
+    None when there is none or the box has more than 10^6 points."""
+    lows, highs = [-bound] * f.num_vars, [bound] * f.num_vars
+    if box_point_count(lows, highs) > 10 ** 6:
         return None
-    for x in iproduct(range(-bound, bound + 1), repeat=m):
-        if f.evaluate(x) == 0:
-            return x
+    # blocks come in lexicographic order and are C-ordered inside
+    for blo, vals in eval_on_box(f, lows, highs):
+        hits = np.flatnonzero(vals == 0)
+        if hits.size:
+            return tuple(int(b + i) for b, i in zip(blo, np.unravel_index(hits[0], vals.shape)))
     return None
 
 
@@ -401,9 +385,6 @@ def reducible_case_set(
     b1, b2 = alphas[0] // g, alphas[1] // g
     lo = -(-(delta * Y).numerator // (delta * Y).denominator)
     hi = (2 * delta * Y).numerator // (2 * delta * Y).denominator
-    from itertools import product as iproduct
-
-    from .gridcount import check_budget
     from .nt import primes_in_interval
 
     primes = primes_in_interval(max(lo, 2), hi)
@@ -482,15 +463,13 @@ def box_with_large_Q(
     tmat = RationalMatrix(change)
     worst: Optional[Fraction] = None
     checked = 0
-    import itertools
-
     grids = []
     for lo, hi in intervals:
         a = -(-(lo * P).numerator // (lo * P).denominator)
         b = (hi * P).numerator // (hi * P).denominator
         pick = list(range(a, b + 1, max(1, (b - a) // 3 or 1)))[:4] or [a]
         grids.append(pick)
-    for z in itertools.product(*grids):
+    for z in iproduct(*grids):
         yv = tmat.matvec(list(z))
         val = abs(Q1.evaluate_fraction(yv))
         ratio = val / (P * P)

@@ -353,6 +353,31 @@ def test_two_Q_rejects_non_integral_Q():
         F.disc()
 
 
+@settings(max_examples=100, deadline=None)
+@given(m=int_matrices(square=True), data=st.data())
+def test_polynomial_and_disc_caches_match_a_rebuild(m, data):
+    n = len(m)
+    terms = {}
+    for i in range(n):
+        for j in range(i, n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = m[i][j]
+    for i in range(n):
+        terms[tuple(int(t == i) for t in range(n))] = data.draw(st.integers(-5, 5))
+    terms[(0,) * n] = data.draw(st.integers(-5, 5))
+    p = IntPolynomial(n, terms)
+    F = QuadraticPolynomial.from_polynomial(p)
+    poly, disc = F.to_polynomial(), F.disc()
+    assert poly.terms == p.terms and poly.num_vars == n
+    assert disc == cofactor_det([[int(2 * v) for v in row] for row in F.Q.entries])
+    # the second call returns the kept values, and a fresh object rebuilds them
+    assert F.to_polynomial() is poly and F.disc() == disc
+    fresh = QuadraticPolynomial(F.Q, F.B, F.N)
+    assert fresh.to_polynomial().terms == poly.terms and fresh.disc() == disc
+
+
 def test_signature_hand_values():
     assert rank_signature_over_Q(RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (3, 3, 0)
     # [[0,1/2],[1/2,0]] has eigen-signs +,- (complete the square)

@@ -315,11 +315,17 @@ fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 @st.composite
 def changed_boxes(draw, k_max=3):
-    """(T, box, Y, points): invertible rational T, a rational box and integer
-    points y, some of them put exactly on a box face."""
+    """(T, box_change, box, Y, points): invertible rational T, the spec's
+    box_change (T, or None for a plain box, where T = I), a rational box and
+    integer points y, some of them put exactly on a box face."""
     k = draw(st.integers(1, k_max))
-    T = [[draw(fractions) for _ in range(k)] for _ in range(k)]
-    assume(_det(T) != 0)
+    if draw(st.booleans()):
+        T = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        change = None
+    else:
+        T = [[draw(fractions) for _ in range(k)] for _ in range(k)]
+        assume(_det(T) != 0)
+        change = T
     Y = draw(st.integers(1, 4))
     box = []
     for _ in range(k):
@@ -335,20 +341,20 @@ def changed_boxes(draw, k_max=3):
             box[i] = [face, max(face, box[i][1])]
         else:
             box[i] = [min(face, box[i][0]), face]
-    return T, [tuple(b) for b in box], Y, points
+    return T, change, [tuple(b) for b in box], Y, points
 
 
-def _changed_box_spec(T, box):
-    k = len(T)
+def _changed_box_spec(change, box):
+    k = len(box)
     cond = LocalConditionSet("pi_prime", {}, [], 2, tuple(range(k)))
-    return AdmissibleSetSpec(k, list(box), cond, box_change=T)
+    return AdmissibleSetSpec(k, list(box), cond, box_change=change)
 
 
 @settings(max_examples=200, deadline=None)
 @given(changed_boxes())
 def test_membership_box_change_matches_fraction_reference(case):
-    T, box, Y, points = case
-    spec = _changed_box_spec(T, box)
+    T, change, box, Y, points = case
+    spec = _changed_box_spec(change, box)
     for y in points:
         res = membership(y, spec, Y)
         assert res.member == _in_changed_box(T, box, Y, y)
@@ -358,10 +364,53 @@ def test_membership_box_change_matches_fraction_reference(case):
 @settings(max_examples=60, deadline=None)
 @given(changed_boxes(k_max=2))
 def test_enumerate_admissible_box_change_is_the_filtered_bounding_box(case):
-    T, box, Y, _ = case
+    T, change, box, Y, _ = case
     # the changed box is convex, so it lies in the bounding box of its corners
     corners = [[sum(t * v * Y for t, v in zip(row, z)) for row in T] for z in product(*box)]
     ranges = [range(int(min(c)) - 1, int(max(c)) + 2) for c in zip(*corners)]
-    spec = _changed_box_spec(T, box)
+    spec = _changed_box_spec(change, box)
     expected = [y for y in product(*ranges) if _in_changed_box(T, box, Y, y)]
     assert list(enumerate_admissible(spec, Y)) == expected
+
+
+@pytest.mark.parametrize("change", [None, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]])
+def test_enumerate_admissible_empty_interval_charges_nothing(change):
+    # lo > hi in one coordinate: no point is admissible, so none is paid for
+    spec = _changed_box_spec(change, [(Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))])
+    assert list(enumerate_admissible(spec, 5, budget=3)) == []
+
+
+def _first_zero_reference(f, bound):
+    return next((x for x in product(range(-bound, bound + 1), repeat=f.num_vars)
+                 if f.evaluate(list(x)) == 0), None)
+
+
+@st.composite
+def small_polynomials(draw):
+    m = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        e = [0] * m
+        for _ in range(draw(st.integers(0, 2))):
+            e[draw(st.integers(0, m - 1))] += 1
+        terms[tuple(e)] = draw(st.integers(-9, 9))
+    return IntPolynomial(m, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polynomials(), st.integers(0, 5))
+def test_search_integer_point_is_the_first_lexicographic_zero(f, bound):
+    assert sieve._search_integer_point(f, bound) == _first_zero_reference(f, bound)
+
+
+def test_search_integer_point_none_without_zero_or_above_the_cap():
+    x, y = X(2, 0), X(2, 1)
+    one = IntPolynomial.constant(2, 1)
+    assert sieve._search_integer_point(x * x + y * y + one, 4) is None
+    # x^2 - 2 has no integer zero, and a zero at the box corner is found
+    assert sieve._search_integer_point(x * x - one * 2, 5) is None
+    assert sieve._search_integer_point(x + y + one * 6, 3) == (-3, -3)
+    # 11^6 > 10^6 points: no search, although x0 = 0 is a zero
+    big = X(6, 0)
+    assert sieve._search_integer_point(big, 5) is None
+    assert sieve._search_integer_point(big, 4) == (0, -4, -4, -4, -4, -4)
