@@ -10,6 +10,7 @@ argument value, 2 an argparse usage error, 3 an invalid form document
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -34,12 +35,22 @@ def _load_form(path: str):
 
 
 def _write(args, text: str):
-    """Write text to the --out file, or to stdout without --out."""
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
+    """Write text to the --out file, or to stdout without --out. The file is
+    replaced atomically: text goes to a temporary file beside it, which then
+    takes its name, so a failed write leaves the target as it was and
+    removes the temporary file. Errors name the target."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, args.out)
+    except OSError as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise OSError(e.errno, e.strerror, args.out) from None
 
 
 def _emit(args, report: dict):

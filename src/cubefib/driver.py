@@ -243,7 +243,9 @@ def fibration_count(
         cond = build_conditions(C, split, "pi_prime", budget=budget)
         if cond.insoluble_at is not None:
             rows = [(B, 0) for B in sorted(set(B_list))]
-            empty = AdmissibleSetSpec(len(split.y_indices), [], cond)
+            h = len(split.y_indices)
+            # empty intervals: the spec admits nothing and charges nothing
+            empty = AdmissibleSetSpec(h, [(Fraction(1), Fraction(-1))] * h, cond)
             return FibrationCountResult(
                 CountSeries(rows, "fibration-lower-bound"), {}, mode,
                 f"locally insoluble at {cond.insoluble_at}", empty)

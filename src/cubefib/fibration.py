@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gridcount
 from .linalg import RationalMatrix, bareiss, rank_signature_over_Q, symmetric_diagonalize
+from .nt import divisors
 from .polynomials import IntPolynomial, LinearChange, VariableSplit
 
 
@@ -568,56 +569,82 @@ def indefinite_witness(fd: FibrationData, seed: int = 0, tries: int = 2000) -> I
 
 
 # ---------------------------------------------------------------------------
-# linear factors of quadratic forms (pi' common-factor detector)
+# rational linear factors of quadratic and cubic forms
 
 
-def linear_factors_of_quadratic(q: IntPolynomial) -> List[IntPolynomial]:
-    """Rational linear factors of a quadratic form, primitive-normalized.
+def _restrict_to_pencil(poly: IntPolynomial, u: Sequence[int], w: Sequence[int]) -> List[int]:
+    """Coefficients of the form poly(s*u + t*w) as a binary form in (s, t),
+    listed by increasing degree in t."""
+    images = [IntPolynomial.linear_form([ui, wi]) for ui, wi in zip(u, w)]
+    coeffs = [0] * (poly.total_degree() + 1)
+    for (_, et), c in poly.substitute_polys(images).terms.items():
+        coeffs[et] += c
+    return coeffs
 
-    Rank > 2 has none; rank 1 is a scaled square; rank 2 splits over Q iff
-    the discriminant of its binary reduction is a perfect square.
+
+def _rational_roots(a: Sequence[int]) -> List[Fraction]:
+    """The distinct rational roots of sum_k a[k] s^k, a[-1] != 0, by the
+    rational root theorem: 0 if a[0] = 0, and +-p/q with q | a[-1] and p |
+    the lowest nonzero coefficient."""
+    low = next(k for k, c in enumerate(a) if c)
+    d = len(a) - 1
+    roots = {Fraction(r, q) for q in divisors(a[-1]) for p in divisors(a[low]) for r in (p, -p)
+             if sum(c * r ** k * q ** (d - k) for k, c in enumerate(a)) == 0}
+    return sorted(roots | ({Fraction(0)} if low else set()))
+
+
+def _form_from_rationals(coeffs: Sequence[Fraction]) -> IntPolynomial:
+    """The primitive integer linear form proportional to sum coeffs[j] y_j."""
+    den = lcm(*(v.denominator for v in coeffs))
+    return _primitive_form([int(v * den) for v in coeffs])
+
+
+def linear_factors(f: IntPolynomial) -> List[IntPolynomial]:
+    """The distinct rational linear factors of a homogeneous form f of degree
+    2 or 3, primitive with first nonzero coefficient positive, sorted by
+    coefficient vector.
+
+    Every factor l is nonzero at the first v in {0..d}^h with f(v) != 0
+    (a nonzero form of degree d cannot vanish on that grid); normalised to
+    l(v) = 1, its coefficient c_i = l(e_i) is minus a rational root of the
+    degree-d polynomial f(s v + e_i) in s. The c_i are chosen one at a
+    time, a partial l kept only if it divides f on span(v, e_0..e_i), so at
+    most d partials survive each step; each full candidate with l(v) = 1
+    must pass `divides_form`.
     """
-    from .linalg import QuadraticPolynomial
+    d = f.total_degree()
+    if d not in (2, 3) or not f.is_homogeneous(d):
+        raise ValueError("nonzero homogeneous form of degree 2 or 3 required")
+    h = f.num_vars
+    v = next(u for u in product(range(d + 1), repeat=h) if f.evaluate(list(u)))
+    partials: List[Tuple[Fraction, ...]] = [()]
+    for i in range(h):
+        if not partials:
+            return []
+        e_i = [int(j == i) for j in range(h)]
+        roots = _rational_roots(_restrict_to_pencil(f, v, e_i)[::-1])
+        partials = [c + (-r,) for c in partials for r in roots]
+        if i < h - 1:
+            # f on span(v, e_0..e_i), in the variables (s, t_0..t_i)
+            span = f.substitute_polys([IntPolynomial.linear_form(
+                [v[k]] + [int(j == k) for j in range(i + 1)]) for k in range(h)])
+            partials = [c for c in partials
+                        if divides_form(_form_from_rationals((Fraction(1),) + c), span)]
+    factors = [_form_from_rationals(c) for c in partials
+               if sum(ci * vi for ci, vi in zip(c, v)) == 1]
+    return sorted((l for l in factors if divides_form(l, f)),
+                  key=lambda l: _linear_coefficients(l)[0])
 
-    if q.is_zero() or not q.is_homogeneous(2):
-        raise ValueError("nonzero quadratic form required")
-    k = q.num_vars
-    Q = QuadraticPolynomial.from_polynomial(q)
-    t, diag = symmetric_diagonalize(Q.Q)
-    nonzero = [i for i, d in enumerate(diag) if d != 0]
-    rank = len(nonzero)
-    if rank > 2:
-        return []
-    # inverse transform: rows of t^{-1} express old coordinates z = t w, so
-    # w_i as a form in the original variables is the i-th row of t^{-1}
-    tinv = t.inverse()
 
-    def row_form(coeffs: Sequence[Fraction]) -> IntPolynomial:
-        den = lcm(*(v.denominator for v in coeffs))
-        return _primitive_form([int(v * den) for v in coeffs])
-
-    if rank == 1:
-        i = nonzero[0]
-        w = row_form(tinv.entries[i])
-        return [w]
-    i, j = nonzero
-    a, b = diag[i], diag[j]
-    # a w_i^2 + b w_j^2 factors over Q iff -b/a is a square
-    ratio = -b / a
-    if ratio < 0:
-        return []
-    num, den = ratio.numerator, ratio.denominator
-    from math import isqrt
-
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return []
-    s = Fraction(rn, rd)
-    wi = tinv.entries[i]
-    wj = tinv.entries[j]
-    f1 = row_form([x + s * y for x, y in zip(wi, wj)])
-    f2 = row_form([x - s * y for x, y in zip(wi, wj)])
-    return [f1, f2] if f1 != f2 else [f1]
+def common_linear_factor(forms: Sequence[IntPolynomial]) -> Optional[IntPolynomial]:
+    """The first linear factor of the sparsest nonzero form that divides
+    every form, or None."""
+    nonzero = [q for q in forms if not q.is_zero()]
+    if not nonzero:
+        raise ValueError("degenerate input: all forms vanish")
+    pivot = min(nonzero, key=lambda q: len(q.terms))
+    return next((l for l in linear_factors(pivot)
+                 if all(divides_form(l, q) for q in nonzero)), None)
 
 
 def _linear_coefficients(l: IntPolynomial) -> Tuple[List[int], int]:
@@ -720,24 +747,20 @@ def detect_common_linear_factor_Qi(
     if split.role != "pi_prime":
         raise ValueError("requires a linear-fibre split")
     _, q_list, _ = split_cubic(C, split)
-    nonzero = [q for q in q_list if not q.is_zero()]
-    if not nonzero:
-        raise ValueError("degenerate input: all Q_i vanish")
-    candidates = linear_factors_of_quadratic(nonzero[0])
-    for l in candidates:
-        if all(divides_form(l, q) for q in nonzero):
-            cofs = []
-            for q in q_list:
-                if q.is_zero():
-                    cofs.append((IntPolynomial.zero(q.num_vars), 1))
-                else:
-                    quo, den = divide_form_by_linear_rational(q, l)
-                    if l * quo != q * den:
-                        raise FalsificationAlarm("common factor times its cofactor "
-                                                 "is not den * Q_i")
-                    cofs.append((quo, den))
-            return CommonFactorResult(l, cofs, True)
-    return None
+    l = common_linear_factor(q_list)
+    if l is None:
+        return None
+    cofs = []
+    for q in q_list:
+        if q.is_zero():
+            cofs.append((IntPolynomial.zero(q.num_vars), 1))
+        else:
+            quo, den = divide_form_by_linear_rational(q, l)
+            if l * quo != q * den:
+                raise FalsificationAlarm("common factor times its cofactor "
+                                         "is not den * Q_i")
+            cofs.append((quo, den))
+    return CommonFactorResult(l, cofs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -794,13 +817,9 @@ def classify_rank2_bundle(
     rank, witness, record = fibration_rank(A2, v, seed=seed, dim_cap=dim_cap)
     if rank >= 3:
         nondeg = _psi_independent(psi_list)
-        common = None
-        nz = [p for p in psi_list if not p.is_zero()]
-        for l in linear_factors_of_quadratic(nz[0]) if nz else []:
-            if all(divides_form(l, p) for p in nz):
-                common = l
-                break
-        reducible = common is not None or _pairwise_proportional(psi_list)
+        # rank >= 3 over K: some psi_i is nonzero
+        reducible = (common_linear_factor(psi_list) is not None
+                     or _pairwise_proportional(psi_list))
         if nondeg and not reducible and v >= 4:
             return Rank2Shape("integral", rank, notes="irreducible, x-nondegenerate, rank >= 3")
         return Rank2Shape(
@@ -909,35 +928,6 @@ def classify_rank2_bundle(
 # order-3 minors: common linear factor and the codimension probe
 
 
-def _linear_factors_of_cubic(poly: IntPolynomial) -> List[IntPolynomial]:
-    """Rational linear factors of a homogeneous cubic via sympy, normalized
-    to primitive integer forms. Verification stays in-house."""
-    import sympy
-
-    syms = sympy.symbols(f"y0:{poly.num_vars}")
-    expr = sympy.Integer(0)
-    for e, c in poly.terms.items():
-        term = sympy.Integer(c)
-        for s, k in zip(syms, e):
-            if k:
-                term *= s ** k
-        expr += term
-    out = []
-    _, factors = sympy.factor_list(sympy.Poly(expr, *syms))
-    for fac, mult in factors:
-        p = sympy.Poly(fac, *syms)
-        if p.total_degree() != 1:
-            continue
-        coeffs = [0] * poly.num_vars
-        for mono, coef in zip(p.monoms(), p.coeffs()):
-            idx = mono.index(1)
-            coeffs[idx] = int(coef)
-        cand = _primitive_form(coeffs)
-        if divides_form(cand, poly):
-            out.append(cand)
-    return out
-
-
 @dataclass
 class Order3FactorResult:
     status: str                       # "factor-found" | "no-common-factor" |
@@ -952,18 +942,6 @@ class Order3FactorResult:
 def order3_minors(M2: List[List[DPoly]], h: int, dim_cap: int = 12) -> List[IntPolynomial]:
     """The nonzero order-3 minors of M2, as polynomials in its h variables."""
     return [IntPolynomial(h, det) for _, _, det in _nonzero_minors(M2, 3, {}, dim_cap)]
-
-
-def _restrict_to_pencil(poly: IntPolynomial, u: Sequence[int], w: Sequence[int]) -> List[int]:
-    """Coefficients of poly(s*u + t*w) as a binary form in (s, t), degree 3."""
-    h = poly.num_vars
-    coeffs = [0, 0, 0, 0]
-    # expand via substitution polynomials in 2 variables
-    images = [IntPolynomial.linear_form([u[i], w[i]]) for i in range(h)]
-    sub = poly.substitute_polys(images)
-    for (es, et), c in sub.terms.items():
-        coeffs[et] += c
-    return coeffs
 
 
 def _binary_gcd_degree(coeff_lists: List[List[int]]) -> int:
@@ -1019,13 +997,7 @@ def order3_minor_common_factor(
     minors = order3_minors(fd.M2, h, dim_cap)
     if not minors:
         raise FalsificationAlarm("rank >= 3 but no nonzero order-3 minor")
-    pivot_minor = min(minors, key=lambda p: len(p.terms))
-    candidates = _linear_factors_of_cubic(pivot_minor)
-    factor = None
-    for l in candidates:
-        if all(divides_form(l, q) for q in minors):
-            factor = l
-            break
+    factor = common_linear_factor(minors)
     probe = _codim_probe(minors, h, probe_primes, budget)
     if factor is not None:
         ych = _linear_change_with_first_coordinate(factor)

@@ -67,9 +67,15 @@ def diagonalize_mod_p(Q: Sequence[Sequence[int]], p: int):
 
 
 def _diagonal_data(F: QuadraticPolynomial, p: int):
-    """(R, diag, r, D) for odd p: Q mod p diagonalized by R with its r
-    nonzero pivots first, and the transformed linear part D = R^t B mod p."""
+    """(R, diag, r, D) for an odd prime p: Q mod p diagonalized by R with its
+    r nonzero pivots first, and the transformed linear part D = R^t B mod p."""
+    if p == 2:
+        raise ValueError("p = 2 is excluded from the closed form")
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     m = F.m
+    if m == 0:
+        raise ValueError("need at least one variable")
     inv2 = (p + 1) // 2
     R, diag = diagonalize_mod_p([[v * inv2 % p for v in row] for row in F.two_Q_int()], p)
     D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
@@ -84,14 +90,13 @@ def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCo
     linear part has a unit coefficient outside the rank block, both counts
     are exactly p^(m-1).
     """
-    if p == 2:
-        raise ValueError("p = 2 is excluded from the closed form")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    return _closed_form(F, p, _diagonal_data(F, p))
+
+
+def _closed_form(F: QuadraticPolynomial, p: int, diagonal) -> QuadricCount:
+    """The closed-form counts of F mod p from its diagonal data (R, diag, r, D)."""
     m = F.m
-    if m == 0:
-        raise ValueError("need at least one variable")
-    _, diag, r, D = _diagonal_data(F, p)
+    _, diag, r, D = diagonal
     eps_tag = "1" if p % 4 == 1 else "i"
     if any(D[i] for i in range(r, m)):
         data = GaussSumData(p, r, eps_tag, 0, 0, 0, 0, "linear-unit")
@@ -316,10 +321,11 @@ def quadratic_residue_value_count(f: IntPolynomial, p: int, budget: int | None =
 def find_nonsingular_zero_mod_p(F: QuadraticPolynomial, p: int) -> Optional[Tuple[int, ...]]:
     """A nonsingular zero of F over F_p, or None if there is none.
 
-    Decides existence with the closed form first, then constructs a point
-    by diagonalizing mod p and solving a single variable with a modular
-    square root; cost O(p^2) field operations in the worst case, never a
-    p^m enumeration.
+    Decides existence with the closed form, then constructs a point from
+    the same mod-p diagonalization by solving a single variable with a
+    modular square root; cost O(p^2) field operations in the worst case,
+    never a p^m enumeration. A point the closed form promises but the
+    construction misses raises FalsificationAlarm.
     """
     import itertools
 
@@ -329,10 +335,11 @@ def find_nonsingular_zero_mod_p(F: QuadraticPolynomial, p: int) -> Optional[Tupl
         except ValueError:  # every partial vanishes identically
             return None
         return wit.residues if wit else None
-    if count_quadric_mod_p_closed_form(F, p).nonsingular == 0:
+    diagonal = _diagonal_data(F, p)
+    if _closed_form(F, p, diagonal).nonsingular == 0:
         return None
     m = F.m
-    R, diag, r, D = _diagonal_data(F, p)
+    R, diag, r, D = diagonal
     N = F.N % p
 
     def back(point):
@@ -368,4 +375,5 @@ def find_nonsingular_zero_mod_p(F: QuadraticPolynomial, p: int) -> Optional[Tupl
                 for t, s in enumerate(rest):
                     point[1 + t] = s
                 return back(point)
-    return None
+    raise FalsificationAlarm(f"closed form counts nonsingular zeros mod {p}, "
+                             "but the point search found none")

@@ -62,11 +62,13 @@ def _critical_data(F: QuadraticPolynomial, p: int):
     return [-sum(a * b for a, b in zip(row, F.B)) * inv % p for row in adj]
 
 
-def counts_good_prime(F: QuadraticPolynomial, p: int, t: int) -> List[int]:
+def counts_good_prime(F: QuadraticPolynomial, p: int, t: int,
+                      nonsingular: int | None = None) -> List[int]:
     """Exact N(p^k), k = 0..t, for odd p not dividing det(2Q).
 
     Nonsingular residues lift with multiplicity p^(m-1) per level; the
-    single critical residue recurses with modulus dropped by p^2.
+    single critical residue recurses with modulus dropped by p^2. The
+    closed-form nonsingular count mod p is computed unless given.
     """
     if p == 2:
         raise ValueError("p = 2 has no closed-form path")
@@ -76,7 +78,7 @@ def counts_good_prime(F: QuadraticPolynomial, p: int, t: int) -> List[int]:
     counts = [1] * (t + 1)
     if t == 0:
         return counts
-    ns = count_quadric_mod_p_closed_form(F, p).nonsingular
+    ns = count_quadric_mod_p_closed_form(F, p).nonsingular if nonsingular is None else nonsingular
     xstar = _critical_data(F, p)
     poly = F.to_polynomial()
     cstar = poly.evaluate(xstar)
@@ -121,14 +123,14 @@ def sigma_p(
         raise ValueError("truncation level must be >= 1")
     m = F.m
     if p != 2:
-        case = count_quadric_mod_p_closed_form(F, p).data.case
-        if case == "linear-unit":
+        closed = count_quadric_mod_p_closed_form(F, p)
+        if closed.data.case == "linear-unit":
             counts = tuple(p ** (k * (m - 1)) for k in range(t + 1))
             return LocalDensityEstimate(
                 p, t, Fraction(1), Fraction(0), counts, "linear-unit", True
             )
     if p != 2 and F.disc() % p != 0:
-        counts = counts_good_prime(F, p, t + 1)
+        counts = counts_good_prime(F, p, t + 1, closed.nonsingular)
         method = "recursion"
     else:
         poly = F.to_polynomial()
@@ -367,12 +369,8 @@ def solubility_quadric_Zp(
     m = F.m
     if p != 2:
         try:
-            ns = count_quadric_mod_p_closed_form(F, p)
-            if ns.nonsingular > 0:
-                pt = find_nonsingular_zero_mod_p(F, p)
-                if pt is None:
-                    raise FalsificationAlarm(f"closed form counts nonsingular zeros mod {p}, "
-                                             "but the point search found none")
+            pt = find_nonsingular_zero_mod_p(F, p)
+            if pt is not None:
                 idx = next(i for i, g in enumerate(poly.gradient()) if g.evaluate_mod(pt, p))
                 wit = PadicWitness(p, 1, pt, idx)
                 if not wit.verify(poly):

@@ -58,6 +58,10 @@ class AdmissibleSetSpec:
     good_prime_cutoff: Optional[int] = None     # None = exact mode
     good_primes_only: Optional[Tuple[int, ...]] = None  # restrict the predicate
 
+    def __post_init__(self):
+        if len(self.box) != self.k:
+            raise ValueError(f"box has {len(self.box)} intervals, expected k = {self.k}")
+
     def box_change_integer(self) -> Tuple[Tuple[Tuple[int, ...], int, int, int, int], ...]:
         """The box test of `membership` in integers, cached: T^-1 = A / d with
         integer A and d = lcm of the denominators of T^-1, and per box

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from cubefib import cli
 from cubefib.cli import main
 
 FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
@@ -211,3 +213,38 @@ def test_analyze_pi_prime_mode_on_a_pi_split_exits_with_one_line():
     assert proc.stdout == ""
     assert proc.stderr == ("analyze: mode pi_prime requires a linear-fibre (pi_prime) split, "
                            "the form declares pi\n")
+
+
+class _FailingFile:
+    """A file whose write stores half the text, then fails as a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_out_write_failing_midway_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "report.json"
+    out_path.write_bytes(b"previous report\n")
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FailingFile(open(*a, **k)), raising=False)
+    rc = main(["lattice-count", "--a", "1,1", "-B", "5", "--out", str(out_path)])
+    assert rc == 5
+    assert capsys.readouterr() == ("", f"cubefib: {out_path}: No space left on device\n")
+    assert out_path.read_bytes() == b"previous report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_into_a_missing_directory_exits_5_naming_the_target(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    rc = main(["lattice-count", "--a", "1,1", "-B", "5", "--out", str(out_path)])
+    assert rc == 5
+    assert capsys.readouterr() == ("", f"cubefib: {out_path}: No such file or directory\n")

@@ -25,6 +25,7 @@ from cubefib.fibration import FalsificationAlarm
 from cubefib.lattice import HyperplaneCount
 from cubefib.linalg import QuadraticPolynomial
 from cubefib.polynomials import IntPolynomial, VariableSplit
+from cubefib.sieve import enumerate_admissible
 
 FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
 
@@ -135,6 +136,20 @@ def test_fibration_count_alarms_on_non_admissible_fibre(monkeypatch):
                         lambda spec, Y, budget=None: iter([(1, 1)]))
     with pytest.raises(FalsificationAlarm, match="not locally soluble"):
         fibration_count(C, split, "pi_prime", [4])
+
+
+def test_locally_insoluble_result_spec_enumerates_to_nothing():
+    # C = 2 x0 y0^2 + 2 x1 y1^2 + y0^3 + y0^2 y1 + y1^3: an x-partial is a
+    # 2-adic unit only if y0 or y1 is odd, and then C is odd, so the witness
+    # search at 2 finds nothing
+    C = IntPolynomial(4, {(1, 0, 2, 0): 2, (0, 1, 0, 2): 2, (0, 0, 3, 0): 1,
+                          (0, 0, 2, 1): 1, (0, 0, 0, 3): 1})
+    split = VariableSplit(4, (0, 1), (2, 3), role="pi_prime")
+    res = fibration_count(C, split, "pi_prime", [4, 8])
+    assert res.label == "locally insoluble at 2"
+    assert res.series.rows == [(4, 0), (8, 0)]
+    assert res.spec.k == len(res.spec.box) == 2
+    assert list(enumerate_admissible(res.spec, 4, budget=0)) == []
 
 
 def test_fibration_count_alarms_on_sample_off_the_cubic(monkeypatch):

@@ -1,11 +1,14 @@
 import itertools
 import os
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubefib import fibration
 from cubefib.driver import parse_form_document
 from cubefib.fibration import (
     FalsificationAlarm,
@@ -19,13 +22,16 @@ from cubefib.fibration import (
     extract_linear_block,
     fibre_polynomial,
     indefinite_witness,
-    linear_factors_of_quadratic,
+    _linear_coefficients,
+    _primitive_form,
+    common_linear_factor,
+    linear_factors,
     low_rank_specialization_count,
     order3_minor_common_factor,
     singular_locus_dim_probe,
     split_cubic,
 )
-from cubefib.linalg import RationalMatrix
+from cubefib.linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
 from cubefib.polynomials import IntPolynomial, VariableSplit
 
 X = IntPolynomial.variable
@@ -254,20 +260,172 @@ def test_indefinite_witness_examples():
 def test_linear_factors_of_quadratic():
     # q = y1^2 - y2^2 factors as (y1 - y2)(y1 + y2)
     q = poly(2, lambda a, b: a * a - b * b)
-    fs = linear_factors_of_quadratic(q)
-    assert len(fs) == 2
+    fs = linear_factors(q)
+    assert fs == [IntPolynomial.linear_form([1, -1]), IntPolynomial.linear_form([1, 1])]
     for f in fs:
         assert divides_form(f, q)
     # rank 1: (2a + b)^2
     q = poly(2, lambda a, b: (a * 2 + b) ** 2)
-    fs = linear_factors_of_quadratic(q)
+    fs = linear_factors(q)
     assert fs == [IntPolynomial.linear_form([2, 1])]
     # anisotropic rank 2: a^2 + b^2 has no rational factor
     q = poly(2, lambda a, b: a * a + b * b)
-    assert linear_factors_of_quadratic(q) == []
+    assert linear_factors(q) == []
     # rank 3: none
     q = poly(3, lambda a, b, c: a * a + b * b - c * c)
-    assert linear_factors_of_quadratic(q) == []
+    assert linear_factors(q) == []
+
+
+def _diagonalisation_factors(q: IntPolynomial):
+    """Oracle for degree 2: the Q-diagonalisation finder that `linear_factors`
+    replaced, kept verbatim."""
+    if q.is_zero() or not q.is_homogeneous(2):
+        raise ValueError("nonzero quadratic form required")
+    k = q.num_vars
+    Q = QuadraticPolynomial.from_polynomial(q)
+    t, diag = symmetric_diagonalize(Q.Q)
+    nonzero = [i for i, d in enumerate(diag) if d != 0]
+    rank = len(nonzero)
+    if rank > 2:
+        return []
+    # inverse transform: rows of t^{-1} express old coordinates z = t w, so
+    # w_i as a form in the original variables is the i-th row of t^{-1}
+    tinv = t.inverse()
+
+    def row_form(coeffs):
+        den = lcm(*(v.denominator for v in coeffs))
+        return _primitive_form([int(v * den) for v in coeffs])
+
+    if rank == 1:
+        i = nonzero[0]
+        w = row_form(tinv.entries[i])
+        return [w]
+    i, j = nonzero
+    a, b = diag[i], diag[j]
+    # a w_i^2 + b w_j^2 factors over Q iff -b/a is a square
+    ratio = -b / a
+    if ratio < 0:
+        return []
+    num, den = ratio.numerator, ratio.denominator
+    from math import isqrt
+
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return []
+    s = Fraction(rn, rd)
+    wi = tinv.entries[i]
+    wj = tinv.entries[j]
+    f1 = row_form([x + s * y for x, y in zip(wi, wj)])
+    f2 = row_form([x - s * y for x, y in zip(wi, wj)])
+    return [f1, f2] if f1 != f2 else [f1]
+
+
+def _primitive_linear(draw, h):
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=h, max_size=h)
+                  .filter(lambda c: any(c)))
+    return _primitive_form(coeffs)
+
+
+def _form_of_degree(draw, h, degree):
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=h) if sum(e) == degree]
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(monomials),
+                           max_size=len(monomials)))
+    return IntPolynomial(h, {e: c for e, c in zip(monomials, values) if c})
+
+
+@st.composite
+def _products_of_linear_forms(draw):
+    """(f, factors): f the product of 1-3 primitive linear forms with a
+    random cofactor, total degree 2 or 3, in h = 1..6 variables."""
+    h = draw(st.integers(1, 6))
+    degree = draw(st.sampled_from((2, 3)))
+    factors = [_primitive_linear(draw, h) for _ in range(draw(st.integers(1, degree)))]
+    cofactor = _form_of_degree(draw, h, degree - len(factors))
+    f = cofactor
+    for l in factors:
+        f = f * l
+    return f, factors
+
+
+def _assert_canonical(fs, f):
+    assert all(divides_form(l, f) for l in fs)
+    assert all(l == _primitive_form(_linear_coefficients(l)[0]) for l in fs)
+    keys = [_linear_coefficients(l)[0] for l in fs]
+    assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_products_of_linear_forms())
+def test_linear_factors_finds_every_constructed_factor(case):
+    f, factors = case
+    if f.is_zero():
+        return
+    fs = linear_factors(f)
+    _assert_canonical(fs, f)
+    for l in factors:
+        assert l in fs
+    if f.total_degree() == 2:
+        assert set(fs) == set(_diagonalisation_factors(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(1, 5), data=st.data())
+def test_linear_factors_of_random_quadratics_match_the_diagonalisation(h, data):
+    q = _form_of_degree(data.draw, h, 2)
+    if q.is_zero():
+        return
+    fs = linear_factors(q)
+    _assert_canonical(fs, q)
+    assert set(fs) == set(_diagonalisation_factors(q))
+
+
+def test_linear_factors_without_pure_powers():
+    # no y_i^d monomial, so f(e_i) = 0 for every i and v is not a unit vector
+    f = poly(3, lambda a, b, c: a * b * c)
+    assert linear_factors(f) == [X(3, 2), X(3, 1), X(3, 0)]
+    f = poly(3, lambda a, b, c: (a - b) * (b + c * 2) * (a + c))
+    assert linear_factors(f) == [IntPolynomial.linear_form(c)
+                                 for c in ([0, 1, 2], [1, -1, 0], [1, 0, 1])]
+    f = poly(4, lambda a, b, c, d: a * b + c * d)
+    assert linear_factors(f) == []
+    f = poly(4, lambda a, b, c, d: (a * 3 - d * 2) * (b * c + a * d))
+    assert linear_factors(f) == [IntPolynomial.linear_form([3, 0, 0, -2])]
+
+
+def test_irreducible_cubics_have_no_linear_factor():
+    norm = poly(3, lambda a, b, c: a ** 3 + b ** 3 * 2 + c ** 3 * 4 - a * b * c * 6)
+    assert linear_factors(norm) == []
+    assert linear_factors(poly(2, lambda a, b: a ** 3 - b ** 3 * 2)) == []
+    # a square times nothing rational: (a^2 + b^2 + c^2) c has exactly one
+    assert linear_factors(poly(3, lambda a, b, c: (a * a + b * b + c * c) * c)) == [X(3, 2)]
+
+
+def test_linear_factors_rejects_other_degrees():
+    for f in (IntPolynomial.zero(2), X(2, 0), poly(2, lambda a, b: a ** 4),
+              poly(2, lambda a, b: a * a + b)):
+        with pytest.raises(ValueError):
+            linear_factors(f)
+
+
+def test_linear_factors_keeps_at_most_d_partials(monkeypatch):
+    """Pruning keeps the divisibility tests linear in h: at most d partials
+    times d roots per coordinate, never d^(h-1) combinations."""
+    calls = []
+    real = fibration.divides_form
+    monkeypatch.setattr(fibration, "divides_form", lambda *a: calls.append(1) or real(*a))
+    l1, l2, l3 = (IntPolynomial.linear_form(c) for c in
+                  ([1, 2, -1, 3, 1, 1], [2, -1, 1, 1, -3, 1], [1, 1, 1, -2, 2, 3]))
+    assert linear_factors(l1 * l2 * l3) == [l3, l1, l2]
+    assert len(calls) <= 3 * 3 * 6
+
+
+def test_common_linear_factor_takes_the_first_in_canonical_order():
+    a, b, c = (X(3, i) for i in range(3))
+    forms = [a * b * c, a * b * (a + c), IntPolynomial.zero(3)]
+    assert common_linear_factor(forms) == b
+    assert common_linear_factor([a * b, (a + b) * c]) is None
+    with pytest.raises(ValueError):
+        common_linear_factor([IntPolynomial.zero(3)])
 
 
 def test_divide_form_by_linear():

@@ -380,6 +380,13 @@ def test_enumerate_admissible_empty_interval_charges_nothing(change):
     assert list(enumerate_admissible(spec, 5, budget=3)) == []
 
 
+def test_spec_rejects_a_box_of_the_wrong_length():
+    cond = LocalConditionSet("pi_prime", {}, [], 2, (0, 1))
+    for box in ([], [(Fraction(-1), Fraction(1))] * 3):
+        with pytest.raises(ValueError, match="expected k = 2"):
+            AdmissibleSetSpec(2, box, cond)
+
+
 def _first_zero_reference(f, bound):
     return next((x for x in product(range(-bound, bound + 1), repeat=f.num_vars)
                  if f.evaluate(list(x)) == 0), None)
