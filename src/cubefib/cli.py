@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .driver import (
@@ -32,6 +33,13 @@ from .gridcount import BudgetExceeded
 def _load_form(path: str):
     with open(path) as f:
         return parse_form_document(f.read())
+
+
+def _load_split_form(path: str, command: str):
+    doc = _load_form(path)
+    if doc.split is None:
+        raise SystemExit(f"{command} requires a form with a declared split")
+    return doc
 
 
 def _write(args, text: str):
@@ -57,11 +65,15 @@ def _emit(args, report: dict):
     _write(args, report_to_json(report))
 
 
-def _int_list(text: str, flag: str) -> list:
+def _int_list(text: str, flag: str, least: int | None = None) -> list:
+    """The comma-separated integers in text, each at least `least` if given."""
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise SystemExit(f"{flag} must be comma-separated integers, got {text!r}")
+    if least is not None and min(values) < least:
+        raise SystemExit(f"{flag} values must be at least {least}, got {text!r}")
+    return values
 
 
 def _common(sub):
@@ -81,9 +93,7 @@ def cmd_analyze(args):
         order3_minor_common_factor,
     )
 
-    doc = _load_form(args.form)
-    if doc.split is None:
-        raise SystemExit("analyze requires a form with a declared split")
+    doc = _load_split_form(args.form, "analyze")
     mode = args.mode or doc.mode or "pi"
     if mode == "pi_prime" and doc.split.role != "pi_prime":
         raise SystemExit("analyze: mode pi_prime requires a linear-fibre (pi_prime) split, "
@@ -134,10 +144,8 @@ def cmd_local(args):
     from .linalg import QuadraticPolynomial
     from .localdensity import singular_series
 
-    doc = _load_form(args.form)
+    doc = _load_split_form(args.form, "local")
     yvals = _int_list(args.y, "--y")
-    if doc.split is None:
-        raise SystemExit("local requires a form with a declared split")
     h = len(doc.split.y_indices)
     if len(yvals) != h:
         raise SystemExit(f"local: --y has {len(yvals)} coordinates, the split has h = {h}")
@@ -158,6 +166,8 @@ def cmd_lattice_count(args):
     from .lattice import hyperplane_count_asymptotic, hyperplane_count_exact
 
     a = _int_list(args.a, "--a")
+    if gcd(*a) != 1:
+        raise SystemExit(f"--a must be a primitive vector, got {args.a!r}")
     config = {"command": "lattice-count", "a": a, "b": args.b, "B": args.B, "g": args.g}
     res = hyperplane_count_exact(a, args.b, args.B, g=args.g)
     sections = {"exact": res.exact}
@@ -185,13 +195,13 @@ def cmd_density(args):
         enumerate_admissible,
     )
 
-    doc = _load_form(args.form)
+    doc = _load_split_form(args.form, "density")
+    Ys = _int_list(args.Y, "--Y", least=1)
     mode = args.mode or doc.mode or "pi_prime"
     cond = build_conditions(doc.poly, doc.split, mode, budget=args.budget)
     k = len(doc.split.y_indices)
     box = [(Fraction(-1), Fraction(1))] * k
     spec = AdmissibleSetSpec(k, box, cond)
-    Ys = _int_list(args.Y, "--Y")
     if args.points:
         points = enumerate_admissible(spec, max(Ys), args.budget)
         _write(args, admissible_points_lines(points) + "\n")
@@ -206,8 +216,11 @@ def cmd_density(args):
 
 
 def cmd_count(args):
-    doc = _load_form(args.form)
-    Bs = _int_list(args.B, "--B")
+    if args.method == "fibration":
+        doc = _load_split_form(args.form, "count --method fibration")
+    else:
+        doc = _load_form(args.form)
+    Bs = _int_list(args.B, "--B", least=0)
     config = {
         "command": "count",
         "form": doc.name,
@@ -242,7 +255,11 @@ def cmd_fit_exponent(args):
         for line in f:
             parts = line.strip().split(",")
             if len(parts) >= 2 and parts[0]:
-                rows.append((int(parts[0]), int(parts[1])))
+                try:
+                    rows.append((int(parts[0]), int(parts[1])))
+                except ValueError:
+                    raise SystemExit(f"fit-exponent: B and count must be integers, "
+                                     f"got {line.strip()!r}")
     try:
         fit = fit_exponent(CountSeries(rows, "loaded"))
     except ValueError as e:

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,7 +225,6 @@ def fibration_count(
     mode: str,
     B_list: Sequence[int],
     Y_rule=default_Y_rule,
-    box_shrink: Fraction = Fraction(1),
     budget: int | None = None,
     sample_limit: int = 3,
     spec: AdmissibleSetSpec | None = None,
@@ -233,7 +232,11 @@ def fibration_count(
     """Sum of exact per-fibre counts over the admissible set: a certified
     lower bound for N(B) in pi_prime mode (linear fibres, every counted
     point is a primitive zero of C); pi mode uses bounded per-fibre search
-    and is labeled sampling-based."""
+    and is labeled sampling-based.
+
+    The scaled box Y [lo, hi] with lo > 0 is not monotone in Y, so a larger
+    B can admit fewer fibres. N(B) is non-decreasing, so each pi_prime row
+    reports the largest fibre sum up to its B, still a lower bound."""
     if mode == "pi":
         return _fibration_count_pi(C, split, B_list, Y_rule, budget)
     from .fibration import FalsificationAlarm, split_cubic
@@ -251,16 +254,13 @@ def fibration_count(
                 f"locally insoluble at {cond.insoluble_at}", empty)
         q_first = next(q for q in q_list if not q.is_zero())
         box = box_with_large_Q(q_first, P=100)
-        intervals = []
-        for lo, hi in box.intervals:
-            mid_width = (hi - lo) * box_shrink
-            intervals.append((lo, lo + mid_width))
-        spec = AdmissibleSetSpec(len(split.y_indices), intervals, cond,
+        spec = AdmissibleSetSpec(len(split.y_indices), box.intervals, cond,
                                  box_change=box.change)
     rows = []
     samples: List[Tuple[int, ...]] = []
     Yvals = {}
     fibre_counts = {}
+    best = 0
     for B in sorted(set(B_list)):
         Y = Y_rule(B)
         Yvals[B] = Y
@@ -288,7 +288,8 @@ def fibration_count(
                     if C.evaluate(list(full)) != 0:
                         raise FalsificationAlarm(f"fibre sample {full} is not a zero of C")
                     samples.append(full)
-        rows.append((B, total))
+        best = max(best, total)
+        rows.append((B, best))
         fibre_counts[B] = nfib
     series = CountSeries(rows, "fibration-lower-bound", samples=samples,
                          per_B_fibres=fibre_counts)
@@ -339,10 +340,7 @@ def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> List[Tuple[int, ..
     the exact-root leaf of the lattice enumeration kernel (never scans a
     full box)."""
     m = F.m
-    den = 1
-    for row in F.Q.entries:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for row in F.Q.entries for v in row))
     G = [[int(F.Q.entries[i][j] * den) for j in range(m)] for i in range(m)]
     lin = [den * b for b in F.B]
     c = den * (F.N - N)

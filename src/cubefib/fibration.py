@@ -5,7 +5,8 @@ bundles, and randomized dimension probes.
 
 Convention: the symbolic matrix carried around is M2[y] = 2 M[y], the
 integer matrix of twice the fibre quadratic part; ranks, minors-vanishing
-and common linear factors are insensitive to the doubling.
+and common linear factors are insensitive to the doubling. Its entries and
+minors are IntPolynomials in y.
 """
 
 from __future__ import annotations
@@ -29,58 +30,16 @@ class FalsificationAlarm(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# raw dict-polynomial helpers (hot paths of minor expansion)
+# symbolic minors
 
-DPoly = Dict[Tuple[int, ...], int]
-
-
-def _dp_add(a: DPoly, b: DPoly, sign: int = 1) -> DPoly:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + sign * c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+# the largest matrix whose minors are enumerated, and the random points the
+# rank of M[y] is sampled at before the symbolic proof
+_DIM_CAP = 12
+_TRIALS = 6
 
 
-def _dp_mul(a: DPoly, b: DPoly) -> DPoly:
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out: DPoly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def _dp_scale(a: DPoly, c: int) -> DPoly:
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
-def _dp_eval(a: DPoly, point: Sequence[int]) -> int:
-    total = 0
-    for e, c in a.items():
-        v = c
-        for x, k in zip(point, e):
-            if k:
-                v *= x ** k
-        total += v
-    return total
-
-
-def minor_det(entries: Sequence[Sequence[DPoly]], rows: Tuple[int, ...],
-              cols: Tuple[int, ...], memo: dict) -> DPoly:
+def minor_det(entries: Sequence[Sequence[IntPolynomial]], rows: Tuple[int, ...],
+              cols: Tuple[int, ...], memo: dict) -> IntPolynomial:
     """Determinant of the (rows x cols) submatrix, memoized across subsets."""
     key = (rows, cols)
     if key in memo:
@@ -88,38 +47,38 @@ def minor_det(entries: Sequence[Sequence[DPoly]], rows: Tuple[int, ...],
     if len(rows) == 1:
         out = entries[rows[0]][cols[0]]
     else:
-        out: DPoly = {}
+        out = IntPolynomial.zero(entries[0][0].num_vars)
         r0 = rows[0]
         rest = rows[1:]
         for idx, c in enumerate(cols):
             e = entries[r0][c]
-            if not e:
+            if e.is_zero():
                 continue
             sub = minor_det(entries, rest, cols[:idx] + cols[idx + 1 :], memo)
-            if not sub:
+            if sub.is_zero():
                 continue
-            out = _dp_add(out, _dp_mul(e, sub), 1 if idx % 2 == 0 else -1)
+            out = out + e * sub if idx % 2 == 0 else out - e * sub
     memo[key] = out
     return out
 
 
-def _nonzero_minors(entries, size: int, memo: dict, dim_cap: int):
+def _nonzero_minors(entries, size: int, memo: dict):
     """(rows, cols, det) of each nonzero size x size minor, rows and then
-    cols in lexicographic order; matrices above dim_cap are refused."""
+    cols in lexicographic order; matrices above _DIM_CAP are refused."""
     m = len(entries)
-    if m > dim_cap:
-        raise ValueError(f"matrix dimension {m} exceeds the minor-enumeration cap {dim_cap}")
+    if m > _DIM_CAP:
+        raise ValueError(f"matrix dimension {m} exceeds the minor-enumeration cap {_DIM_CAP}")
     for rows in combinations(range(m), size):
         for cols in combinations(range(m), size):
             det = minor_det(entries, rows, cols, memo)
-            if det:
+            if not det.is_zero():
                 yield rows, cols, det
 
 
-def all_minors_vanish(entries, size: int, memo: dict, dim_cap: int = 12) -> Optional[Tuple]:
+def all_minors_vanish(entries, size: int, memo: dict) -> Optional[Tuple]:
     """None if every size x size minor is the zero polynomial, else the
     first (rows, cols) with a nonzero minor."""
-    for rows, cols, _ in _nonzero_minors(entries, size, memo, dim_cap):
+    for rows, cols, _ in _nonzero_minors(entries, size, memo):
         return rows, cols
     return None
 
@@ -131,8 +90,7 @@ def all_minors_vanish(entries, size: int, memo: dict, dim_cap: int = 12) -> Opti
 @dataclass
 class ConfidenceRecord:
     seed: int
-    trials: int
-    sample_ranks: Tuple[int, ...]
+    sample_ranks: Tuple[int, ...]    # the rank at each of the _TRIALS sample points
 
 
 @dataclass
@@ -141,7 +99,7 @@ class FibrationData:
     F_list: List[IntPolynomial]        # x-quadratics, one per y variable
     q_list: List[IntPolynomial]        # y-quadratics, one per x variable
     R: IntPolynomial                   # cubic in y
-    M2: List[List[DPoly]]              # 2 * M[y], entries linear in y
+    M2: List[List[IntPolynomial]]      # 2 * M[y], entries linear in y
     rank: int
     witness: Tuple[Tuple[int, ...], Tuple[int, ...], IntPolynomial]
     confidence: ConfidenceRecord
@@ -155,7 +113,7 @@ class FibrationData:
         return len(self.split.y_indices)
 
     def M2_at(self, y: Sequence[int]) -> List[List[int]]:
-        return [[_dp_eval(e, y) for e in row] for row in self.M2]
+        return [[e.evaluate(y) for e in row] for row in self.M2]
 
     def witness_minor_at(self, y: Sequence[int]) -> int:
         return self.witness[2].evaluate(list(y))
@@ -170,7 +128,7 @@ class FibrationData:
             "witness_cols": list(cols),
             "witness_minor": poly.to_text(),
             "seed": self.confidence.seed,
-            "trials": self.confidence.trials,
+            "trials": len(self.confidence.sample_ranks),
         }
 
 
@@ -183,9 +141,9 @@ def split_cubic(C: IntPolynomial, split: VariableSplit):
     xpos = {v: i for i, v in enumerate(xs)}
     ypos = {v: i for i, v in enumerate(ys)}
     m, h = len(xs), len(ys)
-    F_terms: List[DPoly] = [dict() for _ in range(h)]
-    q_terms: List[DPoly] = [dict() for _ in range(m)]
-    R_terms: DPoly = {}
+    F_terms: List[dict] = [dict() for _ in range(h)]
+    q_terms: List[dict] = [dict() for _ in range(m)]
+    R_terms: dict = {}
     for exps, coef in C.terms.items():
         xdeg = sum(exps[i] for i in xs)
         if xdeg == 3:
@@ -208,17 +166,17 @@ def split_cubic(C: IntPolynomial, split: VariableSplit):
     return F_list, q_list, IntPolynomial(h, R_terms)
 
 
-def bundle_matrix(forms: Sequence[IntPolynomial]) -> List[List[DPoly]]:
+def bundle_matrix(forms: Sequence[IntPolynomial]) -> List[List[IntPolynomial]]:
     """Twice the matrix of sum_i z_i forms[i](x): entry (a,b) is the linear
     form sum_i z_i * d^2 forms[i] / dx_a dx_b in z = (z_1, ..., z_k), k =
     len(forms). The F_i(x) of a split cubic give M2[y]; the psi_i(y) of
     Psi = sum x_i psi_i(y) give A2[x]."""
     if not forms:
         raise ValueError("empty bundle")
-    m = forms[0].num_vars
-    entries: List[List[DPoly]] = [[dict() for _ in range(m)] for _ in range(m)]
+    m, nf = forms[0].num_vars, len(forms)
+    entries: List[List[dict]] = [[dict() for _ in range(m)] for _ in range(m)]
     for i, F in enumerate(forms):
-        ye = tuple(1 if k == i else 0 for k in range(len(forms)))
+        ye = tuple(1 if j == i else 0 for j in range(nf))
         for exps, coef in F.terms.items():
             sup = [k for k, e in enumerate(exps) if e]
             if sum(exps) != 2:
@@ -230,7 +188,7 @@ def bundle_matrix(forms: Sequence[IntPolynomial]) -> List[List[DPoly]]:
                 a, b = sup
                 entries[a][b][ye] = entries[a][b].get(ye, 0) + coef
                 entries[b][a][ye] = entries[b][a].get(ye, 0) + coef
-    return entries
+    return [[IntPolynomial(nf, e) for e in row] for row in entries]
 
 
 def fibre_polynomial(F_list: Sequence[IntPolynomial], q_list: Sequence[IntPolynomial],
@@ -238,7 +196,7 @@ def fibre_polynomial(F_list: Sequence[IntPolynomial], q_list: Sequence[IntPolyno
     """The fibre F_y(x) = sum_i y_i F_i(x) + sum_j x_j q_j(y) + R(y) of the
     split cubic (F_list, q_list, R) = split_cubic(C, split) over the integer y."""
     m = len(q_list)
-    terms: DPoly = {}
+    terms: dict = {}
     for i, F in enumerate(F_list):
         for e, c in F.terms.items():
             v = c * y[i]
@@ -257,11 +215,9 @@ def fibre_polynomial(F_list: Sequence[IntPolynomial], q_list: Sequence[IntPolyno
 
 
 def fibration_rank(
-    M2: List[List[DPoly]],
+    M2: List[List[IntPolynomial]],
     h: int,
     seed: int = 0,
-    trials: int = 6,
-    dim_cap: int = 12,
 ) -> Tuple[int, Tuple[Tuple[int, ...], Tuple[int, ...], IntPolynomial], ConfidenceRecord]:
     """Rank of M[y] over Q(y): randomized guess, then symbolic proof.
 
@@ -273,17 +229,17 @@ def fibration_rank(
     best_rank = 0
     best_pivots = ()
     sample_ranks = []
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         y = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(h)]
-        rk, pivots, _, _ = bareiss([[_dp_eval(e, y) for e in row] for row in M2])
+        rk, pivots, _, _ = bareiss([[e.evaluate(y) for e in row] for row in M2])
         sample_ranks.append(rk)
         if rk > best_rank:
             best_rank = rk
             best_pivots = pivots
-    record = ConfidenceRecord(seed, trials, tuple(sample_ranks))
+    record = ConfidenceRecord(seed, tuple(sample_ranks))
     memo: dict = {}
     if best_rank == 0:
-        missing = all_minors_vanish(M2, 1, memo, dim_cap)
+        missing = all_minors_vanish(M2, 1, memo)
         if missing is not None:
             raise FalsificationAlarm("sampling said rank 0 but an entry is nonzero")
         return 0, ((), (), IntPolynomial.constant(h, 1)), record
@@ -291,25 +247,22 @@ def fibration_rank(
     rows = tuple(sorted(i for i, _ in best_pivots))
     cols = tuple(sorted(j for _, j in best_pivots))
     det = minor_det(M2, rows, cols, memo)
-    if not det:
+    if det.is_zero():
         raise FalsificationAlarm("randomized witness minor vanished symbolically")
-    offender = all_minors_vanish(M2, best_rank + 1, memo, dim_cap)
+    offender = all_minors_vanish(M2, best_rank + 1, memo)
     if offender is not None:
         raise FalsificationAlarm(
             f"randomized rank {best_rank} but minor {offender} of order "
             f"{best_rank + 1} is not identically zero"
         )
-    return best_rank, (rows, cols, IntPolynomial(h, det)), record
+    return best_rank, (rows, cols, det), record
 
 
-def build_fibration(
-    C: IntPolynomial, split: VariableSplit, seed: int = 0, trials: int = 6,
-    dim_cap: int = 12,
-) -> FibrationData:
+def build_fibration(C: IntPolynomial, split: VariableSplit, seed: int = 0) -> FibrationData:
     F_list, q_list, R = split_cubic(C, split)
     h = len(split.y_indices)
     M2 = bundle_matrix(F_list)
-    rank, witness, record = fibration_rank(M2, h, seed, trials, dim_cap)
+    rank, witness, record = fibration_rank(M2, h, seed)
     return FibrationData(split, F_list, q_list, R, M2, rank, witness, record)
 
 
@@ -329,7 +282,7 @@ def _search_rank_r_combination(M2, h, r, seed=0, budget=4000):
     """Small integer y-combination c with rank M2[c] = r."""
 
     def rank_at(c):
-        return bareiss([[_dp_eval(e, c) for e in row] for row in M2]).rank
+        return bareiss([[e.evaluate(c) for e in row] for row in M2]).rank
 
     for i in range(h):
         c = [0] * h
@@ -370,20 +323,17 @@ def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
     if r >= m:
         return LinearBlockResult(LinearChange.identity(m), (1,) + (0,) * (h - 1), 0, [])
     if r == 0:
-        cert = [[IntPolynomial(h, dict(e)) for e in row] for row in fd.M2]
+        cert = [list(row) for row in fd.M2]
         return LinearBlockResult(LinearChange.identity(m), (1,) + (0,) * (h - 1), m, cert)
     c = _search_rank_r_combination(fd.M2, h, r, seed)
     if c is None:
         raise ValueError("no small integer combination attains the fibration rank")
-    mat = [[_dp_eval(e, c) for e in row] for row in fd.M2]
-    tint, den, nonzero = _congruence_to_front(mat)
+    tint, den, nonzero = _congruence_to_front(fd.M2_at(c))
     if nonzero != r:
         raise FalsificationAlarm("diagonalized combination lost rank")
     # transform M2[y] symbolically: S^t M2 S with the integer-scaled S
     transformed = _congruence_transform_bundle(fd.M2, tint)
-    block = [
-        [IntPolynomial(h, transformed[i][j]) for j in range(r, m)] for i in range(r, m)
-    ]
+    block = [row[r:] for row in transformed[r:]]
     for i, row in enumerate(block):
         for j, e in enumerate(row):
             if not e.is_zero():
@@ -398,25 +348,16 @@ def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
 
 
 def _congruence_transform_bundle(M2, S):
-    """S^t M2[y] S for an integer matrix S, entries as dict-polys."""
-    m = len(M2)
-    inter = [[dict() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            acc: DPoly = {}
-            for k in range(m):
-                if S[k][j]:
-                    acc = _dp_add(acc, _dp_scale(M2[i][k], S[k][j]))
-            inter[i][j] = acc
-    out = [[dict() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            acc = {}
-            for k in range(m):
-                if S[k][i]:
-                    acc = _dp_add(acc, _dp_scale(inter[k][j], S[k][i]))
-            out[i][j] = acc
-    return out
+    """S^t M2[y] S for an integer matrix S."""
+    zero = IntPolynomial.zero(M2[0][0].num_vars)
+    S_cols = list(zip(*S))
+
+    def dot(polys, ints):
+        return sum((p * c for p, c in zip(polys, ints) if c), zero)
+
+    MS_cols = list(zip(*[[dot(row, col) for col in S_cols] for row in M2]))
+    # (S^t M2 S)[i][j] = <column i of S, column j of M2 S>
+    return [[dot(MS_col, S_col) for MS_col in MS_cols] for S_col in S_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -438,82 +379,52 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     """True iff all entries of M[y] are rational multiples of one linear form
     and the resulting constant matrix is semidefinite of rank r."""
     m, h, r = fd.m, fd.h, fd.rank
-    pivot: Optional[DPoly] = None
-    for row in fd.M2:
-        for e in row:
-            if e:
-                pivot = e
-                break
-        if pivot:
-            break
+    pivot = next((e for row in fd.M2 for e in row if not e.is_zero()), None)
     if pivot is None:
         return H1Result(False, None, None, None, None, None, "zero bundle")
     # primitive form l from the pivot entry
-    g = 0
-    for c in pivot.values():
-        g = gcd(g, c)
-    lead_key = min(pivot)
-    sgn = 1 if pivot[lead_key] > 0 else -1
-    l_terms = {e: sgn * c // g for e, c in pivot.items()}
+    lead_key = min(pivot.terms)
+    g = pivot.content() * (1 if pivot.terms[lead_key] > 0 else -1)
+    l = IntPolynomial(h, {e: c // g for e, c in pivot.terms.items()})
+    lead = l.terms[lead_key]
     # proportionality of every entry to l: cross-determinants vanish
     ratios = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             e = fd.M2[i][j]
-            if not e:
+            if e.is_zero():
                 continue
-            for key in e:
-                if key not in l_terms:
-                    return H1Result(False, None, None, None, None, None,
-                                    "entry support exceeds the candidate line")
-            ratio = Fraction(e[lead_key] if lead_key in e else 0, l_terms[lead_key])
-            for key, lc in l_terms.items():
-                if Fraction(e.get(key, 0), 1) != ratio * lc:
-                    return H1Result(False, None, None, None, None, None,
-                                    "entries are not proportional to a single linear form")
-            ratios[i][j] = ratio
+            if not e.terms.keys() <= l.terms.keys():
+                return H1Result(False, None, None, None, None, None,
+                                "entry support exceeds the candidate line")
+            if e * lead != l * e.coefficient(lead_key):
+                return H1Result(False, None, None, None, None, None,
+                                "entries are not proportional to a single linear form")
+            ratios[i][j] = Fraction(e.coefficient(lead_key), lead)
     N1 = RationalMatrix(ratios)
     rank, pos, neg = rank_signature_over_Q(N1)
     if rank != r:
-        return H1Result(False, IntPolynomial(h, l_terms), N1, None, (rank, pos, neg), None,
+        return H1Result(False, l, N1, None, (rank, pos, neg), None,
                         f"factor matrix has rank {rank} != fibration rank {r}")
     semidefinite = pos == 0 or neg == 0
     if not semidefinite:
-        return H1Result(False, IntPolynomial(h, l_terms), N1, False, (rank, pos, neg), None,
+        return H1Result(False, l, N1, False, (rank, pos, neg), None,
                         "factor matrix is indefinite")
-    # certificate: 2 Q_y(x) == l(y) * x^t N1 x after clearing denominators
-    den = 1
-    for row in N1.entries:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
+    # certificate: 2 Q_y(x) == l(y) * x^t N1 x after clearing denominators,
+    # in the variables (x, y)
+    den = lcm(*(v.denominator for row in N1.entries for v in row))
     n_all = m + h
-    lhs = IntPolynomial.zero(n_all)
-    for i in range(m):
-        for j in range(m):
-            if fd.M2[i][j]:
-                xe = [0] * n_all
-                xe[i] += 1
-                xe[j] += 1
-                mono = IntPolynomial(n_all, {tuple(xe): den})
-                lpoly = IntPolynomial(
-                    n_all, {tuple([0] * m + list(e)): c for e, c in fd.M2[i][j].items()}
-                )
-                lhs = lhs + mono * lpoly
-    rhs = IntPolynomial.zero(n_all)
-    lf = IntPolynomial(n_all, {tuple([0] * m + list(e)): c for e, c in l_terms.items()})
-    for i in range(m):
-        for j in range(m):
-            v = N1.entries[i][j] * den
-            if v:
-                xe = [0] * n_all
-                xe[i] += 1
-                xe[j] += 1
-                rhs = rhs + IntPolynomial(n_all, {tuple(xe): int(v)}) * lf
+    xs = [IntPolynomial.variable(n_all, i) for i in range(m)]
+    ys = [IntPolynomial.variable(n_all, m + k) for k in range(h)]
+    zero = IntPolynomial.zero(n_all)
+    lhs = sum((xs[i] * xs[j] * fd.M2[i][j].substitute_polys(ys)
+               for i in range(m) for j in range(m)), zero) * den
+    rhs = l.substitute_polys(ys) * sum((xs[i] * xs[j] * int(N1.entries[i][j] * den)
+                                        for i in range(m) for j in range(m)), zero)
     cert = lhs - rhs
     if not cert.is_zero():
         raise FalsificationAlarm("H1 certificate failed after proportionality checks")
-    return H1Result(True, IntPolynomial(h, l_terms), N1, rank == m,
-                    (rank, pos, neg), cert, "")
+    return H1Result(True, l, N1, rank == m, (rank, pos, neg), cert, "")
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +600,7 @@ def divide_form_by_linear(f: IntPolynomial, l: IntPolynomial) -> IntPolynomial:
     lp = coeffs[piv]
     # long division along the pivot variable
     remainder = dict(f.terms)
-    quotient: DPoly = {}
+    quotient: dict = {}
     while remainder:
         # take the term with the highest pivot-degree
         e = max(remainder, key=lambda t: (t[piv], t))
@@ -724,12 +635,8 @@ def divide_form_by_linear_rational(f, l) -> Tuple[IntPolynomial, int]:
     coeffs, piv = _linear_coefficients(l)
     scale = abs(coeffs[piv]) ** max(deg - 1, 0)
     q = divide_form_by_linear(f * scale, l)
-    den = scale
-    g = den
-    for c in q.terms.values():
-        g = gcd(g, c)
-    g = g or 1
-    return IntPolynomial(n, {e: c // g for e, c in q.terms.items()}), den // g
+    g = gcd(scale, q.content())
+    return IntPolynomial(n, {e: c // g for e, c in q.terms.items()}), scale // g
 
 
 @dataclass
@@ -800,9 +707,7 @@ def _pairwise_proportional(psi_list: Sequence[IntPolynomial]) -> bool:
     return True
 
 
-def classify_rank2_bundle(
-    psi_list: Sequence[IntPolynomial], seed: int = 0, dim_cap: int = 12
-) -> Rank2Shape:
+def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> Rank2Shape:
     """Classify Psi = sum x_i psi_i(y) by its rank over K = Q(x).
 
     rank >= 3 with irreducible, x-nondegenerate Psi reports the
@@ -814,7 +719,7 @@ def classify_rank2_bundle(
     v = len(psi_list)
     my = psi_list[0].num_vars
     A2 = bundle_matrix(psi_list)
-    rank, witness, record = fibration_rank(A2, v, seed=seed, dim_cap=dim_cap)
+    rank, witness, record = fibration_rank(A2, v, seed=seed)
     if rank >= 3:
         nondeg = _psi_independent(psi_list)
         # rank >= 3 over K: some psi_i is nonzero
@@ -836,43 +741,32 @@ def classify_rank2_bundle(
     c = _search_rank_r_combination(A2, v, 2, seed=seed)
     if c is None:
         raise FalsificationAlarm("rank 2 over K but no rank-2 specialization found")
-    mat = [[_dp_eval(e, c) for e in row] for row in A2]
-    tint, den, nonzero = _congruence_to_front(mat)
+    tint, den, nonzero = _congruence_to_front([[e.evaluate(c) for e in row] for row in A2])
     if nonzero != 2:
         raise FalsificationAlarm("rank-2 specialization failed to diagonalize to rank 2")
     At = _congruence_transform_bundle(A2, tint)
     ych = LinearChange(tint, den)
     # lower-right block must vanish identically (the bordered-minor argument)
-    for i in range(2, my):
-        for j in range(2, my):
-            if At[i][j]:
-                raise FalsificationAlarm("rank-2 bundle with nonzero lower-right block")
-    mixed = [j for j in range(2, my) if At[0][j] or At[1][j]]
-    if not mixed:
-        pieces = {
-            "a00": IntPolynomial(v, At[0][0]),
-            "a01": IntPolynomial(v, At[0][1]),
-            "a11": IntPolynomial(v, At[1][1]),
-        }
+    if not all(At[i][j].is_zero() for i in range(2, my) for j in range(2, my)):
+        raise FalsificationAlarm("rank-2 bundle with nonzero lower-right block")
+    a00, a01, a11 = At[0][0], At[0][1], At[1][1]
+    S = [i for i in range(2, my) if not (At[0][i].is_zero() and At[1][i].is_zero())]
+    if not S:
+        pieces = {"a00": a00, "a01": a01, "a11": a11}
         return Rank2Shape("option1", 2, y_change=ych, combination=c, factor_pieces=pieces,
                           notes="depends on two y-variables after the change")
     # Schur quantities D(i,j) = a00 a_ij - a0i a0j for the matrix convention;
     # rank 2 with a00 in K^* forces D(1,1) D(i,j) = D(1,i) D(1,j)
-    a00, a01, a11 = At[0][0], At[0][1], At[1][1]
-    deltas = {
-        i: _dp_add(_dp_mul(a00, At[1][i]), _dp_mul(a01, At[0][i]), -1)
-        for i in range(2, my)
-    }
-    S = [i for i in range(2, my) if At[0][i] or At[1][i]]
+    deltas = {i: a00 * At[1][i] - a01 * At[0][i] for i in range(2, my)}
     # kappa from a_{1i} = kappa a_{0i} on S, constant across S
     kappa = None
     for i in S:
         a0i, a1i = At[0][i], At[1][i]
-        if not a0i:
+        if a0i.is_zero():
             raise FalsificationAlarm("rank-2 bundle: a1i nonzero with a0i zero")
-        key = next(iter(a0i))
-        cand = Fraction(a1i.get(key, 0), a0i[key])
-        if _dp_add(_dp_scale(a0i, cand.numerator), _dp_scale(a1i, -cand.denominator)):
+        key = next(iter(a0i.terms))
+        cand = Fraction(a1i.coefficient(key), a0i.terms[key])
+        if a0i * cand.numerator != a1i * cand.denominator:
             raise FalsificationAlarm("rank-2 bundle: a1i not proportional to a0i")
         if kappa is None:
             kappa = cand
@@ -880,45 +774,33 @@ def classify_rank2_bundle(
             raise FalsificationAlarm("rank-2 bundle: kappa differs across S")
     kn, kd = kappa.numerator, kappa.denominator
     # a11 = 2 kappa a01 - kappa^2 a00 (the constant-factor condition)
-    lhs = _dp_scale(a11, kd * kd)
-    rhs = _dp_add(_dp_scale(a01, 2 * kn * kd), _dp_scale(a00, kn * kn), -1)
-    if _dp_add(lhs, rhs, -1):
+    if a11 * (kd * kd) != a01 * (2 * kn * kd) - a00 * (kn * kn):
         raise FalsificationAlarm("rank-2 bundle: a11 != 2 kappa a01 - kappa^2 a00")
     # Delta relations D(1,1) D(i,j) = D(1,i) D(1,j) for i, j >= 2
-    d11 = _dp_add(_dp_mul(a00, a11), _dp_mul(a01, a01), -1)
+    d11 = a00 * a11 - a01 * a01
     for i in range(2, my):
         for j in range(2, my):
-            dij = _dp_add(_dp_mul(a00, At[i][j]), _dp_mul(At[0][i], At[0][j]), -1)
-            if _dp_add(_dp_mul(d11, dij), _dp_mul(deltas[i], deltas[j]), -1):
+            if d11 * (a00 * At[i][j] - At[0][i] * At[0][j]) != deltas[i] * deltas[j]:
                 raise FalsificationAlarm("rank-2 bundle: Delta relations fail")
     # factorization identity: kd^2 y^t At y ==
     #   (kd y0 + kn y1)(kd a00 y0 + (2 kd a01 - kn a00) y1 + 2 kd sum a0i y_i)
+    # in the variables (x, y)
     nv = v + my
-
-    def lift_x(d: DPoly) -> IntPolynomial:
-        return IntPolynomial(nv, {tuple(list(e) + [0] * my): c for e, c in d.items()})
-
-    def yvar(i: int) -> IntPolynomial:
-        return IntPolynomial.variable(nv, v + i)
-
-    quad = IntPolynomial.zero(nv)
-    for i in range(my):
-        for j in range(my):
-            if At[i][j]:
-                quad = quad + lift_x(At[i][j]) * yvar(i) * yvar(j)
-    left = yvar(0) * kd + yvar(1) * kn
-    y1_coeff = _dp_add(_dp_scale(a01, 2 * kd), _dp_scale(a00, kn), -1)
-    inner = lift_x(a00) * yvar(0) * kd + lift_x(y1_coeff) * yvar(1)
-    for i in S:
-        inner = inner + lift_x(At[0][i]) * yvar(i) * (2 * kd)
-    identity = quad * (kd * kd) - left * inner
-    if not identity.is_zero():
+    xs = [IntPolynomial.variable(nv, k) for k in range(v)]
+    ys = [IntPolynomial.variable(nv, v + i) for i in range(my)]
+    lift = [[e.substitute_polys(xs) for e in row] for row in At]
+    quad = sum((lift[i][j] * ys[i] * ys[j] for i in range(my) for j in range(my)),
+               IntPolynomial.zero(nv))
+    left = ys[0] * kd + ys[1] * kn
+    inner = (lift[0][0] * ys[0] * kd + (lift[0][1] * (2 * kd) - lift[0][0] * kn) * ys[1]
+             + sum((lift[0][i] * ys[i] for i in S), IntPolynomial.zero(nv)) * (2 * kd))
+    if quad * (kd * kd) != left * inner:
         raise FalsificationAlarm("rank-2 factorization identity failed")
     pieces = {
         "constant_factor": (kd, kn),   # kd y0 + kn y1
-        "a00": IntPolynomial(v, a00),
-        "a01": IntPolynomial(v, a01),
-        "linear_coeffs": {i: IntPolynomial(v, At[0][i]) for i in S},
+        "a00": a00,
+        "a01": a01,
+        "linear_coeffs": {i: At[0][i] for i in S},
     }
     return Rank2Shape("exps2psi", 2, kappa=kappa, y_change=ych, combination=c,
                       factor_pieces=pieces, delta_relations_ok=True)
@@ -939,9 +821,9 @@ class Order3FactorResult:
     codim_probe: Optional[dict]
 
 
-def order3_minors(M2: List[List[DPoly]], h: int, dim_cap: int = 12) -> List[IntPolynomial]:
-    """The nonzero order-3 minors of M2, as polynomials in its h variables."""
-    return [IntPolynomial(h, det) for _, _, det in _nonzero_minors(M2, 3, {}, dim_cap)]
+def order3_minors(M2: List[List[IntPolynomial]]) -> List[IntPolynomial]:
+    """The nonzero order-3 minors of M2."""
+    return [det for _, _, det in _nonzero_minors(M2, 3, {})]
 
 
 def _binary_gcd_degree(coeff_lists: List[List[int]]) -> int:
@@ -987,21 +869,20 @@ def order3_minor_common_factor(
     probe_primes: Sequence[int] | None = None,
     seed: int = 0,
     budget: int | None = None,
-    dim_cap: int = 12,
 ) -> Order3FactorResult:
     """Common linear factor of the order-3 minors, with the normalized
     bundle certificate and a point-count probe of the minor variety."""
     if fd.rank < 3:
         raise ValueError("order-3 minors require fibration rank >= 3")
     h = fd.h
-    minors = order3_minors(fd.M2, h, dim_cap)
+    minors = order3_minors(fd.M2)
     if not minors:
         raise FalsificationAlarm("rank >= 3 but no nonzero order-3 minor")
     factor = common_linear_factor(minors)
     probe = _codim_probe(minors, h, probe_primes, budget)
     if factor is not None:
         ych = _linear_change_with_first_coordinate(factor)
-        slice_ok = _slice_minors_vanish(fd.M2, ych, h)
+        slice_ok = _slice_minors_vanish(fd.M2, ych)
         if not slice_ok:
             raise FalsificationAlarm("factor found but the y1 = 0 slice keeps rank >= 3")
         return Order3FactorResult("factor-found", factor, ych, slice_ok, len(minors), probe)
@@ -1044,24 +925,12 @@ def _linear_change_with_first_coordinate(l: IntPolynomial) -> LinearChange:
     return LinearChange(V)
 
 
-def _slice_minors_vanish(M2, ych: LinearChange, h: int) -> bool:
+def _slice_minors_vanish(M2, ych: LinearChange) -> bool:
     """All order-3 minors of M2[V z] vanish identically on z_1 = 0."""
-    m = len(M2)
-    V = ych.matrix
-    transformed = [[dict() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            acc: DPoly = {}
-            for e, c in M2[i][j].items():
-                k = e.index(1)
-                # y_k = sum_s V[k][s] z_s; drop z_0 (the slice)
-                for s in range(1, h):
-                    if V[k][s]:
-                        ze = tuple(1 if q == s else 0 for q in range(h))
-                        acc = _dp_add(acc, {ze: c * V[k][s]})
-            transformed[i][j] = acc
-    memo: dict = {}
-    return all_minors_vanish(transformed, 3, memo) is None
+    # y_k = sum_s V[k][s] z_s with z_0 = 0 (the slice)
+    images = [IntPolynomial.linear_form((0,) + row[1:]) for row in ych.matrix]
+    transformed = [[e.substitute_polys(images) for e in row] for row in M2]
+    return all_minors_vanish(transformed, 3, {}) is None
 
 
 def _codim_probe(minors: List[IntPolynomial], h: int, probe_primes, budget) -> dict:
@@ -1121,7 +990,7 @@ def low_rank_specialization_count(
     """#{|x| <= R : rank of the specialized bundle matrix <= 2} by exact
     enumeration; flags a bundle whose matrix has rank <= 2 identically."""
     v = len(psi_list)
-    minors = order3_minors(bundle_matrix(psi_list), v)
+    minors = order3_minors(bundle_matrix(psi_list))
     if not minors:
         return (2 * R_box + 1) ** v, True
     lows, highs = [-R_box] * v, [R_box] * v

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .nt import count_quadratic_interval, solve_linear_diophantine, squarefree_divisors, xgcd
@@ -404,12 +404,7 @@ def hyperplane_count_exact(
     which reproduces direct filtered enumeration exactly.
     """
     a = [int(v) for v in a]
-    from math import gcd as _g
-
-    cont = 0
-    for v in a:
-        cont = _g(cont, v)
-    if cont != 1:
+    if gcd(*a) != 1:
         raise ValueError("a must be primitive")
     R2 = Fraction(B) ** 2 - 1
     if g is None or g == 1:

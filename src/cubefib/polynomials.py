@@ -13,7 +13,9 @@ synchronization.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
+from math import gcd
+from operator import add
 from typing import Dict, Iterable, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -21,6 +23,16 @@ Monomial = Tuple[int, ...]
 
 def _grlex_key(exps: Monomial):
     return (sum(exps), exps)
+
+
+def _add_into(acc: Dict[Monomial, int], terms: Dict[Monomial, int], scale: int = 1):
+    """acc += scale * terms in place, dropping the coefficients that cancel."""
+    for e, c in terms.items():
+        s = acc.get(e, 0) + scale * c
+        if s:
+            acc[e] = s
+        elif e in acc:
+            del acc[e]
 
 
 class IntPolynomial:
@@ -52,8 +64,22 @@ class IntPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _normalised(cls, num_vars: int, terms: Dict[Monomial, int]) -> "IntPolynomial":
+        """Wrap terms that are already normalised (int tuples of length
+        num_vars, no zero coefficient) without copying or checking them: the
+        constructor for arithmetic results. Outside input goes through
+        IntPolynomial(num_vars, terms)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "num_vars", num_vars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
+    @cache
     def zero(cls, num_vars: int) -> "IntPolynomial":
-        return cls(num_vars, {})
+        """The zero polynomial, one shared instance per variable count: the
+        minor expansion asks for many."""
+        return cls(num_vars)
 
     @classmethod
     def constant(cls, num_vars: int, c: int) -> "IntPolynomial":
@@ -115,7 +141,7 @@ class IntPolynomial:
         return degree is None or degs == {degree}
 
     def homogeneous_part(self, degree: int) -> "IntPolynomial":
-        return IntPolynomial(
+        return IntPolynomial._normalised(
             self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == degree}
         )
 
@@ -124,12 +150,7 @@ class IntPolynomial:
 
     def content(self) -> int:
         """GCD of all coefficients; 0 for the zero polynomial."""
-        from math import gcd
-
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self.terms.values())
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
@@ -139,36 +160,35 @@ class IntPolynomial:
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         self._check(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return IntPolynomial(self.num_vars, terms)
+        _add_into(terms, other.terms)
+        return IntPolynomial._normalised(self.num_vars, terms)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        _add_into(terms, other.terms, -1)
+        return IntPolynomial._normalised(self.num_vars, terms)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             if other == 0:
                 return IntPolynomial.zero(self.num_vars)
-            return IntPolynomial(self.num_vars, {e: c * other for e, c in self.terms.items()})
+            return IntPolynomial._normalised(
+                self.num_vars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         out: Dict[Monomial, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return IntPolynomial(self.num_vars, out)
+        return IntPolynomial._normalised(self.num_vars, out)
 
     __rmul__ = __mul__
 
@@ -203,6 +223,7 @@ class IntPolynomial:
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
+        """The value at point; exact on integer and on Fraction points."""
         if len(point) != self.num_vars:
             raise ValueError(f"point has length {len(point)}, expected {self.num_vars}")
         total = 0
@@ -226,18 +247,6 @@ class IntPolynomial:
             total = (total + v) % q
         return total
 
-    def evaluate_fraction(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.num_vars:
-            raise ValueError("dimension mismatch")
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            v = Fraction(coef)
-            for x, e in zip(point, exps):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
-
     # -- calculus and substitution ------------------------------------
 
     def derivative(self, var: int) -> "IntPolynomial":
@@ -248,7 +257,7 @@ class IntPolynomial:
                 ne = list(exps)
                 ne[var] = e - 1
                 out[tuple(ne)] = coef * e
-        return IntPolynomial(self.num_vars, out)
+        return IntPolynomial._normalised(self.num_vars, out)
 
     def gradient(self) -> list["IntPolynomial"]:
         return [self.derivative(i) for i in range(self.num_vars)]
@@ -264,19 +273,20 @@ class IntPolynomial:
         for q in images:
             if q.num_vars != m:
                 raise ValueError("images must share num_vars")
-        result = IntPolynomial.zero(m)
+        out: Dict[Monomial, int] = {}
         # cache powers per variable
         pow_cache: list[dict[int, IntPolynomial]] = [dict() for _ in range(self.num_vars)]
+        one = IntPolynomial.constant(m, 1)
         for exps, coef in self.terms.items():
-            term = IntPolynomial.constant(m, coef)
+            term = one
             for i, e in enumerate(exps):
                 if not e:
                     continue
                 if e not in pow_cache[i]:
                     pow_cache[i][e] = images[i] ** e
                 term = term * pow_cache[i][e]
-            result = result + term
-        return result
+            _add_into(out, term.terms, coef)
+        return IntPolynomial._normalised(m, out)
 
     # -- serialization ------------------------------------------------
 
@@ -379,21 +389,15 @@ class LinearChange:
 
     def inverse(self) -> "LinearChange":
         """Exact inverse, represented as adj(T) * den / det(T)."""
-        from math import gcd
-
         from .linalg import bareiss
 
         _, _, det, adj = bareiss(self.matrix, adjugate=True)
 
         num = [[v * self.den for v in row] for row in adj]
-        g = abs(det)
-        for row in num:
-            for v in row:
-                g = gcd(g, v)
+        g = gcd(det, *(v for row in num for v in row))
         if det < 0:
             num = [[-v for v in row] for row in num]
             det = -det
-        g = g or 1
         return LinearChange([[v // g for v in row] for row in num], det // g)
 
     def apply(self, p: IntPolynomial) -> IntPolynomial:

@@ -120,10 +120,8 @@ def build_conditions(
         fd = build_fibration(C, split)
         if fd.rank < 3:
             raise ValueError("pi mode needs fibration rank >= 3 for order-3 minors")
-        good = order3_minors(fd.M2, fd.h)
-    coeff_gcd = 0
-    for q in good:
-        coeff_gcd = gcd(coeff_gcd, q.content())
+        good = order3_minors(fd.M2)
+    coeff_gcd = gcd(*(q.content() for q in good))
     M = 2 * coeff_gcd if coeff_gcd else 2
     bad: Dict[int, PadicWitness] = {}
     for p in sorted(set(prime_factors(M)) | set(extra_bad)):
@@ -419,12 +417,9 @@ class LargeQBox:
     intervals: List[Tuple[Fraction, Fraction]]
     c_frozen: Fraction                 # verified |Q_1(y)| >= c P^2 on samples
     samples_checked: int
-    endpoint_error_bound: Fraction = Fraction(1, 1024)
 
 
-def box_with_large_Q(
-    Q1: IntPolynomial, P: int = 100, sample_step: int = 1
-) -> LargeQBox:
+def box_with_large_Q(Q1: IntPolynomial, P: int = 100) -> LargeQBox:
     """Rational box (after a rational congruence change) on which the first
     quadratic stays >> P^2, with the constant measured on the integer
     sample points and frozen."""
@@ -475,7 +470,7 @@ def box_with_large_Q(
         grids.append(pick)
     for z in iproduct(*grids):
         yv = tmat.matvec(list(z))
-        val = abs(Q1.evaluate_fraction(yv))
+        val = abs(Q1.evaluate(yv))
         ratio = val / (P * P)
         worst = ratio if worst is None else min(worst, ratio)
         checked += 1

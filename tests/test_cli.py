@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,17 @@ def test_report_determinism_across_runs(capsys):
     assert out1 == out2
 
 
+
+@pytest.mark.parametrize("form, digest", [
+    ("pi_n7.json", "4af5546ea0a9d927"),
+    ("pi_prime_n7.json", "dbfe3e61a93caaf2"),
+    ("pi_prime_n8.json", "90fadfe546d8dfb5"),
+])
+def test_analyze_reports_are_frozen(capsys, form, digest):
+    """The first 16 hex digits of the sha256 of each shipped form's report."""
+    _, out = run_cli(["analyze", "--form", os.path.join(FORMS, form)], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
 def test_density_points_export(capsys):
     form = os.path.join(FORMS, "pi_prime_n7.json")
     rc, out = run_cli(
@@ -178,6 +190,27 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     assert proc.stdout == ""
     assert proc.stderr == message + "\n"
 
+
+
+@pytest.mark.parametrize("args", [
+    ["fit-exponent", "CSV"],
+    ["density", "--form", "forms/norm_form_n9.json", "--Y", "2"],
+    ["count", "--form", "forms/norm_form_n9.json", "--method", "fibration", "--B", "2"],
+    ["lattice-count", "--a", "2,4", "-B", "3"],
+    ["density", "--form", "forms/pi_prime_n8.json", "--Y", "0"],
+    ["count", "--form", "forms/pi_prime_n7.json", "--B", "-2"],
+])
+def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
+    """A non-integer CSV cell, a form without a split, a non-primitive
+    vector and out-of-range bounds: one stderr line and exit code 1."""
+    csv = tmp_path / "series.csv"
+    csv.write_text("B,count\n2,x\n4,5\n")
+    args = [str(csv) if a == "CSV" else a for a in args]
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 SCHEMA = '"schema": "cubefib-form-v1"'
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cubefib import driver
 from cubefib.driver import (
@@ -21,7 +23,8 @@ from cubefib.driver import (
     representation_count_coprime,
     serialize_form_document,
 )
-from cubefib.fibration import FalsificationAlarm
+from cubefib.fibration import FalsificationAlarm, split_cubic
+from cubefib.gridcount import BudgetExceeded
 from cubefib.lattice import HyperplaneCount
 from cubefib.linalg import QuadraticPolynomial
 from cubefib.polynomials import IntPolynomial, VariableSplit
@@ -179,6 +182,59 @@ def test_fibration_count_small_series_monotone():
     for pt in res.series.samples:
         assert doc.poly.evaluate(list(pt)) == 0
 
+
+
+# The scaled box Y [lo, hi] with lo > 0 is not monotone in Y: alone, B = 1, 2
+# and 3 admit fibres whose sums are 1, 9 and 0.
+NON_NESTED = (
+    IntPolynomial(5, {(0, 0, 0, 2, 1): -3, (0, 0, 1, 1, 1): -1, (0, 1, 0, 0, 2): -1,
+                      (0, 1, 0, 1, 1): -1, (0, 1, 0, 2, 0): 1, (1, 0, 0, 0, 2): 1,
+                      (1, 0, 0, 1, 1): -1, (1, 0, 0, 2, 0): -2}),
+    VariableSplit(5, (0, 1, 2), (3, 4), role="pi_prime"),
+)
+
+
+def test_fibration_count_reports_the_running_maximum_on_non_nested_sets():
+    C, split = NON_NESTED
+    alone = [fibration_count(C, split, "pi_prime", [B]).series.rows for B in (1, 2, 3)]
+    assert alone == [[(1, 1)], [(2, 9)], [(3, 0)]]
+    res = fibration_count(C, split, "pi_prime", [1, 2, 3])
+    assert res.series.rows == [(1, 1), (2, 9), (3, 9)]
+    assert brute_force_N(C, [1, 2, 3]).rows == [(1, 54), (2, 314), (3, 926)]
+
+
+@st.composite
+def _linear_fibre_cubics(draw):
+    """C = sum_j x_j Q_j(y) + R(y) in m = 2 or 3 x-variables and h = 2
+    y-variables, with small random coefficients."""
+    m = draw(st.sampled_from([2, 3]))
+    monos = []
+    for j in range(m):
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            e = [0] * (m + 2)
+            e[j] = 1
+            e[m + a] += 1
+            e[m + b] += 1
+            monos.append(tuple(e))
+    monos += [tuple([0] * m + [3 - k, k]) for k in range(4)]
+    coefs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    return (IntPolynomial(m + 2, dict(zip(monos, coefs))),
+            VariableSplit(m + 2, range(m), (m, m + 1), role="pi_prime"))
+
+
+@example(case=NON_NESTED)
+@settings(max_examples=40, deadline=None)
+@given(case=_linear_fibre_cubics())
+def test_fibration_count_never_exceeds_brute_force(case):
+    C, split = case
+    assume(not all(q.is_zero() for q in split_cubic(C, split)[1]))
+    Bs = [1, 2, 3]
+    try:
+        res = fibration_count(C, split, "pi_prime", Bs)
+    except BudgetExceeded:
+        return
+    for (B, lower), (_, total) in zip(res.series.rows, brute_force_N(C, Bs).rows):
+        assert lower <= total, f"lower bound {lower} > N({B}) = {total}"
 
 def test_fibration_count_pi_mode_labeled():
     doc = parse_form_document(load("pi_n7.json"))

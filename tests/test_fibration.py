@@ -31,7 +31,7 @@ from cubefib.fibration import (
     singular_locus_dim_probe,
     split_cubic,
 )
-from cubefib.linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
+from cubefib.linalg import QuadraticPolynomial, RationalMatrix, int_matrix_det, symmetric_diagonalize
 from cubefib.polynomials import IntPolynomial, VariableSplit
 
 X = IntPolynomial.variable
@@ -127,6 +127,39 @@ def test_fibration_rank_randomized_agrees_with_symbolic():
         assert rk <= fd.rank
         done += 1
 
+
+
+@st.composite
+def _fibred_cubics(draw):
+    """C = sum_i y_i F_i(x) with random quadratic forms F_i: m x-variables,
+    h y-variables, so M2[y] = bundle_matrix(F_1..F_h)."""
+    m, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    terms = {}
+    for i in range(h):
+        for a in range(m):
+            for b in range(a, m):
+                e = [0] * (m + h)
+                e[a] += 1
+                e[b] += 1
+                e[m + i] = 1
+                terms[tuple(e)] = draw(st.integers(-3, 3))
+    return IntPolynomial(m + h, terms), VariableSplit(m + h, range(m), range(m, m + h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fibred_cubics(), data=st.data())
+def test_symbolic_minors_evaluate_to_the_numeric_minors(case, data):
+    fd = build_fibration(*case)
+    y = data.draw(st.lists(st.integers(-9, 9), min_size=fd.h, max_size=fd.h))
+    mat = fd.M2_at(y)
+    for size in range(1, fd.m + 1):
+        found = {(rows, cols): det
+                 for rows, cols, det in fibration._nonzero_minors(fd.M2, size, {})}
+        for rows in itertools.combinations(range(fd.m), size):
+            for cols in itertools.combinations(range(fd.m), size):
+                det = found.get((rows, cols))
+                value = det.evaluate(y) if det is not None else 0
+                assert value == int_matrix_det([[mat[i][j] for j in cols] for i in rows])
 
 def test_extract_linear_block_hand_example():
     # F1 = x1^2 + x2^2 in three x variables: rank 2, x3 certified linear
@@ -242,7 +275,7 @@ def test_indefinite_witness_examples():
 
     for signs in iproduct((-1, 1), repeat=fd.h):
         corner = [ui + si * w.box_radius for ui, si in zip(w.point, signs)]
-        assert fd.witness[2].evaluate_fraction(corner) != 0
+        assert fd.witness[2].evaluate(corner) != 0
 
     # y1 I2 + y2 offdiag: u = (0, 1) has signature (1, 1)
     C = poly(4, lambda x1, x2, y1, y2: y1 * (x1*x1 + x2*x2) + y2 * x1 * x2)
@@ -722,7 +755,8 @@ def test_low_rank_specialization_count_has_the_minor_cap():
 def test_bundle_matrix_hand_example():
     # F_1 = x1^2 + 3 x1 x2, F_2 = -x2^2: entry (a, b) = sum_i z_i d^2 F_i / dx_a dx_b
     forms = [poly(2, lambda a, b: a * a + 3 * a * b), poly(2, lambda a, b: -(b * b))]
-    assert bundle_matrix(forms) == [[{(1, 0): 2}, {(1, 0): 3}], [{(1, 0): 3}, {(0, 1): -2}]]
+    z1, z2 = X(2, 0), X(2, 1)
+    assert bundle_matrix(forms) == [[z1 * 2, z1 * 3], [z1 * 3, z2 * -2]]
     with pytest.raises(ValueError, match="quadratic forms"):
         bundle_matrix([poly(2, lambda a, b: a * a * b)])
 

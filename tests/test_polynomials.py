@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefib.polynomials import IntPolynomial, LinearChange, VariableSplit
 
@@ -176,3 +179,26 @@ def test_homogeneous_parts_and_degrees():
     assert p.homogeneous_part(1) == P(2, {(1, 0): 4})
     assert not p.is_homogeneous()
     assert p.homogeneous_part(3).is_homogeneous(3)
+
+
+def _polys(n, max_deg, max_terms):
+    """Random polynomials in n variables of degree <= max_deg."""
+    monos = [e for e in itertools.product(range(max_deg + 1), repeat=n) if sum(e) <= max_deg]
+    return st.dictionaries(st.sampled_from(monos), st.integers(-9, 9),
+                           max_size=max_terms).map(lambda t: IntPolynomial(n, t))
+
+
+@st.composite
+def _substitutions(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    f = draw(_polys(n, 3, 8))
+    images = draw(st.lists(_polys(m, draw(st.sampled_from([1, 2])), 4), min_size=n, max_size=n))
+    z = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return f, images, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_substitutions())
+def test_substitute_polys_commutes_with_evaluation(case):
+    f, images, z = case
+    assert f.substitute_polys(images).evaluate(z) == f.evaluate([g.evaluate(z) for g in images])
