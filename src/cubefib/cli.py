@@ -169,7 +169,10 @@ def cmd_lattice_count(args):
     if gcd(*a) != 1:
         raise SystemExit(f"--a must be a primitive vector, got {args.a!r}")
     config = {"command": "lattice-count", "a": a, "b": args.b, "B": args.B, "g": args.g}
-    res = hyperplane_count_exact(a, args.b, args.B, g=args.g)
+    try:
+        res = hyperplane_count_exact(a, args.b, args.B, g=args.g)
+    except ValueError as e:
+        raise SystemExit(f"lattice-count: {e}")
     sections = {"exact": res.exact}
     try:
         asy = hyperplane_count_asymptotic(a, args.b, args.B)

@@ -5,18 +5,25 @@ lattice points on affine hyperplanes inside balls.
 One kernel, `enumerate_quadratic`, walks {t : t^T G t + 2 w.t + c <= 0} for
 positive-definite G: the outer levels recurse with integer Schur-complement
 bounds from fraction-free (Bareiss) elimination, and each innermost row is
-one isqrt of a discriminant stepped incrementally along t_1. The kernel
-does integer arithmetic only. Its leaves are the ball counts (count plus
-samples, never point by point), the representation numbers of the driver
-(exact roots) and exact shortest vectors (minimum).
+one isqrt of a discriminant stepped incrementally along t_1. Its leaves are
+the ball counts (count plus samples, never point by point), the
+representation numbers of the driver (exact roots) and exact shortest
+vectors (minimum). A count without samples does levels 1 and 0 in one
+numpy int64 pass, after a bound check in Python integers that falls back to
+the Python rows when an intermediate could leave int64; every other path is
+Python integer arithmetic. Ball counts translate the shift next to the
+ball's centre first, which keeps those intermediates small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .nt import count_quadratic_interval, solve_linear_diophantine, squarefree_divisors, xgcd
 from .volumes import _DEFAULT_TABLE
@@ -178,8 +185,10 @@ def enumerate_quadratic(
     """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
     for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
 
-    Levels j >= 1 take their t_j-interval from `bounds_at`. Level 0 makes no
-    call per row. Its row is Q = a0 t_0^2 + 2 bq t_0 + cq, and bq and the
+    The outer levels take their t_j-interval from `bounds_at`. The last
+    level the recursion visits (level 1, or level 2 for the int64 count
+    below) takes its interval and its set-up from one `quadratic_at`.
+    Level 0 makes no call per row. Its row is Q = a0 t_0^2 + 2 bq t_0 + cq, and bq and the
     reduced discriminant D = bq^2 - a0 cq are polynomials in t_1 (D = -P_1),
     stepped by finite differences along the level-1 interval, where D >= 0.
     The row is [ceil((-bq - s) / a0), floor((-bq + s) / a0)] with
@@ -190,6 +199,11 @@ def enumerate_quadratic(
       "count"  (#solutions, the first sample_limit solutions)
       "roots"  (#roots, every t with Q(t) = 0): D a square, a0 | -bq +- s
       "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
+
+    "count" with sample_limit = 0 and k >= 3 stops the recursion at level 2
+    and hands every level-2 interval to `_count_levels_1_0`, which counts
+    levels 1 and 0 in numpy int64; when its bound check fails, the same
+    intervals go through the Python rows.
     """
     solver = QuadraticSolvedLevels(G, w, c)
     k, a0, lin0 = solver.k, solver.levels[0]["a"], solver.levels[0]["lin"]
@@ -235,18 +249,27 @@ def enumerate_quadratic(
             bq, D, dD = bq + b1, D + dD, dD + dd
 
     rows = {"count": count_rows, "roots": root_rows, "min": min_rows}[leaf]
+    # batch: (#t_2, P_2, its step, b of P_1, bq - b1 t_1), all at t_2 = lo,
+    # then lo and the outer coordinates for the fallback
+    batch = [] if leaf == "count" and not sample_limit and k > 2 else None
+    top = 1 if batch is None else 2
 
     def descend(j, outer):
-        cnt, lo, hi = solver.bounds_at(j, outer)
-        if not cnt:
-            return
-        if j > 1:
+        if j > top:
+            _, lo, hi = solver.bounds_at(j, outer)
             for tj in range(lo, hi + 1):
                 descend(j - 1, (tj,) + outer)
             return
-        a1, b, c1 = solver.quadratic_at(1, outer)  # P_1 = -D
-        bq = sum(x * y for x, y in zip(lin0, (lo,) + outer + (1,)))
-        rows(lo, hi, bq, -((a1 * lo + 2 * b) * lo + c1), -(a1 * (2 * lo + 1) + 2 * b), outer)
+        a, b, cq = solver.quadratic_at(j, outer)  # P_j = a t_j^2 + 2 b t_j + cq
+        cnt, lo, hi = count_quadratic_interval(a, 2 * b, cq)
+        if not cnt:
+            return
+        vec = (lo,) + outer + (1,)
+        P, dP = (a * lo + 2 * b) * lo + cq, a * (2 * lo + 1) + 2 * b
+        if j == 2:
+            batch.append((cnt, P, dP, dot(solver.levels[1]["lin"], vec), dot(lin0[1:], vec), lo, outer))
+        else:
+            rows(lo, hi, dot(lin0, vec), -P, -dP, outer)
 
     if k > 1:
         descend(k - 1, ())
@@ -255,7 +278,101 @@ def enumerate_quadratic(
         if bq * bq >= a0 * cq:
             rows(0, 0, bq, bq * bq - a0 * cq, 0, ())
             points = [t[:1] for t in points]  # drop the phantom t_1 = 0
+    if batch:
+        n = _count_levels_1_0(batch, solver)
+        if n is None:
+            for cnt, *_, lo, outer in batch:
+                for t2 in range(lo, lo + cnt):
+                    descend(1, (t2,) + outer)
+        else:
+            value += n
     return value, points
+
+
+_INT64_SAFE = 2 ** 62
+_ROW_CHUNK = 1 << 16
+
+
+def _isqrt64(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) for int64 0 <= x < 2^62: the float square root is
+    within 1 of it there, and one exact step each way corrects it. (With a
+    correctly rounded sqrt only the downward step can fire; the upward one
+    keeps the result exact without relying on that.)"""
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
+def _count_levels_1_0(batch, solver: QuadraticSolvedLevels) -> Optional[int]:
+    """The number of points below the level-2 intervals of `batch` (built
+    by `enumerate_quadratic`), in one int64 pass, or None when the bound
+    check finds an intermediate that could reach 2^62.
+
+    Along t_2 = lo + i, P_2 = P + i (dP + a2 (i - 1)) <= 0, and level 1's
+    reduced discriminant is d1 = b^2 - a1 c1 = -a0 P_2 (Sylvester), so
+    t_1 runs over |u| <= isqrt(d1) with u = a1 t1 + b. Level 0's discriminant
+    is D = -P_1 = (d1 - u^2) / a1, an exact division, and a row is counted
+    as in the Python rows. The bounds below cover every array value from
+    the batch maxima, in Python integers; the check is an `if`, so it holds
+    under `python -O`.
+    """
+    lev0, lev1, lev2 = solver.levels[:3]
+    a0, a1, a2 = lev0["a"], lev1["a"], lev2["a"]
+    b1, db, dbeta = lev0["lin"][0], lev1["lin"][0], lev0["lin"][1]
+    cols = list(zip(*batch))[:5]
+    N = max(cols[0])
+    mP, mdP, mb, mbeta = (max(map(abs, col)) for col in cols[1:])
+    BP = mP + N * (mdP + a2 * N)  # |P_2| and its partial terms
+    BD = a0 * BP  # d1, u^2, d1 - u^2
+    S = isqrt(BD) + 1  # isqrt(d1), isqrt(D)
+    Bb = mb + abs(db) * N
+    T = (S + Bb) // a1 + 2  # |t_1|
+    Bq = abs(b1) * T + mbeta + abs(dbeta) * N  # |bq|
+    row = 2 * (S + Bq) // a0 + 1  # one row's count
+    rows = _ROW_CHUNK + 2 * S // a1 + 1  # rows summed at once
+    if max(BD, a1 * T + Bb, S + Bq, row * rows) >= _INT64_SAFE:
+        return None
+
+    n, P, dP, b, beta = (np.array(col, dtype=np.int64) for col in cols)
+    node = np.repeat(np.arange(len(n)), n)
+    i = np.arange(len(node)) - np.repeat(np.cumsum(n) - n, n)
+    P2 = P[node] + i * (dP[node] + a2 * (i - 1))
+    d1 = -a0 * P2
+    b = b[node] + db * i
+    beta = beta[node] + dbeta * i
+    s1 = _isqrt64(d1)
+    lo1 = -((s1 + b) // a1)
+    m = np.maximum((s1 - b) // a1 - lo1 + 1, 0)
+    # level-1 nodes in slices of at most _ROW_CHUNK rows plus one node's
+    ends = np.cumsum(m)
+    cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, int(ends[-1]), _ROW_CHUNK), side="right")
+    total = 0
+    for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(m)]):
+        ms = m[s:e]
+        r = np.repeat(np.arange(s, e), ms)
+        t1 = lo1[r] + (np.arange(len(r)) - np.repeat(np.cumsum(ms) - ms, ms))
+        u = a1 * t1 + b[r]
+        sq = _isqrt64((d1[r] - u * u) // a1)
+        bq = b1 * t1 + beta[r]
+        total += int(((sq - bq) // a0 + (sq + bq) // a0 + 1).sum())
+    return total
+
+
+def _centred_shift(basis, gram, shift) -> List[int]:
+    """shift + sum t_i basis_i with t the rounded float solution of
+    gram t = -(basis_i . shift): the point of the coset shift + lattice
+    next to the origin, up to rounding. Any integer t keeps the coset, so
+    a poor float solve costs magnitude only; one that fails keeps shift."""
+    try:
+        t = np.rint(np.linalg.solve(np.array(gram, dtype=np.float64),
+                                    -np.array([dot(u, shift) for u in basis], dtype=np.float64)))
+    except (OverflowError, np.linalg.LinAlgError):
+        return list(shift)
+    if not np.isfinite(t).all():
+        return list(shift)
+    t = [int(v) for v in t]
+    return [s + dot(t, col) for s, col in zip(shift, zip(*basis))]
 
 
 def count_affine_points_in_ball(
@@ -265,7 +382,12 @@ def count_affine_points_in_ball(
     sample_limit: int = 0,
 ) -> Tuple[int, List[Tuple[int, ...]]]:
     """#{shift + sum t_i basis_i : ||.||_2^2 <= radius2}, plus samples as
-    ambient vectors."""
+    ambient vectors.
+
+    The shift is first moved by the lattice vector that brings it next to
+    the ball's centre. A translation by a lattice vector shifts every t by
+    the same integer vector, which keeps the count and the lexicographic
+    enumeration order, so the samples are the same points."""
     radius2 = Fraction(radius2)
     if radius2 < 0:
         return 0, []
@@ -273,8 +395,10 @@ def count_affine_points_in_ball(
     if k == 0:
         ok = Fraction(dot(shift, shift)) <= radius2
         return (1 if ok else 0), ([tuple(shift)] if ok and sample_limit else [])
+    gram = gram_matrix(basis)
+    shift = _centred_shift(basis, gram, shift)
     den = radius2.denominator
-    G = [[den * dot(u, v) for v in basis] for u in basis]
+    G = [[den * v for v in row] for row in gram]
     w = [den * dot(u, shift) for u in basis]
     c = den * dot(shift, shift) - radius2.numerator
     count, tsamples = enumerate_quadratic(G, w, c, "count", sample_limit)
@@ -401,11 +525,14 @@ def hyperplane_count_exact(
 
     With g, counts only x with gcd(x, g) = 1 via Mobius inclusion-exclusion
     on exactly scaled balls (x = d x' needs d | b and ||x'||^2 <= (B^2-1)/d^2),
-    which reproduces direct filtered enumeration exactly.
+    which reproduces direct filtered enumeration exactly. g = 0 raises
+    ValueError.
     """
     a = [int(v) for v in a]
     if gcd(*a) != 1:
         raise ValueError("a must be primitive")
+    if g == 0:
+        raise ValueError("g must be nonzero: gcd(x, 0) = 1 would need a primitivity filter")
     R2 = Fraction(B) ** 2 - 1
     if g is None or g == 1:
         return _hyperplane_count_r2(a, b, R2, sample_limit)
@@ -427,10 +554,15 @@ def _hyperplane_count_r2(a, b, R2: Fraction, sample_limit=0) -> HyperplaneCount:
     shift = solve_linear_diophantine(list(a), -b)
     if shift is None:
         return HyperplaneCount(0)
-    lat = kernel_lattice(a)
-    red = lat.reduced_basis()
-    count, pts = count_affine_points_in_ball(red, shift, R2, sample_limit)
+    count, pts = count_affine_points_in_ball(_reduced_kernel_basis(tuple(a)), shift, R2, sample_limit)
     return HyperplaneCount(count, tuple(pts))
+
+
+@lru_cache(maxsize=1024)
+def _reduced_kernel_basis(a: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """LLL-reduced basis of kernel_lattice(a), once per hyperplane: a
+    fibration count meets the same fibre at every B of its ladder."""
+    return tuple(map(tuple, kernel_lattice(a).reduced_basis()))
 
 
 # frozen after measurement on the calibration family (max observed ratio

@@ -197,6 +197,7 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     ["density", "--form", "forms/norm_form_n9.json", "--Y", "2"],
     ["count", "--form", "forms/norm_form_n9.json", "--method", "fibration", "--B", "2"],
     ["lattice-count", "--a", "2,4", "-B", "3"],
+    ["lattice-count", "--a", "1,2", "-B", "5", "--g", "0"],
     ["density", "--form", "forms/pi_prime_n8.json", "--Y", "0"],
     ["count", "--form", "forms/pi_prime_n7.json", "--B", "-2"],
 ])

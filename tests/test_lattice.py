@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt, pi
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubefib import lattice
 from cubefib.lattice import (
     IntegerLattice,
     QuadraticSolvedLevels,
@@ -185,6 +187,21 @@ def test_hyperplane_count_with_g_matches_filtered_enumeration():
 def test_hyperplane_count_rejects_non_primitive():
     with pytest.raises(ValueError):
         hyperplane_count_exact([2, 4], 0, 5)
+
+
+def test_hyperplane_count_rejects_g_zero():
+    # gcd(x, 0) = gcd(x): g = 0 is not "no filter"
+    with pytest.raises(ValueError, match="g must be nonzero"):
+        hyperplane_count_exact([1, 2], 0, 5, g=0)
+
+
+def test_kernel_basis_is_reduced_once_per_hyperplane():
+    lattice._reduced_kernel_basis.cache_clear()
+    with mock.patch.object(lattice, "lll_reduce", wraps=lattice.lll_reduce) as lll:
+        counts = [hyperplane_count_exact([3, -5, 7], 1, B).exact for B in (5, 9, 13)]
+        hyperplane_count_exact([3, -5, 7], 1, 9, g=6)
+    assert lll.call_count == 1
+    assert counts == sorted(counts) and counts[-1] > 0
 
 
 def test_volume_constants_match_ball_volume_exactly():
@@ -373,6 +390,73 @@ def test_kernel_min_leaf_is_lambda1(Gwc):
     low, first = enumerate_quadratic(G, [0] * k, -bound, "min")
     assert low + bound == lam1
     assert first == [next(t for n, t in norms if n == lam1)]
+
+
+@st.composite
+def small_definite_quadratics(draw):
+    """(G, w, c) as in `definite_quadratics` but for k = 1..5, with w and c
+    small enough that the box of `box_points` stays below 15^5 points."""
+    k = draw(st.integers(1, 5))
+    A = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(k)]
+    e = draw(st.integers(1, 3))
+    G = [[sum(A[r][i] * A[r][j] for r in range(k)) + (e if i == j else 0) for j in range(k)]
+         for i in range(k)]
+    return G, [draw(st.integers(-1, 1)) for _ in range(k)], draw(st.integers(-8, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_definite_quadratics(), st.sampled_from([1, 2 ** 8, 2 ** 60]))
+def test_int64_count_leaf_matches_python_rows_and_box(Gwc, scale):
+    """Scaling Q by a positive integer keeps {Q <= 0}; at 2^60 every
+    level-2 batch fails the int64 bound check and the Python rows count."""
+    G, w, c = Gwc
+    inside, _ = box_points(G, w, c, lambda q: q <= 0)
+    sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
+    leaf = lattice._count_levels_1_0
+    passes = []
+
+    def spy(batch, solver):
+        passes.append(leaf(batch, solver))
+        return passes[-1]
+
+    with mock.patch.object(lattice, "_count_levels_1_0", spy):
+        count, samples = enumerate_quadratic(sG, sw, sc, "count")
+    with mock.patch.object(lattice, "_count_levels_1_0", lambda batch, solver: None):
+        python_rows, _ = enumerate_quadratic(sG, sw, sc, "count")
+    assert count == python_rows == len(inside) and samples == []
+    if len(G) < 3:
+        assert passes == []
+    elif scale == 1:
+        assert None not in passes
+    elif scale == 2 ** 60:
+        assert all(p is None for p in passes)
+
+
+def test_int64_isqrt_is_exact_up_to_2_62():
+    rng = random.Random(113)
+    roots = [1, 2, 3, 2 ** 26 - 1, 2 ** 26 + 1, isqrt(2 ** 62 - 1)]
+    roots += [rng.randrange(2 ** 26, isqrt(2 ** 62 - 1)) for _ in range(200)]
+    xs = [x for r in roots for x in (r * r - 1, r * r, r * r + 1, r * r + 2 * r) if x < 2 ** 62]
+    assert lattice._isqrt64(np.array([0] + xs, dtype=np.int64)).tolist() == [0] + [isqrt(x) for x in xs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_centred_shift_keeps_counts_and_samples(data):
+    """The nearest-centre translation changes neither the count nor the
+    samples (the same points, in the same order) of a ball count."""
+    n = data.draw(st.integers(2, 5))
+    a = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+                  .filter(lambda v: np.gcd.reduce(v) == 1))
+    basis = kernel_lattice(a).reduced_basis()
+    far = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n - 1, max_size=n - 1))
+    near = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    shift = [s + dot(far, col) for s, col in zip(near, zip(*basis))]
+    R2 = Fraction(data.draw(st.integers(0, 400)), data.draw(st.sampled_from([1, 4, 9])))
+    sample_limit = data.draw(st.integers(0, 6))
+    centred = count_affine_points_in_ball(basis, shift, R2, sample_limit)
+    with mock.patch.object(lattice, "_centred_shift", lambda basis, gram, shift: list(shift)):
+        assert count_affine_points_in_ball(basis, shift, R2, sample_limit) == centred
 
 
 @settings(max_examples=60, deadline=None)
