@@ -201,7 +201,10 @@ def cmd_density(args):
     doc = _load_split_form(args.form, "density")
     Ys = _int_list(args.Y, "--Y", least=1)
     mode = args.mode or doc.mode or "pi_prime"
-    cond = build_conditions(doc.poly, doc.split, mode, budget=args.budget)
+    try:
+        cond = build_conditions(doc.poly, doc.split, mode, budget=args.budget)
+    except ValueError as e:
+        raise SystemExit(f"density: {e}")
     k = len(doc.split.y_indices)
     box = [(Fraction(-1), Fraction(1))] * k
     spec = AdmissibleSetSpec(k, box, cond)
@@ -236,7 +239,10 @@ def cmd_count(args):
         sections = {"series": series.rows, "predicate": series.predicate}
     else:
         mode = args.mode or doc.mode or "pi_prime"
-        res = fibration_count(doc.poly, doc.split, mode, Bs, budget=args.budget)
+        try:
+            res = fibration_count(doc.poly, doc.split, mode, Bs, budget=args.budget)
+        except ValueError as e:
+            raise SystemExit(f"count: {e}")
         sections = {
             "series": res.series.rows,
             "predicate": res.series.predicate,

@@ -15,11 +15,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gridcount
+from .fibration import FalsificationAlarm, split_cubic
 from .lattice import enumerate_quadratic, hyperplane_count_exact
-from .linalg import QuadraticPolynomial
+from .linalg import QuadraticPolynomial, rank_signature_over_Q
 from .nt import squarefree_divisors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
-from .sieve import AdmissibleSetSpec, box_with_large_Q, build_conditions, enumerate_admissible
+from .sieve import (AdmissibleSetSpec, box_with_large_Q, build_conditions, enumerate_admissible,
+                    fibre_solubility)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +215,9 @@ class FibrationCountResult:
     spec: AdmissibleSetSpec
 
 
-def default_Y_rule(B: int, eps: Fraction = Fraction(1, 20)) -> int:
-    """Y = B^(1 - 2 eps) rounded down (default eps = 0.05)."""
-    exponent = 1 - 2 * float(eps)
-    return max(1, int(B ** exponent))
+def default_Y_rule(B: int) -> int:
+    """Y = B^(1 - 2 eps) rounded down, with eps = 1/20."""
+    return max(1, int(B ** 0.9))
 
 
 def fibration_count(
@@ -224,103 +225,107 @@ def fibration_count(
     split: VariableSplit,
     mode: str,
     B_list: Sequence[int],
-    Y_rule=default_Y_rule,
     budget: int | None = None,
-    sample_limit: int = 3,
     spec: AdmissibleSetSpec | None = None,
 ) -> FibrationCountResult:
-    """Sum of exact per-fibre counts over the admissible set: a certified
-    lower bound for N(B) in pi_prime mode (linear fibres, every counted
-    point is a primitive zero of C); pi mode uses bounded per-fibre search
-    and is labeled sampling-based.
+    """Lower bound for N(B) by summing per-fibre counts over the admissible y
+    with Y = default_Y_rule(B); every counted point (x, y) is a primitive
+    zero of C of height at most B.
+
+    pi_prime (linear fibres, C = sum_j x_j Q_j(y) + R(y)): each fibre is
+    counted exactly by `hyperplane_count_exact` over the large-Q box, and
+    the rows are labeled "certified-lower-bound". pi (quadric fibres): the
+    admissible y run over the unit box, and each fibre adds at most the one
+    point a search capped at min(B, 8) finds; the rows are labeled
+    "sampling-lower-bound". A cubic that is insoluble at a bad prime gets
+    the empty box and the label "locally insoluble at p".
 
     The scaled box Y [lo, hi] with lo > 0 is not monotone in Y, so a larger
-    B can admit fewer fibres. N(B) is non-decreasing, so each pi_prime row
-    reports the largest fibre sum up to its B, still a lower bound."""
-    if mode == "pi":
-        return _fibration_count_pi(C, split, B_list, Y_rule, budget)
-    from .fibration import FalsificationAlarm, split_cubic
-
-    _, q_list, R = split_cubic(C, split)
+    B can admit fewer fibres. N(B) is non-decreasing, so each row reports
+    the largest fibre sum up to its B, still a lower bound. per_B_fibres
+    counts the fibres summed at each B; samples holds up to 16 of the
+    counted points, each checked to be a zero of C."""
+    if mode not in ("pi", "pi_prime"):
+        raise ValueError(f"mode must be pi or pi_prime, got {mode!r}")
+    F_list, q_list, R = split_cubic(C, split)
+    if mode == "pi_prime" and not all(f.is_zero() for f in F_list):
+        raise ValueError("pi_prime mode needs fibres linear in x, "
+                         "but C has a nonzero x-quadratic part")
+    label = "certified-lower-bound" if mode == "pi_prime" else "sampling-lower-bound"
     if spec is None:
-        cond = build_conditions(C, split, "pi_prime", budget=budget)
+        cond = build_conditions(C, split, mode, budget=budget)
+        h = len(split.y_indices)
         if cond.insoluble_at is not None:
-            rows = [(B, 0) for B in sorted(set(B_list))]
-            h = len(split.y_indices)
             # empty intervals: the spec admits nothing and charges nothing
-            empty = AdmissibleSetSpec(h, [(Fraction(1), Fraction(-1))] * h, cond)
-            return FibrationCountResult(
-                CountSeries(rows, "fibration-lower-bound"), {}, mode,
-                f"locally insoluble at {cond.insoluble_at}", empty)
-        q_first = next(q for q in q_list if not q.is_zero())
-        box = box_with_large_Q(q_first, P=100)
-        spec = AdmissibleSetSpec(len(split.y_indices), box.intervals, cond,
-                                 box_change=box.change)
+            spec = AdmissibleSetSpec(h, [(Fraction(1), Fraction(-1))] * h, cond)
+            label = f"locally insoluble at {cond.insoluble_at}"
+        elif mode == "pi_prime":
+            box = box_with_large_Q(next(q for q in q_list if not q.is_zero()), P=100)
+            spec = AdmissibleSetSpec(h, box.intervals, cond, box_change=box.change)
+        else:
+            spec = AdmissibleSetSpec(h, [(Fraction(-1), Fraction(1))] * h, cond)
     rows = []
     samples: List[Tuple[int, ...]] = []
     Yvals = {}
     fibre_counts = {}
     best = 0
     for B in sorted(set(B_list)):
-        Y = Y_rule(B)
+        Y = default_Y_rule(B)
         Yvals[B] = Y
         total = 0
         nfib = 0
         for y in enumerate_admissible(spec, Y, budget):
-            vals = [q.evaluate(list(y)) for q in q_list]
-            if all(v == 0 for v in vals):
-                continue
-            d0 = vector_gcd(vals)
-            rval = R.evaluate(list(y))
-            if rval % d0:
-                raise FalsificationAlarm(
-                    f"admissible y={y} is not locally soluble: {d0} does not divide R(y)={rval}")
-            a = [v // d0 for v in vals]
-            b = rval // d0
             g = vector_gcd(y)
-            res = hyperplane_count_exact(a, b, B, g=g,
-                                         sample_limit=sample_limit if nfib < 4 else 0)
-            total += res.exact
+            if mode == "pi_prime":
+                fibre = _linear_fibre(q_list, R, y, g, B, 3 if nfib < 4 else 0)
+            else:
+                fibre = _quadric_fibre(C, split, y, g, B)
+            if fibre is None:
+                continue
+            count, points = fibre
+            total += count
             nfib += 1
-            for pt in res.samples:
+            for pt in points:
                 if len(samples) < 16 and gcd(vector_gcd(pt), g) == 1:
-                    full = tuple(pt) + tuple(y)
-                    if C.evaluate(list(full)) != 0:
-                        raise FalsificationAlarm(f"fibre sample {full} is not a zero of C")
-                    samples.append(full)
+                    full = [0] * split.n
+                    for i, v in zip(split.x_indices + split.y_indices, (*pt, *y)):
+                        full[i] = v
+                    if C.evaluate(full) != 0:
+                        raise FalsificationAlarm(f"fibre sample {tuple(full)} is not a zero of C")
+                    samples.append(tuple(full))
         best = max(best, total)
         rows.append((B, best))
         fibre_counts[B] = nfib
     series = CountSeries(rows, "fibration-lower-bound", samples=samples,
                          per_B_fibres=fibre_counts)
-    return FibrationCountResult(series, Yvals, mode, "certified-lower-bound", spec)
+    return FibrationCountResult(series, Yvals, mode, label, spec)
 
 
-def _fibration_count_pi(C, split, B_list, Y_rule, budget):
-    """Quadric fibres: bounded per-fibre point search, a sampled lower bound."""
-    from .fibration import split_cubic
-    from .sieve import fibre_solubility
+def _linear_fibre(q_list, R, y, g, B, sample_limit):
+    """(count, samples) of the linear fibre sum_j Q_j(y) x_j + R(y) = 0 in
+    |x| <= B with gcd(x, g) = 1, or None when every Q_j(y) vanishes."""
+    vals = [q.evaluate(list(y)) for q in q_list]
+    if all(v == 0 for v in vals):
+        return None
+    d0 = vector_gcd(vals)
+    rval = R.evaluate(list(y))
+    if rval % d0:
+        raise FalsificationAlarm(
+            f"admissible y={y} is not locally soluble: {d0} does not divide R(y)={rval}")
+    a = [v // d0 for v in vals]
+    b = rval // d0
+    res = hyperplane_count_exact(a, b, B, g=g, sample_limit=sample_limit)
+    return res.exact, res.samples
 
-    cond = build_conditions(C, split, "pi", budget=budget)
-    h = len(split.y_indices)
-    spec = AdmissibleSetSpec(h, [(Fraction(-1), Fraction(1))] * h, cond)
-    rows = []
-    Yvals = {}
-    for B in sorted(set(B_list)):
-        Y = Y_rule(B)
-        Yvals[B] = Y
-        total = 0
-        for y in enumerate_admissible(spec, Y, budget):
-            verdict = fibre_solubility(y, C, split, "pi", want_point=True,
-                                       search_bound=min(B, 8))
-            if verdict.point is not None:
-                pt = verdict.point
-                if max(abs(v) for v in pt) <= B:
-                    if gcd(vector_gcd(pt), vector_gcd(y)) == 1:
-                        total += 1
-        rows.append((B, total))
-    series = CountSeries(rows, "fibration-lower-bound")
-    return FibrationCountResult(series, Yvals, "pi", "sampling-lower-bound", spec)
+
+def _quadric_fibre(C, split, y, g, B):
+    """(0 or 1, the point) for the quadric fibre over y: the point the search
+    of `fibre_solubility` finds within min(B, 8), if it has height at most B
+    and gcd(x, g) = 1."""
+    pt = fibre_solubility(y, C, split, "pi", want_point=True, search_bound=min(B, 8)).point
+    if pt is None or max(abs(v) for v in pt) > B or gcd(vector_gcd(pt), g) != 1:
+        return 0, []
+    return 1, [pt]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,7 @@ def representation_count_coprime(
 ) -> RepresentationCount:
     """M(F, N) = #{x : gcd(x, 2 disc) = 1, F(x + xi) = N, |x| <= window * sqrt(N)}
     with the indicator window, plus the Mobius decomposition over d | 2 disc."""
-    rank, pos, neg = _signature(F)
+    rank, pos, neg = rank_signature_over_Q(F.Q)
     if not (rank == F.m and (pos == F.m or neg == F.m)):
         raise ValueError("F must be definite")
     if neg == F.m:
@@ -397,12 +402,6 @@ def representation_count_coprime(
                 by_divisor[d] += 1
     mob = sum(mu * by_divisor[d] for d, mu in squarefree_divisors(2 * disc))
     return RepresentationCount(count, by_divisor, mob == count, precondition_ok)
-
-
-def _signature(F: QuadraticPolynomial):
-    from .linalg import rank_signature_over_Q
-
-    return rank_signature_over_Q(F.Q)
 
 
 # ---------------------------------------------------------------------------

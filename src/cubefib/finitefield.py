@@ -18,22 +18,6 @@ from .polynomials import IntPolynomial
 
 
 @dataclass(frozen=True)
-class PrimeModulus:
-    p: int
-    t: int = 1
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("power must be >= 1")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.t
-
-
-@dataclass(frozen=True)
 class GaussSumData:
     """Exact ingredients of the closed-form count at an odd prime."""
 

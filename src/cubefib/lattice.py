@@ -429,7 +429,6 @@ class IntegerLattice:
             raise ValueError("basis vectors are dependent")
         self._reduced: Optional[List[List[int]]] = None
         self._lambda1_sq: Optional[int] = None
-        self._lambda1_exact: Optional[bool] = None
 
     def covolume_squared(self) -> int:
         return gram_det(self.basis)
@@ -452,14 +451,13 @@ class IntegerLattice:
         if low < 0:
             best_vec = [dot(ts[0], col) for col in zip(*red)]
         self._lambda1_sq = best
-        self._lambda1_exact = True
         return best, tuple(best_vec)
 
     def lambda1_squared_lower_bound(self, max_rank: int = 8) -> Fraction:
         """Exact lambda_1^2 when the rank budget allows, else the LLL bound
         ||b_1||^2 / 2^(k-1)."""
         if self.rank <= max_rank:
-            if self._lambda1_sq is None or not self._lambda1_exact:
+            if self._lambda1_sq is None:
                 self.shortest_vector_exact(max_rank)
             return Fraction(self._lambda1_sq)
         red = self.reduced_basis()

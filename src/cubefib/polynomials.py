@@ -94,11 +94,6 @@ class IntPolynomial:
         return cls(num_vars, {tuple(exps): coef})
 
     @classmethod
-    def monomial(cls, exps: Sequence[int], coef: int = 1) -> "IntPolynomial":
-        exps = tuple(exps)
-        return cls(len(exps), {exps: coef})
-
-    @classmethod
     def linear_form(cls, coeffs: Sequence[int]) -> "IntPolynomial":
         n = len(coeffs)
         terms = {}

@@ -99,11 +99,10 @@ def build_conditions(
     C: IntPolynomial,
     split: VariableSplit,
     mode: str,
-    v_max: int = 3,
     budget: int | None = None,
-    extra_bad: Sequence[int] = (),
 ) -> LocalConditionSet:
-    """Bad primes get witness residue classes via the p-adic search; good
+    """Bad primes (those of 2 times the content of the good polynomials)
+    get witness residue classes via the p-adic search to level 3; good
     primes get the minor / Q_i vanishing predicate."""
     if mode not in ("pi", "pi_prime"):
         raise ValueError("mode must be pi or pi_prime")
@@ -124,8 +123,8 @@ def build_conditions(
     coeff_gcd = gcd(*(q.content() for q in good))
     M = 2 * coeff_gcd if coeff_gcd else 2
     bad: Dict[int, PadicWitness] = {}
-    for p in sorted(set(prime_factors(M)) | set(extra_bad)):
-        wit = find_padic_nonsingular(C, p, v_max, x_indices=xs, budget=budget)
+    for p in prime_factors(M):
+        wit = find_padic_nonsingular(C, p, 3, x_indices=xs, budget=budget)
         if wit is None:
             return LocalConditionSet(mode, {}, good, M, ys, insoluble_at=p)
         bad[p] = wit

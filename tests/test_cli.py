@@ -200,10 +200,16 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     ["lattice-count", "--a", "1,2", "-B", "5", "--g", "0"],
     ["density", "--form", "forms/pi_prime_n8.json", "--Y", "0"],
     ["count", "--form", "forms/pi_prime_n7.json", "--B", "-2"],
+    ["count", "--form", "forms/pi_n7.json", "--B", "1,2,3", "--method", "fibration",
+     "--mode", "pi_prime"],
+    ["count", "--form", "forms/pi_prime_n7.json", "--B", "4", "--method", "fibration",
+     "--mode", "pi"],
+    ["density", "--form", "forms/pi_n7.json", "--Y", "4", "--mode", "pi_prime"],
 ])
 def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
     """A non-integer CSV cell, a form without a split, a non-primitive
-    vector and out-of-range bounds: one stderr line and exit code 1."""
+    vector, out-of-range bounds and a mode the cubic does not support: one
+    stderr line and exit code 1."""
     csv = tmp_path / "series.csv"
     csv.write_text("B,count\n2,x\n4,5\n")
     args = [str(csv) if a == "CSV" else a for a in args]

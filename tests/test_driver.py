@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -238,9 +239,52 @@ def test_fibration_count_never_exceeds_brute_force(case):
 
 def test_fibration_count_pi_mode_labeled():
     doc = parse_form_document(load("pi_n7.json"))
-    res = fibration_count(doc.poly, doc.split, "pi", [4])
+    res = fibration_count(doc.poly, doc.split, "pi", [2, 4, 8, 16])
     assert res.label == "sampling-lower-bound"
-    assert res.series.rows[0][1] >= 0
+    # frozen rows of the point search capped at min(B, 8)
+    assert res.series.rows == [(2, 2), (4, 6), (8, 12), (16, 30)]
+    assert res.Y_values == {2: 1, 4: 3, 8: 6, 16: 12}
+    for B, Y in res.Y_values.items():
+        assert res.series.per_B_fibres[B] == len(list(enumerate_admissible(res.spec, Y)))
+    assert res.series.samples
+    for pt in res.series.samples:
+        assert doc.poly.evaluate(list(pt)) == 0
+        assert math.gcd(math.gcd(*pt[:5]), math.gcd(*pt[5:])) == 1
+
+
+def test_fibration_count_pi_mode_never_exceeds_brute_force():
+    doc = parse_form_document(load("pi_n7.json"))
+    Bs = [1, 2, 3]
+    res = fibration_count(doc.poly, doc.split, "pi", Bs)
+    for (B, lower), (_, total) in zip(res.series.rows, brute_force_N(doc.poly, Bs).rows):
+        assert lower <= total, f"lower bound {lower} > N({B}) = {total}"
+
+
+def test_fibration_count_rejects_an_unknown_mode():
+    doc = parse_form_document(load("pi_prime_n7.json"))
+    with pytest.raises(ValueError, match="mode must be pi or pi_prime"):
+        fibration_count(doc.poly, doc.split, "linear", [4])
+
+
+def test_fibration_count_pi_prime_rejects_quadric_fibres():
+    # pi_n7 + x0 y0^2 + x1 y1^2: the Q_j no longer all vanish, but the
+    # fibres stay quadrics in x
+    doc = parse_form_document(load("pi_n7.json"))
+    C = doc.poly + IntPolynomial(7, {(1, 0, 0, 0, 0, 2, 0): 1, (0, 1, 0, 0, 0, 0, 2): 1})
+    with pytest.raises(ValueError, match="nonzero x-quadratic part"):
+        fibration_count(C, doc.split, "pi_prime", [2])
+
+
+def test_fibration_count_places_samples_by_the_split():
+    # pi_prime_n7 with its y-block moved in front of the x-block
+    doc = parse_form_document(load("pi_prime_n7.json"))
+    order = (5, 6, 0, 1, 2, 3, 4)          # new variable i is old variable order[i]
+    C = IntPolynomial(7, {tuple(e[j] for j in order): c for e, c in doc.poly.terms.items()})
+    split = VariableSplit(7, (2, 3, 4, 5, 6), (0, 1), role="pi_prime")
+    res = fibration_count(C, split, "pi_prime", [8, 16])
+    ref = fibration_count(doc.poly, doc.split, "pi_prime", [8, 16])
+    assert res.series.rows == ref.series.rows
+    assert res.series.samples == [tuple(pt[j] for j in order) for pt in ref.series.samples]
 
 
 def test_representation_count_sum_of_five_squares():

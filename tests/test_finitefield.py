@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubefib import gridcount
 from cubefib.finitefield import (
     PadicWitness,
-    PrimeModulus,
     count_mod_q_bruteforce,
     count_quadric_mod_p_closed_form,
     count_witnesses,
@@ -40,14 +39,6 @@ def random_quadratic(rng, m, coef_bound=9):
             terms[tuple(e)] = rng.randint(-coef_bound, coef_bound)
     terms[tuple([0] * m)] = rng.randint(-coef_bound, coef_bound)
     return QuadraticPolynomial.from_polynomial(IntPolynomial(m, terms))
-
-
-def test_prime_modulus_validation():
-    PrimeModulus(3, 2)
-    with pytest.raises(ValueError):
-        PrimeModulus(9)
-    with pytest.raises(ValueError):
-        PrimeModulus(5, 0)
 
 
 def test_diagonalize_mod_p_identity_and_rank():
