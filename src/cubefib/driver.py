@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gridcount
-from .fibration import FalsificationAlarm, split_cubic
+from .fibration import FalsificationAlarm, linear_fibre_parts, split_cubic
 from .lattice import enumerate_quadratic, hyperplane_count_exact
 from .linalg import QuadraticPolynomial, rank_signature_over_Q
 from .nt import squarefree_divisors, vector_gcd
@@ -243,14 +243,14 @@ def fibration_count(
     The scaled box Y [lo, hi] with lo > 0 is not monotone in Y, so a larger
     B can admit fewer fibres. N(B) is non-decreasing, so each row reports
     the largest fibre sum up to its B, still a lower bound. per_B_fibres
-    counts the fibres summed at each B; samples holds up to 16 of the
+    counts the fibres summed at each B; samples holds up to 16 distinct
     counted points, each checked to be a zero of C."""
     if mode not in ("pi", "pi_prime"):
         raise ValueError(f"mode must be pi or pi_prime, got {mode!r}")
-    F_list, q_list, R = split_cubic(C, split)
-    if mode == "pi_prime" and not all(f.is_zero() for f in F_list):
-        raise ValueError("pi_prime mode needs fibres linear in x, "
-                         "but C has a nonzero x-quadratic part")
+    if mode == "pi_prime":
+        q_list, R = linear_fibre_parts(C, split)
+    else:
+        _, q_list, R = split_cubic(C, split)
     label = "certified-lower-bound" if mode == "pi_prime" else "sampling-lower-bound"
     if spec is None:
         cond = build_conditions(C, split, mode, budget=budget)
@@ -290,9 +290,12 @@ def fibration_count(
                     full = [0] * split.n
                     for i, v in zip(split.x_indices + split.y_indices, (*pt, *y)):
                         full[i] = v
+                    full = tuple(full)
+                    if full in samples:
+                        continue
                     if C.evaluate(full) != 0:
-                        raise FalsificationAlarm(f"fibre sample {tuple(full)} is not a zero of C")
-                    samples.append(tuple(full))
+                        raise FalsificationAlarm(f"fibre sample {full} is not a zero of C")
+                    samples.append(full)
         best = max(best, total)
         rows.append((B, best))
         fibre_counts[B] = nfib

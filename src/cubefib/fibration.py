@@ -19,7 +19,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gridcount
-from .linalg import RationalMatrix, bareiss, rank_signature_over_Q, symmetric_diagonalize
+from .linalg import (RationalMatrix, bareiss, rank_signature_over_Q, symmetric_diagonalize,
+                     unimodular_split)
 from .nt import divisors
 from .polynomials import IntPolynomial, LinearChange, VariableSplit
 
@@ -164,6 +165,16 @@ def split_cubic(C: IntPolynomial, split: VariableSplit):
     F_list = [IntPolynomial(m, t) for t in F_terms]
     q_list = [IntPolynomial(h, t) for t in q_terms]
     return F_list, q_list, IntPolynomial(h, R_terms)
+
+
+def linear_fibre_parts(C: IntPolynomial, split: VariableSplit):
+    """(q_list, R) of C = sum_j x_j q_j(y) + R(y), the pi_prime shape;
+    ValueError when C has an x-quadratic part, whose fibres are quadrics."""
+    F_list, q_list, R = split_cubic(C, split)
+    if not all(f.is_zero() for f in F_list):
+        raise ValueError("pi_prime mode needs fibres linear in x, "
+                         "but C has a nonzero x-quadratic part")
+    return q_list, R
 
 
 def bundle_matrix(forms: Sequence[IntPolynomial]) -> List[List[IntPolynomial]]:
@@ -881,7 +892,8 @@ def order3_minor_common_factor(
     factor = common_linear_factor(minors)
     probe = _codim_probe(minors, h, probe_primes, budget)
     if factor is not None:
-        ych = _linear_change_with_first_coordinate(factor)
+        # unimodular V with factor(V z) = z_0 (the factor is primitive)
+        ych = LinearChange(unimodular_split([_linear_coefficients(factor)[0]])[1])
         slice_ok = _slice_minors_vanish(fd.M2, ych)
         if not slice_ok:
             raise FalsificationAlarm("factor found but the y1 = 0 slice keeps rank >= 3")
@@ -899,30 +911,6 @@ def order3_minor_common_factor(
         status = "suspected-nonlinear" if fd.rank >= 5 else "unknown"
         return Order3FactorResult(status, None, None, None, len(minors), probe)
     return Order3FactorResult("no-common-factor", None, None, None, len(minors), probe)
-
-
-def _linear_change_with_first_coordinate(l: IntPolynomial) -> LinearChange:
-    """Invertible V with l(V z) = c * z_1: new first coordinate tracks l."""
-    h = l.num_vars
-    coeffs, piv = _linear_coefficients(l)
-    lp = coeffs[piv]
-    # V: z -> y with y_piv = z_0 - sum_{j != piv} c_j z_(j-slot), y_other = lp * z_slot
-    V = [[0] * h for _ in range(h)]
-    slot = 1
-    slots = {}
-    for j in range(h):
-        if j == piv:
-            continue
-        slots[j] = slot
-        slot += 1
-    for j in range(h):
-        if j == piv:
-            V[j][0] = 1
-            for k, s in slots.items():
-                V[j][s] = -coeffs[k]
-        else:
-            V[j][slots[j]] = lp
-    return LinearChange(V)
 
 
 def _slice_minors_vanish(M2, ych: LinearChange) -> bool:

@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .nt import count_quadratic_interval, solve_linear_diophantine, squarefree_divisors, xgcd
+from .linalg import unimodular_split
+from .nt import count_quadratic_interval, solve_linear_diophantine, squarefree_divisors
 from .volumes import _DEFAULT_TABLE
 
 
@@ -467,39 +468,15 @@ class IntegerLattice:
 
 def kernel_lattice(a: Sequence[int]) -> IntegerLattice:
     """Lambda_a = {x in Z^n : <a, x> = 0}; rank n-1; for primitive a the
-    Gram determinant equals ||a||_2^2."""
+    Gram determinant equals ||a||_2^2. The basis is columns 1.. of U from
+    the unimodular split [a] U = [g | 0]."""
     a = [int(v) for v in a]
-    n = len(a)
     if all(v == 0 for v in a):
         raise ValueError("zero vector has no kernel lattice of rank n-1")
-    if n == 1:
+    if len(a) == 1:
         raise ValueError("kernel of a nonzero form on Z^1 is trivial")
-    # column operations: U unimodular with a^T U = (g, 0, ..., 0)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    wvec = list(a)
-
-    def combine(i, j):
-        # zero w[j] using column i
-        g, s, t = xgcd(wvec[i], wvec[j])
-        if g == 0:
-            return
-        wi, wj = wvec[i] // g, wvec[j] // g
-        for r in range(n):
-            ci, cj = u[r][i], u[r][j]
-            u[r][i] = s * ci + t * cj
-            u[r][j] = -wj * ci + wi * cj
-        wvec[i], wvec[j] = g, 0
-
-    piv = next(i for i in range(n) if wvec[i])
-    if piv != 0:
-        for r in range(n):
-            u[r][0], u[r][piv] = u[r][piv], u[r][0]
-        wvec[0], wvec[piv] = wvec[piv], wvec[0]
-    for j in range(1, n):
-        if wvec[j]:
-            combine(0, j)
-    basis = [[u[r][j] for r in range(n)] for j in range(1, n)]
-    return IntegerLattice(basis)
+    _, u = unimodular_split([a])
+    return IntegerLattice(list(zip(*u))[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra, no floating point anywhere: one fraction-free
-elimination (ranks, pivots, determinants, adjugates), one Lagrange
+elimination (ranks, pivots, determinants, adjugates), one unimodular column
+reduction (integer kernels, determinantal divisors), one Lagrange
 congruence diagonalization over Q or F_p, inertia of symmetric matrices,
 and quadratic-polynomial extraction."""
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from .nt import xgcd
 from .polynomials import IntPolynomial
 
 
@@ -92,6 +94,34 @@ def bareiss(m: Sequence[Sequence[int]], adjugate: bool = False) -> Elimination:
 def int_matrix_det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix."""
     return bareiss(m).det
+
+
+def unimodular_split(a: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(r, U) with U unimodular and A U = [H | 0], H of r columns and rank r
+    (Cohen, GTM 138, 2.4): r is the rank of A and the last n - r columns of
+    U are a basis of the integer kernel. Row by row, the first free column
+    that is nonzero in the row becomes the next pivot, and each later one
+    is combined into it by an extended gcd (a step of determinant 1)."""
+    n = len(a[0]) if a else 0
+    u = [[int(i == j) for i in range(n)] for j in range(n)]   # columns of U
+    w = [[int(row[j]) for row in a] for j in range(n)]        # columns of A U
+    r = 0
+    for i in range(len(a)):
+        piv = next((j for j in range(r, n) if w[j][i]), None)
+        if piv is None:
+            continue
+        u[r], u[piv] = u[piv], u[r]
+        w[r], w[piv] = w[piv], w[r]
+        for j in range(r + 1, n):
+            if w[j][i]:
+                g, s, t = xgcd(w[r][i], w[j][i])
+                x, y = w[r][i] // g, w[j][i] // g
+                for cols in (u, w):
+                    ci, cj = cols[r], cols[j]
+                    cols[r] = [s * p + t * q for p, q in zip(ci, cj)]
+                    cols[j] = [x * q - y * p for p, q in zip(ci, cj)]
+        r += 1
+    return r, tuple(zip(*u))
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +436,25 @@ class QuadraticPolynomial:
         """Rank of Q over Q, read from the integer 2Q."""
         return bareiss(self.two_Q_int()).rank
 
-    def rank_support(self) -> Tuple[int, int]:
-        """(rank over Q, gcd of the order-rank minors of 2Q).
-
-        Reduction mod a prime not dividing the gcd keeps the rank, so the
-        gcd plays the role of the discriminant for rank-deficient forms;
-        it equals |det 2Q| when the form is nondegenerate.
-        """
-        r = self.rank()
-        if r == 0:
-            return 0, 1
+    def rank_split(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+        """(U, S) with 2Q U = [H | 0] from `unimodular_split`: U^t 2Q U is
+        the nonsingular r x r block S and zeros, r the rank."""
         two_q = self.two_Q_int()
-        m = self.m
-        from itertools import combinations
-        from math import gcd as _gcd
+        r, u = unimodular_split(two_q)
+        cols = list(zip(*u))[:r]
+        image = [[sum(x * y for x, y in zip(row, c)) for row in two_q] for c in cols]
+        return u, tuple(tuple(sum(x * y for x, y in zip(c, v)) for v in image) for c in cols)
 
-        g = 0
-        for rows in combinations(range(m), r):
-            for cols in combinations(range(m), r):
-                sub = [[two_q[i][j] for j in cols] for i in rows]
-                g = _gcd(g, int_matrix_det(sub))
-                if g == 1:
-                    return r, 1
-        return r, g
+    def rank_support(self) -> Tuple[int, int]:
+        """(rank r over Q, the gcd of the r x r minors of 2Q): reduction mod a
+        prime not dividing it keeps the rank, so it is the discriminant of
+        a rank-deficient form. Read off the split: unimodular changes keep
+        this determinantal divisor, which is |det S| for S of `rank_split`
+        (|det 2Q| when the form is nondegenerate)."""
+        if self.disc():
+            return self.m, abs(self.disc())
+        _, s = self.rank_split()
+        return len(s), abs(int_matrix_det(s))
 
     def __repr__(self):
         return f"QuadraticPolynomial(m={self.m}, Q={self.Q!r}, B={self.B}, N={self.N})"

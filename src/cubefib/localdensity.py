@@ -10,9 +10,9 @@ oracle (Ramanujan sums, still exact integers).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,9 +27,9 @@ from .finitefield import (
     find_padic_nonsingular,
 )
 from .gridcount import BudgetExceeded
-from .linalg import QuadraticPolynomial, bareiss, symmetric_diagonalize
-from .nt import divisors, prime_factors, prime_sieve, primes_up_to
-from .polynomials import IntPolynomial
+from .lattice import _isqrt64
+from .linalg import QuadraticPolynomial, RationalMatrix, bareiss, symmetric_diagonalize
+from .nt import prime_factors, prime_sieve, primes_up_to, squarefree_divisors
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,8 @@ def counts_good_prime(F: QuadraticPolynomial, p: int, t: int,
         grad = [g.evaluate(xstar) for g in poly.gradient()]
         if any(v % p for v in grad):
             raise FalsificationAlarm(f"gradient {grad} at the critical residue is nonzero mod {p}")
-        quad_part = poly.homogeneous_part(2)
-        terms = dict(quad_part.terms)
-        for i, gv in enumerate(grad):
-            if gv // p:
-                e = [0] * m
-                e[i] = 1
-                terms[tuple(e)] = terms.get(tuple(e), 0) + gv // p
-        const = cstar // (p * p)
-        if const:
-            terms[tuple([0] * m)] = terms.get(tuple([0] * m), 0) + const
-        G = QuadraticPolynomial.from_polynomial(IntPolynomial(m, terms))
+        # F(x* + p y) / p^2 = Q(y) + (grad / p).y + F(x*) / p^2
+        G = QuadraticPolynomial(F.Q, [v // p for v in grad], cstar // (p * p))
         sub_counts = counts_good_prime(G, p, t - 2)
     for k in range(2, t + 1):
         counts[k] = ns * p ** ((k - 1) * (m - 1))
@@ -109,18 +100,40 @@ def counts_good_prime(F: QuadraticPolynomial, p: int, t: int,
     return counts
 
 
+def _drop_free_variables(F: QuadraticPolynomial) -> Tuple[QuadraticPolynomial, int]:
+    """(G, d) with #{F = 0 mod q} = q^d #{G = 0 mod q} for every q. With U
+    of `rank_split`, F(U x) = Q'(x') + B'.x' + L.x'' + N, x' the first r
+    coordinates; a unimodular change of x'' alone makes L.x'' = gcd(L) z,
+    so G = Q' + B'.x' + gcd(L) z + N, without z when L = 0 (a constant F
+    keeps one variable), and the other d coordinates are free."""
+    u, s = F.rank_split()
+    r = len(s)
+    b = [sum(x * y for x, y in zip(col, F.B)) for col in zip(*u)]
+    g = gcd(*b[r:])
+    keep = max(r + (g != 0), 1)
+    q = [[Fraction(s[i][j] if i < r and j < r else 0, 2) for j in range(keep)]
+         for i in range(keep)]
+    return QuadraticPolynomial(RationalMatrix(q), (b[:r] + [g])[:keep], F.N), F.m - keep
+
+
 def sigma_p(
     F: QuadraticPolynomial, p: int, t: int, budget: int | None = None
 ) -> LocalDensityEstimate:
     """Exact truncated local density sigma_p^(t) = N(p^t) / p^(t(m-1)).
 
-    Three paths: exact value 1 when the reduced linear part has a unit
-    coefficient outside the rank block (the unit survives every power),
-    the critical-point recursion when p does not divide det(2Q), and
-    enumeration otherwise.
+    A rank-deficient F is counted as G of `_drop_free_variables`, the
+    counts scaled back by p^(k d). Then three paths: exact value 1 when
+    the reduced linear part has a unit coefficient outside the rank block
+    (the unit survives every power), the critical-point recursion when p
+    does not divide det(2Q), and enumeration otherwise.
     """
     if t < 1:
         raise ValueError("truncation level must be >= 1")
+    if F.disc() == 0:
+        G, free = _drop_free_variables(F)
+        if free:
+            est = sigma_p(G, p, t, budget)
+            return replace(est, counts=tuple(c * p ** (k * free) for k, c in enumerate(est.counts)))
     m = F.m
     if p != 2:
         closed = count_quadric_mod_p_closed_form(F, p)
@@ -168,15 +181,8 @@ def S_q_character_sum(F: QuadraticPolynomial, q: int, budget: int | None = None)
     hist = gridcount.value_counts(F.to_polynomial(), q, budget)
     # Ramanujan sum c_q(v) = sum_{d | gcd(v, q)} d mu(q/d)
     c = np.zeros(q, dtype=np.int64)
-    for d in divisors(q):
-        ratio = q // d
-        ps = prime_factors(ratio)
-        rad = 1
-        for pp in ps:
-            rad *= pp
-        if ratio != rad:
-            continue  # mu(q/d) = 0
-        c[::d] += d * (-1) ** len(ps)
+    for e, mu in squarefree_divisors(q):   # mu(q/d) = 0 unless q/d = e is squarefree
+        c[::q // e] += q // e * mu
     return int((hist * c).sum())
 
 
@@ -204,10 +210,7 @@ def _tail_terms_fp(n: int) -> int:
     """sum over primes q <= n of ceil(2^40 / (q isqrt(q))), exact: since
     isqrt rounds down, each term overestimates 2^40 q^(-3/2)."""
     q = np.flatnonzero(np.frombuffer(prime_sieve(n), dtype=np.uint8)).astype(np.int64)
-    r = np.sqrt(q).astype(np.int64)
-    r -= r * r > q              # float square roots, corrected to isqrt
-    r += (r + 1) * (r + 1) <= q
-    return int((-(-_TAIL_SCALE // (q * r))).sum())
+    return int((-(-_TAIL_SCALE // (q * _isqrt64(q)))).sum())
 
 
 @functools.cache

@@ -23,7 +23,7 @@ import numpy as np
 
 from .finitefield import PadicWitness, find_padic_nonsingular
 from .fibration import (FalsificationAlarm, build_fibration, fibre_polynomial,
-                        order3_minors, split_cubic)
+                        linear_fibre_parts, order3_minors, split_cubic)
 from .gridcount import box_point_count, check_budget, eval_on_box
 from .linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
 from .localdensity import real_solubility, solubility_quadric_Zp
@@ -111,7 +111,7 @@ def build_conditions(
     if mode == "pi_prime":
         if len(xs) < 2 or len(ys) < 2:
             raise ValueError("pi_prime mode needs k >= 2 and n-k >= 2")
-        _, q_list, _ = split_cubic(C, split)
+        q_list, _ = linear_fibre_parts(C, split)
         good = [q for q in q_list if not q.is_zero()]
         if not good:
             raise ValueError("all Q_i vanish: not a pi_prime bundle")

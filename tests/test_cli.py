@@ -172,9 +172,26 @@ def test_local_rejects_a_bad_fibre_point(y, message):
     assert proc.stderr == message + "\n"
 
 
+@pytest.mark.parametrize("y, sigmas", [
+    ("0,1", [(3, 4), (8, 9), (24, 25), (48, 49)]),
+    ("1,2", [(0, 1), (2, 3), (4, 5), (48, 49)]),
+])
+def test_local_on_rank_deficient_fibres_exits_0(y, sigmas):
+    """Fibres of rank 4 (y = 0,1) and 3 (y = 1,2) in 5 variables: sigma_p
+    works on the nondegenerate part, so p = 7 fits the default budget."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubefib.cli", "local", "--form", "forms/pi_n7.json",
+         "--y", y, "--pmax", "7"],
+        capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 0 and proc.stderr == ""
+    locals_ = json.loads(proc.stdout)["sections"]["locals"]
+    assert [(e["p"], e["numerator"], e["denominator"]) for e in locals_] == [
+        (p, *s) for p, s in zip((2, 3, 5, 7), sigmas)]
+
+
 @pytest.mark.parametrize("args, code, message", [
-    (["local", "--form", "forms/pi_n7.json", "--y", "0,1", "--pmax", "7"], 4,
-     "cubefib: budget exceeded: 282475249 points exceed budget 100000000"),
+    (["count", "--form", "forms/pi_n7.json", "--B", "3", "--budget", "1000"], 4,
+     "cubefib: budget exceeded: 823543 points exceed budget 1000"),
     (["analyze", "--form", "nope.json"], 5, "cubefib: nope.json: No such file or directory"),
     (["analyze", "--form", "BROKEN"], 3, "cubefib: invalid form: line 1: Expecting ',' delimiter"),
 ])

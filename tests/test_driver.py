@@ -275,6 +275,20 @@ def test_fibration_count_pi_prime_rejects_quadric_fibres():
         fibration_count(C, doc.split, "pi_prime", [2])
 
 
+@pytest.mark.parametrize("name, mode, Bs", [
+    ("pi_n7.json", "pi", [2, 4, 8, 16, 32]),
+    ("pi_prime_n7.json", "pi_prime", list(range(1, 65))),
+])
+def test_fibration_count_samples_are_distinct_primitive_zeros(name, mode, Bs):
+    """Each rung counts its first fibres again; a point is sampled once. On
+    these ladders a resampled point used to fill 3 and 2 of the 16 places."""
+    doc = parse_form_document(load(name))
+    samples = fibration_count(doc.poly, doc.split, mode, Bs).series.samples
+    assert len(set(samples)) == len(samples) == 16
+    for pt in samples:
+        assert doc.poly.evaluate(list(pt)) == 0 and math.gcd(*pt) == 1
+
+
 def test_fibration_count_places_samples_by_the_split():
     # pi_prime_n7 with its y-block moved in front of the x-block
     doc = parse_form_document(load("pi_prime_n7.json"))

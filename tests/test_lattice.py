@@ -58,6 +58,45 @@ def test_kernel_lattice_hand_values():
     assert lat2.covolume_squared() == 2
 
 
+def old_kernel_basis(a):
+    """The hand-written column reduction that `kernel_lattice` ran before
+    it read its basis off `unimodular_split`."""
+    from cubefib.nt import xgcd
+
+    n = len(a)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    wvec = list(a)
+
+    def combine(i, j):
+        g, s, t = xgcd(wvec[i], wvec[j])
+        if g == 0:
+            return
+        wi, wj = wvec[i] // g, wvec[j] // g
+        for r in range(n):
+            ci, cj = u[r][i], u[r][j]
+            u[r][i] = s * ci + t * cj
+            u[r][j] = -wj * ci + wi * cj
+        wvec[i], wvec[j] = g, 0
+
+    piv = next(i for i in range(n) if wvec[i])
+    if piv != 0:
+        for r in range(n):
+            u[r][0], u[r][piv] = u[r][piv], u[r][0]
+        wvec[0], wvec[piv] = wvec[piv], wvec[0]
+    for j in range(1, n):
+        if wvec[j]:
+            combine(0, j)
+    return [tuple(u[r][j] for r in range(n)) for j in range(1, n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=n, max_size=n)
+    .filter(lambda v: any(v))))
+def test_kernel_lattice_basis_equals_the_old_column_reduction(a):
+    assert kernel_lattice(a).basis == old_kernel_basis(a)
+
+
 def test_kernel_lattice_covolume_is_norm_squared():
     rng = random.Random(97)
     for _ in range(100):

@@ -14,6 +14,7 @@ from cubefib.linalg import (
     quadratic_form_value,
     rank_signature_over_Q,
     symmetric_diagonalize,
+    unimodular_split,
 )
 from cubefib.polynomials import IntPolynomial
 
@@ -485,3 +486,71 @@ def test_gradient_matches_polynomial_gradient():
 def test_quadratic_form_value():
     q = RationalMatrix([[2, 1], [1, 3]])
     assert quadratic_form_value(q, [1, -1]) == 2 - 2 + 3
+
+
+# ---------------------------------------------------------------------------
+# the unimodular split
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=int_matrices())
+def test_unimodular_split_kills_the_last_columns(m):
+    r, u = unimodular_split(m)
+    n = len(m[0]) if m else 0
+    assert len(u) == n and abs(int_matrix_det(u)) == 1
+    assert r == bareiss(m).rank
+    if m:
+        au = matmul(m, u)
+        assert all(v == 0 for row in au for v in row[r:])
+        assert bareiss([row[:r] for row in au]).rank == r
+
+
+def old_rank_support(two_q):
+    """The gcd of the order-rank minors of 2Q, by enumeration: the loop
+    that `rank_support` replaced."""
+    from itertools import combinations
+    from math import gcd
+
+    r = bareiss(two_q).rank
+    if r == 0:
+        return 0, 1
+    m = len(two_q)
+    g = 0
+    for rows in combinations(range(m), r):
+        for cols in combinations(range(m), r):
+            g = gcd(g, int_matrix_det([[two_q[i][j] for j in cols] for i in rows]))
+            if g == 1:
+                return r, 1
+    return r, g
+
+
+@st.composite
+def rank_deficient_two_q(draw):
+    """2Q = L^t S L with S symmetric r x r of even diagonal and L r x m, so
+    2Q is symmetric, even on the diagonal and of rank at most r <= m."""
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(0, m))
+    bound = draw(st.sampled_from([2, 5, 30]))
+    s = [[0] * r for _ in range(r)]
+    for i in range(r):
+        s[i][i] = 2 * draw(st.integers(-bound, bound))
+        for j in range(i + 1, r):
+            s[i][j] = s[j][i] = draw(st.integers(-bound, bound))
+    lm = [[draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(r)]
+    return matmul(matmul(list(map(list, zip(*lm))), s), lm) if r else [[0] * m for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_q=rank_deficient_two_q())
+def test_rank_support_matches_the_minor_loop(two_q):
+    F = QuadraticPolynomial(RationalMatrix(two_q).scale(Fraction(1, 2)), [0] * len(two_q), 0)
+    assert F.rank_support() == old_rank_support(two_q)
+    u, s = F.rank_split()
+    split = matmul(matmul(list(map(list, zip(*u))), two_q), u)
+    r = len(s)
+    assert [row[:r] for row in split[:r]] == [list(row) for row in s]
+    assert all(v == 0 for i, row in enumerate(split) for j, v in enumerate(row) if i >= r or j >= r)

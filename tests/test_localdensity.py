@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubefib.finitefield import count_mod_q_bruteforce, find_padic_nonsingular
-from cubefib.linalg import QuadraticPolynomial
+from cubefib.gridcount import count_zeros_mod_q
+from cubefib.linalg import QuadraticPolynomial, RationalMatrix
 from cubefib.localdensity import (
     S_pk_extract,
     S_q_character_sum,
@@ -44,6 +45,38 @@ def test_sigma_hand_example_x_squared():
     est = sigma_p(F, 5, 2)
     assert est.counts == (1, 1, 5)
     assert est.sigma == Fraction(5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), m=st.integers(2, 4), linear=st.booleans(),
+       p=st.sampled_from([2, 3, 5]), t=st.integers(1, 2))
+def test_sigma_rank_deficient_counts_match_the_grid(data, m, linear, p, t):
+    """F of rank r < m, with B in the image of 2Q (L = 0 in the split) or
+    not (L != 0): the counts, taken on the nondegenerate part and scaled
+    back, are the counts of F over all m variables."""
+    r = data.draw(st.integers(0, m - 1))
+    ints = st.integers(-4, 4)
+    s = [[0] * r for _ in range(r)]
+    for i in range(r):
+        s[i][i] = 2 * data.draw(ints)
+        for j in range(i + 1, r):
+            s[i][j] = s[j][i] = data.draw(ints)
+    lm = [[data.draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(r)]
+    two_q = [[sum(lm[a][i] * s[a][b] * lm[b][j] for a in range(r) for b in range(r))
+              for j in range(m)] for i in range(m)]
+    if linear:
+        B = [data.draw(ints) for _ in range(m)]
+    else:
+        c = [data.draw(ints) for _ in range(m)]
+        B = [sum(x * y for x, y in zip(row, c)) for row in two_q]
+    F = QuadraticPolynomial(RationalMatrix(two_q).scale(Fraction(1, 2)), B, data.draw(ints))
+    u, sub = F.rank_split()
+    L = [sum(x * y for x, y in zip(col, B)) for col in list(zip(*u))[len(sub):]]
+    assume(any(L) == linear)
+    est = sigma_p(F, p, t)
+    poly = F.to_polynomial()
+    assert est.counts == tuple(count_zeros_mod_q(poly, p ** k) for k in range(t + 1))
+    assert est.sigma == Fraction(est.counts[t], p ** (t * (m - 1)))
 
 
 def test_sigma_rank5_enumeration_cross_check():

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubefib import sieve
+from cubefib.driver import parse_form_document
 from cubefib.fibration import FalsificationAlarm
 from cubefib.polynomials import IntPolynomial, VariableSplit
 from cubefib.sieve import (
@@ -68,6 +70,17 @@ def test_build_conditions_requires_blocks():
     C, sp = _pi_prime_form([y1 * y1] * 5, y1 ** 3, 5)
     with pytest.raises(ValueError, match="n-k >= 2"):
         build_conditions(C, sp, "pi_prime")
+
+
+def test_build_conditions_pi_prime_rejects_quadric_fibres():
+    # pi_n7 + x0 y0^2 + x1 y1^2: the Q_j no longer all vanish, but the
+    # fibres stay quadrics in x, as in driver.fibration_count
+    path = os.path.join(os.path.dirname(__file__), "..", "forms", "pi_n7.json")
+    with open(path) as f:
+        doc = parse_form_document(f.read())
+    C = doc.poly + IntPolynomial(7, {(1, 0, 0, 0, 0, 2, 0): 1, (0, 1, 0, 0, 0, 0, 2): 1})
+    with pytest.raises(ValueError, match="nonzero x-quadratic part"):
+        build_conditions(C, doc.split, "pi_prime")
 
 
 def test_membership_reason_traces():
