@@ -3,7 +3,7 @@ cubic hypersurfaces (structural analysis, local densities, lattice counts,
 sieve-admissible sets, growth-exponent experiments)."""
 
 from .polynomials import IntPolynomial, LinearChange, VariableSplit
-from .linalg import QuadraticPolynomial, RationalMatrix, rank_signature_over_Q
+from .linalg import QuadraticPolynomial, rank_signature_over_Q
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,6 @@ __all__ = [
     "LinearChange",
     "VariableSplit",
     "QuadraticPolynomial",
-    "RationalMatrix",
     "rank_signature_over_Q",
     "__version__",
 ]

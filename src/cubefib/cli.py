@@ -76,12 +76,15 @@ def _int_list(text: str, flag: str, least: int | None = None) -> list:
     return values
 
 
-def _common(sub):
-    sub.add_argument("--form", help="path to a form document (JSON)")
-    sub.add_argument("--mode", choices=["pi", "pi_prime"], default=None)
+def _options(sub, form=True, mode=True):
+    """--seed and --out on every subcommand; --form (required), --budget and
+    --mode on those that read a form, --mode only where it is read."""
+    if form:
+        sub.add_argument("--form", required=True, help="path to a form document (JSON)")
+        sub.add_argument("--budget", type=int, default=None)
+        if mode:
+            sub.add_argument("--mode", choices=["pi", "pi_prime"], default=None)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--pmax", type=int, default=31)
     sub.add_argument("--out", default=None)
 
 
@@ -296,16 +299,17 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="fibration structure and shape detectors")
-    _common(p)
+    _options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("local", help="local densities of a fibre quadric")
-    _common(p)
+    _options(p, mode=False)
     p.add_argument("--y", required=True, help="comma-separated fibre point")
+    p.add_argument("--pmax", type=int, default=31)
     p.set_defaults(func=cmd_local)
 
     p = subs.add_parser("lattice-count", help="hyperplane point counts in a ball")
-    _common(p)
+    _options(p, form=False)
     p.add_argument("--a", required=True, help="comma-separated primitive vector")
     p.add_argument("--b", type=int, default=0)
     p.add_argument("-B", type=int, required=True)
@@ -313,7 +317,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_lattice_count)
 
     p = subs.add_parser("density", help="admissible-set density estimates")
-    _common(p)
+    _options(p)
     p.add_argument("--Y", required=True, help="comma-separated Y values")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--points", action="store_true",
@@ -321,14 +325,14 @@ def main(argv=None):
     p.set_defaults(func=cmd_density)
 
     p = subs.add_parser("count", help="point-count series")
-    _common(p)
+    _options(p)
     p.add_argument("--B", required=True, help="comma-separated height bounds")
     p.add_argument("--method", choices=["brute", "fibration"], default="brute")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("fit-exponent", help="OLS slope of a count series")
-    _common(p)
+    _options(p, form=False)
     p.add_argument("csv_path", help="CSV with B,count columns")
     p.add_argument("--predicted", type=float, default=None)
     p.add_argument("--slack", type=float, default=0.5)

@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -346,19 +346,8 @@ class RepresentationCount:
 def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> List[Tuple[int, ...]]:
     """All integer z with F(z) = N, for positive-definite quadratic part:
     the exact-root leaf of the lattice enumeration kernel (never scans a
-    full box)."""
-    m = F.m
-    den = lcm(*(v.denominator for row in F.Q.entries for v in row))
-    G = [[int(F.Q.entries[i][j] * den) for j in range(m)] for i in range(m)]
-    lin = [den * b for b in F.B]
-    c = den * (F.N - N)
-    if any(l % 2 for l in lin):
-        G = [[2 * v for v in row] for row in G]
-        w = lin
-        c *= 2
-    else:
-        w = [l // 2 for l in lin]
-    return sorted(enumerate_quadratic(G, w, c, "roots")[1])
+    full box). 2(F(z) - N) = z^t 2Q z + 2 B.z + 2(F.N - N)."""
+    return sorted(enumerate_quadratic(F.two_q, F.B, 2 * (F.N - N), "roots")[1])
 
 
 def representation_count_coprime(
@@ -369,21 +358,20 @@ def representation_count_coprime(
 ) -> RepresentationCount:
     """M(F, N) = #{x : gcd(x, 2 disc) = 1, F(x + xi) = N, |x| <= window * sqrt(N)}
     with the indicator window, plus the Mobius decomposition over d | 2 disc."""
-    rank, pos, neg = rank_signature_over_Q(F.Q)
+    rank, pos, neg = rank_signature_over_Q(F.two_q)
     if not (rank == F.m and (pos == F.m or neg == F.m)):
         raise ValueError("F must be definite")
     if neg == F.m:
-        F = QuadraticPolynomial(F.Q.scale(-1), [-b for b in F.B], -F.N)
+        F = QuadraticPolynomial([[-v for v in row] for row in F.two_q], [-b for b in F.B], -F.N)
         N_target = -N_target
     if N_target < 0:
         return RepresentationCount(0, {}, True, True)
-    # Delta is det of the half-integer matrix of F when integral, else det(2Q);
+    # Delta is det Q = det(2Q) / 2^m when that is an integer, else det(2Q);
     # the coprimality predicate gcd(x, 2 Delta) = 1 has the same prime support
     # either way
-    det_q = F.Q.det()
-    delta = abs(int(det_q)) if det_q.denominator == 1 and det_q != 0 else abs(F.disc())
     disc = abs(F.disc())
-    precondition_ok = (F.evaluate(list(xi)) - N_target) % (2 * delta) == 0
+    delta = disc // 2 ** F.m if disc % 2 ** F.m == 0 else disc
+    precondition_ok = (F.to_polynomial().evaluate(list(xi)) - N_target) % (2 * delta) == 0
     P = isqrt(N_target) if N_target > 0 else 1
     bound = (window * P)
     zs = _solutions_of_definite(F, N_target)

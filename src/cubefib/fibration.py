@@ -19,8 +19,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gridcount
-from .linalg import (RationalMatrix, bareiss, rank_signature_over_Q, symmetric_diagonalize,
-                     unimodular_split)
+from .linalg import bareiss, congruence_diagonalize, rank_signature_over_Q, unimodular_split
 from .nt import divisors
 from .polynomials import IntPolynomial, LinearChange, VariableSplit
 
@@ -320,9 +319,9 @@ def _search_rank_r_combination(M2, h, r, seed=0, budget=4000):
 def _congruence_to_front(mat: List[List[int]]):
     """Rational T with T^t mat T diagonal, nonzero pivots first; returns
     (T as integer matrix, denominator, number of nonzeros)."""
-    t, diag = symmetric_diagonalize(RationalMatrix(mat))
-    den = lcm(*(v.denominator for row in t.entries for v in row))
-    tint = [[int(v * den) for v in row] for row in t.entries]
+    t, diag = congruence_diagonalize(mat)
+    den = lcm(*(v.denominator for row in t for v in row))
+    tint = [[int(v * den) for v in row] for row in t]
     return tint, den, sum(1 for d in diag if d != 0)
 
 
@@ -379,7 +378,7 @@ def _congruence_transform_bundle(M2, S):
 class H1Result:
     holds: bool
     l: Optional[IntPolynomial]               # the common linear form in y
-    N1: Optional[RationalMatrix]             # constant matrix with 2 M[y] = l(y) N1
+    N1: Optional[Tuple[Tuple[Fraction, ...], ...]]  # constant matrix, 2 M[y] = l(y) N1
     F_definite_full: Optional[bool]          # semidefinite of full rank n-h
     signature: Optional[Tuple[int, int, int]]
     certificate: Optional[IntPolynomial]     # 2 Q_y - l * (x^t N1 x), must be 0
@@ -412,7 +411,7 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
                 return H1Result(False, None, None, None, None, None,
                                 "entries are not proportional to a single linear form")
             ratios[i][j] = Fraction(e.coefficient(lead_key), lead)
-    N1 = RationalMatrix(ratios)
+    N1 = tuple(map(tuple, ratios))
     rank, pos, neg = rank_signature_over_Q(N1)
     if rank != r:
         return H1Result(False, l, N1, None, (rank, pos, neg), None,
@@ -423,14 +422,14 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
                         "factor matrix is indefinite")
     # certificate: 2 Q_y(x) == l(y) * x^t N1 x after clearing denominators,
     # in the variables (x, y)
-    den = lcm(*(v.denominator for row in N1.entries for v in row))
+    den = lcm(*(v.denominator for row in N1 for v in row))
     n_all = m + h
     xs = [IntPolynomial.variable(n_all, i) for i in range(m)]
     ys = [IntPolynomial.variable(n_all, m + k) for k in range(h)]
     zero = IntPolynomial.zero(n_all)
     lhs = sum((xs[i] * xs[j] * fd.M2[i][j].substitute_polys(ys)
                for i in range(m) for j in range(m)), zero) * den
-    rhs = l.substitute_polys(ys) * sum((xs[i] * xs[j] * int(N1.entries[i][j] * den)
+    rhs = l.substitute_polys(ys) * sum((xs[i] * xs[j] * int(N1[i][j] * den)
                                         for i in range(m) for j in range(m)), zero)
     cert = lhs - rhs
     if not cert.is_zero():
@@ -473,7 +472,7 @@ def indefinite_witness(fd: FibrationData, seed: int = 0, tries: int = 2000) -> I
         candidates.append([rng.randint(-50, 50) for _ in range(fd.h)])
     for u in candidates:
         mat = fd.M2_at(u)
-        rank, pos, neg = rank_signature_over_Q(RationalMatrix(mat))
+        rank, pos, neg = rank_signature_over_Q(mat)
         if rank == fd.rank and pos > 0 and neg > 0:
             if fd.witness_minor_at(u) == 0:
                 continue

@@ -61,7 +61,7 @@ def _diagonal_data(F: QuadraticPolynomial, p: int):
     if m == 0:
         raise ValueError("need at least one variable")
     inv2 = (p + 1) // 2
-    R, diag = diagonalize_mod_p([[v * inv2 % p for v in row] for row in F.two_Q_int()], p)
+    R, diag = diagonalize_mod_p([[v * inv2 % p for v in row] for row in F.two_q], p)
     D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
     return R, diag, sum(1 for d in diag if d), D
 

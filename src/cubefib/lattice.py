@@ -500,12 +500,14 @@ def hyperplane_count_exact(
 
     With g, counts only x with gcd(x, g) = 1 via Mobius inclusion-exclusion
     on exactly scaled balls (x = d x' needs d | b and ||x'||^2 <= (B^2-1)/d^2),
-    which reproduces direct filtered enumeration exactly. g = 0 raises
-    ValueError.
+    which reproduces direct filtered enumeration exactly. g = 0 and B < 0
+    raise ValueError.
     """
     a = [int(v) for v in a]
     if gcd(*a) != 1:
         raise ValueError("a must be primitive")
+    if B < 0:
+        raise ValueError(f"B must be nonnegative, got {B}")
     if g == 0:
         raise ValueError("g must be nonzero: gcd(x, 0) = 1 would need a primitivity filter")
     R2 = Fraction(B) ** 2 - 1
@@ -566,11 +568,13 @@ def hyperplane_count_asymptotic(
     err_eta is the exact volume deficit from the b-offset and the +1 in
     the height normalization; err_lambda is the lattice boundary budget
     K * sum_{j<=n-2} B^j / lambda_1^j with the frozen constant K.
-    Precondition: B >= (|b| / ||a||_2)^(1/(1-eta)).
+    Precondition: B >= (|b| / ||a||_2)^(1/(1-eta)); B < 0 raises ValueError.
     """
     a = [int(v) for v in a]
     n = len(a)
     B = Fraction(B)
+    if B < 0:
+        raise ValueError(f"B must be nonnegative, got {B}")
     eta = Fraction(eta)
     norm2 = dot(a, a)
     # exact precondition check: |b|^(2q) <= (B^2)^(q-p) * (||a||^2)^q

@@ -2,13 +2,12 @@
 elimination (ranks, pivots, determinants, adjugates), one unimodular column
 reduction (integer kernels, determinantal divisors), one Lagrange
 congruence diagonalization over Q or F_p, inertia of symmetric matrices,
-and quadratic-polynomial extraction."""
+and quadratic polynomials held by their integer matrix 2Q."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .nt import xgcd
 from .polynomials import IntPolynomial
@@ -125,125 +124,6 @@ def unimodular_split(a: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# rational matrices
-
-
-class RationalMatrix:
-    """Dense exact-rational matrix; small sizes only."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        e = [[Fraction(v) for v in row] for row in entries]
-        rows = len(e)
-        cols = len(e[0]) if rows else 0
-        if any(len(r) != cols for r in e):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in e))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix([[v * c for v in row] for row in self.entries])
-
-    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def matvec(self, v: Sequence) -> List[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        v = [Fraction(x) for x in v]
-        return [sum(self.entries[i][j] * v[j] for j in range(self.cols)) for i in range(self.rows)]
-
-    def _cleared(self) -> Tuple[List[List[int]], List[int]]:
-        """Integer rows s_i * row_i, with s_i the lcm of the row's
-        denominators, and the scales s_i."""
-        scales = [lcm(*(v.denominator for v in row)) for row in self.entries]
-        ints = [[v.numerator * (s // v.denominator) for v in row]
-                for row, s in zip(self.entries, scales)]
-        return ints, scales
-
-    def det(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("det of non-square matrix")
-        ints, scales = self._cleared()
-        return Fraction(bareiss(ints).det, prod(scales))
-
-    def rank(self) -> int:
-        return bareiss(self._cleared()[0]).rank
-
-    def inverse(self) -> "RationalMatrix":
-        """Exact inverse; ValueError when the matrix is singular."""
-        ints, scales = self._cleared()
-        e = bareiss(ints, adjugate=True)
-        if e.adjugate is None:
-            raise ValueError("singular matrix")
-        # self = S^-1 A with S = diag(scales), so self^-1 = adj(A) S / det(A)
-        return RationalMatrix([[Fraction(v * s, e.det) for v, s in zip(row, scales)]
-                               for row in e.adjugate])
-
-    def tolist(self) -> List[List[Fraction]]:
-        return [list(r) for r in self.entries]
-
-    def __repr__(self):
-        return f"RationalMatrix({[[str(v) for v in row] for row in self.entries]})"
-
-
-def quadratic_form_value(Q: RationalMatrix, x: Sequence) -> Fraction:
-    x = [Fraction(v) for v in x]
-    return sum(
-        Q.entries[i][j] * x[i] * x[j] for i in range(Q.rows) for j in range(Q.cols)
-    )
-
-
-# ---------------------------------------------------------------------------
 # symmetric reduction: rank and inertia without floating point
 
 
@@ -306,19 +186,14 @@ def congruence_diagonalize(q: Sequence[Sequence], p: Optional[int] = None):
     return t, [a[i][i] for i in range(n)]
 
 
-def symmetric_diagonalize(Q: RationalMatrix) -> Tuple[RationalMatrix, List[Fraction]]:
-    """Congruence diagonalization over Q: (T, d) with T^t Q T = diag(d), the
-    nonzero entries of d first (see `congruence_diagonalize`)."""
-    t, diag = congruence_diagonalize(Q.entries)
-    return RationalMatrix(t), diag
-
-
-def rank_signature_over_Q(Q: RationalMatrix) -> Tuple[int, int, int]:
+def rank_signature_over_Q(q: Sequence[Sequence]) -> Tuple[int, int, int]:
     """(rank, positives, negatives) of a symmetric rational matrix, exact."""
-    _, diag = symmetric_diagonalize(Q)
+    _, diag = congruence_diagonalize(q)
     pos = sum(1 for d in diag if d > 0)
     neg = sum(1 for d in diag if d < 0)
     return pos + neg, pos, neg
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +201,32 @@ def rank_signature_over_Q(Q: RationalMatrix) -> Tuple[int, int, int]:
 
 
 class QuadraticPolynomial:
-    """Quadratic polynomial with exact data.
-
-    Q is symmetric rational (off-diagonal denominators divide 2 when the
-    polynomial has integer coefficients), B integer, N integer. The matrix
-    convention is F(x) = x^t Q x + B^t x + N; the discriminant used for
-    "bad prime" bookkeeping is det(2Q). The integer 2Q, its determinant
-    and the IntPolynomial are built on first use and kept; `disc`, `rank`
-    and `rank_support` read 2Q, and so need it integral.
+    """Quadratic polynomial with integer coefficients, kept as the symmetric
+    integer matrix two_q = 2Q (even diagonal), the integer vector B and the
+    integer N: F(x) = x^t Q x + B^t x + N. The discriminant used for "bad
+    prime" bookkeeping is det(2Q). Its value and the IntPolynomial are
+    built on first use and kept.
     """
 
-    __slots__ = ("m", "Q", "B", "N", "_two_q", "_disc", "_poly")
+    __slots__ = ("m", "two_q", "B", "N", "_disc", "_poly")
 
-    def __init__(self, Q: RationalMatrix, B: Sequence[int], N: int):
-        if not Q.is_symmetric():
-            raise ValueError("Q must be symmetric")
-        if len(B) != Q.rows:
+    def __init__(self, two_q: Sequence[Sequence[int]], B: Sequence[int], N: int):
+        rows = tuple(tuple(row) for row in two_q)
+        m = len(rows)
+        if any(len(row) != m for row in rows) or any(
+                rows[i][j] != rows[j][i] for i in range(m) for j in range(i)):
+            raise ValueError("2Q must be symmetric")
+        ints = tuple(tuple(int(v) for v in row) for row in rows)
+        if ints != rows:
+            raise ValueError("2Q must have integer entries")
+        if any(ints[i][i] % 2 for i in range(m)):
+            raise ValueError("2Q must have an even diagonal")
+        if len(B) != m:
             raise ValueError("B has wrong length")
-        object.__setattr__(self, "m", Q.rows)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "two_q", ints)
         object.__setattr__(self, "B", tuple(int(b) for b in B))
         object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "_two_q", None)
         object.__setattr__(self, "_disc", None)
         object.__setattr__(self, "_poly", None)
 
@@ -356,11 +235,11 @@ class QuadraticPolynomial:
 
     @classmethod
     def from_polynomial(cls, p: IntPolynomial) -> "QuadraticPolynomial":
-        """Extract (Q, B, N) from a polynomial of total degree <= 2."""
+        """Extract (2Q, B, N) from a polynomial of total degree <= 2."""
         if p.total_degree() > 2:
             raise ValueError("degree > 2")
         m = p.num_vars
-        q = [[Fraction(0)] * m for _ in range(m)]
+        two_q = [[0] * m for _ in range(m)]
         b = [0] * m
         n = 0
         for exps, coef in p.terms.items():
@@ -372,12 +251,12 @@ class QuadraticPolynomial:
                 b[support[0]] = coef
             elif len(support) == 1:
                 i = support[0]
-                q[i][i] += coef
+                two_q[i][i] += 2 * coef
             else:
                 i, j = support
-                q[i][j] += Fraction(coef, 2)
-                q[j][i] += Fraction(coef, 2)
-        return cls(RationalMatrix(q), b, n)
+                two_q[i][j] += coef
+                two_q[j][i] += coef
+        return cls(two_q, b, n)
 
     def to_polynomial(self) -> IntPolynomial:
         """F as an IntPolynomial, built on first use and kept."""
@@ -390,14 +269,12 @@ class QuadraticPolynomial:
         terms = {}
         for i in range(m):
             for j in range(i, m):
-                c = self.Q.entries[i][j] if i == j else 2 * self.Q.entries[i][j]
+                c = self.two_q[i][j] // 2 if i == j else self.two_q[i][j]
                 if c:
-                    if c.denominator != 1:
-                        raise ValueError("non-integer coefficient")
                     e = [0] * m
                     e[i] += 1
                     e[j] += 1
-                    terms[tuple(e)] = terms.get(tuple(e), 0) + int(c)
+                    terms[tuple(e)] = terms.get(tuple(e), 0) + c
         for i, bi in enumerate(self.B):
             if bi:
                 e = [0] * m
@@ -407,39 +284,20 @@ class QuadraticPolynomial:
             terms[tuple([0] * m)] = self.N
         return IntPolynomial(m, terms)
 
-    def evaluate(self, x: Sequence[int]) -> Fraction:
-        v = quadratic_form_value(self.Q, x)
-        v += sum(b * xi for b, xi in zip(self.B, x))
-        return v + self.N
-
-    def gradient_at(self, x: Sequence[int]) -> List[Fraction]:
-        g = self.Q.matvec(x)
-        return [2 * gi + bi for gi, bi in zip(g, self.B)]
-
-    def two_Q_int(self) -> Tuple[Tuple[int, ...], ...]:
-        """The integer matrix 2Q, built on first use and kept, as nested
-        tuples; ValueError when 2Q is not integral."""
-        if self._two_q is None:
-            twice = [[2 * v for v in row] for row in self.Q.entries]
-            if any(w.denominator != 1 for row in twice for w in row):
-                raise ValueError("2Q is not integral")
-            object.__setattr__(self, "_two_q", tuple(tuple(int(w) for w in row) for row in twice))
-        return self._two_q
-
     def disc(self) -> int:
-        """det(2Q) as an integer, computed on first use and kept."""
+        """det(2Q), computed on first use and kept."""
         if self._disc is None:
-            object.__setattr__(self, "_disc", int_matrix_det(self.two_Q_int()))
+            object.__setattr__(self, "_disc", int_matrix_det(self.two_q))
         return self._disc
 
     def rank(self) -> int:
-        """Rank of Q over Q, read from the integer 2Q."""
-        return bareiss(self.two_Q_int()).rank
+        """Rank of Q over Q."""
+        return bareiss(self.two_q).rank
 
     def rank_split(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
         """(U, S) with 2Q U = [H | 0] from `unimodular_split`: U^t 2Q U is
         the nonsingular r x r block S and zeros, r the rank."""
-        two_q = self.two_Q_int()
+        two_q = self.two_q
         r, u = unimodular_split(two_q)
         cols = list(zip(*u))[:r]
         image = [[sum(x * y for x, y in zip(row, c)) for row in two_q] for c in cols]
@@ -457,4 +315,4 @@ class QuadraticPolynomial:
         return len(s), abs(int_matrix_det(s))
 
     def __repr__(self):
-        return f"QuadraticPolynomial(m={self.m}, Q={self.Q!r}, B={self.B}, N={self.N})"
+        return f"QuadraticPolynomial(two_q={self.two_q}, B={self.B}, N={self.N})"

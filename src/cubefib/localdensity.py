@@ -28,7 +28,7 @@ from .finitefield import (
 )
 from .gridcount import BudgetExceeded
 from .lattice import _isqrt64
-from .linalg import QuadraticPolynomial, RationalMatrix, bareiss, symmetric_diagonalize
+from .linalg import QuadraticPolynomial, bareiss, congruence_diagonalize
 from .nt import prime_factors, prime_sieve, primes_up_to, squarefree_divisors
 
 
@@ -55,7 +55,7 @@ class LocalDensityEstimate:
 def _critical_data(F: QuadraticPolynomial, p: int):
     """The unique singular residue x* mod p, the solution of 2Q x = -B, for
     p not dividing det(2Q): x* = -adj(2Q) B det(2Q)^-1 mod p."""
-    _, _, det, adj = bareiss(F.two_Q_int(), adjugate=True)
+    _, _, det, adj = bareiss(F.two_q, adjugate=True)
     if det % p == 0:
         raise ValueError("2Q singular mod p")
     inv = pow(det, -1, p)
@@ -91,7 +91,7 @@ def counts_good_prime(F: QuadraticPolynomial, p: int, t: int,
         if any(v % p for v in grad):
             raise FalsificationAlarm(f"gradient {grad} at the critical residue is nonzero mod {p}")
         # F(x* + p y) / p^2 = Q(y) + (grad / p).y + F(x*) / p^2
-        G = QuadraticPolynomial(F.Q, [v // p for v in grad], cstar // (p * p))
+        G = QuadraticPolynomial(F.two_q, [v // p for v in grad], cstar // (p * p))
         sub_counts = counts_good_prime(G, p, t - 2)
     for k in range(2, t + 1):
         counts[k] = ns * p ** ((k - 1) * (m - 1))
@@ -111,9 +111,8 @@ def _drop_free_variables(F: QuadraticPolynomial) -> Tuple[QuadraticPolynomial, i
     b = [sum(x * y for x, y in zip(col, F.B)) for col in zip(*u)]
     g = gcd(*b[r:])
     keep = max(r + (g != 0), 1)
-    q = [[Fraction(s[i][j] if i < r and j < r else 0, 2) for j in range(keep)]
-         for i in range(keep)]
-    return QuadraticPolynomial(RationalMatrix(q), (b[:r] + [g])[:keep], F.N), F.m - keep
+    two_q = [[s[i][j] if i < r and j < r else 0 for j in range(keep)] for i in range(keep)]
+    return QuadraticPolynomial(two_q, (b[:r] + [g])[:keep], F.N), F.m - keep
 
 
 def sigma_p(
@@ -402,12 +401,13 @@ def solubility_quadric_Zp(
 def real_solubility(F: QuadraticPolynomial) -> bool:
     """Whether F = 0 has a real solution, decided exactly.
 
-    Diagonalizes over Q, completes squares, and checks that the exact
+    Diagonalizes 2Q over Q, completes squares, and checks that the exact
     range of F contains 0.
     """
-    t, diag = symmetric_diagonalize(F.Q)
-    # F(T z) = sum diag_i z_i^2 + (T^t B) z + N
-    b = [sum(Fraction(t[i, j]) * F.B[i] for i in range(F.m)) for j in range(F.m)]
+    t, diag = congruence_diagonalize(F.two_q)
+    diag = [d / 2 for d in diag]   # T^t 2Q T = diag(2 d)
+    # F(T z) = sum d_i z_i^2 + (T^t B) z + N
+    b = [sum(t[i][j] * F.B[i] for i in range(F.m)) for j in range(F.m)]
     lo = Fraction(F.N)
     hi = Fraction(F.N)
     lo_inf = hi_inf = False

@@ -25,7 +25,7 @@ from .finitefield import PadicWitness, find_padic_nonsingular
 from .fibration import (FalsificationAlarm, build_fibration, fibre_polynomial,
                         linear_fibre_parts, order3_minors, split_cubic)
 from .gridcount import box_point_count, check_budget, eval_on_box
-from .linalg import QuadraticPolynomial, RationalMatrix, symmetric_diagonalize
+from .linalg import QuadraticPolynomial, bareiss, congruence_diagonalize
 from .localdensity import real_solubility, solubility_quadric_Zp
 from .nt import is_prime, prime_factors, solve_linear_diophantine, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
@@ -67,10 +67,16 @@ class AdmissibleSetSpec:
         integer A and d = lcm of the denominators of T^-1, and per box
         coordinate (A_i, d lo_num, lo_den, d hi_num, hi_den), so that
         lo Y <= (T^-1 y)_i <= hi Y iff d lo_num Y <= (A_i . y) lo_den and
-        (A_i . y) hi_den <= d hi_num Y (both denominators and d are > 0)."""
+        (A_i . y) hi_den <= d hi_num Y (both denominators and d are > 0).
+        T^-1 = D adj(D T) / det(D T), D the lcm of the denominators of T."""
         cached = getattr(self, "_box_change_int", None)
         if cached is None:
-            inv = RationalMatrix(self.change_matrix()).inverse().entries
+            t = self.change_matrix()
+            D = lcm(*(x.denominator for row in t for x in row))
+            e = bareiss([[int(x * D) for x in row] for row in t], adjugate=True)
+            if e.adjugate is None:
+                raise ValueError("singular box change")
+            inv = [[Fraction(D * x, e.det) for x in row] for row in e.adjugate]
             d = lcm(*(x.denominator for row in inv for x in row))
             cached = []
             for row, (lo, hi) in zip(inv, self.box):
@@ -197,8 +203,8 @@ def enumerate_admissible(spec: AdmissibleSetSpec, Y: int,
     `membership`. An empty scaled interval admits nothing and charges nothing."""
     if any(lo * Y > hi * Y for lo, hi in spec.box):
         return
-    T = RationalMatrix(spec.change_matrix())
-    corners = [T.matvec([s * Y for s in signs])
+    T = spec.change_matrix()
+    corners = [[sum(t * s * Y for t, s in zip(row, signs)) for row in T]
                for signs in iproduct(*[(lo, hi) for lo, hi in spec.box])]
     axes = list(zip(*corners))
     lows, highs = [ceil(min(v)) for v in axes], [floor(max(v)) for v in axes]
@@ -426,7 +432,8 @@ def box_with_large_Q(Q1: IntPolynomial, P: int = 100) -> LargeQBox:
         raise ValueError("Q_1 must be nonzero")
     k = Q1.num_vars
     Fq = QuadraticPolynomial.from_polynomial(Q1)
-    t, diag = symmetric_diagonalize(Fq.Q)
+    t, diag = congruence_diagonalize(Fq.two_q)
+    diag = [d / 2 for d in diag]   # T^t 2Q T = diag(2 d)
     nonzero = [(i, d) for i, d in enumerate(diag) if d != 0]
     pos = [(i, d) for i, d in nonzero if d > 0]
     neg = [(i, d) for i, d in nonzero if d < 0]
@@ -456,9 +463,8 @@ def box_with_large_Q(Q1: IntPolynomial, P: int = 100) -> LargeQBox:
             intervals.append((inv_sqrt(16 * k * abs(d), up=True), s))
         else:
             intervals.append((Fraction(-1), Fraction(1)))
-    change = t.tolist()
+    change = [[Fraction(v) for v in row] for row in t]
     # verify |Q1| >= c P^2 on the integer sample and freeze c
-    tmat = RationalMatrix(change)
     worst: Optional[Fraction] = None
     checked = 0
     grids = []
@@ -468,7 +474,7 @@ def box_with_large_Q(Q1: IntPolynomial, P: int = 100) -> LargeQBox:
         pick = list(range(a, b + 1, max(1, (b - a) // 3 or 1)))[:4] or [a]
         grids.append(pick)
     for z in iproduct(*grids):
-        yv = tmat.matvec(list(z))
+        yv = [sum(v * zj for v, zj in zip(row, z)) for row in change]
         val = abs(Q1.evaluate(yv))
         ratio = val / (P * P)
         worst = ratio if worst is None else min(worst, ratio)

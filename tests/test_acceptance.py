@@ -35,7 +35,7 @@ from cubefib.lattice import (
     hyperplane_count_exact,
     kernel_lattice,
 )
-from cubefib.linalg import QuadraticPolynomial, RationalMatrix
+from cubefib.linalg import QuadraticPolynomial, bareiss
 from cubefib.localdensity import S_pk_extract, sigma_p
 from cubefib.nt import primes_up_to
 from cubefib.polynomials import IntPolynomial, VariableSplit
@@ -268,7 +268,7 @@ def test_criterion_7_fibration_structure():
             continue
         # build_fibration only returns after the symbolic proof; re-probe once
         probe = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(fd.h)]
-        assert RationalMatrix(fd.M2_at(probe)).rank() <= fd.rank
+        assert bareiss(fd.M2_at(probe)).rank <= fd.rank
         # linear-block certificates are zero polynomials
         if 0 < fd.rank < fd.m:
             res = extract_linear_block(fd)

@@ -222,11 +222,12 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     ["count", "--form", "forms/pi_prime_n7.json", "--B", "4", "--method", "fibration",
      "--mode", "pi"],
     ["density", "--form", "forms/pi_n7.json", "--Y", "4", "--mode", "pi_prime"],
+    ["lattice-count", "--a", "1,2", "-B", "-3"],
 ])
 def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
     """A non-integer CSV cell, a form without a split, a non-primitive
-    vector, out-of-range bounds and a mode the cubic does not support: one
-    stderr line and exit code 1."""
+    vector, out-of-range bounds (a negative height bound B among them) and
+    a mode the cubic does not support: one stderr line and exit code 1."""
     csv = tmp_path / "series.csv"
     csv.write_text("B,count\n2,x\n4,5\n")
     args = [str(csv) if a == "CSV" else a for a in args]
@@ -235,6 +236,32 @@ def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["analyze"], "the following arguments are required: --form"),
+    (["local", "--y", "1,0"], "the following arguments are required: --form"),
+    (["density", "--Y", "2"], "the following arguments are required: --form"),
+    (["count", "--B", "2"], "the following arguments are required: --form"),
+    (["lattice-count", "--a", "1,2", "-B", "3", "--pmax", "7"], "unrecognized arguments: --pmax 7"),
+    (["lattice-count", "--a", "1,2", "-B", "3", "--form", "forms/pi_n7.json"],
+     "unrecognized arguments: --form forms/pi_n7.json"),
+    (["fit-exponent", "series.csv", "--budget", "10"], "unrecognized arguments: --budget 10"),
+    (["local", "--form", "forms/pi_n7.json", "--y", "1,0", "--mode", "pi"],
+     "unrecognized arguments: --mode pi"),
+    (["count", "--form", "forms/pi_n7.json", "--B", "2", "--pmax", "7"],
+     "unrecognized arguments: --pmax 7"),
+])
+def test_missing_or_unknown_options_are_usage_errors(args, message):
+    """Each subcommand declares only the options it reads, and --form is
+    required where it is read: a missing or unknown option is an argparse
+    error, exit 2 with usage and one error line, no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith("error: " + message)
 
 SCHEMA = '"schema": "cubefib-form-v1"'
 

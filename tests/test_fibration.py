@@ -31,7 +31,7 @@ from cubefib.fibration import (
     singular_locus_dim_probe,
     split_cubic,
 )
-from cubefib.linalg import QuadraticPolynomial, RationalMatrix, int_matrix_det, symmetric_diagonalize
+from cubefib.linalg import QuadraticPolynomial, bareiss, congruence_diagonalize, int_matrix_det
 from cubefib.polynomials import IntPolynomial, VariableSplit
 
 X = IntPolynomial.variable
@@ -123,7 +123,7 @@ def test_fibration_rank_randomized_agrees_with_symbolic():
             continue
         # independent check at one fresh random point: rank there never exceeds fd.rank
         probe = [rng.randint(-50, 50) for _ in range(len(sp.y_indices))]
-        rk = RationalMatrix(fd.M2_at(probe)).rank()
+        rk = bareiss(fd.M2_at(probe)).rank
         assert rk <= fd.rank
         done += 1
 
@@ -309,21 +309,37 @@ def test_linear_factors_of_quadratic():
     assert linear_factors(q) == []
 
 
+def _fraction_inverse(t):
+    """Gauss-Jordan inverse of an invertible square matrix over Fractions."""
+    n = len(t)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(t)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
 def _diagonalisation_factors(q: IntPolynomial):
     """Oracle for degree 2: the Q-diagonalisation finder that `linear_factors`
-    replaced, kept verbatim."""
+    replaced, with the diagonalisation read from 2Q (the same T, each
+    diagonal entry doubled, so the ratios below are unchanged)."""
     if q.is_zero() or not q.is_homogeneous(2):
         raise ValueError("nonzero quadratic form required")
     k = q.num_vars
     Q = QuadraticPolynomial.from_polynomial(q)
-    t, diag = symmetric_diagonalize(Q.Q)
+    t, diag = congruence_diagonalize(Q.two_q)
     nonzero = [i for i, d in enumerate(diag) if d != 0]
     rank = len(nonzero)
     if rank > 2:
         return []
     # inverse transform: rows of t^{-1} express old coordinates z = t w, so
     # w_i as a form in the original variables is the i-th row of t^{-1}
-    tinv = t.inverse()
+    tinv = _fraction_inverse(t)
 
     def row_form(coeffs):
         den = lcm(*(v.denominator for v in coeffs))
@@ -331,7 +347,7 @@ def _diagonalisation_factors(q: IntPolynomial):
 
     if rank == 1:
         i = nonzero[0]
-        w = row_form(tinv.entries[i])
+        w = row_form(tinv[i])
         return [w]
     i, j = nonzero
     a, b = diag[i], diag[j]
@@ -346,8 +362,8 @@ def _diagonalisation_factors(q: IntPolynomial):
     if rn * rn != num or rd * rd != den:
         return []
     s = Fraction(rn, rd)
-    wi = tinv.entries[i]
-    wj = tinv.entries[j]
+    wi = tinv[i]
+    wj = tinv[j]
     f1 = row_form([x + s * y for x, y in zip(wi, wj)])
     f2 = row_form([x - s * y for x, y in zip(wi, wj)])
     return [f1, f2] if f1 != f2 else [f1]
@@ -696,7 +712,7 @@ def test_low_rank_specialization_count():
 
 def _low_rank_count_by_rank(psis, R):
     """#{x in [-R, R]^v : the matrix of sum x_i psi_i(y) has rank <= 2},
-    from RationalMatrix ranks of its specialised second partials."""
+    from the ranks of its specialised second partials."""
     my = psis[0].num_vars
     origin = [0] * my
     count = 0
@@ -706,7 +722,7 @@ def _low_rank_count_by_rank(psis, R):
             form = form + psi * xi
         hessian = [[form.derivative(a).derivative(b).evaluate(origin) for b in range(my)]
                    for a in range(my)]
-        count += RationalMatrix(hessian).rank() <= 2
+        count += bareiss(hessian).rank <= 2
     return count
 
 

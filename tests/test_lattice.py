@@ -234,6 +234,23 @@ def test_hyperplane_count_rejects_g_zero():
         hyperplane_count_exact([1, 2], 0, 5, g=0)
 
 
+@pytest.mark.parametrize("B", [-3, -1, Fraction(-1, 2)])
+def test_hyperplane_counts_reject_negative_B(B):
+    """No x has height <= B < 0; B^2 - 1 would drop the sign and count
+    the ball of radius |B|."""
+    for count in (hyperplane_count_exact, hyperplane_count_asymptotic):
+        with pytest.raises(ValueError, match="B must be nonnegative"):
+            count([1, 2], 0, B)
+    with pytest.raises(ValueError, match="B must be nonnegative"):
+        hyperplane_count_exact([1, 2], 0, B, g=6)
+
+
+def test_hyperplane_count_at_B_zero_is_empty():
+    assert hyperplane_count_exact([1, 2], 0, 0).exact == 0
+    assert hyperplane_count_exact([1, 2], 0, 0, g=6).exact == 0
+    assert hyperplane_count_asymptotic([1, 2], 0, 0).main == 0
+
+
 def test_kernel_basis_is_reduced_once_per_hyperplane():
     lattice._reduced_kernel_basis.cache_clear()
     with mock.patch.object(lattice, "lll_reduce", wraps=lattice.lll_reduce) as lll:

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from cubefib.finitefield import diagonalize_mod_p
 from cubefib.linalg import (
     QuadraticPolynomial,
-    RationalMatrix,
     bareiss,
+    congruence_diagonalize,
     int_matrix_det,
-    quadratic_form_value,
     rank_signature_over_Q,
-    symmetric_diagonalize,
     unimodular_split,
 )
 from cubefib.polynomials import IntPolynomial
@@ -77,9 +75,9 @@ def cofactor_adjugate(m):
 
 
 def old_lagrange_Q(Q):
-    """symmetric_diagonalize before the Lagrange body was shared."""
-    n = Q.rows
-    a = [[Fraction(v) for v in row] for row in Q.entries]
+    """The Lagrange reduction over Q before its body was shared."""
+    n = len(Q)
+    a = [[Fraction(v) for v in row] for row in Q]
     t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
     def col_add(dst, src, factor):
@@ -120,7 +118,7 @@ def old_lagrange_Q(Q):
         for j in range(k + 1, n):
             if a[k][j] != 0:
                 col_add(j, k, -a[k][j] / pivot)
-    return RationalMatrix(t), [a[i][i] for i in range(n)]
+    return t, [a[i][i] for i in range(n)]
 
 
 def old_lagrange_mod_p(Q, p):
@@ -254,49 +252,44 @@ def test_int_det_matches_rational_det():
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert int_matrix_det(rows) == RationalMatrix(rows).det() == cofactor_det(rows)
+        assert int_matrix_det(rows) == cofactor_det(rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(m=int_matrices(square=True), dens=st.lists(st.sampled_from([1, 2, 3, 7]), min_size=6,
-                                                   max_size=6))
-def test_rational_matrix_wrappers_match_fractions(m, dens):
-    n = len(m)
-    q = RationalMatrix([[Fraction(v, dens[i] * dens[j]) for j, v in enumerate(row)]
-                        for i, row in enumerate(m)])
-    assert q.rank() == fraction_rank(q.entries)
-    det = cofactor_det([list(row) for row in q.entries])
-    assert q.det() == det
-    if det:
-        assert q * q.inverse() == RationalMatrix.identity(n)
-    else:
-        with pytest.raises(ValueError):
-            q.inverse()
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def inverse(m):
+    """m^-1 = adj(m) / det(m) from `bareiss`, None when m is singular."""
+    e = bareiss(m, adjugate=True)
+    return None if e.adjugate is None else [[Fraction(v, e.det) for v in row]
+                                            for row in e.adjugate]
 
 
 def test_inverse_hand_values():
-    I3 = RationalMatrix.identity(3)
-    assert I3.inverse() == I3
+    assert inverse(identity(3)) == identity(3)
 
-    m = RationalMatrix([[1, 2], [3, 4]])
-    assert m.det() == -2
-    assert m.inverse() == RationalMatrix([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+    m = [[1, 2], [3, 4]]
+    assert bareiss(m).det == -2
+    assert inverse(m) == [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
 
-    with pytest.raises(ValueError):
-        RationalMatrix([[1, 2], [2, 4]]).inverse()
+    assert inverse([[1, 2], [2, 4]]) is None
 
 
 def test_inverse_identity_random():
     rng = random.Random(23)
     for _ in range(40):
         n = rng.randint(1, 5)
-        m = RationalMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
-            with pytest.raises(ValueError):
-                m.inverse()
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if cofactor_det(m) == 0:
+            assert inverse(m) is None
         else:
-            assert m * m.inverse() == RationalMatrix.identity(n)
-            assert m.inverse() * m == RationalMatrix.identity(n)
+            assert matmul(m, inverse(m)) == identity(n)
+            assert matmul(inverse(m), m) == identity(n)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +299,8 @@ def test_inverse_identity_random():
 @settings(max_examples=300, deadline=None)
 @given(a=symmetric_with_zero_diagonal())
 def test_lagrange_over_Q_is_bit_identical_to_the_old_body(a):
-    t, diag = symmetric_diagonalize(RationalMatrix(a))
-    old_t, old_diag = old_lagrange_Q(RationalMatrix(a))
+    t, diag = congruence_diagonalize(a)
+    old_t, old_diag = old_lagrange_Q(a)
     assert t == old_t
     assert diag == old_diag
     assert all(type(d) is Fraction for d in diag)
@@ -321,12 +314,14 @@ def test_lagrange_mod_p_is_bit_identical_to_the_old_body(data, p):
 
 
 # ---------------------------------------------------------------------------
-# the cached 2Q
+# the kept 2Q
 
 
 @settings(max_examples=150, deadline=None)
 @given(m=int_matrices(square=True))
 def test_two_Q_cache_matches_a_rebuild(m):
+    """from_polynomial keeps 2Q: 2 c on the diagonal for c x_i^2, the
+    coefficient c of x_i x_j at (i, j) and (j, i)."""
     n = len(m)
     terms = {}
     for i in range(n):
@@ -336,22 +331,34 @@ def test_two_Q_cache_matches_a_rebuild(m):
             e[j] += 1
             terms[tuple(e)] = m[i][j]
     F = QuadraticPolynomial.from_polynomial(IntPolynomial(n, terms))
-    rebuilt = [[int(2 * v) for v in row] for row in F.Q.entries]
-    two_q = F.two_Q_int()
+    rebuilt = [[2 * m[i][i] if i == j else m[min(i, j)][max(i, j)] for j in range(n)]
+               for i in range(n)]
+    two_q = F.two_q
     assert [list(row) for row in two_q] == rebuilt
-    assert F.two_Q_int() is two_q and isinstance(two_q, tuple)
-    assert all(isinstance(row, tuple) for row in two_q)
+    assert isinstance(two_q, tuple) and all(isinstance(row, tuple) for row in two_q)
+    assert all(type(v) is int for row in two_q for v in row)
     assert F.disc() == cofactor_det(rebuilt)
-    assert F.rank() == fraction_rank(F.Q.entries)
+    assert F.rank() == fraction_rank(rebuilt)
+    assert not hasattr(F, "Q")
 
 
 def test_two_Q_rejects_non_integral_Q():
-    F = QuadraticPolynomial(RationalMatrix([[Fraction(1, 3), 0], [0, 1]]), [0, 0], 0)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="2Q is not integral"):
-            F.two_Q_int()
-    with pytest.raises(ValueError, match="2Q is not integral"):
-        F.disc()
+    """The constructor's three ValueErrors: every instance is an integer
+    polynomial, so nothing downstream meets a fractional 2Q."""
+    for two_q, message in [
+        ([[2, 1], [3, 2]], "2Q must be symmetric"),
+        ([[2, 1], [1]], "2Q must be symmetric"),
+        ([[2, 1, 0], [1, 2, 0]], "2Q must be symmetric"),
+        ([[Fraction(2, 3), 0], [0, 2]], "2Q must have integer entries"),
+        ([[2, Fraction(1, 2)], [Fraction(1, 2), 2]], "2Q must have integer entries"),
+        ([[2.5, 0], [0, 2]], "2Q must have integer entries"),
+        ([[1, 0], [0, 2]], "2Q must have an even diagonal"),
+        ([[2, 3], [3, -5]], "2Q must have an even diagonal"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            QuadraticPolynomial(two_q, [0] * len(two_q), 0)
+    with pytest.raises(ValueError, match="B has wrong length"):
+        QuadraticPolynomial([[2]], [1, 1], 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -372,24 +379,24 @@ def test_polynomial_and_disc_caches_match_a_rebuild(m, data):
     F = QuadraticPolynomial.from_polynomial(p)
     poly, disc = F.to_polynomial(), F.disc()
     assert poly.terms == p.terms and poly.num_vars == n
-    assert disc == cofactor_det([[int(2 * v) for v in row] for row in F.Q.entries])
+    assert disc == cofactor_det([list(row) for row in F.two_q])
     # the second call returns the kept values, and a fresh object rebuilds them
     assert F.to_polynomial() is poly and F.disc() == disc
-    fresh = QuadraticPolynomial(F.Q, F.B, F.N)
+    fresh = QuadraticPolynomial(F.two_q, F.B, F.N)
     assert fresh.to_polynomial().terms == poly.terms and fresh.disc() == disc
 
 
 def test_signature_hand_values():
-    assert rank_signature_over_Q(RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (3, 3, 0)
+    assert rank_signature_over_Q([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (3, 3, 0)
     # [[0,1/2],[1/2,0]] has eigen-signs +,- (complete the square)
-    m = RationalMatrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    m = [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
     assert rank_signature_over_Q(m) == (2, 1, 1)
-    assert rank_signature_over_Q(RationalMatrix([[1, 0, 0], [0, 0, 0], [0, 0, -2]])) == (2, 1, 1)
+    assert rank_signature_over_Q(((1, 0, 0), (0, 0, 0), (0, 0, -2))) == (2, 1, 1)
 
 
 def test_signature_rejects_non_symmetric():
     with pytest.raises(ValueError):
-        rank_signature_over_Q(RationalMatrix([[0, 1], [0, 0]]))
+        rank_signature_over_Q([[0, 1], [0, 0]])
 
 
 def test_diagonalize_congruence_property():
@@ -402,17 +409,16 @@ def test_diagonalize_congruence_property():
                 v = Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2]))
                 a[i][j] = v
                 a[j][i] = v
-        q = RationalMatrix(a)
-        t, diag = symmetric_diagonalize(q)
-        assert t.det() != 0
-        back = t.transpose() * q * t
+        t, diag = congruence_diagonalize(a)
+        assert fraction_rank(t) == n
+        back = matmul(matmul(list(map(list, zip(*t))), a), t)
         for i in range(n):
             for j in range(n):
                 expect = diag[i] if i == j else 0
-                assert back[i, j] == expect
+                assert back[i][j] == expect
         # rank agrees with plain gaussian elimination
-        rank, pos, neg = rank_signature_over_Q(q)
-        assert rank == q.rank()
+        rank, pos, neg = rank_signature_over_Q(a)
+        assert rank == fraction_rank(a)
         assert pos + neg == rank
 
 
@@ -422,8 +428,8 @@ def test_definite_iff_full_rank_one_sign():
         n = rng.randint(1, 4)
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         bt_b = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        q = RationalMatrix(bt_b)  # positive semidefinite by construction
-        rank, pos, neg = rank_signature_over_Q(q)
+        # positive semidefinite by construction
+        rank, pos, neg = rank_signature_over_Q(bt_b)
         assert neg == 0
         if int_matrix_det(b) != 0:
             assert (rank, pos) == (n, n)
@@ -432,17 +438,22 @@ def test_definite_iff_full_rank_one_sign():
 def test_quadratic_data_extraction():
     p = IntPolynomial(2, {(1, 1): 1})
     f = QuadraticPolynomial.from_polynomial(p)
-    assert f.Q == RationalMatrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert f.two_q == ((0, 1), (1, 0))
     assert f.B == (0, 0) and f.N == 0
 
     p = IntPolynomial(1, {(2,): 1, (1,): 3, (0,): 7})
     f = QuadraticPolynomial.from_polynomial(p)
-    assert f.Q == RationalMatrix([[1]])
+    assert f.two_q == ((2,),)
     assert f.B == (3,) and f.N == 7
 
     p = IntPolynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     f = QuadraticPolynomial.from_polynomial(p)
     assert f.rank() == 1
+
+    # integral Fraction entries are kept as ints
+    f = QuadraticPolynomial([[Fraction(4, 2), -1], [-1, 0]], [1, 0], 3)
+    assert f.two_q == ((2, -1), (-1, 0)) and type(f.two_q[0][0]) is int
+    assert f.to_polynomial() == IntPolynomial(2, {(2, 0): 1, (1, 1): -1, (1, 0): 1, (0, 0): 3})
 
 
 def test_quadratic_data_round_trip():
@@ -458,8 +469,7 @@ def test_quadratic_data_round_trip():
         p = IntPolynomial(n, terms)
         f = QuadraticPolynomial.from_polynomial(p)
         assert f.to_polynomial() == p
-        v = [rng.randint(-4, 4) for _ in range(n)]
-        assert f.evaluate(v) == p.evaluate(v)
+        assert QuadraticPolynomial(f.two_q, f.B, f.N).to_polynomial() == p
 
 
 def test_quadratic_rejects_cubic():
@@ -467,33 +477,8 @@ def test_quadratic_rejects_cubic():
         QuadraticPolynomial.from_polynomial(IntPolynomial(1, {(3,): 1}))
 
 
-def test_gradient_matches_polynomial_gradient():
-    rng = random.Random(43)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        terms = {}
-        for _ in range(5):
-            exps = [0] * n
-            for _ in range(rng.randint(0, 2)):
-                exps[rng.randrange(n)] += 1
-            terms[tuple(exps)] = rng.randint(-9, 9)
-        p = IntPolynomial(n, terms)
-        f = QuadraticPolynomial.from_polynomial(p)
-        v = [rng.randint(-4, 4) for _ in range(n)]
-        assert f.gradient_at(v) == [g.evaluate(v) for g in p.gradient()]
-
-
-def test_quadratic_form_value():
-    q = RationalMatrix([[2, 1], [1, 3]])
-    assert quadratic_form_value(q, [1, -1]) == 2 - 2 + 3
-
-
 # ---------------------------------------------------------------------------
 # the unimodular split
-
-
-def matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,7 +532,7 @@ def rank_deficient_two_q(draw):
 @settings(max_examples=300, deadline=None)
 @given(two_q=rank_deficient_two_q())
 def test_rank_support_matches_the_minor_loop(two_q):
-    F = QuadraticPolynomial(RationalMatrix(two_q).scale(Fraction(1, 2)), [0] * len(two_q), 0)
+    F = QuadraticPolynomial(two_q, [0] * len(two_q), 0)
     assert F.rank_support() == old_rank_support(two_q)
     u, s = F.rank_split()
     split = matmul(matmul(list(map(list, zip(*u))), two_q), u)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cubefib.finitefield import count_mod_q_bruteforce, find_padic_nonsingular
 from cubefib.gridcount import count_zeros_mod_q
-from cubefib.linalg import QuadraticPolynomial, RationalMatrix
+from cubefib.linalg import QuadraticPolynomial, congruence_diagonalize
 from cubefib.localdensity import (
     S_pk_extract,
     S_q_character_sum,
@@ -69,7 +69,7 @@ def test_sigma_rank_deficient_counts_match_the_grid(data, m, linear, p, t):
     else:
         c = [data.draw(ints) for _ in range(m)]
         B = [sum(x * y for x, y in zip(row, c)) for row in two_q]
-    F = QuadraticPolynomial(RationalMatrix(two_q).scale(Fraction(1, 2)), B, data.draw(ints))
+    F = QuadraticPolynomial(two_q, B, data.draw(ints))
     u, sub = F.rank_split()
     L = [sum(x * y for x, y in zip(col, B)) for col in list(zip(*u))[len(sub):]]
     assume(any(L) == linear)
@@ -105,7 +105,7 @@ def test_critical_data_matches_a_brute_force_solve(data, p, m):
         e[i] = 1
         terms[tuple(e)] = data.draw(coef)
     F = quad(m, terms)
-    two_q = F.two_Q_int()
+    two_q = F.two_q
     if F.disc() % p == 0:
         with pytest.raises(ValueError):
             _critical_data(F, p)
@@ -370,6 +370,53 @@ def test_real_solubility():
     assert real_solubility(F)
     F = quad(1, {(0,): 2})
     assert not real_solubility(F)
+
+
+def old_real_solubility(F):
+    """real_solubility before the matrix became 2Q: the Lagrange reduction of
+    the Fraction matrix Q = 2Q / 2."""
+    t, diag = congruence_diagonalize([[Fraction(v, 2) for v in row] for row in F.two_q])
+    b = [sum(Fraction(t[i][j]) * F.B[i] for i in range(F.m)) for j in range(F.m)]
+    lo = Fraction(F.N)
+    hi = Fraction(F.N)
+    lo_inf = hi_inf = False
+    for d, bi in zip(diag, b):
+        if d == 0:
+            if bi != 0:
+                return True
+        elif d > 0:
+            hi_inf = True
+            lo -= bi * bi / (4 * d)
+        else:
+            lo_inf = True
+            hi -= bi * bi / (4 * d)
+    return (lo_inf or lo <= 0) and (hi_inf or hi >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5), linear=st.booleans())
+def test_real_solubility_matches_the_fraction_body(data, m, linear):
+    """Random integer quadratics with 2Q = L^t S L of rank r <= m, B either
+    random (for r < m, mostly with a linear term outside the rank block) or
+    2Q c (none there), so rank-deficient forms come with and without a
+    linear escape; both bodies give the same verdict."""
+    r = data.draw(st.integers(0, m))
+    ints = st.integers(-4, 4)
+    s = [[0] * r for _ in range(r)]
+    for i in range(r):
+        s[i][i] = 2 * data.draw(ints)
+        for j in range(i + 1, r):
+            s[i][j] = s[j][i] = data.draw(ints)
+    lm = [[data.draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(r)]
+    two_q = [[sum(lm[a][i] * s[a][b] * lm[b][j] for a in range(r) for b in range(r))
+              for j in range(m)] for i in range(m)]
+    if linear:
+        B = [data.draw(ints) for _ in range(m)]
+    else:
+        c = [data.draw(ints) for _ in range(m)]
+        B = [sum(x * y for x, y in zip(row, c)) for row in two_q]
+    F = QuadraticPolynomial(two_q, B, data.draw(st.integers(-20, 20)))
+    assert real_solubility(F) == old_real_solubility(F)
 
 
 def test_solubility_shortcut_agrees_with_residue_search():

@@ -233,6 +233,37 @@ def test_box_with_large_Q_indefinite():
     assert box.c_frozen > 0
 
 
+@pytest.mark.parametrize("form, first_q, change, intervals, c_frozen, samples", [
+    ("pi_prime_n7", {(2, 0): 4, (0, 2): 4}, [[1, 0], [0, 1]],
+     [(Fraction(1, 2), 1), (Fraction(1, 2), 1)], 2, 16),
+    ("pi_prime_n8", {(2, 0, 0): 100, (0, 2, 0): 100, (0, 0, 2): 100},
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(Fraction(1, 10), Fraction(1, 5))] * 3, 3, 64),
+    (None, {(1, 1, 0): 1, (0, 2, 0): 3, (1, 0, 1): -2, (0, 0, 2): 5},
+     [[0, 1, -12], [1, Fraction(-1, 6), 2], [0, 0, 1]],
+     [(Fraction(37, 64), Fraction(591, 512)), (Fraction(1, 2), 1),
+      (Fraction(249, 1024), Fraction(31, 64))], Fraction(239, 120), 64),
+    (None, {(2, 0): 3, (1, 1): 5, (0, 2): -7}, [[1, Fraction(-5, 6)], [0, 1]],
+     [(Fraction(37, 64), Fraction(591, 512)), (Fraction(61, 1024), Fraction(15, 128))],
+     Fraction(1497, 1600), 16),
+])
+def test_box_with_large_Q_is_frozen(form, first_q, change, intervals, c_frozen, samples):
+    """The first nonzero Q_j of each shipped linear-fibre form, and two
+    quadratics with cross terms (a zero first diagonal entry in one), frozen
+    from the diagonalisation of the Fraction matrix Q: diagonalising the
+    integer 2Q keeps T and, once halved, every diagonal entry."""
+    q = IntPolynomial(len(next(iter(first_q))), first_q)
+    if form is not None:
+        with open(os.path.join(os.path.dirname(__file__), "..", "forms", form + ".json")) as f:
+            doc = parse_form_document(f.read())
+        _, q_list, _ = sieve.split_cubic(doc.poly, doc.split)
+        assert next(g for g in q_list if not g.is_zero()) == q
+    box = box_with_large_Q(q, P=100)
+    assert box.change == change and box.intervals == intervals
+    assert all(type(v) is Fraction for row in box.change for v in row)
+    assert type(box.c_frozen) is Fraction and box.c_frozen == c_frozen
+    assert box.samples_checked == samples
+
+
 def test_box_with_large_Q_hyperbolic():
     y1, y2 = X(2, 0), X(2, 1)
     q = y1 * y2
