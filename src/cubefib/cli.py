@@ -201,6 +201,8 @@ def cmd_density(args):
         enumerate_admissible,
     )
 
+    if args.points and args.csv:
+        raise SystemExit("density: --csv does not apply to --points")
     doc = _load_split_form(args.form, "density")
     Ys = _int_list(args.Y, "--Y", least=1)
     mode = args.mode or doc.mode or "pi_prime"
@@ -225,6 +227,8 @@ def cmd_density(args):
 
 
 def cmd_count(args):
+    if args.method == "brute" and args.mode:
+        raise SystemExit("count: --mode applies to --method fibration only")
     if args.method == "fibration":
         doc = _load_split_form(args.form, "count --method fibration")
     else:

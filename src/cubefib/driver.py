@@ -7,9 +7,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import gridcount
 from .fibration import FalsificationAlarm, linear_fibre_parts, split_cubic
 from .lattice import enumerate_quadratic, hyperplane_count_exact
-from .linalg import QuadraticPolynomial, rank_signature_over_Q
+from .linalg import QuadraticPolynomial, int_matrix_det
 from .nt import squarefree_divisors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
 from .sieve import (AdmissibleSetSpec, box_with_large_Q, build_conditions, enumerate_admissible,
@@ -344,10 +346,10 @@ class RepresentationCount:
 
 
 def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> List[Tuple[int, ...]]:
-    """All integer z with F(z) = N, for positive-definite quadratic part:
-    the exact-root leaf of the lattice enumeration kernel (never scans a
-    full box). 2(F(z) - N) = z^t 2Q z + 2 B.z + 2(F.N - N)."""
-    return sorted(enumerate_quadratic(F.two_q, F.B, 2 * (F.N - N), "roots")[1])
+    """All integer z with F(z) = N, for positive-definite quadratic part, in
+    enumeration order: the exact-root leaf of the lattice enumeration kernel
+    (never scans a full box). 2(F(z) - N) = z^t 2Q z + 2 B.z + 2(F.N - N)."""
+    return enumerate_quadratic(F.two_q, F.B, 2 * (F.N - N), "roots")[1]
 
 
 def representation_count_coprime(
@@ -357,11 +359,15 @@ def representation_count_coprime(
     window: Fraction = Fraction(1),
 ) -> RepresentationCount:
     """M(F, N) = #{x : gcd(x, 2 disc) = 1, F(x + xi) = N, |x| <= window * sqrt(N)}
-    with the indicator window, plus the Mobius decomposition over d | 2 disc."""
-    rank, pos, neg = rank_signature_over_Q(F.two_q)
-    if not (rank == F.m and (pos == F.m or neg == F.m)):
+    with the indicator window, plus the Mobius decomposition over d | 2 disc.
+
+    F must be definite (Sylvester): the leading principal minors of 2Q are
+    all positive, or alternate in sign from a negative one."""
+    minors = [int_matrix_det([row[:j] for row in F.two_q[:j]]) for j in range(1, F.m + 1)]
+    sign = -1 if minors[0] < 0 else 1
+    if not all(sign ** j * d > 0 for j, d in enumerate(minors, 1)):
         raise ValueError("F must be definite")
-    if neg == F.m:
+    if sign < 0:
         F = QuadraticPolynomial([[-v for v in row] for row in F.two_q], [-b for b in F.B], -F.N)
         N_target = -N_target
     if N_target < 0:
@@ -369,29 +375,22 @@ def representation_count_coprime(
     # Delta is det Q = det(2Q) / 2^m when that is an integer, else det(2Q);
     # the coprimality predicate gcd(x, 2 Delta) = 1 has the same prime support
     # either way
-    disc = abs(F.disc())
+    disc = abs(minors[-1])
     delta = disc // 2 ** F.m if disc % 2 ** F.m == 0 else disc
     precondition_ok = (F.to_polynomial().evaluate(list(xi)) - N_target) % (2 * delta) == 0
     P = isqrt(N_target) if N_target > 0 else 1
-    bound = (window * P)
-    zs = _solutions_of_definite(F, N_target)
-    xi = list(xi)
-    count = 0
-    by_divisor: Dict[int, int] = {}
-    for d, _mu in squarefree_divisors(2 * disc):
-        by_divisor[d] = 0
-    for z in zs:
-        x = [zi - xii for zi, xii in zip(z, xi)]
-        in_box = all(Fraction(abs(v)) <= bound for v in x)
-        if not in_box:
-            continue
-        gx = vector_gcd(x)
-        if gcd(gx, 2 * disc) == 1:
-            count += 1
-        for d in by_divisor:
-            if all(v % d == 0 for v in x):
-                by_divisor[d] += 1
-    mob = sum(mu * by_divisor[d] for d, mu in squarefree_divisors(2 * disc))
+    bound = math.floor(window * P)  # |v| <= window * P for an integer v
+    # solutions in the box by gcd(x, 2 disc); d | 2 disc divides x iff it
+    # divides that gcd
+    by_gcd = Counter()
+    for z in _solutions_of_definite(F, N_target):
+        x = tuple(map(sub, z, xi))
+        if max(map(abs, x)) <= bound:
+            by_gcd[gcd(*x, 2 * disc)] += 1
+    divisors = squarefree_divisors(2 * disc)
+    by_divisor = {d: sum(c for g, c in by_gcd.items() if g % d == 0) for d, _mu in divisors}
+    count = by_gcd[1]
+    mob = sum(mu * by_divisor[d] for d, mu in divisors)
     return RepresentationCount(count, by_divisor, mob == count, precondition_ok)
 
 

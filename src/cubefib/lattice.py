@@ -8,11 +8,11 @@ bounds from fraction-free (Bareiss) elimination, and each innermost row is
 one isqrt of a discriminant stepped incrementally along t_1. Its leaves are
 the ball counts (count plus samples, never point by point), the
 representation numbers of the driver (exact roots) and exact shortest
-vectors (minimum). A count without samples does levels 1 and 0 in one
-numpy int64 pass, after a bound check in Python integers that falls back to
-the Python rows when an intermediate could leave int64; every other path is
-Python integer arithmetic. Ball counts translate the shift next to the
-ball's centre first, which keeps those intermediates small.
+vectors (minimum). A count without samples and the exact roots do levels 1
+and 0 in one numpy int64 pass, after a bound check in Python integers that
+falls back to the Python rows when an intermediate could leave int64; every
+other path is Python integer arithmetic. Ball counts translate the shift
+next to the ball's centre first, which keeps those intermediates small.
 """
 
 from __future__ import annotations
@@ -201,10 +201,11 @@ def enumerate_quadratic(
       "roots"  (#roots, every t with Q(t) = 0): D a square, a0 | -bq +- s
       "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
 
-    "count" with sample_limit = 0 and k >= 3 stops the recursion at level 2
-    and hands every level-2 interval to `_count_levels_1_0`, which counts
-    levels 1 and 0 in numpy int64; when its bound check fails, the same
-    intervals go through the Python rows.
+    "count" with sample_limit = 0 and "roots", for k >= 3, stop the
+    recursion at level 2 and hand every level-2 interval to `_levels_1_0`,
+    which counts levels 1 and 0, or lists their roots in the same order, in
+    numpy int64; when its bound check fails, the same intervals go through
+    the Python rows.
     """
     solver = QuadraticSolvedLevels(G, w, c)
     k, a0, lin0 = solver.k, solver.levels[0]["a"], solver.levels[0]["lin"]
@@ -251,8 +252,8 @@ def enumerate_quadratic(
 
     rows = {"count": count_rows, "roots": root_rows, "min": min_rows}[leaf]
     # batch: (#t_2, P_2, its step, b of P_1, bq - b1 t_1), all at t_2 = lo,
-    # then lo and the outer coordinates for the fallback
-    batch = [] if leaf == "count" and not sample_limit and k > 2 else None
+    # then lo and the outer coordinates for the roots and the fallback
+    batch = [] if (leaf == "roots" or leaf == "count" and not sample_limit) and k > 2 else None
     top = 1 if batch is None else 2
 
     def descend(j, outer):
@@ -280,13 +281,16 @@ def enumerate_quadratic(
             rows(0, 0, bq, bq * bq - a0 * cq, 0, ())
             points = [t[:1] for t in points]  # drop the phantom t_1 = 0
     if batch:
-        n = _count_levels_1_0(batch, solver)
-        if n is None:
+        found = _levels_1_0(batch, solver, leaf == "roots")
+        if found is None:
             for cnt, *_, lo, outer in batch:
                 for t2 in range(lo, lo + cnt):
                     descend(1, (t2,) + outer)
+        elif leaf == "roots":
+            points += found
+            value += len(found)
         else:
-            value += n
+            value += found
     return value, points
 
 
@@ -305,25 +309,26 @@ def _isqrt64(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _count_levels_1_0(batch, solver: QuadraticSolvedLevels) -> Optional[int]:
-    """The number of points below the level-2 intervals of `batch` (built
-    by `enumerate_quadratic`), in one int64 pass, or None when the bound
+def _levels_1_0(batch, solver: QuadraticSolvedLevels, roots: bool = False):
+    """Levels 1 and 0 below the level-2 intervals of `batch` (built by
+    `enumerate_quadratic`) in one int64 pass: the number of points, or with
+    roots=True the list of roots in enumeration order; None when the bound
     check finds an intermediate that could reach 2^62.
 
     Along t_2 = lo + i, P_2 = P + i (dP + a2 (i - 1)) <= 0, and level 1's
     reduced discriminant is d1 = b^2 - a1 c1 = -a0 P_2 (Sylvester), so
     t_1 runs over |u| <= isqrt(d1) with u = a1 t1 + b. Level 0's discriminant
     is D = -P_1 = (d1 - u^2) / a1, an exact division, and a row is counted
-    as in the Python rows. The bounds below cover every array value from
-    the batch maxima, in Python integers; the check is an `if`, so it holds
-    under `python -O`.
+    or tested for roots as in the Python rows. The bounds below cover every
+    array value from the batch maxima, in Python integers; the check is an
+    `if`, so it holds under `python -O`.
     """
     lev0, lev1, lev2 = solver.levels[:3]
     a0, a1, a2 = lev0["a"], lev1["a"], lev2["a"]
     b1, db, dbeta = lev0["lin"][0], lev1["lin"][0], lev0["lin"][1]
-    cols = list(zip(*batch))[:5]
+    cols = list(zip(*batch))
     N = max(cols[0])
-    mP, mdP, mb, mbeta = (max(map(abs, col)) for col in cols[1:])
+    mP, mdP, mb, mbeta, mlo = (max(map(abs, col)) for col in cols[1:6])
     BP = mP + N * (mdP + a2 * N)  # |P_2| and its partial terms
     BD = a0 * BP  # d1, u^2, d1 - u^2
     S = isqrt(BD) + 1  # isqrt(d1), isqrt(D)
@@ -332,10 +337,10 @@ def _count_levels_1_0(batch, solver: QuadraticSolvedLevels) -> Optional[int]:
     Bq = abs(b1) * T + mbeta + abs(dbeta) * N  # |bq|
     row = 2 * (S + Bq) // a0 + 1  # one row's count
     rows = _ROW_CHUNK + 2 * S // a1 + 1  # rows summed at once
-    if max(BD, a1 * T + Bb, S + Bq, row * rows) >= _INT64_SAFE:
+    if max(BD, a1 * T + Bb, S + Bq, row * rows, mlo + N) >= _INT64_SAFE:
         return None
 
-    n, P, dP, b, beta = (np.array(col, dtype=np.int64) for col in cols)
+    n, P, dP, b, beta, lo = (np.array(col, dtype=np.int64) for col in cols[:6])
     node = np.repeat(np.arange(len(n)), n)
     i = np.arange(len(node)) - np.repeat(np.cumsum(n) - n, n)
     P2 = P[node] + i * (dP[node] + a2 * (i - 1))
@@ -348,16 +353,28 @@ def _count_levels_1_0(batch, solver: QuadraticSolvedLevels) -> Optional[int]:
     # level-1 nodes in slices of at most _ROW_CHUNK rows plus one node's
     ends = np.cumsum(m)
     cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, int(ends[-1]), _ROW_CHUNK), side="right")
-    total = 0
+    total, found = 0, []
     for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(m)]):
         ms = m[s:e]
         r = np.repeat(np.arange(s, e), ms)
         t1 = lo1[r] + (np.arange(len(r)) - np.repeat(np.cumsum(ms) - ms, ms))
         u = a1 * t1 + b[r]
-        sq = _isqrt64((d1[r] - u * u) // a1)
+        D = (d1[r] - u * u) // a1
+        sq = _isqrt64(D)
         bq = b1 * t1 + beta[r]
-        total += int(((sq - bq) // a0 + (sq + bq) // a0 + 1).sum())
-    return total
+        if not roots:
+            total += int(((sq - bq) // a0 + (sq + bq) // a0 + 1).sum())
+            continue
+        # per row, t_0 = (-s - bq) / a0 before (s - bq) / a0, the second
+        # only when s > 0; nonzero reads them in that order
+        num = np.stack((-sq - bq, sq - bq), axis=1)
+        hit = (sq * sq == D)[:, None] & (num % a0 == 0)
+        hit[:, 1] &= sq > 0
+        hr, side = np.nonzero(hit)
+        p = r[hr]
+        pts = np.stack((num[hr, side] // a0, t1[hr], lo[node[p]] + i[p]), axis=1).tolist()
+        found += [tuple(t) + batch[j][6] for t, j in zip(pts, node[p].tolist())]
+    return found if roots else total
 
 
 def _centred_shift(basis, gram, shift) -> List[int]:

@@ -239,6 +239,24 @@ def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, message", [
+    (["count", "--form", "forms/norm_form_n9.json", "--B", "1", "--method", "brute",
+      "--mode", "pi_prime"], "count: --mode applies to --method fibration only"),
+    (["count", "--form", "forms/norm_form_n9.json", "--B", "1", "--mode", "pi"],
+     "count: --mode applies to --method fibration only"),
+    (["density", "--form", "forms/pi_prime_n7.json", "--Y", "2", "--points", "--csv"],
+     "density: --csv does not apply to --points"),
+])
+def test_options_the_chosen_path_does_not_read_exit_1(args, message):
+    """An option that another option's value makes unread (`--mode` with the
+    brute count, `--csv` with `--points`) is an error, not ignored."""
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("args, message", [
     (["analyze"], "the following arguments are required: --form"),
     (["local", "--y", "1,0"], "the following arguments are required: --form"),
     (["density", "--Y", "2"], "the following arguments are required: --form"),

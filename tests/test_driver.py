@@ -335,6 +335,80 @@ def test_representation_count_rejects_indefinite():
         representation_count_coprime(F, [0, 0], 4)
 
 
+@pytest.mark.parametrize("two_q", [
+    [[2, 0], [0, 0]],                      # x^2: positive semidefinite
+    [[0, 0], [0, 2]],
+    [[-2, 0], [0, 0]],                     # -x^2: negative semidefinite
+    [[0]],
+    [[2, 0], [0, -2]],                     # indefinite
+    [[-2, 0], [0, 2]],
+    [[0, 1], [1, 0]],                      # xy
+    [[2, 3, 0], [3, 2, 0], [0, 0, 2]],
+])
+def test_representation_count_rejects_forms_that_are_not_definite(two_q):
+    F = QuadraticPolynomial(two_q, [0] * len(two_q), 0)
+    with pytest.raises(ValueError, match="F must be definite"):
+        representation_count_coprime(F, [0] * len(two_q), 4)
+
+
+@st.composite
+def definite_representation_problems(draw):
+    """(2Q, B, N, xi, N_target, window) with 2Q = A^T A + e I, each odd
+    diagonal entry raised by 1, so 2Q is positive definite with an even
+    diagonal and may have odd off-diagonal entries."""
+    m = draw(st.integers(1, 4))
+    A = [[draw(st.integers(-2, 2)) for _ in range(m)] for _ in range(m)]
+    e = draw(st.integers(1, 2))
+    S = [[sum(A[r][i] * A[r][j] for r in range(m)) + (e if i == j else 0) for j in range(m)]
+         for i in range(m)]
+    two_q = [[v + (i == j and v % 2) for j, v in enumerate(row)] for i, row in enumerate(S)]
+    B = [draw(st.integers(-2, 2)) for _ in range(m)]
+    xi = [draw(st.integers(-2, 2)) for _ in range(m)]
+    window = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]))
+    return two_q, B, draw(st.integers(-3, 3)), xi, draw(st.integers(-1, 16)), window
+
+
+def brute_representation(two_q, B, N, xi, N_target, window):
+    """(count, by_divisor) by a scan of the box |x|_inf <= window sqrt(N)."""
+    from itertools import product
+    from math import gcd, isqrt
+
+    from cubefib.linalg import int_matrix_det
+    from cubefib.nt import squarefree_divisors
+
+    m = len(two_q)
+    disc = abs(int_matrix_det(two_q))
+    R = math.floor(window * (isqrt(N_target) if N_target > 0 else 1))
+    count, by_divisor = 0, {d: 0 for d, _ in squarefree_divisors(2 * disc)}
+    for x in product(range(-R, R + 1), repeat=m):
+        z = [a + b for a, b in zip(x, xi)]
+        two_f = sum(z[i] * two_q[i][j] * z[j] for i in range(m) for j in range(m))
+        if two_f + 2 * sum(b * v for b, v in zip(B, z)) + 2 * N != 2 * N_target:
+            continue
+        count += gcd(*x, 2 * disc) == 1
+        for d in by_divisor:
+            by_divisor[d] += all(v % d == 0 for v in x)
+    return count, by_divisor
+
+
+@settings(max_examples=120, deadline=None)
+@given(definite_representation_problems())
+def test_representation_count_matches_a_box_scan(problem):
+    """Positive- and negative-definite forms, with a shift xi and a
+    Fraction window, against a scan of the whole box."""
+    two_q, B, N, xi, N_target, window = problem
+    count, by_divisor = brute_representation(*problem)
+    if N_target < 0:
+        count, by_divisor = 0, {}
+    pos = representation_count_coprime(QuadraticPolynomial(two_q, B, N), xi, N_target, window)
+    neg = representation_count_coprime(
+        QuadraticPolynomial([[-v for v in row] for row in two_q], [-b for b in B], -N),
+        xi, -N_target, window)
+    for res in (pos, neg):
+        assert (res.count, res.by_divisor) == (count, by_divisor)
+        assert res.inclusion_exclusion_ok
+
+
 def test_representation_growth_trend():
     terms = {tuple(2 if i == j else 0 for i in range(5)): 1 for j in range(5)}
     F = QuadraticPolynomial.from_polynomial(IntPolynomial(5, terms))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubefib import lattice
@@ -468,24 +468,53 @@ def test_int64_count_leaf_matches_python_rows_and_box(Gwc, scale):
     G, w, c = Gwc
     inside, _ = box_points(G, w, c, lambda q: q <= 0)
     sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
-    leaf = lattice._count_levels_1_0
     passes = []
-
-    def spy(batch, solver):
-        passes.append(leaf(batch, solver))
-        return passes[-1]
-
-    with mock.patch.object(lattice, "_count_levels_1_0", spy):
+    with mock.patch.object(lattice, "_levels_1_0", int64_spy(passes)):
         count, samples = enumerate_quadratic(sG, sw, sc, "count")
-    with mock.patch.object(lattice, "_count_levels_1_0", lambda batch, solver: None):
+    with mock.patch.object(lattice, "_levels_1_0", lambda batch, solver, roots=False: None):
         python_rows, _ = enumerate_quadratic(sG, sw, sc, "count")
     assert count == python_rows == len(inside) and samples == []
-    if len(G) < 3:
+    check_int64_passes(passes, len(G), scale)
+
+
+def int64_spy(passes):
+    """`lattice._levels_1_0`, recording what each call returns."""
+    leaf = lattice._levels_1_0
+
+    def spy(batch, solver, roots=False):
+        passes.append(leaf(batch, solver, roots))
+        return passes[-1]
+    return spy
+
+
+def check_int64_passes(passes, k, scale):
+    if k < 3:
         assert passes == []
     elif scale == 1:
         assert None not in passes
     elif scale == 2 ** 60:
         assert all(p is None for p in passes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_definite_quadratics(), st.sampled_from([1, 2 ** 8, 2 ** 60]))
+@example(([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [0, 0, 0], -18), 1)  # 30 roots
+@example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, -18), 1)  # 104
+@example(([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 4]], [1, 0, -1, 2], -40), 1)  # 240
+def test_int64_roots_leaf_matches_python_rows_and_box(Gwc, scale):
+    """Scaling Q by a positive integer keeps its roots; the int64 roots, the
+    Python rows' roots and the box's roots agree, in enumeration order. The
+    examples have many roots, both signs of t_0 and rows with s = 0."""
+    G, w, c = Gwc
+    roots, _ = box_points(G, w, c, lambda q: q == 0)
+    sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
+    passes = []
+    with mock.patch.object(lattice, "_levels_1_0", int64_spy(passes)):
+        found = enumerate_quadratic(sG, sw, sc, "roots")
+    with mock.patch.object(lattice, "_levels_1_0", lambda batch, solver, roots=False: None):
+        python_rows = enumerate_quadratic(sG, sw, sc, "roots")
+    assert found == python_rows == (len(roots), roots)
+    check_int64_passes(passes, len(G), scale)
 
 
 def test_int64_isqrt_is_exact_up_to_2_62():
