@@ -18,12 +18,12 @@ import numpy as np
 
 from . import gridcount
 from .fibration import FalsificationAlarm, linear_fibre_parts, split_cubic
-from .lattice import enumerate_quadratic, hyperplane_count_exact
+from .lattice import enumerate_quadratic, hyperplane_counts
 from .linalg import QuadraticPolynomial, int_matrix_det
 from .nt import squarefree_divisors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
 from .sieve import (AdmissibleSetSpec, box_with_large_Q, build_conditions, enumerate_admissible,
-                    fibre_solubility)
+                    quadric_fibre_point)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +234,10 @@ def fibration_count(
     with Y = default_Y_rule(B); every counted point (x, y) is a primitive
     zero of C of height at most B.
 
-    pi_prime (linear fibres, C = sum_j x_j Q_j(y) + R(y)): each fibre is
-    counted exactly by `hyperplane_count_exact` over the large-Q box, and
-    the rows are labeled "certified-lower-bound". pi (quadric fibres): the
+    pi_prime (linear fibres, C = sum_j x_j Q_j(y) + R(y)): the fibres over
+    the large-Q box are counted exactly, all fibres of a rung in one
+    `hyperplane_counts` call (the first four with samples), and the rows
+    are labeled "certified-lower-bound". pi (quadric fibres): the
     admissible y run over the unit box, and each fibre adds at most the one
     point a search capped at min(B, 8) finds; the rows are labeled
     "sampling-lower-bound". A cubic that is insoluble at a bad prime gets
@@ -274,19 +275,24 @@ def fibration_count(
     for B in sorted(set(B_list)):
         Y = default_Y_rule(B)
         Yvals[B] = Y
-        total = 0
-        nfib = 0
+        # (y, g) and the pi count or the pi_prime hyperplane of each fibre
+        fibres, jobs = [], []
         for y in enumerate_admissible(spec, Y, budget):
             g = vector_gcd(y)
             if mode == "pi_prime":
-                fibre = _linear_fibre(q_list, R, y, g, B, 3 if nfib < 4 else 0)
-            else:
-                fibre = _quadric_fibre(C, split, y, g, B)
-            if fibre is None:
-                continue
-            count, points = fibre
+                job = _linear_fibre(q_list, R, y, g, B, 3 if len(jobs) < 4 else 0)
+            else:  # the point found within min(B, 8), if of height <= B and gcd(x, g) = 1
+                pt = quadric_fibre_point(y, C, split, min(B, 8))
+                ok = pt is not None and max(map(abs, pt)) <= B and gcd(vector_gcd(pt), g) == 1
+                job = (1, [pt]) if ok else (0, [])
+            if job is not None:
+                fibres.append((y, g))
+                jobs.append(job)
+        if mode == "pi_prime":
+            jobs = [(res.exact, res.samples) for res in hyperplane_counts(jobs)]
+        total = 0
+        for (y, g), (count, points) in zip(fibres, jobs):
             total += count
-            nfib += 1
             for pt in points:
                 if len(samples) < 16 and gcd(vector_gcd(pt), g) == 1:
                     full = [0] * split.n
@@ -300,15 +306,15 @@ def fibration_count(
                     samples.append(full)
         best = max(best, total)
         rows.append((B, best))
-        fibre_counts[B] = nfib
+        fibre_counts[B] = len(fibres)
     series = CountSeries(rows, "fibration-lower-bound", samples=samples,
                          per_B_fibres=fibre_counts)
     return FibrationCountResult(series, Yvals, mode, label, spec)
 
 
 def _linear_fibre(q_list, R, y, g, B, sample_limit):
-    """(count, samples) of the linear fibre sum_j Q_j(y) x_j + R(y) = 0 in
-    |x| <= B with gcd(x, g) = 1, or None when every Q_j(y) vanishes."""
+    """The `hyperplane_counts` item (a, b, B, g, sample_limit) of the linear
+    fibre sum_j Q_j(y) x_j + R(y) = 0, or None when every Q_j(y) vanishes."""
     vals = [q.evaluate(list(y)) for q in q_list]
     if all(v == 0 for v in vals):
         return None
@@ -317,20 +323,7 @@ def _linear_fibre(q_list, R, y, g, B, sample_limit):
     if rval % d0:
         raise FalsificationAlarm(
             f"admissible y={y} is not locally soluble: {d0} does not divide R(y)={rval}")
-    a = [v // d0 for v in vals]
-    b = rval // d0
-    res = hyperplane_count_exact(a, b, B, g=g, sample_limit=sample_limit)
-    return res.exact, res.samples
-
-
-def _quadric_fibre(C, split, y, g, B):
-    """(0 or 1, the point) for the quadric fibre over y: the point the search
-    of `fibre_solubility` finds within min(B, 8), if it has height at most B
-    and gcd(x, g) = 1."""
-    pt = fibre_solubility(y, C, split, "pi", want_point=True, search_bound=min(B, 8)).point
-    if pt is None or max(abs(v) for v in pt) > B or gcd(vector_gcd(pt), g) != 1:
-        return 0, []
-    return 1, [pt]
+    return [v // d0 for v in vals], rval // d0, B, g, sample_limit
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ One kernel, `enumerate_quadratic`, walks {t : t^T G t + 2 w.t + c <= 0} for
 positive-definite G: the outer levels recurse with integer Schur-complement
 bounds from fraction-free (Bareiss) elimination, and each innermost row is
 one isqrt of a discriminant stepped incrementally along t_1. Its leaves are
-the ball counts (count plus samples, never point by point), the
-representation numbers of the driver (exact roots) and exact shortest
-vectors (minimum). A count without samples and the exact roots do levels 1
-and 0 in one numpy int64 pass, after a bound check in Python integers that
-falls back to the Python rows when an intermediate could leave int64; every
-other path is Python integer arithmetic. Ball counts translate the shift
-next to the ball's centre first, which keeps those intermediates small.
+the ball counts (count plus samples), the representation numbers of the
+driver (exact roots) and exact shortest vectors (minimum). Counts and roots
+run in batches (`enumerate_quadratics`): a fibration rung hands all its
+hyperplanes, Mobius terms and sample requests to one `hyperplane_counts`
+call, and levels 1 and 0 of every system run in one segmented numpy int64
+pass; a system whose bound check in Python integers fails, and the minimum,
+take the Python rows. Ball shifts are first moved next to the centre.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from .volumes import _DEFAULT_TABLE
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def gram_matrix(basis: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -186,28 +187,48 @@ def enumerate_quadratic(
     """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
     for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
 
-    The outer levels take their t_j-interval from `bounds_at`. The last
-    level the recursion visits (level 1, or level 2 for the int64 count
-    below) takes its interval and its set-up from one `quadratic_at`.
-    Level 0 makes no call per row. Its row is Q = a0 t_0^2 + 2 bq t_0 + cq, and bq and the
-    reduced discriminant D = bq^2 - a0 cq are polynomials in t_1 (D = -P_1),
-    stepped by finite differences along the level-1 interval, where D >= 0.
-    The row is [ceil((-bq - s) / a0), floor((-bq + s) / a0)] with
-    s = isqrt(D), exactly: floor(x / a) = floor(floor(x) / a) for integer
-    a > 0. Leaves, in enumeration order (t_{k-1} outermost, each level
-    ascending), return (value, points):
+    The outer levels take their t_j-interval from `bounds_at`, the last one
+    visited (level 1, or 2 for the int64 pass) its interval and set-up from
+    one `quadratic_at`. Level 0's row is Q = a0 t_0^2 + 2 bq t_0 + cq; bq
+    and the reduced discriminant D = bq^2 - a0 cq = -P_1 are stepped by
+    finite differences along t_1, and the row is
+    [ceil((-bq - s) / a0), floor((-bq + s) / a0)] with s = isqrt(D),
+    exactly: floor(x / a) = floor(floor(x) / a) for integer a > 0. Leaves,
+    in enumeration order (t_{k-1} outermost, each level ascending), return
+    (value, points):
 
       "count"  (#solutions, the first sample_limit solutions)
       "roots"  (#roots, every t with Q(t) = 0): D a square, a0 | -bq +- s
       "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
 
-    "count" with sample_limit = 0 and "roots", for k >= 3, stop the
-    recursion at level 2 and hand every level-2 interval to `_levels_1_0`,
-    which counts levels 1 and 0, or lists their roots in the same order, in
-    numpy int64; when its bound check fails, the same intervals go through
-    the Python rows.
+    "count" and "roots" are a one-system call of `enumerate_quadratics`;
+    "min" takes the Python rows.
     """
-    solver = QuadraticSolvedLevels(G, w, c)
+    if leaf == "min":
+        return _python_rows(QuadraticSolvedLevels(G, w, c), leaf, 0)
+    return enumerate_quadratics([(G, w, c, sample_limit)], {"count": False, "roots": True}[leaf])[0]
+
+
+def _intervals(solver: QuadraticSolvedLevels, top: int):
+    """(count, lo, P_top and its step at t_top = lo, (lo, *outer, 1)) for
+    every non-empty t_top-interval, in enumeration order; `bounds_at` walks
+    the levels above top, and P_top comes from one `quadratic_at`."""
+    outers = [()]
+    for j in range(solver.k - 1, top, -1):
+        deeper = []
+        for outer in outers:
+            _, lo, hi = solver.bounds_at(j, outer)
+            deeper += [(t,) + outer for t in range(lo, hi + 1)]
+        outers = deeper
+    for outer in outers:
+        a, b, cq = solver.quadratic_at(top, outer)  # P_top = a t^2 + 2 b t + cq
+        cnt, lo, _ = count_quadratic_interval(a, 2 * b, cq)
+        if cnt:
+            yield cnt, lo, (a * lo + 2 * b) * lo + cq, a * (2 * lo + 1) + 2 * b, (lo,) + outer + (1,)
+
+
+def _python_rows(solver: QuadraticSolvedLevels, leaf: str, sample_limit: int):
+    """`enumerate_quadratic` in Python integers: the rows of `leaf` below each level-1 interval."""
     k, a0, lin0 = solver.k, solver.levels[0]["a"], solver.levels[0]["lin"]
     # bq = b1 t_1 + (terms in t_2, ...); D steps by dD, which steps by dd
     b1, dd = (lin0[0], -2 * solver.levels[1]["a"]) if k > 1 else (0, 0)
@@ -251,51 +272,91 @@ def enumerate_quadratic(
             bq, D, dD = bq + b1, D + dD, dD + dd
 
     rows = {"count": count_rows, "roots": root_rows, "min": min_rows}[leaf]
-    # batch: (#t_2, P_2, its step, b of P_1, bq - b1 t_1), all at t_2 = lo,
-    # then lo and the outer coordinates for the roots and the fallback
-    batch = [] if (leaf == "roots" or leaf == "count" and not sample_limit) and k > 2 else None
-    top = 1 if batch is None else 2
-
-    def descend(j, outer):
-        if j > top:
-            _, lo, hi = solver.bounds_at(j, outer)
-            for tj in range(lo, hi + 1):
-                descend(j - 1, (tj,) + outer)
-            return
-        a, b, cq = solver.quadratic_at(j, outer)  # P_j = a t_j^2 + 2 b t_j + cq
-        cnt, lo, hi = count_quadratic_interval(a, 2 * b, cq)
-        if not cnt:
-            return
-        vec = (lo,) + outer + (1,)
-        P, dP = (a * lo + 2 * b) * lo + cq, a * (2 * lo + 1) + 2 * b
-        if j == 2:
-            batch.append((cnt, P, dP, dot(solver.levels[1]["lin"], vec), dot(lin0[1:], vec), lo, outer))
-        else:
-            rows(lo, hi, dot(lin0, vec), -P, -dP, outer)
-
-    if k > 1:
-        descend(k - 1, ())
-    else:
+    if k == 1:
         _, bq, cq = solver.quadratic_at(0, ())
         if bq * bq >= a0 * cq:
             rows(0, 0, bq, bq * bq - a0 * cq, 0, ())
-            points = [t[:1] for t in points]  # drop the phantom t_1 = 0
-    if batch:
-        found = _levels_1_0(batch, solver, leaf == "roots")
-        if found is None:
-            for cnt, *_, lo, outer in batch:
-                for t2 in range(lo, lo + cnt):
-                    descend(1, (t2,) + outer)
-        elif leaf == "roots":
-            points += found
-            value += len(found)
-        else:
-            value += found
+        return value, [t[:1] for t in points]  # drop the phantom t_1 = 0
+    for cnt, lo, P, dP, vec in _intervals(solver, 1):
+        rows(lo, lo + cnt - 1, dot(lin0, vec), -P, -dP, vec[1:-1])
     return value, points
 
 
 _INT64_SAFE = 2 ** 62
 _ROW_CHUNK = 1 << 16
+_NODE_FLUSH = 1 << 15  # level-1 nodes a batch holds before it runs
+
+
+def enumerate_quadratics(systems, roots: bool = False) -> List[Tuple[int, List[Tuple[int, ...]]]]:
+    """The "count" leaf of `enumerate_quadratic`, or with roots=True its
+    "roots" leaf, for each (G, w, c, sample_limit) of `systems`, in order.
+
+    A system of k >= 3 stops the recursion at level 2 and adds its level-2
+    intervals to the batch, six integers per node in one flat list.
+    `_levels_1_0` runs levels 1 and 0 of a whole batch in numpy int64, once
+    the batch holds _NODE_FLUSH level-1 nodes and at the end. A system that
+    has no level-2 interval or fails the bound check of `_fits_int64`, and
+    every system of k <= 2, takes the Python rows."""
+    leaf = "roots" if roots else "count"
+    # six integers per level-2 node: #t_2, then P_2, its step, b of P_1 and
+    # bq - b1 t_1, all at t_2 = lo, then lo
+    flat: List[int] = []
+    # per system of the batch: its node end, (a0, a1, a2, b1, db, dbeta),
+    # sample limit and its nodes' outer coordinates (if it returns points)
+    batch, ids, out, nodes = [], [], [], 0
+
+    def flush():
+        for i, res in zip(ids, _levels_1_0(flat, batch, roots) if batch else ()):
+            out[i] = res
+        for col in (flat, batch, ids):
+            col.clear()
+
+    for i, (G, w, c, limit) in enumerate(systems):
+        solver = QuadraticSolvedLevels(G, w, c)
+        out.append(None)
+        if solver.k < 3:
+            out[i] = _python_rows(solver, leaf, limit)
+            continue
+        lev0, lev1, lev2 = solver.levels[:3]
+        lin1, rest0 = lev1["lin"], lev0["lin"][1:]
+        outers = [] if roots or limit else None
+        start = len(flat)
+        for cnt, t2, P2, dP2, vec in _intervals(solver, 2):
+            flat += (cnt, P2, dP2, dot(lin1, vec), dot(rest0, vec), t2)
+            if outers is not None:
+                outers.append(vec[1:-1])
+        consts = (lev0["a"], lev1["a"], lev2["a"], lev0["lin"][0], lin1[0], rest0[0])
+        if len(flat) == start or not _fits_int64(flat[start:], consts):
+            del flat[start:]
+            out[i] = _python_rows(solver, leaf, limit)
+            continue
+        batch.append((len(flat) // 6, consts, limit, outers))
+        ids.append(i)
+        nodes += sum(flat[start::6])
+        if nodes >= _NODE_FLUSH:
+            flush()
+            nodes = 0
+    flush()
+    return out
+
+
+def _fits_int64(nodes: List[int], consts) -> bool:
+    """Whether every value `_levels_1_0` computes for a system (its level-2
+    nodes flat in `nodes`, consts (a0, a1, a2, b1, db, dbeta)) stays below
+    2^62, bounded from its column maxima in Python integers; the caller
+    tests it with an `if`, so the check holds under `python -O`."""
+    a0, a1, a2, b1, db, dbeta = consts
+    N = max(nodes[0::6])
+    mP, mdP, mb, mbeta, mlo = (max(map(abs, nodes[c::6])) for c in range(1, 6))
+    BP = mP + N * (mdP + a2 * N)  # |P_2| and its partial terms
+    BD = a0 * BP  # d1 and its partial terms, u^2, d1 - u^2
+    S = isqrt(BD) + 1  # isqrt(d1), isqrt(D)
+    Bb = mb + abs(db) * N
+    T = (S + Bb) // a1 + 2  # |t_1|
+    Bq = abs(b1) * T + mbeta + abs(dbeta) * N  # |bq|
+    row = 2 * (S + Bq) // a0 + 1  # one row's count
+    rows = _ROW_CHUNK + 2 * S // a1 + 1  # rows summed at once
+    return max(BD, a1 * T + Bb, S + Bq, row * rows, mlo + N) < _INT64_SAFE
 
 
 def _isqrt64(x: np.ndarray) -> np.ndarray:
@@ -309,88 +370,95 @@ def _isqrt64(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _levels_1_0(batch, solver: QuadraticSolvedLevels, roots: bool = False):
-    """Levels 1 and 0 below the level-2 intervals of `batch` (built by
-    `enumerate_quadratic`) in one int64 pass: the number of points, or with
-    roots=True the list of roots in enumeration order; None when the bound
-    check finds an intermediate that could reach 2^62.
+def _levels_1_0(flat, batch, roots: bool = False):
+    """Levels 1 and 0 below the level-2 intervals in `flat`, for each system
+    of `batch` (both built by `enumerate_quadratics`), in numpy int64: its
+    (count, first sample_limit points), or with roots=True (#roots, roots),
+    in enumeration order.
 
     Along t_2 = lo + i, P_2 = P + i (dP + a2 (i - 1)) <= 0, and level 1's
     reduced discriminant is d1 = b^2 - a1 c1 = -a0 P_2 (Sylvester), so
     t_1 runs over |u| <= isqrt(d1) with u = a1 t1 + b. Level 0's discriminant
-    is D = -P_1 = (d1 - u^2) / a1, an exact division, and a row is counted
-    or tested for roots as in the Python rows. The bounds below cover every
-    array value from the batch maxima, in Python integers; the check is an
-    `if`, so it holds under `python -O`.
-    """
-    lev0, lev1, lev2 = solver.levels[:3]
-    a0, a1, a2 = lev0["a"], lev1["a"], lev2["a"]
-    b1, db, dbeta = lev0["lin"][0], lev1["lin"][0], lev0["lin"][1]
-    cols = list(zip(*batch))
-    N = max(cols[0])
-    mP, mdP, mb, mbeta, mlo = (max(map(abs, col)) for col in cols[1:6])
-    BP = mP + N * (mdP + a2 * N)  # |P_2| and its partial terms
-    BD = a0 * BP  # d1, u^2, d1 - u^2
-    S = isqrt(BD) + 1  # isqrt(d1), isqrt(D)
-    Bb = mb + abs(db) * N
-    T = (S + Bb) // a1 + 2  # |t_1|
-    Bq = abs(b1) * T + mbeta + abs(dbeta) * N  # |bq|
-    row = 2 * (S + Bq) // a0 + 1  # one row's count
-    rows = _ROW_CHUNK + 2 * S // a1 + 1  # rows summed at once
-    if max(BD, a1 * T + Bb, S + Bq, row * rows, mlo + N) >= _INT64_SAFE:
-        return None
-
-    n, P, dP, b, beta, lo = (np.array(col, dtype=np.int64) for col in cols[:6])
-    node = np.repeat(np.arange(len(n)), n)
-    i = np.arange(len(node)) - np.repeat(np.cumsum(n) - n, n)
-    P2 = P[node] + i * (dP[node] + a2 * (i - 1))
-    d1 = -a0 * P2
-    b = b[node] + db * i
-    beta = beta[node] + dbeta * i
+    is D = -P_1 = (d1 - u^2) / a1, an exact division, and a row is counted,
+    sampled or tested for roots as in the Python rows. The level-1 nodes of
+    the whole batch are one array pass; the rows run per system, in slices
+    of about _ROW_CHUNK rows, with its divisors as scalars (floor division
+    by an array is several times slower)."""
+    n, P, dP, b, beta, lo = np.array(flat, dtype=np.int64).reshape(-1, 6).T
+    system = np.searchsorted([end for end, *_ in batch], np.arange(len(n)), "right")
+    a0, _, a2, _, db, dbeta = np.array([sys[1] for sys in batch], dtype=np.int64)[system].T  # per node
+    ends1 = np.cumsum(n)  # level-1 node ends of the level-2 nodes
+    node = np.repeat(np.arange(len(n)), n)  # level-1 node -> level-2 node
+    i = np.arange(len(node)) - (ends1 - n)[node]
+    d1 = -((a0 * P)[node] + i * ((a0 * dP)[node] + (a0 * a2)[node] * (i - 1)))  # -a0 P_2
+    b = b[node] + db[node] * i
+    beta = beta[node] + dbeta[node] * i
+    t2 = lo[node] + i
     s1 = _isqrt64(d1)
-    lo1 = -((s1 + b) // a1)
-    m = np.maximum((s1 - b) // a1 - lo1 + 1, 0)
-    # level-1 nodes in slices of at most _ROW_CHUNK rows plus one node's
-    ends = np.cumsum(m)
-    cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, int(ends[-1]), _ROW_CHUNK), side="right")
-    total, found = 0, []
-    for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(m)]):
-        ms = m[s:e]
-        r = np.repeat(np.arange(s, e), ms)
-        t1 = lo1[r] + (np.arange(len(r)) - np.repeat(np.cumsum(ms) - ms, ms))
-        u = a1 * t1 + b[r]
-        D = (d1[r] - u * u) // a1
-        sq = _isqrt64(D)
-        bq = b1 * t1 + beta[r]
-        if not roots:
-            total += int(((sq - bq) // a0 + (sq + bq) // a0 + 1).sum())
+    results, u0, w0 = [], 0, 0
+    for w1, (a0, a1, _, b1, _, _), limit, outers in batch:
+        u1 = int(ends1[w1 - 1])
+        d1s, bs, betas, t2s, s1s = (x[u0:u1] for x in (d1, b, beta, t2, s1))
+        lo1 = -((s1s + bs) // a1)
+        m = np.maximum((s1s - bs) // a1 - lo1 + 1, 0)
+        ends = np.cumsum(m)
+        # the system's level-1 nodes in slices of at most _ROW_CHUNK rows plus one node's
+        cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, int(ends[-1]), _ROW_CHUNK), "right").tolist()
+        count, pts = 0, []
+        for s, e in zip([0, *cuts], [*cuts, len(m)]):
+            mc = m[s:e]
+            r = np.repeat(np.arange(s, e), mc)
+            t1 = lo1[r] + (np.arange(len(r)) - np.repeat(np.cumsum(mc) - mc, mc))
+            u = a1 * t1 + bs[r]
+            D = (d1s[r] - u * u) // a1
+            sq = _isqrt64(D)
+            bq = b1 * t1 + betas[r]
+            if roots:
+                # per row, t_0 = (-s - bq) / a0 before (s - bq) / a0, the
+                # second only when s > 0; nonzero reads them in that order
+                num = np.stack((-sq - bq, sq - bq), axis=1)
+                hit = (sq * sq == D)[:, None] & (num % a0 == 0)
+                hit[:, 1] &= sq > 0
+                hr, side = np.nonzero(hit)
+                p = r[hr]
+                found = np.stack((num[hr, side] // a0, t1[hr], t2s[p]), axis=1).tolist()
+                pts += [tuple(t) + outers[q] for t, q in zip(found, (node[u0 + p] - w0).tolist())]
+                count += len(found)
+                continue
+            row = (sq - bq) // a0 + (sq + bq) // a0 + 1
+            count += int(row.sum())
+            for h in np.flatnonzero(row)[:limit - len(pts)].tolist() if len(pts) < limit else ():
+                t0, q = -(int(sq[h] + bq[h]) // a0), int(r[h])
+                head = (int(t1[h]), int(t2s[q])) + outers[node[u0 + q] - w0]
+                pts += [(t,) + head for t in range(t0, t0 + min(int(row[h]), limit - len(pts)))]
+        results.append((count, pts))
+        u0, w0 = u1, w1
+    return results
+
+
+def _centred_shifts(balls) -> List[List[int]]:
+    """shift + sum t_i basis_i for each (basis, shift, ...) of `balls`, with
+    t the rounded float solution of gram t = -(basis_i . shift): the point
+    of the coset shift + lattice next to the origin, up to rounding. One
+    stacked float solve per shape of basis. Any integer t keeps the coset,
+    so a poor float solve costs magnitude only; one that fails keeps the
+    shifts."""
+    shifts, shapes = [list(ball[1]) for ball in balls], {}
+    for idx, (basis, shift, *_) in enumerate(balls):
+        if basis:
+            shapes.setdefault((len(basis), len(shift)), []).append(idx)
+    for group in shapes.values():
+        try:
+            basis = np.array([balls[idx][0] for idx in group], dtype=np.float64)
+            shift = np.array([shifts[idx] for idx in group], dtype=np.float64)[..., None]
+            t = np.rint(np.linalg.solve(basis @ basis.transpose(0, 2, 1), -(basis @ shift)))[..., 0]
+        except (OverflowError, np.linalg.LinAlgError):
             continue
-        # per row, t_0 = (-s - bq) / a0 before (s - bq) / a0, the second
-        # only when s > 0; nonzero reads them in that order
-        num = np.stack((-sq - bq, sq - bq), axis=1)
-        hit = (sq * sq == D)[:, None] & (num % a0 == 0)
-        hit[:, 1] &= sq > 0
-        hr, side = np.nonzero(hit)
-        p = r[hr]
-        pts = np.stack((num[hr, side] // a0, t1[hr], lo[node[p]] + i[p]), axis=1).tolist()
-        found += [tuple(t) + batch[j][6] for t, j in zip(pts, node[p].tolist())]
-    return found if roots else total
-
-
-def _centred_shift(basis, gram, shift) -> List[int]:
-    """shift + sum t_i basis_i with t the rounded float solution of
-    gram t = -(basis_i . shift): the point of the coset shift + lattice
-    next to the origin, up to rounding. Any integer t keeps the coset, so
-    a poor float solve costs magnitude only; one that fails keeps shift."""
-    try:
-        t = np.rint(np.linalg.solve(np.array(gram, dtype=np.float64),
-                                    -np.array([dot(u, shift) for u in basis], dtype=np.float64)))
-    except (OverflowError, np.linalg.LinAlgError):
-        return list(shift)
-    if not np.isfinite(t).all():
-        return list(shift)
-    t = [int(v) for v in t]
-    return [s + dot(t, col) for s, col in zip(shift, zip(*basis))]
+        for idx, ti in zip(group, t):
+            if np.isfinite(ti).all():
+                ti = [int(v) for v in ti]
+                shifts[idx] = [s + dot(ti, col) for s, col in zip(shifts[idx], zip(*balls[idx][0]))]
+    return shifts
 
 
 def count_affine_points_in_ball(
@@ -406,24 +474,35 @@ def count_affine_points_in_ball(
     the ball's centre. A translation by a lattice vector shifts every t by
     the same integer vector, which keeps the count and the lexicographic
     enumeration order, so the samples are the same points."""
-    radius2 = Fraction(radius2)
-    if radius2 < 0:
-        return 0, []
-    k = len(basis)
-    if k == 0:
-        ok = Fraction(dot(shift, shift)) <= radius2
-        return (1 if ok else 0), ([tuple(shift)] if ok and sample_limit else [])
-    gram = gram_matrix(basis)
-    shift = _centred_shift(basis, gram, shift)
-    den = radius2.denominator
-    G = [[den * v for v in row] for row in gram]
-    w = [den * dot(u, shift) for u in basis]
-    c = den * dot(shift, shift) - radius2.numerator
-    count, tsamples = enumerate_quadratic(G, w, c, "count", sample_limit)
-    points = []
-    for t in tsamples:
-        points.append(tuple(s + sum(t[i] * basis[i][j] for i in range(k)) for j, s in enumerate(shift)))
-    return count, points
+    return ball_counts([(basis, shift, radius2, sample_limit)])[0]
+
+
+def ball_counts(balls) -> List[Tuple[int, List[Tuple[int, ...]]]]:
+    """`count_affine_points_in_ball` for each (basis, shift, radius2,
+    sample_limit) of `balls`, in order: the shifts are centred together,
+    and every ball of rank >= 1 is one system of one `enumerate_quadratics`
+    batch, built only when the batch takes it."""
+    shifts = _centred_shifts(balls)
+    out, where = [(0, []) for _ in balls], []
+
+    def systems():
+        for idx, ((basis, _, r2, limit), shift) in enumerate(zip(balls, shifts)):
+            r2 = Fraction(r2)
+            if r2 < 0:
+                continue
+            if not basis:
+                ok = dot(shift, shift) <= r2
+                out[idx] = (int(ok), [tuple(shift)] if ok and limit else [])
+                continue
+            where.append(idx)
+            den, G = r2.denominator, gram_matrix(basis)
+            G = G if den == 1 else [[den * v for v in row] for row in G]
+            yield G, [den * dot(u, shift) for u in basis], den * dot(shift, shift) - r2.numerator, limit
+
+    for idx, (count, ts) in zip(where, enumerate_quadratics(systems())):
+        cols = list(zip(*balls[idx][0]))
+        out[idx] = count, [tuple(s + dot(t, col) for s, col in zip(shifts[idx], cols)) for t in ts]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,36 +599,33 @@ def hyperplane_count_exact(
     which reproduces direct filtered enumeration exactly. g = 0 and B < 0
     raise ValueError.
     """
-    a = [int(v) for v in a]
-    if gcd(*a) != 1:
-        raise ValueError("a must be primitive")
-    if B < 0:
-        raise ValueError(f"B must be nonnegative, got {B}")
-    if g == 0:
-        raise ValueError("g must be nonzero: gcd(x, 0) = 1 would need a primitivity filter")
-    R2 = Fraction(B) ** 2 - 1
-    if g is None or g == 1:
-        return _hyperplane_count_r2(a, b, R2, sample_limit)
-    total = 0
-    samples: List[Tuple[int, ...]] = []
-    for d, mu in squarefree_divisors(g):
-        if b % d:
-            continue
-        sub = _hyperplane_count_r2(a, b // d, R2 / (d * d), sample_limit if d == 1 else 0)
-        total += mu * sub.exact
-        if d == 1:
-            samples = list(sub.samples)
-    return HyperplaneCount(total, tuple(samples))
+    return hyperplane_counts([(a, b, B, g, sample_limit)])[0]
 
 
-def _hyperplane_count_r2(a, b, R2: Fraction, sample_limit=0) -> HyperplaneCount:
-    if R2 < 0:
-        return HyperplaneCount(0)
-    shift = solve_linear_diophantine(list(a), -b)
-    if shift is None:
-        return HyperplaneCount(0)
-    count, pts = count_affine_points_in_ball(_reduced_kernel_basis(tuple(a)), shift, R2, sample_limit)
-    return HyperplaneCount(count, tuple(pts))
+def hyperplane_counts(fibres) -> List[HyperplaneCount]:
+    """`hyperplane_count_exact` for each (a, b, B, g, sample_limit) of
+    `fibres`, in order: every Mobius term of every fibre is one ball of one
+    `ball_counts` call, and each fibre is checked as it is alone."""
+    balls, terms = [], []
+    for a, b, B, g, sample_limit in fibres:
+        a = [int(v) for v in a]
+        if gcd(*a) != 1:
+            raise ValueError("a must be primitive")
+        if B < 0:
+            raise ValueError(f"B must be nonnegative, got {B}")
+        if g == 0:
+            raise ValueError("g must be nonzero: gcd(x, 0) = 1 would need a primitivity filter")
+        R2 = Fraction(B) ** 2 - 1
+        own = []  # (ball, mu); d = 1 comes first and carries the samples
+        for d, mu in squarefree_divisors(g or 1) if R2 >= 0 else ():
+            if b % d == 0:  # a is primitive, so <a, x> = -b/d is soluble
+                own.append((len(balls), mu))
+                balls.append((_reduced_kernel_basis(tuple(a)), solve_linear_diophantine(a, -(b // d)),
+                              R2 / (d * d), sample_limit if d == 1 else 0))
+        terms.append(own)
+    counts = ball_counts(balls)
+    return [HyperplaneCount(sum(mu * counts[j][0] for j, mu in own),
+                            tuple(counts[own[0][0]][1]) if own else ()) for own in terms]
 
 
 @lru_cache(maxsize=1024)

@@ -340,6 +340,16 @@ def fibre_solubility(
                         "local checks passed but the Hasse shortcut needs rank >= 5")
 
 
+def quadric_fibre_point(y: Sequence[int], C: IntPolynomial, split: VariableSplit, search_bound: int):
+    """The point of `fibre_solubility(y, C, split, "pi", want_point=True,
+    search_bound=search_bound)`, or None. Past its first search it returns no
+    point on a fibre of rank >= 5, so there no real or p-adic check runs."""
+    fibre = fibre_polynomial(*split_cubic(C, split), list(y))
+    if QuadraticPolynomial.from_polynomial(fibre).rank_support()[0] < 5:
+        return fibre_solubility(y, C, split, "pi", want_point=True, search_bound=search_bound).point
+    return _search_integer_point(fibre, min(search_bound, 6))
+
+
 def _search_integer_point(f: IntPolynomial, bound: int) -> Optional[Tuple[int, ...]]:
     """The first zero of f in [-bound, bound]^m in lexicographic order, or
     None when there is none or the box has more than 10^6 points."""

@@ -159,7 +159,7 @@ def test_locally_insoluble_result_spec_enumerates_to_nothing():
 def test_fibration_count_alarms_on_sample_off_the_cubic(monkeypatch):
     doc = parse_form_document(load("pi_prime_n7.json"))
     bogus = HyperplaneCount(1, ((1, 0, 0, 0, 0),))
-    monkeypatch.setattr(driver, "hyperplane_count_exact", lambda *a, **k: bogus)
+    monkeypatch.setattr(driver, "hyperplane_counts", lambda fibres: [bogus] * len(fibres))
     with pytest.raises(FalsificationAlarm, match="not a zero of C"):
         fibration_count(doc.poly, doc.split, "pi_prime", [4])
 
@@ -236,6 +236,23 @@ def test_fibration_count_never_exceeds_brute_force(case):
         return
     for (B, lower), (_, total) in zip(res.series.rows, brute_force_N(C, Bs).rows):
         assert lower <= total, f"lower bound {lower} > N({B}) = {total}"
+
+def test_fibration_count_ladder_is_frozen():
+    """Rows, fibre counts, Y and the 16 samples in order on pi_prime_n8,
+    frozen before every fibre of a rung went to one lattice batch."""
+    doc = parse_form_document(load("pi_prime_n8.json"))
+    res = fibration_count(doc.poly, doc.split, "pi_prime", [16, 32, 64, 128])
+    assert res.series.rows == [(16, 0), (32, 2506), (64, 48334), (128, 1921882)]
+    assert res.series.per_B_fibres == {16: 0, 32: 1, 64: 8, 128: 59}
+    assert res.Y_values == {16: 12, 32: 22, 64: 42, 128: 78}
+    assert res.series.samples == [
+        (0, 6, 12, -26, 12, 4, 3, 3), (0, 4, 13, -25, 13, 4, 3, 3), (0, 2, 14, -24, 14, 4, 3, 3),
+        (0, 20, 46, -38, -8, 6, 5, 5), (0, 18, 47, -37, -7, 6, 5, 5), (0, 16, 48, -36, -6, 6, 5, 5),
+        (0, 37, 28, -34, -28, 6, 5, 7), (0, 36, 29, -35, -27, 6, 5, 7), (0, 36, 32, -8, -41, 6, 5, 7),
+        (-1, 28, 26, 48, 18, 6, 7, 5), (-1, 25, 25, 49, 21, 6, 7, 5), (-1, 35, 22, 46, 13, 6, 7, 5),
+        (0, 8, -42, 42, -21, 6, 7, 7), (0, 6, -41, 43, -20, 6, 7, 7), (0, 4, -40, 44, -19, 6, 7, 7),
+        (1, -32, -86, 52, -72, 8, 9, 9)]
+
 
 def test_fibration_count_pi_mode_labeled():
     doc = parse_form_document(load("pi_n7.json"))

@@ -16,9 +16,11 @@ from cubefib.lattice import (
     count_affine_points_in_ball,
     dot,
     enumerate_quadratic,
+    enumerate_quadratics,
     gram_det,
     hyperplane_count_asymptotic,
     hyperplane_count_exact,
+    hyperplane_counts,
     kernel_lattice,
     lll_reduce,
 )
@@ -469,31 +471,36 @@ def test_int64_count_leaf_matches_python_rows_and_box(Gwc, scale):
     inside, _ = box_points(G, w, c, lambda q: q <= 0)
     sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
     passes = []
-    with mock.patch.object(lattice, "_levels_1_0", int64_spy(passes)):
+    with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
         count, samples = enumerate_quadratic(sG, sw, sc, "count")
-    with mock.patch.object(lattice, "_levels_1_0", lambda batch, solver, roots=False: None):
+    with mock.patch.object(lattice, "_fits_int64", python_rows_only):
         python_rows, _ = enumerate_quadratic(sG, sw, sc, "count")
     assert count == python_rows == len(inside) and samples == []
     check_int64_passes(passes, len(G), scale)
 
 
 def int64_spy(passes):
-    """`lattice._levels_1_0`, recording what each call returns."""
-    leaf = lattice._levels_1_0
+    """`lattice._fits_int64`, recording its verdict on each system."""
+    check = lattice._fits_int64
 
-    def spy(batch, solver, roots=False):
-        passes.append(leaf(batch, solver, roots))
+    def spy(nodes, consts):
+        passes.append(check(nodes, consts))
         return passes[-1]
     return spy
+
+
+def python_rows_only(nodes, consts):
+    """`lattice._fits_int64` failing every system."""
+    return False
 
 
 def check_int64_passes(passes, k, scale):
     if k < 3:
         assert passes == []
     elif scale == 1:
-        assert None not in passes
+        assert False not in passes
     elif scale == 2 ** 60:
-        assert all(p is None for p in passes)
+        assert True not in passes
 
 
 @settings(max_examples=120, deadline=None)
@@ -509,9 +516,9 @@ def test_int64_roots_leaf_matches_python_rows_and_box(Gwc, scale):
     roots, _ = box_points(G, w, c, lambda q: q == 0)
     sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
     passes = []
-    with mock.patch.object(lattice, "_levels_1_0", int64_spy(passes)):
+    with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
         found = enumerate_quadratic(sG, sw, sc, "roots")
-    with mock.patch.object(lattice, "_levels_1_0", lambda batch, solver, roots=False: None):
+    with mock.patch.object(lattice, "_fits_int64", python_rows_only):
         python_rows = enumerate_quadratic(sG, sw, sc, "roots")
     assert found == python_rows == (len(roots), roots)
     check_int64_passes(passes, len(G), scale)
@@ -540,7 +547,7 @@ def test_centred_shift_keeps_counts_and_samples(data):
     R2 = Fraction(data.draw(st.integers(0, 400)), data.draw(st.sampled_from([1, 4, 9])))
     sample_limit = data.draw(st.integers(0, 6))
     centred = count_affine_points_in_ball(basis, shift, R2, sample_limit)
-    with mock.patch.object(lattice, "_centred_shift", lambda basis, gram, shift: list(shift)):
+    with mock.patch.object(lattice, "_centred_shifts", lambda balls: [list(b[1]) for b in balls]):
         assert count_affine_points_in_ball(basis, shift, R2, sample_limit) == centred
 
 
@@ -562,3 +569,58 @@ def test_hyperplane_count_at_scaled_ball_endpoints(data):
     keep = (xs @ np.array(a) + b == 0) & ((xs * xs).sum(axis=1) + 1 <= B * B)
     keep &= np.gcd(np.gcd.reduce(np.abs(xs), axis=1), g) == 1
     assert res.exact == int(keep.sum())
+
+
+@st.composite
+def hyperplane_rungs(draw):
+    """1-12 fibres (a, b, B, g, sample_limit) of one n = 3..5: g with up to
+    three primes, hyperplanes that meet d Z^n for a Mobius divisor d (or
+    miss it by 1), and B in {0, 1} or B^2 - 1 = d^2 r exactly."""
+    n = draw(st.integers(3, 5))
+    fibres = []
+    for _ in range(draw(st.integers(1, 12))):
+        a = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+                 .filter(lambda v: np.gcd.reduce(v) == 1))
+        g = draw(st.sampled_from([1, 2, 6, 30]))
+        d = draw(st.sampled_from([p for p in (1, 2, 3) if g % p == 0]))
+        y0 = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        b = -d * dot(a, y0) + draw(st.sampled_from([0, 0, 1]))
+        B = draw(st.sampled_from([0, 1, d * d - 1, d * d + 1, 2 * d * d + 1]))
+        fibres.append((a, b, B, g, draw(st.integers(0, 3))))
+    return fibres
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperplane_rungs(), st.sampled_from([(1 << 16, 1 << 16), (3, 2)]))
+def test_rung_batch_equals_one_at_a_time_and_the_python_rows(fibres, flush_chunk):
+    """One batch for a whole rung gives each fibre the count and samples of
+    its own call and of the Python rows, also when the batch runs every
+    few level-1 nodes and slices its rows by two."""
+    flush, chunk = flush_chunk
+    with mock.patch.object(lattice, "_NODE_FLUSH", flush), mock.patch.object(lattice, "_ROW_CHUNK", chunk):
+        batched = hyperplane_counts(fibres)
+    alone = [hyperplane_count_exact(*fibre) for fibre in fibres]
+    with mock.patch.object(lattice, "_fits_int64", python_rows_only):
+        python_rows = hyperplane_counts(fibres)
+    assert batched == alone == python_rows
+
+
+@pytest.mark.parametrize("roots", [False, True])
+def test_one_system_past_the_int64_guard_leaves_the_others_in_the_batch(roots):
+    """Scaled by 2^60, one system fails the bound check alone and takes the
+    Python rows; the rest of its batch stays int64."""
+    base = [([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [1, -1, 0], -40, 3),
+            ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [0, 0, 0, 0], -18, 2),
+            ([[3, 1, 1], [1, 3, 1], [1, 1, 3]], [2, 0, -1], -30, 0),
+            ([[4, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 3]], [1, 0, 1, -2], -25, 1)]
+    scale = 2 ** 60
+    G, w, c, limit = base[1]
+    systems = base[:1] + [([[scale * v for v in row] for row in G], [scale * v for v in w], scale * c,
+                           limit)] + base[1:]
+    passes = []
+    with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
+        batched = enumerate_quadratics(systems, roots)
+    assert passes == [True, False, True, True, True]
+    leaf = "roots" if roots else "count"
+    alone = [enumerate_quadratic(G, w, c, leaf, limit) for G, w, c, limit in systems]
+    assert batched == alone and batched[1] == batched[2] and batched[1][0] > 0
