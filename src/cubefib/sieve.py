@@ -2,6 +2,12 @@
 p-adic witnesses, good-prime minor conditions, box membership, fibre
 solubility, and density estimation.
 
+Each spec keeps one integer plan (`AdmissibleSetSpec.plan`): the box test,
+the corner extremes of its bounding box and the CRT class of its bad-prime
+congruences. Enumeration walks that class inside the bounding box, so a
+point off the class is never visited; `membership` decides every visited
+point.
+
 The good-prime conjunction over *all* primes is decided exactly per point:
 a point fails at a good prime p iff p divides the gcd of the defining
 values (the Q_i(y) for linear fibres, the order-3 minors for quadric
@@ -62,37 +68,52 @@ class AdmissibleSetSpec:
         if len(self.box) != self.k:
             raise ValueError(f"box has {len(self.box)} intervals, expected k = {self.k}")
 
-    def box_change_integer(self) -> Tuple[Tuple[Tuple[int, ...], int, int, int, int], ...]:
-        """The box test of `membership` in integers, cached: T^-1 = A / d with
-        integer A and d = lcm of the denominators of T^-1, and per box
-        coordinate (A_i, d lo_num, lo_den, d hi_num, hi_den), so that
+    def plan(self):
+        """The Y-independent data of `membership` and `enumerate_admissible`,
+        computed once per spec: (rows, corner_min, corner_max, moduli, residues).
+
+        rows is the box test in integers: T^-1 = A / d with integer A and
+        d = lcm of the denominators of T^-1, and per box coordinate
+        (A_i, d lo_num, lo_den, d hi_num, hi_den), so that
         lo Y <= (T^-1 y)_i <= hi Y iff d lo_num Y <= (A_i . y) lo_den and
         (A_i . y) hi_den <= d hi_num Y (both denominators and d are > 0).
-        T^-1 = D adj(D T) / det(D T), D the lcm of the denominators of T."""
-        cached = getattr(self, "_box_change_int", None)
+        T^-1 = D adj(D T) / det(D T), D the lcm of the denominators of T.
+
+        corner_min and corner_max are the per-axis extremes of the corners
+        of T box, as Fractions; the corners of T (Y box) are Y times them.
+
+        moduli and residues are the bad-prime congruences of `membership`,
+        y_i = r_p,i mod p^(2v-1) for every bad prime p, joined by the CRT
+        into one class y_i = residues[i] mod moduli[i] per coordinate."""
+        cached = getattr(self, "_plan", None)
         if cached is None:
-            t = self.change_matrix()
+            t = self.box_change
+            if t is None:  # a plain box is the box change T = I
+                t = [[Fraction(int(i == j)) for j in range(self.k)] for i in range(self.k)]
             D = lcm(*(x.denominator for row in t for x in row))
             e = bareiss([[int(x * D) for x in row] for row in t], adjugate=True)
             if e.adjugate is None:
                 raise ValueError("singular box change")
             inv = [[Fraction(D * x, e.det) for x in row] for row in e.adjugate]
             d = lcm(*(x.denominator for row in inv for x in row))
-            cached = []
+            rows = []
             for row, (lo, hi) in zip(inv, self.box):
                 lo, hi = Fraction(lo), Fraction(hi)
                 A_i = tuple(x.numerator * (d // x.denominator) for x in row)
-                cached.append((A_i, d * lo.numerator, lo.denominator,
-                               d * hi.numerator, hi.denominator))
-            cached = tuple(cached)
-            object.__setattr__(self, "_box_change_int", cached)
+                rows.append((A_i, d * lo.numerator, lo.denominator,
+                             d * hi.numerator, hi.denominator))
+            axes = list(zip(*([sum(map(mul, row, signs)) for row in t]
+                              for signs in iproduct(*self.box))))
+            moduli, residues = [1] * self.k, [0] * self.k
+            for p, wit in self.conditions.bad_primes.items():
+                q = p ** (2 * wit.v - 1)
+                for i, r in zip(range(self.k), self.conditions.y_residue(p)):
+                    residues[i] += moduli[i] * ((r - residues[i]) * pow(moduli[i], -1, q) % q)
+                    moduli[i] *= q
+            cached = (tuple(rows), tuple(map(min, axes)), tuple(map(max, axes)),
+                      tuple(moduli), tuple(residues))
+            object.__setattr__(self, "_plan", cached)
         return cached
-
-    def change_matrix(self) -> List[List[Fraction]]:
-        """T of y = T z; a plain box (box_change None) is the box change T = I."""
-        if self.box_change is None:
-            return [[Fraction(int(i == j)) for j in range(self.k)] for i in range(self.k)]
-        return self.box_change
 
 
 @dataclass
@@ -161,11 +182,11 @@ def _good_prime_ok(spec: AdmissibleSetSpec, y: Sequence[int]) -> Tuple[bool, str
 def membership(y: Sequence[int], spec: AdmissibleSetSpec, Y: int) -> MembershipResult:
     """Deterministic membership with the first failed predicate as a reason.
 
-    The box test is integer cross-multiplication
-    (`AdmissibleSetSpec.box_change_integer`), exactly lo Y <= (T^-1 y)_i <= hi Y,
-    with T = I for a plain box."""
+    The box test is integer cross-multiplication (the rows of
+    `AdmissibleSetSpec.plan`), exactly lo Y <= (T^-1 y)_i <= hi Y, with T = I
+    for a plain box."""
     y = list(y)
-    for row, lo_n, lo_d, hi_n, hi_d in spec.box_change_integer():
+    for row, lo_n, lo_d, hi_n, hi_d in spec.plan()[0]:
         u = sum(map(mul, row, y))  # d (T^-1 y)_i
         if not (lo_n * Y <= u * lo_d and u * hi_d <= hi_n * Y):
             return MembershipResult(False, "box")
@@ -200,16 +221,21 @@ def enumerate_admissible(spec: AdmissibleSetSpec, Y: int,
                          budget: int | None = None) -> Iterator[Tuple[int, ...]]:
     """Lexicographic stream of admissible y in the scaled box: the integer
     points of the bounding box of the corners of T (Y box) that pass
-    `membership`. An empty scaled interval admits nothing and charges nothing."""
+    `membership`. An empty scaled interval admits nothing and charges nothing.
+
+    Only the bad-prime class of `AdmissibleSetSpec.plan` is visited: per
+    coordinate the ascending progression residues[i] + moduli[i] Z inside the
+    bounding box, and their product is still in lexicographic order. The
+    points left out all fail `membership`'s congruence, so the stream is the
+    filtered box; the budget is still charged for the whole bounding box."""
     if any(lo * Y > hi * Y for lo, hi in spec.box):
         return
-    T = spec.change_matrix()
-    corners = [[sum(t * s * Y for t, s in zip(row, signs)) for row in T]
-               for signs in iproduct(*[(lo, hi) for lo, hi in spec.box])]
-    axes = list(zip(*corners))
-    lows, highs = [ceil(min(v)) for v in axes], [floor(max(v)) for v in axes]
+    # Y < 0 gets here only for a one-point box, whose extremes agree
+    _, cmin, cmax, moduli, residues = spec.plan()
+    lows, highs = [ceil(Y * c) for c in cmin], [floor(Y * c) for c in cmax]
     check_budget(box_point_count(lows, highs), budget)
-    for y in iproduct(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+    for y in iproduct(*[range(lo + (r - lo) % q, hi + 1, q)
+                        for lo, hi, q, r in zip(lows, highs, moduli, residues)]):
         if membership(y, spec, Y).member:
             yield y
 
@@ -362,64 +388,6 @@ def _search_integer_point(f: IntPolynomial, bound: int) -> Optional[Tuple[int, .
         if hits.size:
             return tuple(int(b + i) for b, i in zip(blo, np.unravel_index(hits[0], vals.shape)))
     return None
-
-
-# ---------------------------------------------------------------------------
-# reducible-shape admissible tuples (prime-modulus congruence sets)
-
-
-@dataclass
-class ReducibleCaseSet:
-    count: int
-    Y: int
-    delta: Fraction
-    samples: List[Tuple[Tuple[int, int, int], Tuple[int, ...]]]  # ((x3,x4,x5), y)
-    y_count: int
-
-
-def reducible_case_set(
-    alphas: Sequence[int],
-    R: IntPolynomial,
-    k_index: int,
-    Y: int,
-    delta: Fraction,
-    budget: int | None = None,
-    sample_limit: int = 32,
-) -> ReducibleCaseSet:
-    """Admissible tuples for the shape C = y_k sum alpha_i x_i y_i + R(y).
-
-    Conditions: |x_3|,|x_4|,|x_5|,|y| <= Y, gcd(beta_1 y_1, beta_2 y_2) = 1,
-    y_k prime in [delta Y, 2 delta Y], and R_1(x_3,x_4,x_5,y) = 0 mod y_k.
-    The congruence is x-free (every x-term carries y_k), so the count is
-    (#admissible y) * (2Y+1)^3; sampled tuples re-verify directly.
-    """
-    if len(alphas) != 5 or any(a == 0 for a in alphas):
-        raise ValueError("shape requires five nonzero alpha_i")
-    ydim = R.num_vars
-    if not (0 <= k_index < ydim):
-        raise ValueError("k_index out of range")
-    g = gcd(alphas[0], alphas[1])
-    b1, b2 = alphas[0] // g, alphas[1] // g
-    lo = -(-(delta * Y).numerator // (delta * Y).denominator)
-    hi = (2 * delta * Y).numerator // (2 * delta * Y).denominator
-    from .nt import primes_in_interval
-
-    primes = primes_in_interval(max(lo, 2), hi)
-    check_budget(len(primes) * (2 * Y + 1) ** (ydim - 1), budget)
-    y_count = 0
-    samples: List[Tuple[Tuple[int, int, int], Tuple[int, ...]]] = []
-    for yk in primes:
-        for rest in iproduct(range(-Y, Y + 1), repeat=ydim - 1):
-            yvec = list(rest[:k_index]) + [yk] + list(rest[k_index:])
-            if gcd(b1 * yvec[0], b2 * yvec[1]) != 1:
-                continue
-            # R_1 = R mod y_k on the slice (all x-terms carry y_k)
-            if R.evaluate_mod(yvec, yk):
-                continue
-            y_count += 1
-            if len(samples) < sample_limit:
-                samples.append(((0, 1, -1), tuple(yvec)))
-    return ReducibleCaseSet(y_count * (2 * Y + 1) ** 3, Y, delta, samples, y_count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import os
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from cubefib import sieve
 from cubefib.driver import parse_form_document
 from cubefib.fibration import FalsificationAlarm
+from cubefib.finitefield import PadicWitness
+from cubefib.gridcount import BudgetExceeded, box_point_count
 from cubefib.polynomials import IntPolynomial, VariableSplit
 from cubefib.sieve import (
     AdmissibleSetSpec,
@@ -20,7 +22,6 @@ from cubefib.sieve import (
     enumerate_admissible,
     fibre_solubility,
     membership,
-    reducible_case_set,
 )
 
 X = IntPolynomial.variable
@@ -188,34 +189,6 @@ def test_enumerate_admissible_pi_prime_end_to_end():
         assert v.status == "soluble"
         # and the admissibility certificate re-verifies
         assert membership(y, spec, 12).member
-
-
-def test_reducible_case_set():
-    # delta Y < 2: no primes in the window
-    R = IntPolynomial(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    res = reducible_case_set([1, 1, 1, 1, 1], R, 2, 8, Fraction(1, 10))
-    assert res.count == 0
-
-    # small instance: membership re-verified per sampled tuple
-    res = reducible_case_set([2, 4, 1, 1, 1], R, 2, 30, Fraction(1, 10))
-    assert res.count == res.y_count * 61 ** 3
-    for (x345, y) in res.samples:
-        yk = y[2]
-        from cubefib.nt import is_prime
-
-        assert is_prime(yk) and 3 <= yk <= 6
-        assert R.evaluate(list(y)) % yk == 0
-        assert gcd(1 * y[0], 2 * y[1]) == 1  # beta_1 = 1, beta_2 = 2
-
-    # growth trend over doublings
-    counts = []
-    for Y in (30, 60, 120):
-        counts.append(reducible_case_set([1, 1, 1, 1, 1], R, 2, Y, Fraction(1, 10)).count)
-    assert counts[0] < counts[1] < counts[2]
-    # n = 8 here (5 x's + 3 y's): expect roughly 2^(n-3) = 32-fold growth per
-    # doubling, within a generous log-corrected window
-    for a, b in zip(counts, counts[1:]):
-        assert 8 <= b / a <= 130
 
 
 def test_box_with_large_Q_square():
@@ -422,6 +395,87 @@ def test_enumerate_admissible_empty_interval_charges_nothing(change):
     # lo > hi in one coordinate: no point is admissible, so none is paid for
     spec = _changed_box_spec(change, [(Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1))])
     assert list(enumerate_admissible(spec, 5, budget=3)) == []
+
+
+@st.composite
+def congruence_specs(draw):
+    """(T, spec, Y): a `changed_boxes` box with one or two bad primes from
+    {2, 3, 5} at v = 1 or 2, random witness residues (the y-part after one
+    x-coordinate, not reduced), and no good polynomial or one small one."""
+    T, change, box, Y, _ = draw(changed_boxes(k_max=2))
+    k = len(box)
+    bad = {}
+    for p in draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=2, unique=True)):
+        v = draw(st.integers(1, 2))
+        q = p ** (2 * v - 1)
+        bad[p] = PadicWitness(p, v, tuple(draw(st.integers(-q, 2 * q)) for _ in range(k + 1)), 0)
+    good = []
+    if draw(st.booleans()):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * k
+            for _ in range(draw(st.integers(0, 2))):
+                e[draw(st.integers(0, k - 1))] += 1
+            terms[tuple(e)] = draw(st.integers(-6, 6))
+        good = [IntPolynomial(k, terms)]
+    cond = LocalConditionSet("pi_prime", bad, good, 2, tuple(range(1, k + 1)))
+    return T, AdmissibleSetSpec(k, list(box), cond, box_change=change), Y
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruence_specs())
+def test_enumerate_admissible_class_walk_is_the_filtered_bounding_box(case):
+    T, spec, Y = case
+    corners = [[sum(t * v * Y for t, v in zip(row, z)) for row in T] for z in product(*spec.box)]
+    axes = list(zip(*corners))
+    lows, highs = [ceil(min(c)) for c in axes], [floor(max(c)) for c in axes]
+    count = box_point_count(lows, highs)
+    expected = [y for y in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+                if membership(y, spec, Y).member]
+    assert list(enumerate_admissible(spec, Y, budget=count)) == expected
+    # the charge is the whole bounding box, not the points of the class
+    if count:
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_admissible(spec, Y, budget=count - 1))
+
+
+def test_enumerate_admissible_joins_two_bad_primes_by_crt():
+    # y odd, and y = 7 resp. 20 mod 27 (v = 2 at p = 3): y = 7 resp. 47 mod 54
+    bad = {2: PadicWitness(2, 1, (0, 1, 1), 0), 3: PadicWitness(3, 2, (0, 7, 47), 0)}
+    cond = LocalConditionSet("pi_prime", bad, [], 2, (1, 2))
+    spec = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
+    assert spec.plan()[3:] == ((54, 54), (7, 47))
+    assert list(enumerate_admissible(spec, 60)) == list(product([-47, 7], [-7, 47]))
+    # Y < 0 passes the empty-interval test only on a one-point box
+    point = AdmissibleSetSpec(2, [(Fraction(47), Fraction(47)), (Fraction(7), Fraction(7))], cond)
+    assert list(enumerate_admissible(point, -1)) == [(-47, -7)]
+
+
+def test_enumerate_admissible_insoluble_spec_yields_nothing():
+    # as driver.fibration_count builds it: no bad prime, so the class is
+    # the plain box (modulus 1), and empty intervals that charge nothing
+    cond = LocalConditionSet("pi_prime", {}, [X(2, 0)], 2, (0, 1), insoluble_at=3)
+    spec = AdmissibleSetSpec(2, [(Fraction(1), Fraction(-1))] * 2, cond)
+    assert spec.plan()[3:] == ((1, 1), (0, 0))
+    assert list(enumerate_admissible(spec, 7, budget=0)) == []
+
+
+@pytest.mark.parametrize("form, mode, counts", [
+    ("pi_prime_n8", "pi_prime", {3: 44, 5: 172, 7: 428, 9: 844, 11: 1516, 12: 1772}),
+    ("pi_n7", "pi", {8: 52, 12: 116, 36: 1028, 46: 1692, 56: 2540, 57: 2684}),
+])
+def test_density_rows_of_the_shipped_forms_are_frozen(form, mode, counts):
+    """The unit-box density rows of the two benchmark specs."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "forms", form + ".json")) as f:
+        doc = parse_form_document(f.read())
+    k = len(doc.split.y_indices)
+    spec = AdmissibleSetSpec(k, [(Fraction(-1), Fraction(1))] * k,
+                             build_conditions(doc.poly, doc.split, mode))
+    rows = density_estimate(spec, list(counts)).rows
+    assert [(Y, c) for Y, c, _, _ in rows] == list(counts.items())
+    dens = [Fraction(c, Y ** k) for Y, c in counts.items()]
+    assert [r[2] for r in rows] == dens
+    assert [r[3] for r in rows] == [None] + [abs(b - a) for a, b in zip(dens, dens[1:])]
 
 
 def test_spec_rejects_a_box_of_the_wrong_length():
