@@ -147,6 +147,8 @@ def cmd_local(args):
     from .linalg import QuadraticPolynomial
     from .localdensity import singular_series
 
+    if args.pmax < 2:
+        raise SystemExit(f"--pmax must be at least 2, got {args.pmax}")
     doc = _load_split_form(args.form, "local")
     yvals = _int_list(args.y, "--y")
     h = len(doc.split.y_indices)
@@ -222,7 +224,7 @@ def cmd_density(args):
     if args.csv:
         _write(args, est.to_csv() + "\n")
         return
-    sections = {"rows": est.rows, "tail_loss_bound": est.tail_loss_bound}
+    sections = {"rows": est.rows}
     _emit(args, build_report(config, sections, args.seed))
 
 
@@ -343,6 +345,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_fit_exponent)
 
     args = parser.parse_args(argv)
+    if getattr(args, "budget", None) is not None and args.budget < 0:
+        raise SystemExit(f"--budget must be at least 0, got {args.budget}")
     try:
         args.func(args)
     except FormValidationError as e:

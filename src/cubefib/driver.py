@@ -131,29 +131,6 @@ def parse_form_document(text: str) -> FormDocument:
                         dict(obj.get("metadata", {})), degree)
 
 
-def serialize_form_document(doc: FormDocument) -> str:
-    terms = [
-        {"exps": list(exps), "coef": str(coef)}
-        for exps, coef in doc.poly.sorted_terms()
-    ]
-    obj = {
-        "schema": FORM_SCHEMA,
-        "name": doc.name,
-        "n": doc.n,
-        "degree": doc.degree,
-        "terms": terms,
-        "split": None
-        if doc.split is None
-        else {
-            "x_vars": list(doc.split.x_indices),
-            "y_vars": list(doc.split.y_indices),
-            "mode": doc.mode or doc.split.role,
-        },
-        "metadata": doc.metadata,
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # counting series
 

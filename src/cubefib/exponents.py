@@ -89,15 +89,3 @@ def predicted_exponents(
     return ExponentPrediction(
         n, h, r, eps, shape, gamma, delta, beta, alpha, total, ingredients, tuple(warnings)
     )
-
-
-def exponent_floor_holds(
-    h_range=range(10, 14), n_range=range(39, 61), eps=Fraction(1, 100)
-) -> bool:
-    """n - h + alpha(n, h, eps) >= n - 9 across the whole grid, exactly."""
-    for h in h_range:
-        for n in n_range:
-            pred = predicted_exponents(n, h, min(5, n - h), eps, shape="general")
-            if n - h + pred.alpha < n - 9:
-                return False
-    return True

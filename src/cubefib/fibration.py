@@ -115,9 +115,6 @@ class FibrationData:
     def M2_at(self, y: Sequence[int]) -> List[List[int]]:
         return [[e.evaluate(y) for e in row] for row in self.M2]
 
-    def witness_minor_at(self, y: Sequence[int]) -> int:
-        return self.witness[2].evaluate(list(y))
-
     def to_report(self) -> dict:
         rows, cols, poly = self.witness
         return {
@@ -435,58 +432,6 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     if not cert.is_zero():
         raise FalsificationAlarm("H1 certificate failed after proportionality checks")
     return H1Result(True, l, N1, rank == m, (rank, pos, neg), cert, "")
-
-
-# ---------------------------------------------------------------------------
-# indefinite specialization witness
-
-
-@dataclass
-class IndefiniteWitness:
-    point: Tuple[int, ...]
-    signature: Tuple[int, int, int]
-    box_radius: Fraction     # corner-check certificate only, not a proof
-
-
-def indefinite_witness(fd: FibrationData, seed: int = 0, tries: int = 2000) -> IndefiniteWitness:
-    """Rational point u with rank M[u] = r and Q_u indefinite; the returned
-    box radius only certifies the witness minor at the box corners."""
-    if fd.rank < 1:
-        raise ValueError("rank 0 bundle has no indefinite specialization")
-    h1 = detect_hypothesis_h1(fd)
-    if h1.holds:
-        raise ValueError("bundle satisfies the single-form hypothesis; no witness exists")
-    rng = random.Random(seed)
-    candidates = []
-    for i in range(fd.h):
-        for s in (1, -1):
-            c = [0] * fd.h
-            c[i] = s
-            candidates.append(c)
-    for c in product((-1, 0, 1), repeat=fd.h):
-        if any(c):
-            candidates.append(list(c))
-        if len(candidates) > 500:
-            break
-    for _ in range(tries):
-        candidates.append([rng.randint(-50, 50) for _ in range(fd.h)])
-    for u in candidates:
-        mat = fd.M2_at(u)
-        rank, pos, neg = rank_signature_over_Q(mat)
-        if rank == fd.rank and pos > 0 and neg > 0:
-            if fd.witness_minor_at(u) == 0:
-                continue
-            radius = Fraction(1)
-            while radius > Fraction(1, 1024):
-                ok = all(
-                    fd.witness_minor_at([ui + si * radius for ui, si in zip(u, signs)]) != 0
-                    for signs in product((-1, 1), repeat=min(fd.h, 13))
-                ) if fd.h <= 13 else True
-                if ok:
-                    break
-                radius /= 2
-            return IndefiniteWitness(tuple(u), (rank, pos, neg), radius)
-    raise ValueError("indefinite witness search budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -969,17 +914,3 @@ def singular_locus_dim_probe(
     logs = [math.log(c) / math.log(p) for p, c in counts.items() if c > 0]
     est = round(sum(logs) / len(logs)) if logs else -1
     return SingularLocusProbe(est, counts, tuple(primes))
-
-
-def low_rank_specialization_count(
-    psi_list: Sequence[IntPolynomial], R_box: int, budget: int | None = None
-) -> Tuple[int, bool]:
-    """#{|x| <= R : rank of the specialized bundle matrix <= 2} by exact
-    enumeration; flags a bundle whose matrix has rank <= 2 identically."""
-    v = len(psi_list)
-    minors = order3_minors(bundle_matrix(psi_list))
-    if not minors:
-        return (2 * R_box + 1) ** v, True
-    lows, highs = [-R_box] * v, [R_box] * v
-    gridcount.check_budget(gridcount.box_point_count(lows, highs) * len(minors), budget)
-    return gridcount.count_common_zeros(minors, lows, highs), False

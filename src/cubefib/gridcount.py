@@ -153,23 +153,12 @@ def count_system_zeros_mod_p(
     polys: Sequence[IntPolynomial], p: int, budget: int | None = None
 ) -> int:
     """#{x in F_p^m : all polys vanish}."""
-    m = polys[0].num_vars if polys else 0
-    return count_common_zeros(polys, [0] * m, [p - 1] * m, p, budget)
-
-
-def count_common_zeros(
-    polys: Sequence[IntPolynomial],
-    lows: Sequence[int],
-    highs: Sequence[int],
-    q: int | None = None,
-    budget: int | None = None,
-) -> int:
-    """#{x in the box prod [lows_i, highs_i] : all polys vanish}, mod q or,
-    with q None, exactly."""
     if not polys:
         raise ValueError("empty system")
-    check_budget(box_point_count(lows, highs), budget)
-    values = [_evaluator(f, lows, highs, q) for f in polys]
+    m = polys[0].num_vars
+    check_budget(p ** m, budget)
+    lows, highs = [0] * m, [p - 1] * m
+    values = [_evaluator(f, lows, highs, p) for f in polys]
     count = 0
     for blo, bhi in _blocks(lows, highs):
         mask = True

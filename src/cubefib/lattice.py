@@ -461,27 +461,17 @@ def _centred_shifts(balls) -> List[List[int]]:
     return shifts
 
 
-def count_affine_points_in_ball(
-    basis: Sequence[Sequence[int]],
-    shift: Sequence[int],
-    radius2: Fraction,
-    sample_limit: int = 0,
-) -> Tuple[int, List[Tuple[int, ...]]]:
-    """#{shift + sum t_i basis_i : ||.||_2^2 <= radius2}, plus samples as
-    ambient vectors.
-
-    The shift is first moved by the lattice vector that brings it next to
-    the ball's centre. A translation by a lattice vector shifts every t by
-    the same integer vector, which keeps the count and the lexicographic
-    enumeration order, so the samples are the same points."""
-    return ball_counts([(basis, shift, radius2, sample_limit)])[0]
-
-
 def ball_counts(balls) -> List[Tuple[int, List[Tuple[int, ...]]]]:
-    """`count_affine_points_in_ball` for each (basis, shift, radius2,
-    sample_limit) of `balls`, in order: the shifts are centred together,
-    and every ball of rank >= 1 is one system of one `enumerate_quadratics`
-    batch, built only when the batch takes it."""
+    """(#{shift + sum t_i basis_i : ||.||_2^2 <= radius2}, samples as
+    ambient vectors) for each (basis, shift, radius2, sample_limit) of
+    `balls`, in order. Every ball of rank >= 1 is one system of one
+    `enumerate_quadratics` batch, built only when the batch takes it.
+
+    The shifts are first moved, together, by the lattice vectors that bring
+    them next to their balls' centres. A translation by a lattice vector
+    shifts every t by the same integer vector, which keeps the count and
+    the lexicographic enumeration order, so the samples are the same
+    points."""
     shifts = _centred_shifts(balls)
     out, where = [(0, []) for _ in balls], []
 
@@ -507,6 +497,10 @@ def ball_counts(balls) -> List[Tuple[int, List[Tuple[int, ...]]]]:
 
 # ---------------------------------------------------------------------------
 # lattices
+
+
+# the largest rank whose shortest vector is found by exact enumeration
+_EXACT_SVP_RANK = 8
 
 
 class IntegerLattice:
@@ -535,10 +529,10 @@ class IntegerLattice:
             self._reduced, _ = lll_reduce(self.basis)
         return self._reduced
 
-    def shortest_vector_exact(self, max_rank: int = 8) -> Tuple[int, Tuple[int, ...]]:
+    def shortest_vector_exact(self) -> Tuple[int, Tuple[int, ...]]:
         """(lambda_1^2, vector) by enumeration below the first reduced vector."""
-        if self.rank > max_rank:
-            raise ValueError(f"rank {self.rank} exceeds exact-SVP budget {max_rank}")
+        if self.rank > _EXACT_SVP_RANK:
+            raise ValueError(f"rank {self.rank} exceeds exact-SVP budget {_EXACT_SVP_RANK}")
         red = self.reduced_basis()
         best_vec = min(red, key=lambda v: dot(v, v))
         bound = dot(best_vec, best_vec)
@@ -550,12 +544,12 @@ class IntegerLattice:
         self._lambda1_sq = best
         return best, tuple(best_vec)
 
-    def lambda1_squared_lower_bound(self, max_rank: int = 8) -> Fraction:
+    def lambda1_squared_lower_bound(self) -> Fraction:
         """Exact lambda_1^2 when the rank budget allows, else the LLL bound
         ||b_1||^2 / 2^(k-1)."""
-        if self.rank <= max_rank:
+        if self.rank <= _EXACT_SVP_RANK:
             if self._lambda1_sq is None:
-                self.shortest_vector_exact(max_rank)
+                self.shortest_vector_exact()
             return Fraction(self._lambda1_sq)
         red = self.reduced_basis()
         first = min(dot(v, v) for v in red)

@@ -118,12 +118,6 @@ def primes_up_to(n: int) -> List[int]:
     return [i for i, b in enumerate(prime_sieve(n)) if b]
 
 
-def primes_in_interval(lo: int, hi: int) -> List[int]:
-    """Primes p with lo <= p <= hi (deterministic tests)."""
-    lo = max(lo, 2)
-    return [n for n in range(lo, hi + 1) if is_prime(n)]
-
-
 def _pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
@@ -189,16 +183,6 @@ def divisors(n: int) -> List[int]:
     for p, e in f.items():
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def sqrt_mod_p(a: int, p: int) -> int | None:

@@ -115,11 +115,6 @@ class IntPolynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     def block_degree(self, indices: Iterable[int]) -> int:
         """Max total degree in the given variable block."""
         idx = tuple(indices)
@@ -134,11 +129,6 @@ class IntPolynomial:
         if len(degs) > 1:
             return False
         return degree is None or degs == {degree}
-
-    def homogeneous_part(self, degree: int) -> "IntPolynomial":
-        return IntPolynomial._normalised(
-            self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
 
     def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
@@ -291,26 +281,6 @@ class IntPolynomial:
         for exps, coef in self.sorted_terms():
             lines.append(" ".join([str(coef)] + [str(e) for e in exps]))
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, num_vars: int | None = None) -> "IntPolynomial":
-        terms: Dict[Monomial, int] = {}
-        nv = num_vars
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            parts = raw.split()
-            coef = int(parts[0])
-            exps = tuple(int(p) for p in parts[1:])
-            if nv is None:
-                nv = len(exps)
-            elif len(exps) != nv:
-                raise ValueError("inconsistent exponent vector length")
-            terms[exps] = terms.get(exps, 0) + coef
-        if nv is None:
-            raise ValueError("empty text needs an explicit num_vars")
-        return cls(nv, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -11,9 +11,7 @@ point.
 The good-prime conjunction over *all* primes is decided exactly per point:
 a point fails at a good prime p iff p divides the gcd of the defining
 values (the Q_i(y) for linear fibres, the order-3 minors for quadric
-fibres), so factoring one integer settles the infinite conjunction. The
-documented cutoff mode retains the truncated predicate plus a tail-loss
-report.
+fibres), so factoring one integer settles the infinite conjunction.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .fibration import (FalsificationAlarm, build_fibration, fibre_polynomial,
 from .gridcount import box_point_count, check_budget, eval_on_box
 from .linalg import QuadraticPolynomial, bareiss, congruence_diagonalize
 from .localdensity import real_solubility, solubility_quadric_Zp
-from .nt import is_prime, prime_factors, solve_linear_diophantine, vector_gcd
+from .nt import prime_factors, solve_linear_diophantine, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
 
 
@@ -58,10 +56,6 @@ class AdmissibleSetSpec:
     box: List[Tuple[Fraction, Fraction]]        # per-coordinate interval of Omega_infty
     conditions: LocalConditionSet
     box_change: Optional[List[List[Fraction]]] = None   # y = T z with z in the box; None: T = I
-    y1_prime_window: Optional[Tuple[Fraction, Fraction]] = None  # y1 in P(delta Y)
-    coprime_pairs: Tuple[Tuple[int, int], ...] = ()
-    jacobi_condition: Optional[Tuple[IntPolynomial, int]] = None  # (G, target symbol)
-    good_prime_cutoff: Optional[int] = None     # None = exact mode
     good_primes_only: Optional[Tuple[int, ...]] = None  # restrict the predicate
 
     def __post_init__(self):
@@ -172,8 +166,6 @@ def _good_prime_ok(spec: AdmissibleSetSpec, y: Sequence[int]) -> Tuple[bool, str
         return False, "good-prime predicate fails at every prime (all values zero)"
     bad_set = set(spec.conditions.bad_primes)
     for p in prime_factors(d):
-        if spec.good_prime_cutoff is not None and p > spec.good_prime_cutoff:
-            continue
         if p not in bad_set:
             return False, f"good prime {p} divides all predicate values"
     return True, ""
@@ -190,15 +182,6 @@ def membership(y: Sequence[int], spec: AdmissibleSetSpec, Y: int) -> MembershipR
         u = sum(map(mul, row, y))  # d (T^-1 y)_i
         if not (lo_n * Y <= u * lo_d and u * hi_d <= hi_n * Y):
             return MembershipResult(False, "box")
-    if spec.y1_prime_window is not None:
-        lo, hi = spec.y1_prime_window
-        if not (lo * Y <= y[0] <= hi * Y):
-            return MembershipResult(False, "prime-window")
-        if not is_prime(abs(y[0])):
-            return MembershipResult(False, "prime")
-    for i, j in spec.coprime_pairs:
-        if gcd(y[i], y[j]) != 1:
-            return MembershipResult(False, f"coprimality({i},{j})")
     for p, wit in spec.conditions.bad_primes.items():
         q = p ** (2 * wit.v - 1)
         ys = spec.conditions.y_residue(p)
@@ -207,13 +190,6 @@ def membership(y: Sequence[int], spec: AdmissibleSetSpec, Y: int) -> MembershipR
     ok, why = _good_prime_ok(spec, y)
     if not ok:
         return MembershipResult(False, why)
-    if spec.jacobi_condition is not None:
-        from .nt import jacobi_symbol
-
-        G, target = spec.jacobi_condition
-        gval = G.evaluate(y[1:])
-        if y[0] <= 2 or gval % y[0] == 0 or jacobi_symbol(gval, abs(y[0])) != target:
-            return MembershipResult(False, "jacobi-symbol condition")
     return MembershipResult(True, "")
 
 
@@ -248,7 +224,6 @@ def admissible_points_lines(points: Iterator[Tuple[int, ...]]) -> str:
 @dataclass
 class DensityEstimate:
     rows: List[Tuple[int, int, Fraction, Optional[Fraction]]]  # (Y, count, density, delta)
-    tail_loss_bound: Optional[float] = None
 
     def to_csv(self) -> str:
         lines = ["Y,count,density,delta"]
@@ -259,12 +234,10 @@ class DensityEstimate:
 
 
 def density_estimate(
-    spec: AdmissibleSetSpec, Y_list: Sequence[int], budget: int | None = None,
-    codim_estimate: int | None = None,
+    spec: AdmissibleSetSpec, Y_list: Sequence[int], budget: int | None = None
 ) -> DensityEstimate:
     """#C_k(Y) / Y^k for each Y, with successive differences as a Cauchy
-    monitor; in cutoff mode adds the tail density-loss bound from the
-    codimension probe."""
+    monitor."""
     rows = []
     prev: Optional[Fraction] = None
     for Y in Y_list:
@@ -273,18 +246,7 @@ def density_estimate(
         delta = None if prev is None else abs(dens - prev)
         rows.append((Y, count, dens, delta))
         prev = dens
-    tail = None
-    if spec.good_prime_cutoff is not None and codim_estimate is not None:
-        # ignored primes p > P contribute at most ~ c p^(-codim) each
-        P = spec.good_prime_cutoff
-        from .nt import primes_up_to
-
-        tail = 0.0
-        for p in primes_up_to(50 * P):
-            if p > P:
-                tail += float(p) ** (-codim_estimate)
-        tail += 2.0 * (50 * P) ** (1 - codim_estimate) if codim_estimate > 1 else float("inf")
-    return DensityEstimate(rows, tail)
+    return DensityEstimate(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -109,18 +109,3 @@ class VolumeConstantTable:
 
 _DEFAULT_TABLE = VolumeConstantTable()
 
-
-def ball_slice_volume(l: int, B, a) -> float:
-    """V(l, B) = c(l) (B^2 - a^2)^(l/2); the slice is an l-ball of radius
-    sqrt(B^2 - a^2)."""
-    if l < 0:
-        raise ValueError("negative dimension")
-    if l == 0:
-        return 1.0
-    B = Fraction(B)
-    a = Fraction(a)
-    rad2 = B * B - a * a
-    if rad2 < 0:
-        raise ValueError("B^2 < a^2: empty slice")
-    return _DEFAULT_TABLE.constant_float(l) * float(rad2) ** (l / 2)
-

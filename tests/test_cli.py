@@ -194,6 +194,8 @@ def test_local_on_rank_deficient_fibres_exits_0(y, sigmas):
      "cubefib: budget exceeded: 823543 points exceed budget 1000"),
     (["analyze", "--form", "nope.json"], 5, "cubefib: nope.json: No such file or directory"),
     (["analyze", "--form", "BROKEN"], 3, "cubefib: invalid form: line 1: Expecting ',' delimiter"),
+    (["density", "--form", "forms/pi_n7.json", "--Y", "2", "--budget", "0"], 4,
+     "cubefib: budget exceeded: 128 points exceed budget 0"),
 ])
 def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, message):
     """Budget, file and form errors: one stderr line, no traceback, and an
@@ -223,11 +225,14 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
      "--mode", "pi"],
     ["density", "--form", "forms/pi_n7.json", "--Y", "4", "--mode", "pi_prime"],
     ["lattice-count", "--a", "1,2", "-B", "-3"],
+    ["density", "--form", "forms/pi_n7.json", "--Y", "2", "--budget", "-5"],
+    ["local", "--form", "forms/pi_n7.json", "--y", "0,1", "--pmax", "-3"],
 ])
 def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
     """A non-integer CSV cell, a form without a split, a non-primitive
-    vector, out-of-range bounds (a negative height bound B among them) and
-    a mode the cubic does not support: one stderr line and exit code 1."""
+    vector, out-of-range bounds (a negative height bound B, a negative
+    point budget and a prime bound below 2 among them) and a mode the cubic
+    does not support: one stderr line and exit code 1."""
     csv = tmp_path / "series.csv"
     csv.write_text("B,count\n2,x\n4,5\n")
     args = [str(csv) if a == "CSV" else a for a in args]

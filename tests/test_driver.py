@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from cubefib import driver
 from cubefib.driver import (
     CountSeries,
-    FormDocument,
     FormValidationError,
     brute_force_N,
     build_report,
@@ -22,7 +20,6 @@ from cubefib.driver import (
     parse_form_document,
     report_to_json,
     representation_count_coprime,
-    serialize_form_document,
 )
 from cubefib.fibration import FalsificationAlarm, split_cubic
 from cubefib.gridcount import BudgetExceeded
@@ -64,32 +61,6 @@ def test_parse_form_rejects_wrong_degree():
     )
     with pytest.raises(FormValidationError, match="degree"):
         parse_form_document(text)
-
-
-def test_form_round_trip_byte_identical():
-    for name in ("pi_prime_n8.json", "pi_prime_n7.json", "pi_n7.json", "norm_form_n9.json"):
-        text = load(name)
-        doc = parse_form_document(text)
-        out = serialize_form_document(doc)
-        assert out == text
-        assert parse_form_document(out) == doc
-
-
-def test_form_round_trip_random():
-    rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randint(2, 5)
-        terms = {}
-        for _ in range(20):
-            e = [0] * n
-            for _ in range(3):
-                e[rng.randrange(n)] += 1
-            terms[tuple(e)] = rng.randint(-99, 99)
-        doc = FormDocument(n, IntPolynomial(n, terms), "rnd")
-        text = serialize_form_document(doc)
-        doc2 = parse_form_document(text)
-        assert doc2 == doc
-        assert serialize_form_document(doc2) == text
 
 
 def test_brute_force_hand_values():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubefib.exponents import predicted_exponents, exponent_floor_holds
+from cubefib.exponents import predicted_exponents
 
 
 def test_thmlb_plugin_n39_h13():
@@ -38,7 +38,13 @@ def test_delta_even_small_case():
 
 
 def test_exponent_floor_full_grid():
-    assert exponent_floor_holds()
+    # the paper's floor: n - h + alpha(n, h, eps) >= n - 9, exactly, for
+    # every n >= 39 of the grid and h = 10..13
+    eps = Fraction(1, 100)
+    for h in range(10, 14):
+        for n in range(39, 61):
+            pred = predicted_exponents(n, h, min(5, n - h), eps, shape="general")
+            assert n - h + pred.alpha >= n - 9, (n, h)
 
 
 def test_exponent_floor_is_tight_at_h13():

@@ -21,13 +21,12 @@ from cubefib.fibration import (
     divides_form,
     extract_linear_block,
     fibre_polynomial,
-    indefinite_witness,
     _linear_coefficients,
     _primitive_form,
     common_linear_factor,
     linear_factors,
-    low_rank_specialization_count,
     order3_minor_common_factor,
+    order3_minors,
     singular_locus_dim_probe,
     split_cubic,
 )
@@ -260,34 +259,6 @@ def test_h1_roundtrip_constructed_instances():
         assert res.certificate.is_zero()
         # reconstruct: l * N1 must reproduce 2 Q_y exactly (checked in cert)
         done += 1
-
-
-def test_indefinite_witness_examples():
-    # diag(y1, y2): u = (1, -1) gives an indefinite specialization
-    C = poly(4, lambda x1, x2, y1, y2: y1 * x1 * x1 + y2 * x2 * x2)
-    fd = build_fibration(C, VariableSplit(4, (0, 1), (2, 3)))
-    w = indefinite_witness(fd)
-    assert w.signature[1] > 0 and w.signature[2] > 0
-    assert fd.witness_minor_at(list(w.point)) != 0
-    assert w.box_radius > 0
-    # the witness minor is nonzero at the certified box corners
-    from itertools import product as iproduct
-
-    for signs in iproduct((-1, 1), repeat=fd.h):
-        corner = [ui + si * w.box_radius for ui, si in zip(w.point, signs)]
-        assert fd.witness[2].evaluate(corner) != 0
-
-    # y1 I2 + y2 offdiag: u = (0, 1) has signature (1, 1)
-    C = poly(4, lambda x1, x2, y1, y2: y1 * (x1*x1 + x2*x2) + y2 * x1 * x2)
-    fd = build_fibration(C, VariableSplit(4, (0, 1), (2, 3)))
-    w = indefinite_witness(fd)
-    assert w.signature == (2, 1, 1)
-
-    # H1-true input: precondition error
-    C = poly(3, lambda x1, x2, y1: y1 * (x1 * x1 + x2 * x2))
-    fd = build_fibration(C, VariableSplit(3, (0, 1), (2,)))
-    with pytest.raises(ValueError):
-        indefinite_witness(fd)
 
 
 def test_linear_factors_of_quadratic():
@@ -683,33 +654,6 @@ def test_singular_locus_probe():
     assert probe.estimate == 1
 
 
-def test_low_rank_specialization_count():
-    # identically rank <= 2: degenerate flag, full box
-    v, ydim = 3, 2
-    psis = [
-        poly(2, lambda a, b: a * a),
-        poly(2, lambda a, b: a * b),
-        poly(2, lambda a, b: b * b),
-    ]
-    count, degenerate = low_rank_specialization_count(psis, 2)
-    assert degenerate and count == 5 ** 3
-
-    # generic bundle in 3 y-variables over 3 x-variables
-    psis = [
-        poly(3, lambda a, b, c: a * a + b * c),
-        poly(3, lambda a, b, c: b * b - a * c),
-        poly(3, lambda a, b, c: c * c + a * b),
-    ]
-    count0, deg0 = low_rank_specialization_count(psis, 0)
-    assert not deg0 and count0 == 1  # x = 0 always has rank 0 <= 2
-    c2, _ = low_rank_specialization_count(psis, 2)
-    c4, _ = low_rank_specialization_count(psis, 4)
-    c8, _ = low_rank_specialization_count(psis, 8)
-    # dimension-growth flavour: count grows far slower than the box
-    assert c4 / 9 ** 3 < 0.5
-    assert c8 <= 40 * 8 ** 3 / 64  # crude sanity ceiling
-
-
 def _low_rank_count_by_rank(psis, R):
     """#{x in [-R, R]^v : the matrix of sum x_i psi_i(y) has rank <= 2},
     from the ranks of its specialised second partials."""
@@ -726,15 +670,30 @@ def _low_rank_count_by_rank(psis, R):
     return count
 
 
-def test_low_rank_specialization_count_matches_rank_oracle():
+def _low_rank_count_by_minors(psis, R):
+    """#{x in [-R, R]^v : every order-3 minor of the bundle matrix of the
+    psis vanishes at x}."""
+    minors = order3_minors(bundle_matrix(psis))
+    return sum(all(f.evaluate(list(x)) == 0 for f in minors)
+               for x in itertools.product(range(-R, R + 1), repeat=len(psis)))
+
+
+def test_order3_minors_match_rank_oracle():
     psis = [
         poly(3, lambda a, b, c: a * a + b * c),
         poly(3, lambda a, b, c: b * b - a * c),
         poly(3, lambda a, b, c: c * c + a * b),
     ]
-    count, degenerate = low_rank_specialization_count(psis, 2)
-    assert not degenerate
-    assert count == _low_rank_count_by_rank(psis, 2)
+    assert order3_minors(bundle_matrix(psis))
+    assert _low_rank_count_by_minors(psis, 2) == _low_rank_count_by_rank(psis, 2)
+    # a bundle of rank <= 2 everywhere has no nonzero order-3 minor
+    psis = [
+        poly(2, lambda a, b: a * a),
+        poly(2, lambda a, b: a * b),
+        poly(2, lambda a, b: b * b),
+    ]
+    assert order3_minors(bundle_matrix(psis)) == []
+    assert _low_rank_count_by_minors(psis, 2) == _low_rank_count_by_rank(psis, 2) == 5 ** 3
 
 
 @st.composite
@@ -755,17 +714,16 @@ def _quadratic_bundles(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(psis=_quadratic_bundles(), R=st.integers(0, 2))
-def test_low_rank_specialization_count_random_bundles(psis, R):
-    count, degenerate = low_rank_specialization_count(psis, R)
-    assert count == _low_rank_count_by_rank(psis, R)
-    if degenerate:
-        assert count == (2 * R + 1) ** len(psis)
+def test_order3_minors_random_bundles(psis, R):
+    """All order-3 minors vanish at x iff the specialised matrix has rank
+    <= 2."""
+    assert _low_rank_count_by_minors(psis, R) == _low_rank_count_by_rank(psis, R)
 
 
-def test_low_rank_specialization_count_has_the_minor_cap():
+def test_order3_minors_have_the_minor_cap():
     psis = [X(13, 0) * X(13, 12), X(13, 1) * X(13, 1)]
     with pytest.raises(ValueError, match="minor-enumeration cap 12"):
-        low_rank_specialization_count(psis, 1)
+        order3_minors(bundle_matrix(psis))
 
 
 def test_bundle_matrix_hand_example():

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, isqrt, pi
+from math import gcd, isqrt
 from unittest import mock
 
 import numpy as np
@@ -13,7 +13,7 @@ from cubefib import lattice
 from cubefib.lattice import (
     IntegerLattice,
     QuadraticSolvedLevels,
-    count_affine_points_in_ball,
+    ball_counts,
     dot,
     enumerate_quadratic,
     enumerate_quadratics,
@@ -26,7 +26,6 @@ from cubefib.lattice import (
 )
 from cubefib.volumes import (
     VolumeConstantTable,
-    ball_slice_volume,
     ball_volume_exact,
     beta_product,
     gamma_half,
@@ -172,7 +171,7 @@ def test_shortest_vector_vs_bruteforce():
         assert l2 ** 0.5 <= 2 * covol ** (1 / lat.rank) + 1e-9
 
 
-def test_count_affine_points_in_ball_bruteforce():
+def test_ball_counts_bruteforce():
     rng = random.Random(107)
     for _ in range(60):
         n = rng.randint(2, 4)
@@ -180,7 +179,7 @@ def test_count_affine_points_in_ball_bruteforce():
         lat = kernel_lattice(a)
         shift = [rng.randint(-3, 3) for _ in range(n)]
         R2 = Fraction(rng.randint(1, 120))
-        count, samples = count_affine_points_in_ball(lat.reduced_basis(), shift, R2, sample_limit=5)
+        count, samples = ball_counts([(lat.reduced_basis(), shift, R2, 5)])[0]
         # brute force: x = shift + ker, i.e. <a, x> = <a, shift>
         target = dot(a, shift)
         R = isqrt(int(R2)) + 1
@@ -289,20 +288,6 @@ def test_beta_product_closed_form():
         g = gamma_half(l)
         assert bp.rational * g.rational == 1
         assert bp.half_exponent + g.half_exponent == l
-
-
-def test_ball_slice_volume_values():
-    assert ball_slice_volume(0, 10, 3) == 1.0
-    # a = B: degenerate slice
-    assert ball_slice_volume(3, 5, 5) == 0.0
-    # a = 0, l-ball volume
-    for l in range(1, 8):
-        v = ball_slice_volume(l, 1, 0)
-        from math import gamma
-
-        assert abs(v - pi ** (l / 2) / gamma(l / 2 + 1)) < 1e-12
-    with pytest.raises(ValueError):
-        ball_slice_volume(2, 3, 5)
 
 
 def test_asymptotic_hand_example():
@@ -546,9 +531,10 @@ def test_centred_shift_keeps_counts_and_samples(data):
     shift = [s + dot(far, col) for s, col in zip(near, zip(*basis))]
     R2 = Fraction(data.draw(st.integers(0, 400)), data.draw(st.sampled_from([1, 4, 9])))
     sample_limit = data.draw(st.integers(0, 6))
-    centred = count_affine_points_in_ball(basis, shift, R2, sample_limit)
+    ball = (basis, shift, R2, sample_limit)
+    centred = ball_counts([ball])[0]
     with mock.patch.object(lattice, "_centred_shifts", lambda balls: [list(b[1]) for b in balls]):
-        assert count_affine_points_in_ball(basis, shift, R2, sample_limit) == centred
+        assert ball_counts([ball])[0] == centred
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,12 +11,10 @@ from cubefib.nt import (
     factorize,
     is_prime,
     jacobi_symbol,
-    primes_in_interval,
     primes_up_to,
     solve_linear_diophantine,
     sqrt_mod_p,
     squarefree_divisors,
-    valuation,
     xgcd,
 )
 
@@ -83,10 +81,6 @@ def test_is_prime_carmichael_and_big():
     assert not is_prime((2 ** 31 - 1) * (2 ** 13 - 1))
 
 
-def test_primes_in_interval():
-    assert primes_in_interval(10, 30) == [11, 13, 17, 19, 23, 29]
-
-
 def test_xgcd():
     rng = random.Random(3)
     for _ in range(500):
@@ -131,7 +125,6 @@ def test_factorize():
 def test_divisor_machinery():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert squarefree_divisors(12) == [(1, 1), (2, -1), (3, -1), (6, 1)]
-    assert valuation(48, 2) == 4
 
 
 def test_sqrt_mod_p():

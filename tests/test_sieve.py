@@ -89,16 +89,18 @@ def test_membership_reason_traces():
     assert membership((5, 0), spec, 4).reason == "box"
     assert membership((1, 1), spec, 4).member
 
-    spec2 = unconditional_spec(2)
-    spec2.y1_prime_window = (Fraction(1, 4), Fraction(1, 1))
-    res = membership((4, 0), spec2, 8)  # 4 in window but composite
-    assert not res.member and res.reason == "prime"
-    res = membership((3, 0), spec2, 8)
-    assert res.member
+    # good polynomials y1, y2 with no bad prime: a point fails at every
+    # common prime factor of its coordinates
+    cond = LocalConditionSet("pi_prime", {}, [X(2, 0), X(2, 1)], 2, (0, 1))
+    spec2 = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
+    assert membership((3, 6), spec2, 8).reason == "good prime 3 divides all predicate values"
+    assert membership((0, 0), spec2, 8).reason == (
+        "good-prime predicate fails at every prime (all values zero)")
+    assert membership((2, 3), spec2, 8).member
 
-    spec3 = unconditional_spec(2)
-    spec3.coprime_pairs = ((0, 1),)
-    assert membership((2, 4), spec3, 8).reason == "coprimality(0,1)"
+    spec3 = AdmissibleSetSpec(2, spec2.box, cond, good_primes_only=(5,))
+    assert membership((3, 6), spec3, 8).member
+    assert membership((5, -5), spec3, 8).reason == "good prime 5 kills all predicate values"
 
 
 def test_density_no_conditions_2k():
@@ -242,60 +244,6 @@ def test_box_with_large_Q_hyperbolic():
     q = y1 * y2
     box = box_with_large_Q(q, P=100)
     assert box.c_frozen > 0
-
-
-def test_jacobi_condition_consistency_with_quadric_solve():
-    # s2-style admissibility: y1 prime, G(y2, y3) a nonzero QR mod y1, where
-    # G = 4 l1 l3 - l2^2 for the binary block l1 x1^2 + l2 x1 x2 + l3 x2^2.
-    # Cross-module check: the mod-y1 quadric then has a nonsingular point.
-    from fractions import Fraction
-
-    from cubefib.finitefield import count_quadric_mod_p_closed_form
-    from cubefib.linalg import QuadraticPolynomial
-    from cubefib.nt import jacobi_symbol
-
-    ydim = 3
-    y2, y3 = X(ydim - 1, 0), X(ydim - 1, 1)
-    G = (y2 * y3 * 4) - (y2 + y3) * (y2 + y3)  # 4 l1 l3 - l2^2 with l1=y2, l3=y3, l2=y2+y3
-    cond = LocalConditionSet("pi", {}, [], 2, (0, 1, 2))
-    spec = AdmissibleSetSpec(
-        3,
-        [(Fraction(1, 8), Fraction(1, 1)), (Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(1))],
-        cond,
-        y1_prime_window=(Fraction(1, 8), Fraction(1, 1)),
-        jacobi_condition=(G, 1),
-    )
-    accepted = list(enumerate_admissible(spec, 40))
-    assert accepted
-    checked = 0
-    for y1, a2, a3 in accepted:
-        gval = G.evaluate([a2, a3])
-        assert gval % y1 != 0 and jacobi_symbol(gval, y1) == 1
-        # binary quadric with this discriminant data mod y1: l1 x^2 + l2 xy + l3 y^2 + x + 1
-        terms = {(2, 0): a2, (1, 1): a2 + a3, (0, 2): a3, (1, 0): 1, (0, 0): 1}
-        F = QuadraticPolynomial.from_polynomial(IntPolynomial(2, terms))
-        if F.disc() % y1 == 0:
-            continue
-        res = count_quadric_mod_p_closed_form(F, y1)
-        assert res.nonsingular >= 1, (y1, a2, a3)
-        checked += 1
-    assert checked > 0
-
-
-def test_density_cutoff_mode_reports_tail_loss():
-    cond = LocalConditionSet("pi_prime", {}, [X(2, 0), X(2, 1)], 2, (0, 1))
-    spec = AdmissibleSetSpec(
-        2,
-        [(Fraction(-1), Fraction(1))] * 2,
-        cond,
-        good_prime_cutoff=20,
-    )
-    est = density_estimate(spec, [10, 20], codim_estimate=2)
-    assert est.tail_loss_bound is not None and est.tail_loss_bound < 0.1
-    # exact mode on the same predicate can only accept fewer points
-    exact_spec = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
-    for (Y, c1, _, _), (_, c2, _, _) in zip(est.rows, density_estimate(exact_spec, [10, 20]).rows):
-        assert c2 <= c1
 
 
 # ---------------------------------------------------------------------------
