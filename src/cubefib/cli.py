@@ -267,6 +267,8 @@ def cmd_count(args):
 
 
 def cmd_fit_exponent(args):
+    if args.slack < 0:
+        raise SystemExit(f"--slack must be at least 0, got {args.slack}")
     rows = []
     with open(args.csv_path) as f:
         header = f.readline()

@@ -42,19 +42,6 @@ class FormDocument:
     metadata: Dict[str, object] = field(default_factory=dict)
     degree: int = 3
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormDocument)
-            and (self.n, self.poly, self.name, self.mode, self.degree)
-            == (other.n, other.poly, other.name, other.mode, other.degree)
-            and self.metadata == other.metadata
-            and _split_key(self.split) == _split_key(other.split)
-        )
-
-
-def _split_key(split):
-    return None if split is None else (split.n, split.x_indices, split.y_indices, split.role)
-
 
 class FormValidationError(ValueError):
     def __init__(self, message, line=None):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd, lcm
+from itertools import combinations, islice, product
+from math import gcd, lcm, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gridcount
@@ -60,6 +60,18 @@ def minor_det(entries: Sequence[Sequence[IntPolynomial]], rows: Tuple[int, ...],
             out = out + e * sub if idx % 2 == 0 else out - e * sub
     memo[key] = out
     return out
+
+
+def _at(M: Sequence[Sequence[IntPolynomial]], y: Sequence[int]) -> List[List[int]]:
+    """The integer matrix of the polynomial matrix M at the point y."""
+    return [[e.evaluate(y) for e in row] for row in M]
+
+
+def _ratio(p: IntPolynomial, q: IntPolynomial) -> Optional[Fraction]:
+    """The rational lam with p = lam * q, for a nonzero q, or None."""
+    key = next(iter(q.terms))
+    lam = Fraction(p.coefficient(key), q.terms[key])
+    return lam if p * lam.denominator == q * lam.numerator else None
 
 
 def _nonzero_minors(entries, size: int, memo: dict):
@@ -113,7 +125,7 @@ class FibrationData:
         return len(self.split.y_indices)
 
     def M2_at(self, y: Sequence[int]) -> List[List[int]]:
-        return [[e.evaluate(y) for e in row] for row in self.M2]
+        return _at(self.M2, y)
 
     def to_report(self) -> dict:
         rows, cols, poly = self.witness
@@ -238,7 +250,7 @@ def fibration_rank(
     sample_ranks = []
     for _ in range(_TRIALS):
         y = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(h)]
-        rk, pivots, _, _ = bareiss([[e.evaluate(y) for e in row] for row in M2])
+        rk, pivots, _, _ = bareiss(_at(M2, y))
         sample_ranks.append(rk)
         if rk > best_rank:
             best_rank = rk
@@ -285,26 +297,24 @@ class LinearBlockResult:
     certificate: List[List[IntPolynomial]]  # the (i,j > r) entries, all zero
 
 
-def _search_rank_r_combination(M2, h, r, seed=0, budget=4000):
+# the y-combinations in {-2..2}^h tried before the random ones
+_COMBINATION_BUDGET = 4000
+
+
+def _search_rank_r_combination(M2, h, r, seed):
     """Small integer y-combination c with rank M2[c] = r."""
 
     def rank_at(c):
-        return bareiss([[e.evaluate(c) for e in row] for row in M2]).rank
+        return bareiss(_at(M2, c)).rank
 
     for i in range(h):
         c = [0] * h
         c[i] = 1
         if rank_at(c) == r:
             return tuple(c)
-    tried = 0
-    for c in product(range(-2, 3), repeat=h):
-        if not any(c):
-            continue
-        tried += 1
-        if tried > budget:
-            break
-        if rank_at(list(c)) == r:
-            return tuple(c)
+    for c in islice((c for c in product(range(-2, 3), repeat=h) if any(c)), _COMBINATION_BUDGET):
+        if rank_at(c) == r:
+            return c
     rng = random.Random(seed)
     for _ in range(200):
         c = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(h)]
@@ -313,13 +323,38 @@ def _search_rank_r_combination(M2, h, r, seed=0, budget=4000):
     return None
 
 
-def _congruence_to_front(mat: List[List[int]]):
-    """Rational T with T^t mat T diagonal, nonzero pivots first; returns
-    (T as integer matrix, denominator, number of nonzeros)."""
-    t, diag = congruence_diagonalize(mat)
+def _bundle_normal_form(M, h: int, r: int, seed: int):
+    """(c, S, S^t M S) for the bundle M of verified rank r over Q(y), or None
+    when no small integer combination c has rank M[c] = r.
+
+    S, a scaled integer LinearChange, diagonalises M[c] with its r nonzero
+    pivots first; as the bundle has rank r, every entry of S^t M[y] S past
+    row and column r must vanish identically."""
+    c = _search_rank_r_combination(M, h, r, seed)
+    if c is None:
+        return None
+    t, diag = congruence_diagonalize(_at(M, c))
+    if sum(1 for d in diag if d != 0) != r:
+        raise FalsificationAlarm("diagonalized combination lost rank")
     den = lcm(*(v.denominator for row in t for v in row))
-    tint = [[int(v * den) for v in row] for row in t]
-    return tint, den, sum(1 for d in diag if d != 0)
+    S = [[int(v * den) for v in row] for row in t]
+    zero = IntPolynomial.zero(M[0][0].num_vars)
+
+    def dot(polys, ints):
+        return sum((p * k for p, k in zip(polys, ints) if k), zero)
+
+    MS_cols = list(zip(*[[dot(row, col) for col in zip(*S)] for row in M]))
+    # (S^t M S)[i][j] = <column i of S, column j of M S>
+    SMS = [[dot(MS_col, S_col) for MS_col in MS_cols] for S_col in zip(*S)]
+    for i, j in product(range(r, len(M)), repeat=2):
+        if not SMS[i][j].is_zero():
+            offender = all_minors_vanish(M, r + 1, {})
+            raise FalsificationAlarm(
+                f"second partial ({i},{j}) nonzero after reduction; "
+                f"an order-{r + 1} minor must be nonzero (found {offender}), "
+                "contradicting the verified rank"
+            )
+    return c, LinearChange(S, den), SMS
 
 
 def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
@@ -332,39 +367,11 @@ def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
     if r == 0:
         cert = [list(row) for row in fd.M2]
         return LinearBlockResult(LinearChange.identity(m), (1,) + (0,) * (h - 1), m, cert)
-    c = _search_rank_r_combination(fd.M2, h, r, seed)
-    if c is None:
+    found = _bundle_normal_form(fd.M2, h, r, seed)
+    if found is None:
         raise ValueError("no small integer combination attains the fibration rank")
-    tint, den, nonzero = _congruence_to_front(fd.M2_at(c))
-    if nonzero != r:
-        raise FalsificationAlarm("diagonalized combination lost rank")
-    # transform M2[y] symbolically: S^t M2 S with the integer-scaled S
-    transformed = _congruence_transform_bundle(fd.M2, tint)
-    block = [row[r:] for row in transformed[r:]]
-    for i, row in enumerate(block):
-        for j, e in enumerate(row):
-            if not e.is_zero():
-                memo: dict = {}
-                offender = all_minors_vanish(fd.M2, r + 1, memo)
-                raise FalsificationAlarm(
-                    f"second partial ({r + i},{r + j}) nonzero after reduction; "
-                    f"an order-{r + 1} minor must be nonzero (found {offender}), "
-                    "contradicting the verified rank"
-                )
-    return LinearBlockResult(LinearChange(tint, den), c, m - r, block)
-
-
-def _congruence_transform_bundle(M2, S):
-    """S^t M2[y] S for an integer matrix S."""
-    zero = IntPolynomial.zero(M2[0][0].num_vars)
-    S_cols = list(zip(*S))
-
-    def dot(polys, ints):
-        return sum((p * c for p, c in zip(polys, ints) if c), zero)
-
-    MS_cols = list(zip(*[[dot(row, col) for col in S_cols] for row in M2]))
-    # (S^t M2 S)[i][j] = <column i of S, column j of M2 S>
-    return [[dot(MS_col, S_col) for MS_col in MS_cols] for S_col in S_cols]
+    c, change, transformed = found
+    return LinearBlockResult(change, c, m - r, [row[r:] for row in transformed[r:]])
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +400,17 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     lead_key = min(pivot.terms)
     g = pivot.content() * (1 if pivot.terms[lead_key] > 0 else -1)
     l = IntPolynomial(h, {e: c // g for e, c in pivot.terms.items()})
-    lead = l.terms[lead_key]
-    # proportionality of every entry to l: cross-determinants vanish
+    # every entry a rational multiple of l
     ratios = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            e = fd.M2[i][j]
-            if e.is_zero():
-                continue
-            if not e.terms.keys() <= l.terms.keys():
-                return H1Result(False, None, None, None, None, None,
-                                "entry support exceeds the candidate line")
-            if e * lead != l * e.coefficient(lead_key):
-                return H1Result(False, None, None, None, None, None,
-                                "entries are not proportional to a single linear form")
-            ratios[i][j] = Fraction(e.coefficient(lead_key), lead)
+    for i, j in product(range(m), repeat=2):
+        e = fd.M2[i][j]
+        if not e.terms.keys() <= l.terms.keys():
+            return H1Result(False, None, None, None, None, None,
+                            "entry support exceeds the candidate line")
+        ratios[i][j] = _ratio(e, l)
+        if ratios[i][j] is None:
+            return H1Result(False, None, None, None, None, None,
+                            "entries are not proportional to a single linear form")
     N1 = tuple(map(tuple, ratios))
     rank, pos, neg = rank_signature_over_Q(N1)
     if rank != r:
@@ -548,28 +551,26 @@ def divides_form(l: IntPolynomial, f: IntPolynomial) -> bool:
     return f.substitute_polys(images).is_zero()
 
 
-def divide_form_by_linear(f: IntPolynomial, l: IntPolynomial) -> IntPolynomial:
-    """Exact quotient f / l for a homogeneous f divisible by the linear l."""
-    n = f.num_vars
+def divide_form_by_linear(f: IntPolynomial, l: IntPolynomial) -> Tuple[IntPolynomial, int]:
+    """(quotient, den) with l * quotient = den * f and gcd(content, den) = 1,
+    for a homogeneous f divisible by the linear l over Q.
+
+    Long division along the pivot variable of l, of f scaled by |l_piv|^(deg
+    f - 1), which makes the quotient integral (Gauss's lemma)."""
     coeffs, piv = _linear_coefficients(l)
     lp = coeffs[piv]
-    # long division along the pivot variable
-    remainder = dict(f.terms)
+    scale = abs(lp) ** max(f.total_degree() - 1, 0)
+    remainder = {e: c * scale for e, c in f.terms.items()}
     quotient: dict = {}
     while remainder:
         # take the term with the highest pivot-degree
         e = max(remainder, key=lambda t: (t[piv], t))
-        c = remainder[e]
-        if c % lp != 0:
-            # scale the whole computation: f divisible by l over Q means the
-            # quotient may be rational; clear by multiplying f by lp^deg first
-            raise ArithmeticError("quotient is not integral; caller must clear content")
+        qc, rest = divmod(remainder[e], lp)
         qe = list(e)
         qe[piv] -= 1
-        if qe[piv] < 0:
+        if rest or qe[piv] < 0:
             raise ArithmeticError("division left a remainder; l does not divide f")
-        qc = c // lp
-        quotient[tuple(qe)] = quotient.get(tuple(qe), 0) + qc
+        quotient[tuple(qe)] = qc
         for j, lc in enumerate(coeffs):
             if lc:
                 te = list(qe)
@@ -580,18 +581,8 @@ def divide_form_by_linear(f: IntPolynomial, l: IntPolynomial) -> IntPolynomial:
                     remainder[key] = s
                 else:
                     remainder.pop(key, None)
-    return IntPolynomial(n, quotient)
-
-
-def divide_form_by_linear_rational(f, l) -> Tuple[IntPolynomial, int]:
-    """Quotient as (IntPolynomial, denominator) even when not integral."""
-    n = f.num_vars
-    deg = f.total_degree()
-    coeffs, piv = _linear_coefficients(l)
-    scale = abs(coeffs[piv]) ** max(deg - 1, 0)
-    q = divide_form_by_linear(f * scale, l)
-    g = gcd(scale, q.content())
-    return IntPolynomial(n, {e: c // g for e, c in q.terms.items()}), scale // g
+    g = gcd(scale, *quotient.values())
+    return IntPolynomial(f.num_vars, {e: c // g for e, c in quotient.items()}), scale // g
 
 
 @dataclass
@@ -617,7 +608,7 @@ def detect_common_linear_factor_Qi(
         if q.is_zero():
             cofs.append((IntPolynomial.zero(q.num_vars), 1))
         else:
-            quo, den = divide_form_by_linear_rational(q, l)
+            quo, den = divide_form_by_linear(q, l)
             if l * quo != q * den:
                 raise FalsificationAlarm("common factor times its cofactor "
                                          "is not den * Q_i")
@@ -649,19 +640,6 @@ def _psi_independent(psi_list: Sequence[IntPolynomial]) -> bool:
     return bareiss([[psi.terms.get(e, 0) for e in keys] for psi in psi_list]).rank == len(psi_list)
 
 
-def _pairwise_proportional(psi_list: Sequence[IntPolynomial]) -> bool:
-    nonzero = [p for p in psi_list if not p.is_zero()]
-    if len(nonzero) <= 1:
-        return True
-    base = nonzero[0]
-    key0 = next(iter(base.terms))
-    for p in nonzero[1:]:
-        # cross-multiplication: p * base[key0] == base * p[key0]
-        if p * base.terms[key0] != base * p.terms.get(key0, 0):
-            return False
-    return True
-
-
 def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> Rank2Shape:
     """Classify Psi = sum x_i psi_i(y) by its rank over K = Q(x).
 
@@ -674,12 +652,13 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
     v = len(psi_list)
     my = psi_list[0].num_vars
     A2 = bundle_matrix(psi_list)
-    rank, witness, record = fibration_rank(A2, v, seed=seed)
+    rank = fibration_rank(A2, v, seed=seed)[0]
     if rank >= 3:
         nondeg = _psi_independent(psi_list)
         # rank >= 3 over K: some psi_i is nonzero
+        nonzero = [p for p in psi_list if not p.is_zero()]
         reducible = (common_linear_factor(psi_list) is not None
-                     or _pairwise_proportional(psi_list))
+                     or all(_ratio(p, nonzero[0]) is not None for p in nonzero[1:]))
         if nondeg and not reducible and v >= 4:
             return Rank2Shape("integral", rank, notes="irreducible, x-nondegenerate, rank >= 3")
         return Rank2Shape(
@@ -693,17 +672,10 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
     if rank < 2:
         return Rank2Shape("low-rank", rank, notes="rank over K below 2")
 
-    c = _search_rank_r_combination(A2, v, 2, seed=seed)
-    if c is None:
+    found = _bundle_normal_form(A2, v, 2, seed)
+    if found is None:
         raise FalsificationAlarm("rank 2 over K but no rank-2 specialization found")
-    tint, den, nonzero = _congruence_to_front([[e.evaluate(c) for e in row] for row in A2])
-    if nonzero != 2:
-        raise FalsificationAlarm("rank-2 specialization failed to diagonalize to rank 2")
-    At = _congruence_transform_bundle(A2, tint)
-    ych = LinearChange(tint, den)
-    # lower-right block must vanish identically (the bordered-minor argument)
-    if not all(At[i][j].is_zero() for i in range(2, my) for j in range(2, my)):
-        raise FalsificationAlarm("rank-2 bundle with nonzero lower-right block")
+    c, ych, At = found
     a00, a01, a11 = At[0][0], At[0][1], At[1][1]
     S = [i for i in range(2, my) if not (At[0][i].is_zero() and At[1][i].is_zero())]
     if not S:
@@ -716,17 +688,14 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
     # kappa from a_{1i} = kappa a_{0i} on S, constant across S
     kappa = None
     for i in S:
-        a0i, a1i = At[0][i], At[1][i]
-        if a0i.is_zero():
+        if At[0][i].is_zero():
             raise FalsificationAlarm("rank-2 bundle: a1i nonzero with a0i zero")
-        key = next(iter(a0i.terms))
-        cand = Fraction(a1i.coefficient(key), a0i.terms[key])
-        if a0i * cand.numerator != a1i * cand.denominator:
+        cand = _ratio(At[1][i], At[0][i])
+        if cand is None:
             raise FalsificationAlarm("rank-2 bundle: a1i not proportional to a0i")
-        if kappa is None:
-            kappa = cand
-        elif kappa != cand:
+        if kappa not in (None, cand):
             raise FalsificationAlarm("rank-2 bundle: kappa differs across S")
+        kappa = cand
     kn, kd = kappa.numerator, kappa.denominator
     # a11 = 2 kappa a01 - kappa^2 a00 (the constant-factor condition)
     if a11 * (kd * kd) != a01 * (2 * kn * kd) - a00 * (kn * kn):
@@ -865,9 +834,14 @@ def _slice_minors_vanish(M2, ych: LinearChange) -> bool:
     return all_minors_vanish(transformed, 3, {}) is None
 
 
-def _codim_probe(minors: List[IntPolynomial], h: int, probe_primes, budget) -> dict:
-    import math
+def _dimension_estimate(counts: Dict[int, Optional[int]], empty: int) -> int:
+    """round(mean of log_p c) over the primes p with a positive count c, or
+    empty when there is none: c ~ p^dim for a variety of dimension dim."""
+    logs = [log(c) / log(p) for p, c in counts.items() if c]
+    return round(sum(logs) / len(logs)) if logs else empty
 
+
+def _codim_probe(minors: List[IntPolynomial], h: int, probe_primes, budget) -> dict:
     if probe_primes is None:
         probe_primes = (101, 211) if h <= 3 else ((31, 37) if h == 4 else (11, 13))
     counts = {}
@@ -876,10 +850,7 @@ def _codim_probe(minors: List[IntPolynomial], h: int, probe_primes, budget) -> d
             counts[p] = gridcount.count_system_zeros_mod_p(minors, p, budget)
         except gridcount.BudgetExceeded:
             counts[p] = None
-    dims = [
-        math.log(c) / math.log(p) for p, c in counts.items() if c
-    ]
-    est_dim = round(sum(dims) / len(dims)) if dims else 0
+    est_dim = _dimension_estimate(counts, 0)
     return {"primes": list(probe_primes), "counts": counts,
             "estimated_dim": est_dim, "estimated_codim": h - est_dim}
 
@@ -903,14 +874,8 @@ def singular_locus_dim_probe(
     Randomized evidence only, never a proof: counts c ~ p^dim are fitted by
     rounding the mean of log_p(c).
     """
-    import math
-
     if f.is_zero():
         raise ValueError("zero form")
-    grads = [g for g in f.gradient()]
-    counts = {}
-    for p in primes:
-        counts[p] = gridcount.count_system_zeros_mod_p(grads, p, budget)
-    logs = [math.log(c) / math.log(p) for p, c in counts.items() if c > 0]
-    est = round(sum(logs) / len(logs)) if logs else -1
-    return SingularLocusProbe(est, counts, tuple(primes))
+    grads = f.gradient()
+    counts = {p: gridcount.count_system_zeros_mod_p(grads, p, budget) for p in primes}
+    return SingularLocusProbe(_dimension_estimate(counts, -1), counts, tuple(primes))

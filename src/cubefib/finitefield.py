@@ -38,30 +38,17 @@ class QuadricCount:
     data: GaussSumData
 
 
-def diagonalize_mod_p(Q: Sequence[Sequence[int]], p: int):
-    """Congruence diagonalization over F_p, p odd.
-
-    Returns (R, D): R invertible mod p with R^t Q R = diag(D) mod p; the
-    nonzero entries of D come first and their number is the rank of Q mod
-    p. The reduction is `linalg.congruence_diagonalize`, the one used over Q.
-    """
-    if p == 2:
-        raise ValueError("p = 2 is excluded")
-    return congruence_diagonalize(Q, p)
-
-
 def _diagonal_data(F: QuadraticPolynomial, p: int):
     """(R, diag, r, D) for an odd prime p: Q mod p diagonalized by R with its
-    r nonzero pivots first, and the transformed linear part D = R^t B mod p."""
-    if p == 2:
-        raise ValueError("p = 2 is excluded from the closed form")
+    r nonzero pivots first, and the transformed linear part D = R^t B mod p;
+    `congruence_diagonalize` refuses p = 2."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     m = F.m
     if m == 0:
         raise ValueError("need at least one variable")
     inv2 = (p + 1) // 2
-    R, diag = diagonalize_mod_p([[v * inv2 % p for v in row] for row in F.two_q], p)
+    R, diag = congruence_diagonalize([[v * inv2 % p for v in row] for row in F.two_q], p)
     D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
     return R, diag, sum(1 for d in diag if d), D
 

@@ -49,7 +49,11 @@ def gram_det(basis: Sequence[Sequence[int]]) -> int:
 # LLL over exact rationals
 
 
-def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)):
+# the Lovasz constant of lll_reduce
+_LLL_DELTA = Fraction(3, 4)
+
+
+def lll_reduce(basis: Sequence[Sequence[int]]):
     """LLL-reduced basis of the same lattice plus the unimodular transform.
 
     Integral (fraction-free) variant tracking the scaled Gram-Schmidt data
@@ -63,8 +67,7 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4))
     if k_dim == 1:
         return [list(b[0])], [[1]]
     u = [[1 if i == j else 0 for j in range(k_dim)] for i in range(k_dim)]
-    delta = Fraction(delta)
-    dn, dd = delta.numerator, delta.denominator
+    dn, dd = _LLL_DELTA.numerator, _LLL_DELTA.denominator
     d = [0] * (k_dim + 1)
     d[0] = 1
     lam = [[0] * k_dim for _ in range(k_dim)]
@@ -647,9 +650,11 @@ class HyperplaneAsymptotic:
         return self.err_eta + self.err_lambda
 
 
-def hyperplane_count_asymptotic(
-    a: Sequence[int], b: int, B, eta: Fraction = Fraction(1, 2)
-) -> HyperplaneAsymptotic:
+# the exponent eta of the offset threshold of hyperplane_count_asymptotic
+_ETA = Fraction(1, 2)
+
+
+def hyperplane_count_asymptotic(a: Sequence[int], b: int, B) -> HyperplaneAsymptotic:
     """Main term c(n-1) B^(n-1) / ||a||_2 with explicit error budgets.
 
     err_eta is the exact volume deficit from the b-offset and the +1 in
@@ -662,10 +667,9 @@ def hyperplane_count_asymptotic(
     B = Fraction(B)
     if B < 0:
         raise ValueError(f"B must be nonnegative, got {B}")
-    eta = Fraction(eta)
     norm2 = dot(a, a)
     # exact precondition check: |b|^(2q) <= (B^2)^(q-p) * (||a||^2)^q
-    p_, q_ = eta.numerator, eta.denominator
+    p_, q_ = _ETA.numerator, _ETA.denominator
     if abs(b) > 0 and Fraction(abs(b)) ** (2 * q_) > (B * B) ** (q_ - p_) * Fraction(norm2) ** q_:
         raise ValueError("B below the (|b|/||a||)^(1/(1-eta)) threshold")
     table = _DEFAULT_TABLE
@@ -682,4 +686,4 @@ def hyperplane_count_asymptotic(
     err_lambda = LATTICE_ERROR_CONSTANT * sum(
         float(B) ** j / l1 ** j for j in range(n - 1)
     )
-    return HyperplaneAsymptotic(main, err_eta, err_lambda, l1sq, lat.rank <= 8)
+    return HyperplaneAsymptotic(main, err_eta, err_lambda, l1sq, lat.rank <= _EXACT_SVP_RANK)

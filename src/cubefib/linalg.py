@@ -129,7 +129,8 @@ def unimodular_split(a: Sequence[Sequence[int]]) -> Tuple[int, Tuple[Tuple[int, 
 
 def congruence_diagonalize(q: Sequence[Sequence], p: Optional[int] = None):
     """Lagrange reduction of a symmetric matrix over Q (p None, exact
-    Fractions) or over F_p (p an odd prime, residues in [0, p)).
+    Fractions) or over F_p (p an odd prime, residues in [0, p); p = 2
+    raises ValueError, as its zero pivots cannot always be repaired).
 
     Returns (T, d) as lists with T^t q T = diag(d); the nonzero entries of
     d come first, so their number is the rank. A zero diagonal pivot is
@@ -137,6 +138,8 @@ def congruence_diagonalize(q: Sequence[Sequence], p: Optional[int] = None):
     rest of the diagonal is zero, by adding to it the row and column of the
     first nonzero off-diagonal entry.
     """
+    if p == 2:
+        raise ValueError("p = 2 is excluded")
     n = len(q)
     a = [[Fraction(v) if p is None else v % p for v in row] for row in q]
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):

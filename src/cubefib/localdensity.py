@@ -230,18 +230,21 @@ def _tail_lower_bound(P: int) -> Fraction:
     return 1 - SIGMA_TAIL_CONSTANT * total
 
 
+# the truncation of sigma_p at a good prime, and the largest valuation v of
+# the witness search at a bad one, in singular_series
+_SERIES_T = 2
+_SERIES_V_MAX = 3
+
+
 def singular_series(
-    F: QuadraticPolynomial,
-    P_max: int,
-    t: int = 2,
-    budget: int | None = None,
-    v_max: int = 3,
+    F: QuadraticPolynomial, P_max: int, budget: int | None = None
 ) -> SingularSeriesEstimate:
     """Truncated singular series prod_{p <= P_max} sigma_p^(t_p).
 
-    Good primes use truncation t; primes dividing 2 disc use 2 v_p + 1
-    from a witness search (capped by the budget). The certificate flag
-    requires rank >= 5 and every prime of 2 disc below P_max.
+    Good primes use truncation _SERIES_T; primes dividing 2 disc use 2 v_p
+    + 1 from a witness search up to v = _SERIES_V_MAX (capped by the
+    budget). The certificate flag requires rank >= 5 and every prime of 2
+    disc below P_max.
     """
     rank, support = F.rank_support()
     locals_ = []
@@ -249,9 +252,9 @@ def singular_series(
     bad = set(prime_factors(2 * support))
     for p in primes_up_to(P_max):
         if p in bad:
-            tp = 2 * v_max + 1
+            tp = 2 * _SERIES_V_MAX + 1
             try:
-                wit = find_padic_nonsingular(F.to_polynomial(), p, v_max, budget=budget)
+                wit = find_padic_nonsingular(F.to_polynomial(), p, _SERIES_V_MAX, budget=budget)
                 tp = (2 * wit.v + 1) if wit else tp
             except (ValueError, BudgetExceeded):
                 wit = None
@@ -260,7 +263,7 @@ def singular_series(
             except BudgetExceeded:
                 est = sigma_p(F, p, max(1, min(tp, 2)), budget)
         else:
-            est = sigma_p(F, p, t, budget)
+            est = sigma_p(F, p, _SERIES_T, budget)
         locals_.append(est)
         product *= est.sigma
     certified = rank >= 5 and all(p <= P_max for p in bad)

@@ -227,15 +227,19 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     ["lattice-count", "--a", "1,2", "-B", "-3"],
     ["density", "--form", "forms/pi_n7.json", "--Y", "2", "--budget", "-5"],
     ["local", "--form", "forms/pi_n7.json", "--y", "0,1", "--pmax", "-3"],
+    ["fit-exponent", "SERIES", "--predicted", "3", "--slack", "-1"],
 ])
 def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
     """A non-integer CSV cell, a form without a split, a non-primitive
     vector, out-of-range bounds (a negative height bound B, a negative
-    point budget and a prime bound below 2 among them) and a mode the cubic
-    does not support: one stderr line and exit code 1."""
+    point budget, a prime bound below 2 and a negative slack among them)
+    and a mode the cubic does not support: one stderr line and exit code 1."""
     csv = tmp_path / "series.csv"
     csv.write_text("B,count\n2,x\n4,5\n")
-    args = [str(csv) if a == "CSV" else a for a in args]
+    # a well-formed series of slope 3, so that only the option is at fault
+    series = tmp_path / "slope3.csv"
+    series.write_text("B,count\n2,10\n4,80\n8,640\n16,5120\n")
+    args = [{"CSV": str(csv), "SERIES": str(series)}.get(a, a) for a in args]
     proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
                           capture_output=True, text=True, cwd=os.path.dirname(FORMS))
     assert proc.returncode == 1

@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 import os
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from cubefib.fibration import (
     classify_rank2_bundle,
     detect_common_linear_factor_Qi,
     detect_hypothesis_h1,
-    divide_form_by_linear_rational,
+    divide_form_by_linear,
     divides_form,
     extract_linear_block,
     fibre_polynomial,
@@ -451,8 +452,68 @@ def test_common_linear_factor_takes_the_first_in_canonical_order():
 def test_divide_form_by_linear():
     l = IntPolynomial.linear_form([1, -1])
     q = poly(2, lambda a, b: (a - b) * (a * 3 + b * 5))
-    quo, den = divide_form_by_linear_rational(q, l)
+    quo, den = divide_form_by_linear(q, l)
     assert l * quo == q * den
+
+
+def _old_divide_form_by_linear(f, l):
+    """The integral division and its rational wrapper before they were
+    merged into divide_form_by_linear."""
+
+    def integral(f):
+        n = f.num_vars
+        coeffs, piv = _linear_coefficients(l)
+        lp = coeffs[piv]
+        remainder = dict(f.terms)
+        quotient = {}
+        while remainder:
+            e = max(remainder, key=lambda t: (t[piv], t))
+            c = remainder[e]
+            if c % lp != 0:
+                raise ArithmeticError("quotient is not integral; caller must clear content")
+            qe = list(e)
+            qe[piv] -= 1
+            if qe[piv] < 0:
+                raise ArithmeticError("division left a remainder; l does not divide f")
+            qc = c // lp
+            quotient[tuple(qe)] = quotient.get(tuple(qe), 0) + qc
+            for j, lc in enumerate(coeffs):
+                if lc:
+                    te = list(qe)
+                    te[j] += 1
+                    key = tuple(te)
+                    s = remainder.get(key, 0) - qc * lc
+                    if s:
+                        remainder[key] = s
+                    else:
+                        remainder.pop(key, None)
+        return IntPolynomial(n, quotient)
+
+    coeffs, piv = _linear_coefficients(l)
+    scale = abs(coeffs[piv]) ** max(f.total_degree() - 1, 0)
+    q = integral(f * scale)
+    g = gcd(scale, q.content())
+    return IntPolynomial(f.num_vars, {e: c // g for e, c in q.terms.items()}), scale // g
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(1, 5), degree=st.integers(1, 2), data=st.data())
+def test_divide_form_by_linear_matches_the_old_body(h, degree, data):
+    """f = l g / d for a linear l that need not be primitive, a nonzero g of
+    degree 1 or 2 and a divisor d of the content of l g, so that the
+    quotient g / d is rational."""
+    l = IntPolynomial.linear_form(data.draw(
+        st.lists(st.integers(-4, 4), min_size=h, max_size=h).filter(any)))
+    g = _form_of_degree(data.draw, h, degree)
+    if g.is_zero():
+        g = IntPolynomial.variable(h, 0) ** degree
+    lg = l * g
+    d = data.draw(st.sampled_from([v for v in range(1, 13) if lg.content() % v == 0]))
+    f = IntPolynomial(h, {e: c // d for e, c in lg.terms.items()})
+    quo, den = divide_form_by_linear(f, l)
+    assert l * quo == f * den
+    assert den > 0 and gcd(quo.content(), den) == 1
+    assert (quo, den) == _old_divide_form_by_linear(f, l)
 
 
 def test_detect_common_linear_factor():
@@ -595,6 +656,61 @@ def test_classify_rank2_random_roundtrip():
         if res.shape == "exps2psi":
             assert res.kappa is not None and res.kappa != 0
         done += 1
+
+
+def _rank2_psis():
+    """Psi = (y1 + y2)(x1 (y1 - y2) + x2 y3 + x3 y4): rank 2 over Q(x)."""
+    v, ydim = 3, 4
+    xs, ys = [X(v + ydim, i) for i in range(v)], [X(v + ydim, v + i) for i in range(ydim)]
+    Psi = (ys[0] + ys[1]) * (xs[0] * (ys[0] - ys[1]) + xs[1] * ys[2] + xs[2] * ys[3])
+    return _psis_from_Psi(Psi, v, ydim)
+
+
+def test_bundle_normal_form_alarms(monkeypatch):
+    """Both callers of the rank-r normal form raise when the diagonalised
+    combination loses rank, and a bundle of rank 2 taken for rank 1 leaves
+    a nonzero entry past row and column 1."""
+    diag = build_fibration(poly(4, lambda x1, x2, y1, y2: y1 * x1 * x1 + y2 * x2 * x2),
+                           VariableSplit(4, (0, 1), (2, 3)))
+    with pytest.raises(FalsificationAlarm, match=r"second partial \(1,1\) nonzero"):
+        extract_linear_block(dataclasses.replace(diag, rank=1))
+    C = poly(4, lambda x1, x2, x3, y1: y1 * (x1 * x1 + x2 * x2) + x3 * y1 * y1)
+    fd = build_fibration(C, VariableSplit(4, (0, 1, 2), (3,)))
+    monkeypatch.setattr(fibration, "congruence_diagonalize",
+                        lambda q: (congruence_diagonalize(q)[0], [0] * len(q)))
+    for run in (lambda: extract_linear_block(fd), lambda: classify_rank2_bundle(_rank2_psis())):
+        with pytest.raises(FalsificationAlarm, match="lost rank"):
+            run()
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(1, 2): (0, 1)}, "a1i nonzero with a0i zero"),
+    ({(0, 2): (0, 1), (1, 2): (1, 0)}, "a1i not proportional to a0i"),
+    ({(0, 2): (0, 1), (1, 2): (0, 1), (0, 3): (0, 1), (1, 3): (0, 2)}, "kappa differs across S"),
+])
+def test_rank2_kappa_alarms(monkeypatch, entries, message):
+    """kappa with a_1i = kappa a_0i on S: a zero a_0i, a non-proportional
+    pair and two values of kappa each raise. entries maps (i, j) to the
+    coefficients of x1, x2 in the normal form's a_ij."""
+    At = [[IntPolynomial.zero(3)] * 4 for _ in range(4)]
+    At[0][0] = At[1][1] = X(3, 0)
+    for (i, j), (c1, c2) in entries.items():
+        At[i][j] = At[j][i] = X(3, 1) * c1 + X(3, 2) * c2
+    monkeypatch.setattr(fibration, "_bundle_normal_form",
+                        lambda *args: ((1, 0, 0), None, At))
+    with pytest.raises(FalsificationAlarm, match=message):
+        classify_rank2_bundle(_rank2_psis())
+
+
+def test_common_factor_cofactor_alarm(monkeypatch):
+    """A cofactor that does not satisfy l * quotient = den * Q_i raises."""
+    y = [X(5, i) for i in range(5)]
+    C = y[0] * y[2] * (y[2] + y[3]) + y[1] * y[2] * y[4]
+    sp = VariableSplit(5, (0, 1), (2, 3, 4), role="pi_prime")
+    assert detect_common_linear_factor_Qi(C, sp).verified
+    monkeypatch.setattr(fibration, "divide_form_by_linear", lambda f, l: (f, 1))
+    with pytest.raises(FalsificationAlarm, match="cofactor"):
+        detect_common_linear_factor_Qi(C, sp)
 
 
 def test_order3_common_factor_found():

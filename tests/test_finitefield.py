@@ -11,14 +11,13 @@ from cubefib.finitefield import (
     count_mod_q_bruteforce,
     count_quadric_mod_p_closed_form,
     count_witnesses,
-    diagonalize_mod_p,
     find_nonsingular_zero_mod_p,
     find_padic_nonsingular,
     hensel_count,
     quadratic_residue_value_count,
 )
 from cubefib.gridcount import BudgetExceeded
-from cubefib.linalg import QuadraticPolynomial
+from cubefib.linalg import QuadraticPolynomial, congruence_diagonalize
 from cubefib.nt import primes_up_to
 from cubefib.polynomials import IntPolynomial
 
@@ -42,7 +41,7 @@ def random_quadratic(rng, m, coef_bound=9):
 
 
 def test_diagonalize_mod_p_identity_and_rank():
-    R, D = diagonalize_mod_p([[1, 0], [0, 2]], 5)
+    R, D = congruence_diagonalize([[1, 0], [0, 2]], 5)
     assert R == [[1, 0], [0, 1]]
     assert D == [1, 2]
 
@@ -51,7 +50,7 @@ def test_diagonalize_mod_p_identity_and_rank():
     from cubefib.nt import jacobi_symbol
 
     q = [[0, 1], [1, 0]]
-    R, D = diagonalize_mod_p(q, 5)
+    R, D = congruence_diagonalize(q, 5)
     assert all(d for d in D)
     # verify R^t Q R = diag(D) mod 5
     n = 2
@@ -63,7 +62,7 @@ def test_diagonalize_mod_p_identity_and_rank():
     assert jacobi_symbol(D[0] * D[1], 5) == jacobi_symbol(-1, 5)
 
     # rank 1 matrix mod 7
-    R, D = diagonalize_mod_p([[1, 2], [2, 4]], 7)
+    R, D = congruence_diagonalize([[1, 2], [2, 4]], 7)
     assert sum(1 for d in D if d) == 1
 
 
@@ -78,7 +77,7 @@ def test_diagonalize_random_congruence():
                 v = rng.randrange(p)
                 q[i][j] = v
                 q[j][i] = v
-        R, D = diagonalize_mod_p(q, p)
+        R, D = congruence_diagonalize(q, p)
         rtqr = [
             [
                 sum(R[a][i] * q[a][b] * R[b][j] for a in range(n) for b in range(n)) % p

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubefib.finitefield import diagonalize_mod_p
 from cubefib.linalg import (
     QuadraticPolynomial,
     bareiss,
@@ -122,7 +121,7 @@ def old_lagrange_Q(Q):
 
 
 def old_lagrange_mod_p(Q, p):
-    """finitefield.diagonalize_mod_p before the Lagrange body was shared."""
+    """The mod-p reduction of finitefield before the Lagrange body was shared."""
     n = len(Q)
     a = [[Q[i][j] % p for j in range(n)] for i in range(n)]
     r = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -310,7 +309,14 @@ def test_lagrange_over_Q_is_bit_identical_to_the_old_body(a):
 @given(data=st.data(), p=st.sampled_from([3, 5, 7, 11]))
 def test_lagrange_mod_p_is_bit_identical_to_the_old_body(data, p):
     a = data.draw(symmetric_with_zero_diagonal(p))
-    assert diagonalize_mod_p(a, p) == old_lagrange_mod_p(a, p)
+    assert congruence_diagonalize(a, p) == old_lagrange_mod_p(a, p)
+
+
+def test_lagrange_mod_2_is_refused():
+    """At p = 2 the off-diagonal repair makes the pivot 2 a[k][j] = 0, so
+    [[0, 1], [1, 0]] would come back as diag(0, 0), rank 0."""
+    with pytest.raises(ValueError, match="p = 2 is excluded"):
+        congruence_diagonalize([[0, 1], [1, 0]], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_partial_sums_reconstruct_sigma():
 def test_singular_series_insoluble_factor_zero():
     # x1^2 + x2^2 + 3 has sigma_3 -> 0 (no solutions mod 9)
     F = quad(2, {(2, 0): 1, (0, 2): 1, (0, 0): 3})
-    est = singular_series(F, 7, t=2)
+    est = singular_series(F, 7)
     assert est.factors()[3] == 0
     assert est.product == 0
     assert not est.certified  # rank 2 < 5
@@ -211,7 +211,7 @@ def test_singular_series_insoluble_factor_zero():
 
 def test_singular_series_linear_is_one():
     F = quad(2, {(1, 0): 1, (0, 1): 2, (0, 0): 1})
-    est = singular_series(F, 13, t=2)
+    est = singular_series(F, 13)
     assert est.product == 1
 
 
@@ -219,12 +219,12 @@ def test_singular_series_rank5_certificate():
     terms = {tuple(2 if i == j else 0 for i in range(5)): 1 for j in range(5)}
     terms[(0,) * 5] = -1
     F = quad(5, terms)
-    est = singular_series(F, 11, t=2, budget=10 ** 7)
+    est = singular_series(F, 11, budget=10 ** 7)
     assert est.certified
     assert est.product > 0
     assert est.tail_lower is not None and 0 < est.tail_lower < 1
     # extending P_max multiplies by the new factors exactly
-    est2 = singular_series(F, 13, t=2, budget=10 ** 7)
+    est2 = singular_series(F, 13, budget=10 ** 7)
     assert est2.product == est.product * est2.factors()[13]
 
 
@@ -262,7 +262,7 @@ def test_lower_bound_certificate_good_form():
     assert cert.value > 0
     # certificate is a true lower bound for the truncated product over a
     # decent range of primes times the tail estimate
-    est = singular_series(F, 31, t=2, budget=10 ** 7)
+    est = singular_series(F, 31, budget=10 ** 7)
     partial = est.product
     assert partial >= cert.value
 
