@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gridcount
-from .fibration import FalsificationAlarm, linear_fibre_parts, split_cubic
+from .fibration import FalsificationAlarm, fibre_polynomial, linear_fibre_parts, split_cubic
 from .lattice import enumerate_quadratic, hyperplane_counts
 from .linalg import QuadraticPolynomial, int_matrix_det
 from .nt import squarefree_divisors, vector_gcd
@@ -203,7 +203,8 @@ def fibration_count(
     `hyperplane_counts` call (the first four with samples), and the rows
     are labeled "certified-lower-bound". pi (quadric fibres): the
     admissible y run over the unit box, and each fibre adds at most the one
-    point a search capped at min(B, 8) finds; the rows are labeled
+    point `quadric_fibre_point` finds: a search capped at min(B, 6), widened
+    to min(B, 8) only on a fibre of rank < 5; the rows are labeled
     "sampling-lower-bound". A cubic that is insoluble at a bad prime gets
     the empty box and the label "locally insoluble at p".
 
@@ -217,7 +218,7 @@ def fibration_count(
     if mode == "pi_prime":
         q_list, R = linear_fibre_parts(C, split)
     else:
-        _, q_list, R = split_cubic(C, split)
+        F_list, q_list, R = split_cubic(C, split)
     label = "certified-lower-bound" if mode == "pi_prime" else "sampling-lower-bound"
     if spec is None:
         cond = build_conditions(C, split, mode, budget=budget)
@@ -245,8 +246,8 @@ def fibration_count(
             g = vector_gcd(y)
             if mode == "pi_prime":
                 job = _linear_fibre(q_list, R, y, g, B, 3 if len(jobs) < 4 else 0)
-            else:  # the point found within min(B, 8), if of height <= B and gcd(x, g) = 1
-                pt = quadric_fibre_point(y, C, split, min(B, 8))
+            else:  # the fibre's search point, if of height <= B and gcd(x, g) = 1
+                pt = quadric_fibre_point(fibre_polynomial(F_list, q_list, R, y), min(B, 8))
                 ok = pt is not None and max(map(abs, pt)) <= B and gcd(vector_gcd(pt), g) == 1
                 job = (1, [pt]) if ok else (0, [])
             if job is not None:

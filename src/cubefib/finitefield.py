@@ -1,6 +1,7 @@
 """Point counts for quadratic polynomials over F_p and Z/p^t: the exact
 Gauss-sum closed form, brute-force oracles, Davenport-Hensel lifting
-bounds, and p-adic nonsingular witness search."""
+bounds, p-adic nonsingular witness search, and Legendre-symbol value
+counts."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from . import gridcount
 from .fibration import FalsificationAlarm
 from .gridcount import BudgetExceeded, check_budget
 from .linalg import QuadraticPolynomial, congruence_diagonalize
-from .nt import is_prime, jacobi_symbol, sqrt_mod_p
+from .nt import is_prime, jacobi_symbol
 from .polynomials import IntPolynomial
 
 
@@ -38,10 +39,16 @@ class QuadricCount:
     data: GaussSumData
 
 
-def _diagonal_data(F: QuadraticPolynomial, p: int):
-    """(R, diag, r, D) for an odd prime p: Q mod p diagonalized by R with its
-    r nonzero pivots first, and the transformed linear part D = R^t B mod p;
-    `congruence_diagonalize` refuses p = 2."""
+def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCount:
+    """Exact (nonsingular, total) counts of F = 0 over F_p^m, p odd.
+
+    Q mod p is diagonalized by R with its r nonzero pivots first, and the
+    linear part becomes D = R^t B mod p (`congruence_diagonalize` refuses
+    p = 2). Assembles p^(m-1) + eps_p^r (det/p) p^(m-r/2-1) K_r(w; p) as an
+    exact integer; the singular correction is kappa_p * p^(m-r). If the
+    reduced linear part has a unit coefficient outside the rank block, both
+    counts are exactly p^(m-1).
+    """
     if not is_prime(p):
         raise ValueError("p must be prime")
     m = F.m
@@ -50,24 +57,7 @@ def _diagonal_data(F: QuadraticPolynomial, p: int):
     inv2 = (p + 1) // 2
     R, diag = congruence_diagonalize([[v * inv2 % p for v in row] for row in F.two_q], p)
     D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
-    return R, diag, sum(1 for d in diag if d), D
-
-
-def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCount:
-    """Exact (nonsingular, total) counts of F = 0 over F_p^m, p odd.
-
-    Assembles p^(m-1) + eps_p^r (det/p) p^(m-r/2-1) K_r(w; p) as an exact
-    integer; the singular correction is kappa_p * p^(m-r). If the reduced
-    linear part has a unit coefficient outside the rank block, both counts
-    are exactly p^(m-1).
-    """
-    return _closed_form(F, p, _diagonal_data(F, p))
-
-
-def _closed_form(F: QuadraticPolynomial, p: int, diagonal) -> QuadricCount:
-    """The closed-form counts of F mod p from its diagonal data (R, diag, r, D)."""
-    m = F.m
-    _, diag, r, D = diagonal
+    r = sum(1 for d in diag if d)
     eps_tag = "1" if p % 4 == 1 else "i"
     if any(D[i] for i in range(r, m)):
         data = GaussSumData(p, r, eps_tag, 0, 0, 0, 0, "linear-unit")
@@ -226,7 +216,6 @@ def hensel_count(
     p: int,
     t: int,
     budget: int | None = None,
-    v: int | None = None,
     v_max: int = 3,
 ) -> HenselCount:
     """Solution count mod p^t plus a Davenport-Hensel certified lower bound.
@@ -242,10 +231,8 @@ def hensel_count(
     except BudgetExceeded:
         pass
     # one scan per level: the first level with witnesses is v, its count W
-    wcount = None
-    if v is not None:
-        wcount = count_witnesses(poly, p, v, budget=budget)
-    elif not all(g.is_zero() for g in poly.gradient()):
+    v = wcount = None
+    if not all(g.is_zero() for g in poly.gradient()):
         try:
             for level in range(1, v_max + 1):
                 n = count_witnesses(poly, p, level, budget=budget)
@@ -283,68 +270,3 @@ class KatzCount:
 def quadratic_residue_value_count(f: IntPolynomial, p: int, budget: int | None = None) -> KatzCount:
     plus, minus, zero = gridcount.character_sum_counts(f, p, budget)
     return KatzCount(p, f.num_vars, plus, zero, plus - minus)
-
-
-# ---------------------------------------------------------------------------
-# structured point search on quadrics mod p
-
-
-def find_nonsingular_zero_mod_p(F: QuadraticPolynomial, p: int) -> Optional[Tuple[int, ...]]:
-    """A nonsingular zero of F over F_p, or None if there is none.
-
-    Decides existence with the closed form, then constructs a point from
-    the same mod-p diagonalization by solving a single variable with a
-    modular square root; cost O(p^2) field operations in the worst case,
-    never a p^m enumeration. A point the closed form promises but the
-    construction misses raises FalsificationAlarm.
-    """
-    import itertools
-
-    if p == 2:
-        try:
-            wit = find_padic_nonsingular(F.to_polynomial(), 2, 1)
-        except ValueError:  # every partial vanishes identically
-            return None
-        return wit.residues if wit else None
-    diagonal = _diagonal_data(F, p)
-    if _closed_form(F, p, diagonal).nonsingular == 0:
-        return None
-    m = F.m
-    R, diag, r, D = diagonal
-    N = F.N % p
-
-    def back(point):
-        return tuple(sum(R[i][j] * point[j] for j in range(m)) % p for i in range(m))
-
-    for j in range(r, m):
-        if D[j]:
-            point = [0] * m
-            point[j] = (-N) * pow(D[j], p - 2, p) % p
-            return back(point)
-    # block form sum A_i x_i^2 + D_i x_i + N; a nonsingular zero exists and
-    # (by restricting to the first three block variables) one exists with
-    # all other coordinates zero
-    A1, D1 = diag[0], D[0]
-    inv2a = pow(2 * A1 % p, p - 2, p)
-    free = min(r, 3) - 1  # how many extra block variables to sweep
-    for rest in itertools.product(range(p), repeat=free):
-        c = N
-        grad_rest = []
-        for t, s in enumerate(rest):
-            c = (c + diag[1 + t] * s * s + D[1 + t] * s) % p
-            grad_rest.append((2 * diag[1 + t] * s + D[1 + t]) % p)
-        disc = (D1 * D1 - 4 * A1 * c) % p
-        root = sqrt_mod_p(disc, p)
-        if root is None:
-            continue
-        for sgn in (1, -1):
-            x1 = (-D1 + sgn * root) * inv2a % p
-            g0 = (2 * A1 * x1 + D1) % p
-            if g0 or any(grad_rest):
-                point = [0] * m
-                point[0] = x1
-                for t, s in enumerate(rest):
-                    point[1 + t] = s
-                return back(point)
-    raise FalsificationAlarm(f"closed form counts nonsingular zeros mod {p}, "
-                             "but the point search found none")

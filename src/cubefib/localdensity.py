@@ -1,6 +1,6 @@
 """Local densities sigma_p, exponential-sum coefficients S_{p^k}, truncated
-singular series, lower-bound certificates, and Z_p-solubility verdicts for
-quadratic fibre polynomials.
+singular series and lower-bound certificates for quadratic fibre
+polynomials.
 
 sigma_p is always computed from exact solution counts N(p^t); the
 character-sum definition of S_q survives only as a small-q cross-check
@@ -23,12 +23,11 @@ from .finitefield import (
     PadicWitness,
     count_quadric_mod_p_closed_form,
     count_witnesses,
-    find_nonsingular_zero_mod_p,
     find_padic_nonsingular,
 )
 from .gridcount import BudgetExceeded
 from .lattice import _isqrt64
-from .linalg import QuadraticPolynomial, bareiss, congruence_diagonalize
+from .linalg import QuadraticPolynomial, bareiss
 from .nt import prime_factors, prime_sieve, primes_up_to, squarefree_divisors
 
 
@@ -193,9 +192,6 @@ class SingularSeriesEstimate:
     certified: bool
     tail_lower: Optional[Fraction]    # lower bound on the omitted factors
 
-    def factors(self) -> Dict[int, Fraction]:
-        return {e.p: e.sigma for e in self.locals_}
-
 
 # frozen after measurement: max observed |sigma_p - 1| on the rank-5
 # calibration suite is ~ p^-2 + p^-3, well under 4 p^(-3/2)
@@ -347,83 +343,3 @@ def series_lower_bound_certificate(
     for f in medium_factors.values():
         value *= f
     return SeriesLowerBound(value, bad_factors, medium_factors, tail, P_tail)
-
-
-# ---------------------------------------------------------------------------
-# Z_p solubility
-
-
-@dataclass(frozen=True)
-class ZpSolubility:
-    verdict: str                      # "soluble" | "insoluble" | "unknown"
-    witness: Optional[PadicWitness]
-    searched_level: int               # residues were examined mod p^searched_level
-    note: str = ""
-
-
-def solubility_quadric_Zp(
-    F: QuadraticPolynomial, p: int, v_max: int = 3, budget: int | None = None
-) -> ZpSolubility:
-    """Decide solubility of F = 0 over Z_p.
-
-    soluble always carries a verified witness; insoluble is certified by
-    an empty residue search (no solution mod p^k implies none in Z_p);
-    everything else is unknown.
-    """
-    poly = F.to_polynomial()
-    m = F.m
-    if p != 2:
-        try:
-            pt = find_nonsingular_zero_mod_p(F, p)
-            if pt is not None:
-                idx = next(i for i, g in enumerate(poly.gradient()) if g.evaluate_mod(pt, p))
-                wit = PadicWitness(p, 1, pt, idx)
-                if not wit.verify(poly):
-                    raise FalsificationAlarm(f"nonsingular zero {pt} mod {p} fails verification")
-                return ZpSolubility("soluble", wit, 1, "nonsingular point mod p")
-        except ValueError:
-            pass
-    try:
-        if not all(g.is_zero() for g in poly.gradient()):
-            wit = find_padic_nonsingular(poly, p, v_max, budget=budget)
-            if wit is not None:
-                return ZpSolubility("soluble", wit, 2 * wit.v - 1, "witness search")
-    except BudgetExceeded:
-        return ZpSolubility("unknown", None, 0, "witness search over budget")
-    level = 2 * v_max - 1
-    try:
-        n_sol = gridcount.count_zeros_mod_q(poly, p ** level, budget)
-    except BudgetExceeded:
-        return ZpSolubility("unknown", None, level, "residue search over budget")
-    if n_sol == 0:
-        return ZpSolubility("insoluble", None, level, f"no solutions mod {p}^{level}")
-    return ZpSolubility("unknown", None, level,
-                        "solutions exist but none lift within the search depth")
-
-
-def real_solubility(F: QuadraticPolynomial) -> bool:
-    """Whether F = 0 has a real solution, decided exactly.
-
-    Diagonalizes 2Q over Q, completes squares, and checks that the exact
-    range of F contains 0.
-    """
-    t, diag = congruence_diagonalize(F.two_q)
-    diag = [d / 2 for d in diag]   # T^t 2Q T = diag(2 d)
-    # F(T z) = sum d_i z_i^2 + (T^t B) z + N
-    b = [sum(t[i][j] * F.B[i] for i in range(F.m)) for j in range(F.m)]
-    lo = Fraction(F.N)
-    hi = Fraction(F.N)
-    lo_inf = hi_inf = False
-    for d, bi in zip(diag, b):
-        if d == 0:
-            if bi != 0:
-                return True  # unbounded in both directions
-        elif d > 0:
-            hi_inf = True
-            lo -= bi * bi / (4 * d)
-        else:
-            lo_inf = True
-            hi -= bi * bi / (4 * d)
-    low_ok = lo_inf or lo <= 0
-    high_ok = hi_inf or hi >= 0
-    return low_ok and high_ok

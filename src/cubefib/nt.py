@@ -1,5 +1,6 @@
 """Integer number-theory primitives: gcds, Jacobi symbols, primality,
-factoring, modular square roots, divisor machinery.
+factoring, divisor machinery, linear Diophantine equations and quadratic
+interval counts.
 
 Everything is deterministic; primality is provably correct below 2^64
 (fixed Miller-Rabin witness set) and strong-probable-prime above.
@@ -183,37 +184,6 @@ def divisors(n: int) -> List[int]:
     for p, e in f.items():
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def sqrt_mod_p(a: int, p: int) -> int | None:
-    """Tonelli-Shanks; a square root of a mod odd prime p, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if jacobi_symbol(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi_symbol(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def floor_div(a: int, b: int) -> int:

@@ -1,6 +1,6 @@
 """Admissible sets from local conditions: bad-prime congruence classes from
-p-adic witnesses, good-prime minor conditions, box membership, fibre
-solubility, and density estimation.
+p-adic witnesses, good-prime minor conditions, box membership, density
+estimation, and the bounded point search on quadric fibres.
 
 Each spec keeps one integer plan (`AdmissibleSetSpec.plan`): the box test,
 the corner extremes of its bounding box and the CRT class of its bad-prime
@@ -26,12 +26,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .finitefield import PadicWitness, find_padic_nonsingular
-from .fibration import (FalsificationAlarm, build_fibration, fibre_polynomial,
-                        linear_fibre_parts, order3_minors, split_cubic)
+from .fibration import build_fibration, linear_fibre_parts, order3_minors
 from .gridcount import box_point_count, check_budget, eval_on_box
 from .linalg import QuadraticPolynomial, bareiss, congruence_diagonalize
-from .localdensity import real_solubility, solubility_quadric_Zp
-from .nt import prime_factors, solve_linear_diophantine, vector_gcd
+from .nt import prime_factors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
 
 
@@ -250,92 +248,19 @@ def density_estimate(
 
 
 # ---------------------------------------------------------------------------
-# fibre solubility
+# quadric fibre points
 
 
-@dataclass
-class FibreVerdict:
-    status: str           # "soluble" | "insoluble" | "unknown"
-    label: str            # "explicit-point-found" | "principle-invoked" | ...
-    point: Optional[Tuple[int, ...]] = None
-    detail: str = ""
-
-
-def fibre_solubility(
-    y: Sequence[int],
-    C: IntPolynomial,
-    split: VariableSplit,
-    mode: str,
-    want_point: bool = False,
-    search_bound: int = 20,
-    budget: int | None = None,
-) -> FibreVerdict:
-    """Solubility of the fibre over a fixed integer y.
-
-    Linear fibres are settled exactly by gcd arithmetic with an explicit
-    point; quadric fibres combine local checks at the primes of 2 disc
-    with the rank >= 5 Hasse shortcut (labeled principle-invoked) or a
-    bounded explicit search.
-    """
-    y = list(y)
-    F_list, q_list, R = split_cubic(C, split)
-    if mode == "pi_prime":
-        vals = [q.evaluate(y) for q in q_list]
-        target = -R.evaluate(y)
-        if all(v == 0 for v in vals):
-            if target == 0:
-                point = tuple([0] * len(vals))
-                return FibreVerdict("soluble", "explicit-point-found", point,
-                                    "fibre is all of affine space")
-            return FibreVerdict("insoluble", "gcd", None, "0 = nonzero constant")
-        d = vector_gcd(vals)
-        if target % d:
-            return FibreVerdict("insoluble", "gcd", None,
-                                f"gcd {d} does not divide {target}")
-        sol = solve_linear_diophantine(vals, target)
-        if sol is None:
-            raise FalsificationAlarm(
-                f"no solution of {vals} . x = {target} although gcd {d} divides it")
-        if sum(v * s for v, s in zip(vals, sol)) != target:
-            raise FalsificationAlarm(f"point {sol} does not solve {vals} . x = {target}")
-        return FibreVerdict("soluble", "explicit-point-found", tuple(sol))
-    # pi mode: the quadric fibre F_y
-    fibre = fibre_polynomial(F_list, q_list, R, y)
-    Fq = QuadraticPolynomial.from_polynomial(fibre)
-    if want_point or search_bound:
-        pt = _search_integer_point(fibre, min(search_bound, 6))
-        if pt is not None:
-            return FibreVerdict("soluble", "explicit-point-found", pt)
-    if not real_solubility(Fq):
-        return FibreVerdict("insoluble", "real", None, "no real points")
-    rank, support = Fq.rank_support()
-    checked: List[int] = []
-    for p in sorted(set(prime_factors(2 * support)) | {2, 3}):
-        res = solubility_quadric_Zp(Fq, p, v_max=2, budget=budget)
-        if res.verdict == "insoluble":
-            return FibreVerdict("insoluble", f"Z_{p}", None, res.note)
-        if res.verdict == "unknown":
-            return FibreVerdict("unknown", f"Z_{p}", None, res.note)
-        checked.append(p)
-    if rank >= 5:
-        return FibreVerdict("soluble", "principle-invoked", None,
-                            f"local solubility verified at {checked}; rank >= 5")
-    if want_point:
-        pt = _search_integer_point(fibre, search_bound)
-        if pt is not None:
-            return FibreVerdict("soluble", "explicit-point-found", pt)
-    return FibreVerdict("unknown", "rank<5", None,
-                        "local checks passed but the Hasse shortcut needs rank >= 5")
-
-
-def quadric_fibre_point(y: Sequence[int], C: IntPolynomial, split: VariableSplit, search_bound: int):
-    """The point of `fibre_solubility(y, C, split, "pi", want_point=True,
-    search_bound=search_bound)`, or None. Past its first search it returns no
-    point on a fibre of rank >= 5, so there no real or p-adic check runs."""
-    fibre = fibre_polynomial(*split_cubic(C, split), list(y))
-    if QuadraticPolynomial.from_polynomial(fibre).rank_support()[0] < 5:
-        return fibre_solubility(y, C, split, "pi", want_point=True, search_bound=search_bound).point
-    return _search_integer_point(fibre, min(search_bound, 6))
+def quadric_fibre_point(fibre: IntPolynomial, bound: int) -> Optional[Tuple[int, ...]]:
+    """The first zero of the quadric fibre in [-b, b]^m, b = min(bound, 6),
+    in lexicographic order. When there is none and bound > 6, the first zero
+    in [-bound, bound]^m, but only on a fibre whose quadric has rank < 5;
+    that rank is computed only here. None when the searches find no zero."""
+    pt = _search_integer_point(fibre, min(bound, 6))
+    if pt is None and bound > 6:
+        if QuadraticPolynomial.from_polynomial(fibre).rank_support()[0] < 5:
+            pt = _search_integer_point(fibre, bound)
+    return pt
 
 
 def _search_integer_point(f: IntPolynomial, bound: int) -> Optional[Tuple[int, ...]]:

@@ -71,36 +71,23 @@ def ball_volume_exact(l: int) -> PiMonomial:
     return PiMonomial(Fraction(1) / g.rational, l - g.half_exponent)
 
 
-@dataclass(frozen=True)
-class VolumeConstant:
-    l: int
-    value: PiMonomial
-    provenance: str
-
-
 class VolumeConstantTable:
     """c(l) with V(l, B) = c(l) (B^2 - a^2)^(l/2); c(0) = 1."""
 
     def __init__(self, max_l: int = 16):
-        self._table = {0: VolumeConstant(0, PiMonomial(Fraction(1), 0), "V(0,B) = 1")}
+        self._table = {0: PiMonomial(Fraction(1), 0)}
         for l in range(1, max_l + 1):
             # signed-u domain: the final u-integral is over |u| <= radius,
             # contributing the factor 2/l
-            val = beta_product(l).scale(Fraction(2, l))
-            self._table[l] = VolumeConstant(
-                l, val, "beta product, signed-u domain, frozen by ball-volume calibration"
-            )
+            self._table[l] = beta_product(l).scale(Fraction(2, l))
 
     def constant(self, l: int) -> PiMonomial:
         if l not in self._table:
             raise ValueError(f"dimension {l} beyond table size")
-        return self._table[l].value
+        return self._table[l]
 
     def constant_float(self, l: int) -> float:
         return self.constant(l).float_value()
-
-    def provenance(self, l: int) -> str:
-        return self._table[l].provenance
 
     def calibration_matches(self, l: int) -> bool:
         """Exact symbolic equality with the l-ball volume oracle."""

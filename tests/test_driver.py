@@ -229,12 +229,20 @@ def test_fibration_count_pi_mode_labeled():
     doc = parse_form_document(load("pi_n7.json"))
     res = fibration_count(doc.poly, doc.split, "pi", [2, 4, 8, 16])
     assert res.label == "sampling-lower-bound"
-    # frozen rows of the point search capped at min(B, 8)
+    # frozen rows, fibres and samples of the point search, capped at
+    # min(B, 6) on a fibre of rank 5 and at min(B, 8) on one of rank < 5
     assert res.series.rows == [(2, 2), (4, 6), (8, 12), (16, 30)]
     assert res.Y_values == {2: 1, 4: 3, 8: 6, 16: 12}
+    assert res.series.per_B_fibres == {2: 4, 4: 12, 8: 28, 16: 116}
     for B, Y in res.Y_values.items():
         assert res.series.per_B_fibres[B] == len(list(enumerate_admissible(res.spec, Y)))
-    assert res.series.samples
+    assert res.series.samples == [
+        (0, 0, 0, 0, 0, -1, -1), (0, 0, 0, 0, 0, 1, 1), (-4, -1, -4, 2, -1, -1, -3),
+        (-4, -4, -4, -4, -2, -1, 3), (-4, -4, -4, -4, -2, 1, -3), (-4, -1, -4, 2, -1, 1, 3),
+        (-6, 1, -2, 1, -2, -3, -5), (-6, -4, -4, 4, 0, -1, -5), (-6, -1, -6, 5, 0, -1, -3),
+        (-6, -6, -6, -2, -2, -1, 3), (-6, -6, -3, -3, -3, -1, 5), (-6, -6, -3, -3, -3, 1, -5),
+        (-6, -6, -6, -2, -2, 1, -3), (-6, -1, -6, 5, 0, 1, 3), (-6, -4, -4, 4, 0, 1, 5),
+        (-6, 1, -2, 1, -2, 3, 5)]
     for pt in res.series.samples:
         assert doc.poly.evaluate(list(pt)) == 0
         assert math.gcd(math.gcd(*pt[:5]), math.gcd(*pt[5:])) == 1

@@ -11,7 +11,6 @@ from cubefib.finitefield import (
     count_mod_q_bruteforce,
     count_quadric_mod_p_closed_form,
     count_witnesses,
-    find_nonsingular_zero_mod_p,
     find_padic_nonsingular,
     hensel_count,
     quadratic_residue_value_count,
@@ -369,38 +368,15 @@ def test_katz_counts_hand_values():
     assert 2 * k.count_plus == 25 + k.S - k.count_zero
 
 
-def test_find_nonsingular_zero_mod_p():
-    rng = random.Random(12)
-    for _ in range(120):
-        m = rng.randint(1, 4)
-        p = rng.choice([3, 5, 7, 11, 13])
-        F = random_quadratic(rng, m)
-        pt = find_nonsingular_zero_mod_p(F, p)
-        expect = count_quadric_mod_p_closed_form(F, p).nonsingular > 0
-        if pt is None:
-            assert not expect
-        else:
-            poly = F.to_polynomial()
-            assert poly.evaluate_mod(pt, p) == 0
-            assert any(g.evaluate_mod(pt, p) for g in poly.gradient())
-    # p = 2: the lexicographically first nonsingular zero
-    for _ in range(60):
-        F = random_quadratic(rng, rng.randint(1, 4))
-        poly = F.to_polynomial()
-        first = next((x for x in itertools.product(range(2), repeat=F.m)
-                      if poly.evaluate_mod(x, 2) == 0
-                      and any(g.evaluate_mod(x, 2) for g in poly.gradient())), None)
-        assert find_nonsingular_zero_mod_p(F, 2) == first
-
-
-def _hensel_two_calls(poly, p, t, budget, v, v_max):
+def _hensel_two_calls(poly, p, t, budget, v_max):
     """(exact, v, witness count) the way hensel_count once found them: a
     first-witness search for the level, then a second scan to count it."""
     try:
         exact = gridcount.count_zeros_mod_q(poly, p ** t, budget)
     except BudgetExceeded:
         exact = None
-    if v is None and not all(g.is_zero() for g in poly.gradient()):
+    v = None
+    if not all(g.is_zero() for g in poly.gradient()):
         try:
             wit = find_padic_nonsingular(poly, p, v_max, budget=budget)
             v = wit.v if wit else None
@@ -410,16 +386,16 @@ def _hensel_two_calls(poly, p, t, budget, v, v_max):
     return exact, v, wcount
 
 
-def _check_hensel_against_two_calls(poly, p, t, budget=None, v=None, v_max=3):
+def _check_hensel_against_two_calls(poly, p, t, budget=None, v_max=3):
     try:
-        exact, v_ref, wcount = _hensel_two_calls(poly, p, t, budget, v, v_max)
+        exact, v_ref, wcount = _hensel_two_calls(poly, p, t, budget, v_max)
         if exact is None and not wcount:
             raise BudgetExceeded("neither exact nor certified count computable")
     except BudgetExceeded:
         with pytest.raises(BudgetExceeded):
-            hensel_count(poly, p, t, budget=budget, v=v, v_max=v_max)
+            hensel_count(poly, p, t, budget=budget, v_max=v_max)
         return None
-    h = hensel_count(poly, p, t, budget=budget, v=v, v_max=v_max)
+    h = hensel_count(poly, p, t, budget=budget, v_max=v_max)
     assert (h.exact, h.v, h.witness_count) == (exact, v_ref, wcount)
     if wcount:
         lift = 2 * v_ref - 1
@@ -440,15 +416,15 @@ def _quadratics(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(poly=_quadratics(), p=st.sampled_from([2, 3, 5]), t=st.integers(1, 4),
-       level=st.sampled_from([None, 1, 2]), v=st.sampled_from([None, None, 1, 2]))
-def test_hensel_count_equals_the_two_call_form(poly, p, t, level, v):
+       level=st.sampled_from([None, 1, 2]))
+def test_hensel_count_equals_the_two_call_form(poly, p, t, level):
     """One scan per level finds the same level, count and bound as the
     search-then-count form; a budget of (p^(2 level - 1))^m admits that
     level and trips at the next one."""
     budget = None if level is None else p ** ((2 * level - 1) * poly.num_vars)
-    if budget is None and p ** ((2 * (v or 3) - 1) * poly.num_vars) > 10 ** 5:
+    if budget is None and p ** (5 * poly.num_vars) > 10 ** 5:
         budget = 10 ** 5
-    _check_hensel_against_two_calls(poly, p, t, budget=budget, v=v)
+    _check_hensel_against_two_calls(poly, p, t, budget=budget)
 
 
 def test_hensel_count_at_a_higher_witness_level():

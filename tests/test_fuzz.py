@@ -10,13 +10,13 @@ from cubefib.fibration import (
     classify_rank2_bundle,
     detect_hypothesis_h1,
     extract_linear_block,
+    fibre_polynomial,
     order3_minor_common_factor,
+    split_cubic,
 )
 from cubefib.gridcount import BudgetExceeded
-from cubefib.linalg import QuadraticPolynomial
-from cubefib.localdensity import solubility_quadric_Zp
 from cubefib.polynomials import IntPolynomial, VariableSplit
-from cubefib.sieve import fibre_solubility
+from cubefib.sieve import quadric_fibre_point
 
 
 def test_random_bundles_never_alarm():
@@ -81,27 +81,6 @@ def test_random_split_cubics_never_alarm():
         except (ValueError, BudgetExceeded):
             pass
         y = [rng.randint(-4, 4) for _ in range(h)]
-        try:
-            fibre_solubility(y, C, sp, "pi", search_bound=3)
-        except (ValueError, BudgetExceeded):
-            pass
-
-
-def test_p2_solubility_paths():
-    rng = random.Random(777)
-    for _ in range(30):
-        m = rng.randint(1, 3)
-        terms = {}
-        for a in range(m):
-            for b in range(a, m):
-                if rng.random() < 0.7:
-                    e = [0] * m
-                    e[a] += 1
-                    e[b] += 1
-                    terms[tuple(e)] = rng.randint(-5, 5)
-        terms[tuple([0] * m)] = rng.randint(-8, 8)
-        F = QuadraticPolynomial.from_polynomial(IntPolynomial(m, terms))
-        res = solubility_quadric_Zp(F, 2, v_max=2)
-        if res.verdict == "soluble":
-            assert res.witness.verify(F.to_polynomial())
-        assert res.verdict in ("soluble", "insoluble", "unknown")
+        fibre = fibre_polynomial(*split_cubic(C, sp), y)
+        pt = quadric_fibre_point(fibre, 3)
+        assert pt is None or fibre.evaluate(pt) == 0

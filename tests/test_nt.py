@@ -13,7 +13,6 @@ from cubefib.nt import (
     jacobi_symbol,
     primes_up_to,
     solve_linear_diophantine,
-    sqrt_mod_p,
     squarefree_divisors,
     xgcd,
 )
@@ -125,18 +124,6 @@ def test_factorize():
 def test_divisor_machinery():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert squarefree_divisors(12) == [(1, 1), (2, -1), (3, -1), (6, 1)]
-
-
-def test_sqrt_mod_p():
-    for p in primes_up_to(200):
-        if p == 2:
-            continue
-        for a in range(p):
-            r = sqrt_mod_p(a, p)
-            if legendre_bruteforce(a, p) == -1:
-                assert r is None
-            else:
-                assert r is not None and r * r % p == a % p
 
 
 def test_count_quadratic_interval_against_bruteforce():

@@ -4,11 +4,14 @@ Each public top-level function and class of every module of the package,
 and each public method of such a class, must be named outside its own
 definition: in a module of the package, in the benchmark scripts
 (`bench/*.py`) or in the acceptance tests, which check the paper's criteria.
-A name counts where it occurs in code (a name, an attribute or an import),
-not in a comment or docstring; in the benchmark scripts a string counts
-too, because the tracer addresses functions as "layer.name". Code reached
-only from its own unit tests fails here. KEEP lists the exceptions, each
-with its reason."""
+A name counts where it occurs in code, not in a comment or docstring: a
+function or class as a name, an attribute or an import, a method only as
+an attribute (`x.name`), so that a local variable, a dataclass field or a
+word of an error message with the same name hides no orphan. In the
+benchmark scripts a string counts too, but only in the dotted form
+"layer.name" by which the tracer addresses functions. Code reached only
+from its own unit tests fails here. KEEP lists the exceptions, each with
+its reason."""
 
 import ast
 import re
@@ -34,54 +37,62 @@ KEEP = {
 }
 
 
-def _names(tree, strings=False) -> Counter:
-    """How often each identifier occurs in the code of the tree (and in its
-    string constants, with `strings`)."""
+def _names(tree, strings=False, attributes_only=False) -> Counter:
+    """How often each identifier occurs in the code of the tree, only as an
+    attribute with `attributes_only`; with `strings`, also after a dot in
+    its string constants."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"(?<=\w\.)[A-Za-z_]\w*", node.value))
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            found[node.id] += 1
         elif isinstance(node, ast.alias):
             found[node.name.split(".")[-1]] += 1
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return found
 
 
 def _definitions(tree):
-    """(qualified name, name, node) of the public top-level functions and
-    classes of a module and of the public methods of those classes."""
+    """(qualified name, name, node, is a method) of the public top-level
+    functions and classes of a module and of the public methods of those
+    classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield f"{node.name}.{sub.name}", sub.name, sub
+                        yield f"{node.name}.{sub.name}", sub.name, sub, True
 
 
-def _uses(trees) -> Counter:
+def _uses(trees, attributes_only=False) -> Counter:
     """Identifier counts over the package, the benchmark scripts and the
     acceptance tests."""
-    uses = sum((_names(tree) for tree in trees.values()), Counter())
+    uses = sum((_names(tree, attributes_only=attributes_only) for tree in trees.values()), Counter())
     for path in sorted(ROOT.glob("bench/*.py")):
-        uses += _names(ast.parse(path.read_text()), strings=True)
-    return uses + _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+        uses += _names(ast.parse(path.read_text()), True, attributes_only)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return uses + _names(acceptance, attributes_only=attributes_only)
 
 
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
 USES = _uses(TREES)
+ATTRIBUTE_USES = _uses(TREES, attributes_only=True)
 
 
 def _unreached():
     for module, tree in TREES.items():
-        for qualname, name, node in _definitions(tree):
-            # a use inside the definition itself (recursion, a class naming
-            # itself in its methods) does not count
-            if USES[name] - _names(node)[name] <= 0:
+        for qualname, name, node, method in _definitions(tree):
+            # a method counts only as an attribute; a use inside the
+            # definition itself (recursion, a class naming itself in its
+            # methods) does not count
+            uses = ATTRIBUTE_USES if method else USES
+            if uses[name] - _names(node, attributes_only=method)[name] <= 0:
                 yield f"{module[:-3]}.{qualname}"
 
 

@@ -4,14 +4,16 @@ from itertools import product
 from math import ceil, floor
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubefib import sieve
 from cubefib.driver import parse_form_document
-from cubefib.fibration import FalsificationAlarm
+from cubefib.fibration import fibre_polynomial, linear_fibre_parts, split_cubic
 from cubefib.finitefield import PadicWitness
 from cubefib.gridcount import BudgetExceeded, box_point_count
+from cubefib.linalg import QuadraticPolynomial
+from cubefib.nt import solve_linear_diophantine
 from cubefib.polynomials import IntPolynomial, VariableSplit
 from cubefib.sieve import (
     AdmissibleSetSpec,
@@ -20,7 +22,6 @@ from cubefib.sieve import (
     build_conditions,
     density_estimate,
     enumerate_admissible,
-    fibre_solubility,
     membership,
 )
 
@@ -127,68 +128,17 @@ def test_density_single_prime_condition():
     assert deltas[-1] <= deltas[0]
 
 
-def test_fibre_solubility_linear_gcd1():
-    C, sp = sample_pi_prime()
-    v = fibre_solubility((1, 1), C, sp, "pi_prime")
-    assert v.status == "soluble" and v.label == "explicit-point-found"
-    # re-verify: C(point, y) = 0
-    point = list(v.point) + [1, 1]
-    assert C.evaluate(point) == 0
-
-
-@pytest.mark.parametrize("bogus, match", [(None, "no solution"), ([0] * 5, "does not solve")])
-def test_fibre_solubility_alarms_on_a_bad_diophantine_solution(monkeypatch, bogus, match):
-    C, sp = sample_pi_prime()
-    monkeypatch.setattr(sieve, "solve_linear_diophantine", lambda vals, target: bogus)
-    with pytest.raises(FalsificationAlarm, match=match):
-        fibre_solubility((1, 1), C, sp, "pi_prime")
-
-
-def test_fibre_solubility_linear_insoluble():
-    # Q_i(y) all divisible by 5 at y, constant not
-    ydim = 2
-    y1, y2 = X(ydim, 0), X(ydim, 1)
-    qs = [y1 * y1 * 5, y2 * y2 * 5, y1 * y2 * 5, (y1 * y1 + y2 * y2) * 5, y1 * y2 * 10]
-    R = y1 ** 3  # R(1,1) = 1, not divisible by 5
-    C, sp = _pi_prime_form(qs, R, 5)
-    v = fibre_solubility((1, 1), C, sp, "pi_prime")
-    assert v.status == "insoluble"
-    assert "gcd" in v.label
-
-
-def test_fibre_solubility_quadric_rank5():
-    # pi-mode: C = y1 (x1^2 + ... + x5^2) - y1^3 wait: use F_y with rank 5
-    n = 6
-    xs = [X(n, i) for i in range(5)]
-    y1 = X(n, 5)
-    C = y1 * sum((x * x for x in xs), IntPolynomial.zero(n)) - y1 ** 3
-    sp = VariableSplit(6, tuple(range(5)), (5,))
-    v = fibre_solubility((1,), C, sp, "pi", want_point=True)
-    # x1^2 + ... + x5^2 = 1 has the explicit point e1
-    assert v.status == "soluble"
-    if v.point is not None:
-        full = list(v.point) + [1]
-        assert C.evaluate(full) == 0
-
-    # indefinite rank-5 fibre with no tiny point: principle-invoked
-    C2 = y1 * (xs[0] * xs[0] * 2 + xs[1] * xs[1] * 3 + xs[2] * xs[2] * 5
-               + xs[3] * xs[3] * 7 - xs[4] * xs[4] * 11) - y1 ** 3 * 101
-    v2 = fibre_solubility((1,), C2, sp, "pi", want_point=False, search_bound=0)
-    assert v2.status in ("soluble", "unknown")
-    if v2.status == "soluble":
-        assert v2.label in ("principle-invoked", "explicit-point-found")
-
-
 def test_enumerate_admissible_pi_prime_end_to_end():
     C, sp = sample_pi_prime()
     cond = build_conditions(C, sp, "pi_prime")
     spec = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
     found = list(enumerate_admissible(spec, 12))
     assert found
-    # admissibility guarantees a soluble fibre
+    # admissibility guarantees a soluble fibre: an explicit point
+    q_list, R = linear_fibre_parts(C, sp)
     for y in found:
-        v = fibre_solubility(y, C, sp, "pi_prime")
-        assert v.status == "soluble"
+        x = solve_linear_diophantine([q.evaluate(y) for q in q_list], -R.evaluate(y))
+        assert x is not None and C.evaluate(list(x) + list(y)) == 0
         # and the admissibility certificate re-verifies
         assert membership(y, spec, 12).member
 
@@ -230,7 +180,7 @@ def test_box_with_large_Q_is_frozen(form, first_q, change, intervals, c_frozen, 
     if form is not None:
         with open(os.path.join(os.path.dirname(__file__), "..", "forms", form + ".json")) as f:
             doc = parse_form_document(f.read())
-        _, q_list, _ = sieve.split_cubic(doc.poly, doc.split)
+        _, q_list, _ = split_cubic(doc.poly, doc.split)
         assert next(g for g in q_list if not g.is_zero()) == q
     box = box_with_large_Q(q, P=100)
     assert box.change == change and box.intervals == intervals
@@ -467,3 +417,73 @@ def test_search_integer_point_none_without_zero_or_above_the_cap():
     big = X(6, 0)
     assert sieve._search_integer_point(big, 5) is None
     assert sieve._search_integer_point(big, 4) == (0, -4, -4, -4, -4, -4)
+
+
+@st.composite
+def _rank_r_fibres(draw):
+    """(F_y, r, bound): the fibre over y of a random split cubic
+    C = y_1 F(x) + sum_j x_j q_j(y) + R(y) in m <= 5 x-variables and h = 1
+    or 2 y-variables, with y_1 != 0 and F = sum_{k < r} a_k L_k(x)^2 for
+    nonzero a_k and L_k = x_k + (a combination of later x), so that the
+    fibre's quadric y_1 F has rank exactly r; a bound in 0..8."""
+    r = draw(st.integers(0, 5))
+    m = r if r >= 4 else draw(st.integers(max(r, 1), r + 1))
+    h = draw(st.integers(1, 2))
+    n = m + h
+    xs, ys = [X(n, i) for i in range(m)], [X(n, m + j) for j in range(h)]
+    small = st.integers(-3, 3)
+    F = IntPolynomial.zero(n)
+    for k in range(r):
+        L = xs[k]
+        for l in range(k + 1, m):
+            L = L + xs[l] * draw(small)
+        F = F + L * L * draw(small.filter(bool))
+    C = ys[0] * F
+    for x in xs:
+        for a in range(h):
+            for b in range(a, h):
+                C = C + x * ys[a] * ys[b] * draw(small)
+    for e in product(range(h), repeat=3):
+        if list(e) == sorted(e):
+            C = C + ys[e[0]] * ys[e[1]] * ys[e[2]] * draw(st.integers(-9, 9))
+    split = VariableSplit(n, tuple(range(m)), tuple(range(m, n)))
+    y = [draw(small.filter(bool))] + [draw(small) for _ in range(h - 1)]
+    return fibre_polynomial(*split_cubic(C, split), y), r, draw(st.integers(0, 8))
+
+
+def _fibre_point_reference(f, r, bound):
+    """The first zero in [-min(bound, 6), min(bound, 6)]^m; failing that, for
+    bound > 6 and rank r < 5, the first in [-bound, bound]^m. A box of more
+    than 10^6 points yields None."""
+    def first(b):
+        return _first_zero_reference(f, b) if (2 * b + 1) ** f.num_vars <= 10 ** 6 else None
+    pt = first(min(bound, 6))
+    if pt is None and bound > 6 and r < 5:
+        pt = first(bound)
+    return pt
+
+
+def _seven_fibre(m, r):
+    """The fibre over y = 1 of y (x_0^2 + 50 (x_1^2 + ... + x_{r-1}^2)) - 49 y^3
+    in m x-variables: rank r, and its zeros have x_0 = +-7, x_1..x_{r-1} = 0."""
+    n = m + 1
+    y = X(n, m)
+    F = X(n, 0) * X(n, 0)
+    for k in range(1, r):
+        F = F + X(n, k) * X(n, k) * 50
+    C = y * F - y * y * y * 49
+    return fibre_polynomial(*split_cubic(C, VariableSplit(n, tuple(range(m)), (m,))), [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rank_r_fibres())
+# zeros only at x_0 = +-7: none within bound 6; within 7 and 8 the rank-4
+# fibre is searched again and the rank-5 one is not
+@example((_seven_fibre(4, 4), 4, 6))
+@example((_seven_fibre(4, 4), 4, 7))
+@example((_seven_fibre(4, 4), 4, 8))
+@example((_seven_fibre(5, 5), 5, 7))
+def test_quadric_fibre_point_is_the_capped_first_zero(case):
+    f, r, bound = case
+    assert QuadraticPolynomial.from_polynomial(f).rank_support()[0] == r
+    assert sieve.quadric_fibre_point(f, bound) == _fibre_point_reference(f, r, bound)
