@@ -154,6 +154,8 @@ def cmd_local(args):
     h = len(doc.split.y_indices)
     if len(yvals) != h:
         raise SystemExit(f"local: --y has {len(yvals)} coordinates, the split has h = {h}")
+    if not any(yvals):
+        raise SystemExit("local: --y is zero, and the fibre over y = 0 is the zero form")
     F_list, q_list, R = split_cubic(doc.poly, doc.split)
     fibre = QuadraticPolynomial.from_polynomial(fibre_polynomial(F_list, q_list, R, yvals))
     est = singular_series(fibre, args.pmax, budget=args.budget)

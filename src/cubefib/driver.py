@@ -204,9 +204,10 @@ def fibration_count(
     are labeled "certified-lower-bound". pi (quadric fibres): the
     admissible y run over the unit box, and each fibre adds at most the one
     point `quadric_fibre_point` finds: a search capped at min(B, 6), widened
-    to min(B, 8) only on a fibre of rank < 5; the rows are labeled
-    "sampling-lower-bound". A cubic that is insoluble at a bad prime gets
-    the empty box and the label "locally insoluble at p".
+    only on a fibre of rank < 5 to the widest box within min(B, 8) that
+    holds at most 10^6 points (min(B, 7) for five x-variables); the rows
+    are labeled "sampling-lower-bound". A cubic that is insoluble at a bad
+    prime gets the empty box and the label "locally insoluble at p".
 
     The scaled box Y [lo, hi] with lo > 0 is not monotone in Y, so a larger
     B can admit fewer fibres. N(B) is non-decreasing, so each row reports
@@ -314,10 +315,9 @@ def representation_count_coprime(
     F: QuadraticPolynomial,
     xi: Sequence[int],
     N_target: int,
-    window: Fraction = Fraction(1),
 ) -> RepresentationCount:
-    """M(F, N) = #{x : gcd(x, 2 disc) = 1, F(x + xi) = N, |x| <= window * sqrt(N)}
-    with the indicator window, plus the Mobius decomposition over d | 2 disc.
+    """M(F, N) = #{x : gcd(x, 2 disc) = 1, F(x + xi) = N, |x| <= isqrt(N)},
+    plus the Mobius decomposition over d | 2 disc.
 
     F must be definite (Sylvester): the leading principal minors of 2Q are
     all positive, or alternate in sign from a negative one."""
@@ -336,8 +336,7 @@ def representation_count_coprime(
     disc = abs(minors[-1])
     delta = disc // 2 ** F.m if disc % 2 ** F.m == 0 else disc
     precondition_ok = (F.to_polynomial().evaluate(list(xi)) - N_target) % (2 * delta) == 0
-    P = isqrt(N_target) if N_target > 0 else 1
-    bound = math.floor(window * P)  # |v| <= window * P for an integer v
+    bound = isqrt(N_target) if N_target > 0 else 1
     # solutions in the box by gcd(x, 2 disc); d | 2 disc divides x iff it
     # divides that gcd
     by_gcd = Counter()

@@ -357,7 +357,7 @@ def _bundle_normal_form(M, h: int, r: int, seed: int):
     return c, LinearChange(S, den), SMS
 
 
-def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
+def extract_linear_block(fd: FibrationData) -> LinearBlockResult:
     """Change of x-variables after which the last n-h-r of them occur only
     linearly; certified by the vanishing of the corresponding second
     partials as polynomials."""
@@ -367,7 +367,7 @@ def extract_linear_block(fd: FibrationData, seed: int = 0) -> LinearBlockResult:
     if r == 0:
         cert = [list(row) for row in fd.M2]
         return LinearBlockResult(LinearChange.identity(m), (1,) + (0,) * (h - 1), m, cert)
-    found = _bundle_normal_form(fd.M2, h, r, seed)
+    found = _bundle_normal_form(fd.M2, h, r, 0)
     if found is None:
         raise ValueError("no small integer combination attains the fibration rank")
     c, change, transformed = found
@@ -789,10 +789,7 @@ def _binary_gcd_degree(coeff_lists: List[List[int]]) -> int:
 
 
 def order3_minor_common_factor(
-    fd: FibrationData,
-    probe_primes: Sequence[int] | None = None,
-    seed: int = 0,
-    budget: int | None = None,
+    fd: FibrationData, seed: int = 0, budget: int | None = None
 ) -> Order3FactorResult:
     """Common linear factor of the order-3 minors, with the normalized
     bundle certificate and a point-count probe of the minor variety."""
@@ -803,7 +800,7 @@ def order3_minor_common_factor(
     if not minors:
         raise FalsificationAlarm("rank >= 3 but no nonzero order-3 minor")
     factor = common_linear_factor(minors)
-    probe = _codim_probe(minors, h, probe_primes, budget)
+    probe = _codim_probe(minors, h, budget)
     if factor is not None:
         # unimodular V with factor(V z) = z_0 (the factor is primitive)
         ych = LinearChange(unimodular_split([_linear_coefficients(factor)[0]])[1])
@@ -841,9 +838,8 @@ def _dimension_estimate(counts: Dict[int, Optional[int]], empty: int) -> int:
     return round(sum(logs) / len(logs)) if logs else empty
 
 
-def _codim_probe(minors: List[IntPolynomial], h: int, probe_primes, budget) -> dict:
-    if probe_primes is None:
-        probe_primes = (101, 211) if h <= 3 else ((31, 37) if h == 4 else (11, 13))
+def _codim_probe(minors: List[IntPolynomial], h: int, budget) -> dict:
+    probe_primes = (101, 211) if h <= 3 else ((31, 37) if h == 4 else (11, 13))
     counts = {}
     for p in probe_primes:
         try:
@@ -867,7 +863,7 @@ class SingularLocusProbe:
 
 
 def singular_locus_dim_probe(
-    f: IntPolynomial, primes: Sequence[int] = (11, 13, 17), budget: int | None = None
+    f: IntPolynomial, primes: Sequence[int] = (11, 13, 17)
 ) -> SingularLocusProbe:
     """Estimated affine dimension of {grad f = 0} from F_p point counts.
 
@@ -877,5 +873,5 @@ def singular_locus_dim_probe(
     if f.is_zero():
         raise ValueError("zero form")
     grads = f.gradient()
-    counts = {p: gridcount.count_system_zeros_mod_p(grads, p, budget) for p in primes}
+    counts = {p: gridcount.count_system_zeros_mod_p(grads, p) for p in primes}
     return SingularLocusProbe(_dimension_estimate(counts, -1), counts, tuple(primes))

@@ -100,7 +100,6 @@ def count_mod_q_bruteforce(
     F,
     q: int,
     nonsingular_only: bool = False,
-    budget: int | None = None,
 ) -> int:
     """Exact count by full enumeration of (Z/q)^m."""
     poly = _as_poly(F)
@@ -111,8 +110,8 @@ def count_mod_q_bruteforce(
         if len(fac) != 1:
             raise ValueError("nonsingular counting requires a prime-power modulus")
         (p, _), = fac.items()
-        return gridcount.count_zeros_mod_q(poly, q, budget, nonsingular_p=p)
-    return gridcount.count_zeros_mod_q(poly, q, budget)
+        return gridcount.count_zeros_mod_q(poly, q, nonsingular_p=p)
+    return gridcount.count_zeros_mod_q(poly, q)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +125,14 @@ class PadicWitness:
     residues: Tuple[int, ...]   # point mod p^(2v-1)
     index: int                  # coordinate whose partial is nonzero mod p^v
 
-    def verify(self, C: IntPolynomial, x_indices: Sequence[int] | None = None) -> bool:
+    def verify(self, C: IntPolynomial) -> bool:
         """Re-check both defining congruences directly."""
         mod = self.p ** (2 * self.v - 1)
         if C.evaluate_mod(self.residues, mod) != 0:
             return False
-        pv = self.p ** self.v
-        idx = tuple(x_indices) if x_indices is not None else tuple(range(C.num_vars))
-        if self.index not in idx:
+        if not 0 <= self.index < C.num_vars:
             return False
-        return C.derivative(self.index).evaluate_mod(self.residues, pv) != 0
+        return C.derivative(self.index).evaluate_mod(self.residues, self.p ** self.v) != 0
 
 
 def _x_partials(C: IntPolynomial, x_indices: Sequence[int] | None):
@@ -191,12 +188,9 @@ def find_padic_nonsingular(
     return None
 
 
-def count_witnesses(
-    C: IntPolynomial, p: int, v: int, x_indices: Sequence[int] | None = None,
-    budget: int | None = None,
-) -> int:
-    """#{x mod p^(2v-1) : C = 0 mod p^(2v-1), some x-partial != 0 mod p^v}."""
-    grads = _x_partials(C, x_indices)
+def count_witnesses(C: IntPolynomial, p: int, v: int, budget: int | None = None) -> int:
+    """#{x mod p^(2v-1) : C = 0 mod p^(2v-1), some partial != 0 mod p^v}."""
+    grads = _x_partials(C, None)
     return sum(int(first_index.size)
                for _, _, first_index in _witness_scan(C, p, v, grads, budget))
 
@@ -267,6 +261,6 @@ class KatzCount:
         return 2 * self.count_plus == self.p ** self.m + self.S - self.count_zero
 
 
-def quadratic_residue_value_count(f: IntPolynomial, p: int, budget: int | None = None) -> KatzCount:
-    plus, minus, zero = gridcount.character_sum_counts(f, p, budget)
+def quadratic_residue_value_count(f: IntPolynomial, p: int) -> KatzCount:
+    plus, minus, zero = gridcount.character_sum_counts(f, p)
     return KatzCount(p, f.num_vars, plus, zero, plus - minus)

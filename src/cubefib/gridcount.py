@@ -170,10 +170,10 @@ def count_system_zeros_mod_p(
     return count
 
 
-def value_counts(poly: IntPolynomial, q: int, budget: int | None = None) -> np.ndarray:
+def value_counts(poly: IntPolynomial, q: int) -> np.ndarray:
     """hist[v] = #{x in (Z/q)^m : poly(x) = v mod q}, v = 0..q-1."""
     m = poly.num_vars
-    check_budget(q ** m, budget)
+    check_budget(q ** m, None)
     lows, highs = [0] * m, [q - 1] * m
     value = _evaluator(poly, lows, highs, q)
     hist = np.zeros(q, dtype=np.int64)
@@ -182,13 +182,11 @@ def value_counts(poly: IntPolynomial, q: int, budget: int | None = None) -> np.n
     return hist
 
 
-def character_sum_counts(
-    poly: IntPolynomial, p: int, budget: int | None = None
-) -> Tuple[int, int, int]:
+def character_sum_counts(poly: IntPolynomial, p: int) -> Tuple[int, int, int]:
     """(#{chi(f)=1}, #{chi(f)=-1}, #{f=0}) over F_p^m for the Legendre chi."""
     from .nt import jacobi_symbol
 
-    hist = value_counts(poly, p, budget)
+    hist = value_counts(poly, p)
     chi = np.array([0] + [jacobi_symbol(a, p) for a in range(1, p)], dtype=np.int64)
     return tuple(int(hist[chi == s].sum()) for s in (1, -1, 0))
 

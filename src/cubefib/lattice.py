@@ -185,7 +185,7 @@ class QuadraticSolvedLevels:
 
 
 def enumerate_quadratic(
-    G: Sequence[Sequence[int]], w: Sequence[int], c: int, leaf: str = "count", sample_limit: int = 0
+    G: Sequence[Sequence[int]], w: Sequence[int], c: int, leaf: str = "count"
 ) -> Tuple[Optional[int], List[Tuple[int, ...]]]:
     """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
     for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
@@ -200,16 +200,17 @@ def enumerate_quadratic(
     in enumeration order (t_{k-1} outermost, each level ascending), return
     (value, points):
 
-      "count"  (#solutions, the first sample_limit solutions)
+      "count"  (#solutions, [])
       "roots"  (#roots, every t with Q(t) = 0): D a square, a0 | -bq +- s
       "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
 
-    "count" and "roots" are a one-system call of `enumerate_quadratics`;
-    "min" takes the Python rows.
+    "count" and "roots" are a one-system call of `enumerate_quadratics`,
+    which also samples the first solutions of the "count" leaf; "min" takes
+    the Python rows.
     """
     if leaf == "min":
         return _python_rows(QuadraticSolvedLevels(G, w, c), leaf, 0)
-    return enumerate_quadratics([(G, w, c, sample_limit)], {"count": False, "roots": True}[leaf])[0]
+    return enumerate_quadratics([(G, w, c, 0)], {"count": False, "roots": True}[leaf])[0]
 
 
 def _intervals(solver: QuadraticSolvedLevels, top: int):
@@ -291,8 +292,9 @@ _NODE_FLUSH = 1 << 15  # level-1 nodes a batch holds before it runs
 
 
 def enumerate_quadratics(systems, roots: bool = False) -> List[Tuple[int, List[Tuple[int, ...]]]]:
-    """The "count" leaf of `enumerate_quadratic`, or with roots=True its
-    "roots" leaf, for each (G, w, c, sample_limit) of `systems`, in order.
+    """The "count" leaf of `enumerate_quadratic` with the first sample_limit
+    solutions, or with roots=True its "roots" leaf, for each
+    (G, w, c, sample_limit) of `systems`, in order.
 
     A system of k >= 3 stops the recursion at level 2 and adds its level-2
     intervals to the batch, six integers per node in one flat list.
@@ -587,16 +589,15 @@ def hyperplane_count_exact(
     b: int,
     B,
     g: int | None = None,
-    sample_limit: int = 0,
 ) -> HyperplaneCount:
     """N(a, b, B) = #{x : (||x||^2 + 1)^(1/2) <= B and <a, x> + b = 0}.
 
     With g, counts only x with gcd(x, g) = 1 via Mobius inclusion-exclusion
     on exactly scaled balls (x = d x' needs d | b and ||x'||^2 <= (B^2-1)/d^2),
     which reproduces direct filtered enumeration exactly. g = 0 and B < 0
-    raise ValueError.
+    raise ValueError. `hyperplane_counts` also samples the first points.
     """
-    return hyperplane_counts([(a, b, B, g, sample_limit)])[0]
+    return hyperplane_counts([(a, b, B, g, 0)])[0]
 
 
 def hyperplane_counts(fibres) -> List[HyperplaneCount]:

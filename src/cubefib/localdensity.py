@@ -159,13 +159,11 @@ def sigma_p(
     return LocalDensityEstimate(p, t, sig[t], gap, tuple(counts), method, stable)
 
 
-def S_pk_extract(F: QuadraticPolynomial, p: int, k: int, counts: Sequence[int] | None = None,
-                 budget: int | None = None) -> int:
-    """S_{p^k} recovered from exact counts; an integer by construction."""
+def S_pk_extract(F: QuadraticPolynomial, p: int, k: int, counts: Sequence[int]) -> int:
+    """S_{p^k} recovered from the exact counts of F mod p^0, ..., p^k; an
+    integer by construction."""
     if k == 0:
         return 1
-    if counts is None:
-        counts = sigma_p(F, p, k, budget).counts
     m = F.m
     val = Fraction(counts[k], p ** (k * (m - 1))) - Fraction(counts[k - 1], p ** ((k - 1) * (m - 1)))
     out = val * p ** (k * m)
@@ -174,9 +172,9 @@ def S_pk_extract(F: QuadraticPolynomial, p: int, k: int, counts: Sequence[int] |
     return int(out)
 
 
-def S_q_character_sum(F: QuadraticPolynomial, q: int, budget: int | None = None) -> int:
+def S_q_character_sum(F: QuadraticPolynomial, q: int) -> int:
     """Direct S_q = sum*_a sum_b e_q(a F(b)) via Ramanujan sums, exact."""
-    hist = gridcount.value_counts(F.to_polynomial(), q, budget)
+    hist = gridcount.value_counts(F.to_polynomial(), q)
     # Ramanujan sum c_q(v) = sum_{d | gcd(v, q)} d mu(q/d)
     c = np.zeros(q, dtype=np.int64)
     for e, mu in squarefree_divisors(q):   # mu(q/d) = 0 unless q/d = e is squarefree

@@ -158,6 +158,7 @@ def test_density_out_file_matches_stdout(capsys, tmp_path, mode_args):
     ("1", "local: --y has 1 coordinates, the split has h = 2"),
     ("1,2,5", "local: --y has 3 coordinates, the split has h = 2"),
     ("1,a", "--y must be comma-separated integers, got '1,a'"),
+    ("0,0", "local: --y is zero, and the fibre over y = 0 is the zero form"),
 ])
 def test_local_rejects_a_bad_fibre_point(y, message):
     form = os.path.join(FORMS, "pi_n7.json")

@@ -349,7 +349,7 @@ def test_representation_count_rejects_forms_that_are_not_definite(two_q):
 
 @st.composite
 def definite_representation_problems(draw):
-    """(2Q, B, N, xi, N_target, window) with 2Q = A^T A + e I, each odd
+    """(2Q, B, N, xi, N_target) with 2Q = A^T A + e I, each odd
     diagonal entry raised by 1, so 2Q is positive definite with an even
     diagonal and may have odd off-diagonal entries."""
     m = draw(st.integers(1, 4))
@@ -360,12 +360,11 @@ def definite_representation_problems(draw):
     two_q = [[v + (i == j and v % 2) for j, v in enumerate(row)] for i, row in enumerate(S)]
     B = [draw(st.integers(-2, 2)) for _ in range(m)]
     xi = [draw(st.integers(-2, 2)) for _ in range(m)]
-    window = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 3)]))
-    return two_q, B, draw(st.integers(-3, 3)), xi, draw(st.integers(-1, 16)), window
+    return two_q, B, draw(st.integers(-3, 3)), xi, draw(st.integers(-1, 16))
 
 
-def brute_representation(two_q, B, N, xi, N_target, window):
-    """(count, by_divisor) by a scan of the box |x|_inf <= window sqrt(N)."""
+def brute_representation(two_q, B, N, xi, N_target):
+    """(count, by_divisor) by a scan of the box |x|_inf <= isqrt(N)."""
     from itertools import product
     from math import gcd, isqrt
 
@@ -374,7 +373,7 @@ def brute_representation(two_q, B, N, xi, N_target, window):
 
     m = len(two_q)
     disc = abs(int_matrix_det(two_q))
-    R = math.floor(window * (isqrt(N_target) if N_target > 0 else 1))
+    R = isqrt(N_target) if N_target > 0 else 1
     count, by_divisor = 0, {d: 0 for d, _ in squarefree_divisors(2 * disc)}
     for x in product(range(-R, R + 1), repeat=m):
         z = [a + b for a, b in zip(x, xi)]
@@ -390,16 +389,16 @@ def brute_representation(two_q, B, N, xi, N_target, window):
 @settings(max_examples=120, deadline=None)
 @given(definite_representation_problems())
 def test_representation_count_matches_a_box_scan(problem):
-    """Positive- and negative-definite forms, with a shift xi and a
-    Fraction window, against a scan of the whole box."""
-    two_q, B, N, xi, N_target, window = problem
+    """Positive- and negative-definite forms, with a shift xi, against a
+    scan of the whole box."""
+    two_q, B, N, xi, N_target = problem
     count, by_divisor = brute_representation(*problem)
     if N_target < 0:
         count, by_divisor = 0, {}
-    pos = representation_count_coprime(QuadraticPolynomial(two_q, B, N), xi, N_target, window)
+    pos = representation_count_coprime(QuadraticPolynomial(two_q, B, N), xi, N_target)
     neg = representation_count_coprime(
         QuadraticPolynomial([[-v for v in row] for row in two_q], [-b for b in B], -N),
-        xi, -N_target, window)
+        xi, -N_target)
     for res in (pos, neg):
         assert (res.count, res.by_divisor) == (count, by_divisor)
         assert res.inclusion_exclusion_ok

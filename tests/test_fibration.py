@@ -722,7 +722,7 @@ def test_order3_common_factor_found():
     C = y1 * sum((x * x for x in xs), IntPolynomial.zero(n)) + y2 * xs[0] * xs[1]
     fd = build_fibration(C, VariableSplit(n, tuple(range(m)), (m, m + 1)))
     assert fd.rank == 5
-    res = order3_minor_common_factor(fd, probe_primes=(11, 13))
+    res = order3_minor_common_factor(fd)
     assert res.status == "factor-found"
     assert res.factor == IntPolynomial.linear_form([1, 0])
     assert res.slice_rank_ok
@@ -746,7 +746,7 @@ def test_order3_no_common_factor_generic():
     fd = build_fibration(C, VariableSplit(n, tuple(range(m)), tuple(range(m, n))))
     if fd.rank < 3:
         pytest.skip("degenerate random draw")
-    res = order3_minor_common_factor(fd, probe_primes=(31, 37))
+    res = order3_minor_common_factor(fd)
     assert res.status in ("no-common-factor", "suspected-nonlinear", "unknown")
     if res.status == "no-common-factor":
         assert res.codim_probe["estimated_codim"] >= 2

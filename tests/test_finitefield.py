@@ -178,9 +178,13 @@ def test_bruteforce_hand_values():
 
 
 def test_bruteforce_budget():
+    # count_mod_q_bruteforce scans through count_zeros_mod_q, whose budget
+    # guards the scan
     p = IntPolynomial(4, {(1, 0, 0, 0): 1})
     with pytest.raises(BudgetExceeded):
-        count_mod_q_bruteforce(p, 101, budget=10 ** 6)
+        gridcount.count_zeros_mod_q(p, 101, 10 ** 6)
+    with pytest.raises(BudgetExceeded):
+        gridcount.count_zeros_mod_q(p, 101, 10 ** 6, nonsingular_p=101)
 
 
 def test_hensel_hand_values():
@@ -239,9 +243,12 @@ def test_padic_witness_hand_values():
     assert w is not None and w.v == 1
     x1, y1 = w.residues
     assert (x1 ** 3 + y1) % 5 == 0 and 3 * x1 * x1 % 5 != 0
-    assert w.verify(c, x_indices=[0])
+    assert w.index == 0 and w.verify(c)
     # the witness at (1, -1) from the statement also verifies
-    assert PadicWitness(5, 1, (1, 4), 0).verify(c, x_indices=[0])
+    assert PadicWitness(5, 1, (1, 4), 0).verify(c)
+    # an index past the variables, or a partial that vanishes mod p^v, fails
+    assert not PadicWitness(5, 1, (1, 4), 2).verify(c)
+    assert not PadicWitness(5, 1, (0, 0), 0).verify(c)
 
 
 def test_padic_witness_insoluble_case():
@@ -310,30 +317,32 @@ def _small_polynomials(draw):
 @settings(max_examples=80, deadline=None)
 @given(c=_small_polynomials(), p=st.sampled_from([2, 3, 5]), data=st.data())
 def test_witness_search_and_count_share_one_scan(c, p, data):
-    """find_padic_nonsingular returns the first witness of the lowest level
-    in lexicographic order, the witness verifies, and count_witnesses
-    counts exactly the witnesses of each level, the found one included."""
+    """find_padic_nonsingular returns the first x-block witness of the
+    lowest level in lexicographic order, the witness verifies, and
+    count_witnesses counts exactly the witnesses of each level (on every
+    partial), the found one included."""
     m = c.num_vars
     xs = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
     assume(not all(c.derivative(i).is_zero() for i in xs))
     v_max = 2 if p ** (3 * m) <= 3000 else 1
     w = find_padic_nonsingular(c, p, v_max, x_indices=xs)
     levels = [_witnesses_by_enumeration(c, p, v, xs) for v in range(1, v_max + 1)]
-    for v, expected in enumerate(levels, start=1):
-        assert count_witnesses(c, p, v, x_indices=xs) == len(expected)
+    counts = [len(_witnesses_by_enumeration(c, p, v, range(m))) for v in range(1, v_max + 1)]
+    for v, expected in enumerate(counts, start=1):
+        assert count_witnesses(c, p, v) == expected
     first = next(((v, hits[0]) for v, hits in enumerate(levels, start=1) if hits), None)
     if first is None:
         assert w is None
         return
     v, (point, index) = first
     assert (w.v, w.residues, w.index) == (v, point, index)
-    assert w.verify(c, x_indices=xs)
-    assert count_witnesses(c, p, w.v, x_indices=xs) >= 1
+    assert w.index in xs and w.verify(c)
+    assert count_witnesses(c, p, w.v) >= 1
     # the same witness and counts when every chunk holds only a few residues
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gridcount, "_CHUNK", 5)
         assert find_padic_nonsingular(c, p, v_max, x_indices=xs) == w
-        assert count_witnesses(c, p, w.v, x_indices=xs) == len(levels[w.v - 1])
+        assert count_witnesses(c, p, w.v) == counts[w.v - 1]
 
 
 def test_katz_counts_hand_values():

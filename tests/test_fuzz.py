@@ -77,7 +77,7 @@ def test_random_split_cubics_never_alarm():
             if 0 < fd.rank < fd.m:
                 extract_linear_block(fd)
             if fd.rank >= 3:
-                order3_minor_common_factor(fd, probe_primes=(11,), seed=trial)
+                order3_minor_common_factor(fd, seed=trial)
         except (ValueError, BudgetExceeded):
             pass
         y = [rng.randint(-4, 4) for _ in range(h)]

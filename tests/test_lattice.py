@@ -408,7 +408,8 @@ def box_points(G, w, c, keep):
 def test_kernel_count_leaf_matches_box(Gwc, sample_limit):
     G, w, c = Gwc
     inside, _ = box_points(G, w, c, lambda q: q <= 0)
-    count, samples = enumerate_quadratic(G, w, c, "count", sample_limit)
+    assert enumerate_quadratic(G, w, c, "count") == (len(inside), [])
+    count, samples = enumerate_quadratics([(G, w, c, sample_limit)])[0]
     assert count == len(inside)
     assert samples == inside[:sample_limit]
 
@@ -585,10 +586,11 @@ def test_rung_batch_equals_one_at_a_time_and_the_python_rows(fibres, flush_chunk
     flush, chunk = flush_chunk
     with mock.patch.object(lattice, "_NODE_FLUSH", flush), mock.patch.object(lattice, "_ROW_CHUNK", chunk):
         batched = hyperplane_counts(fibres)
-    alone = [hyperplane_count_exact(*fibre) for fibre in fibres]
+    alone = [hyperplane_counts([fibre])[0] for fibre in fibres]
     with mock.patch.object(lattice, "_fits_int64", python_rows_only):
         python_rows = hyperplane_counts(fibres)
     assert batched == alone == python_rows
+    assert [hyperplane_count_exact(*fibre[:4]).exact for fibre in fibres] == [r.exact for r in batched]
 
 
 @pytest.mark.parametrize("roots", [False, True])
@@ -607,6 +609,5 @@ def test_one_system_past_the_int64_guard_leaves_the_others_in_the_batch(roots):
     with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
         batched = enumerate_quadratics(systems, roots)
     assert passes == [True, False, True, True, True]
-    leaf = "roots" if roots else "count"
-    alone = [enumerate_quadratic(G, w, c, leaf, limit) for G, w, c, limit in systems]
+    alone = [enumerate_quadratics([system], roots)[0] for system in systems]
     assert batched == alone and batched[1] == batched[2] and batched[1][0] > 0

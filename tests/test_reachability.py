@@ -11,7 +11,14 @@ word of an error message with the same name hides no orphan. In the
 benchmark scripts a string counts too, but only in the dotted form
 "layer.name" by which the tracer addresses functions. Code reached only
 from its own unit tests fails here. KEEP lists the exceptions, each with
-its reason."""
+its reason.
+
+Each option, a defaulted parameter of such a function or method (or of a
+public class's `__init__`), must likewise be set by some caller there: by
+keyword, by a positional argument past the required ones, or through the
+benchmark's `ctx.call(f, *args, **kwargs)`. A call inside the definition
+itself does not count. OPTION_KEEP lists the exceptions, each with its
+reason."""
 
 import ast
 import re
@@ -34,6 +41,15 @@ KEEP = {
         "classify_rank2_bundle and order3_minor_common_factor return one to the caller",
     "LinearChange.inverse":
         "undoes a returned LinearChange, as LinearChange.apply applies it",
+}
+
+OPTION_KEEP = {
+    "cli.main(argv=)":
+        "the console script calls main() and argparse reads sys.argv; argv runs a command in-process",
+    **{f"localdensity.series_lower_bound_certificate({name}=)":
+       "the singular-series lower bound waits for its caller, a lower_bound section of `local` "
+       "(the local densities roadmap item), to choose its primes and budgets"
+       for name in ("medium_primes", "budget", "witness_count_budget", "P_min")},
 }
 
 
@@ -69,20 +85,22 @@ def _definitions(tree):
                         yield f"{node.name}.{sub.name}", sub.name, sub, True
 
 
-def _uses(trees, attributes_only=False) -> Counter:
-    """Identifier counts over the package, the benchmark scripts and the
-    acceptance tests."""
-    uses = sum((_names(tree, attributes_only=attributes_only) for tree in trees.values()), Counter())
-    for path in sorted(ROOT.glob("bench/*.py")):
-        uses += _names(ast.parse(path.read_text()), True, attributes_only)
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    return uses + _names(acceptance, attributes_only=attributes_only)
-
-
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
-USES = _uses(TREES)
-ATTRIBUTE_USES = _uses(TREES, attributes_only=True)
+BENCH = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("bench/*.py"))]
+ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+
+
+def _uses(attributes_only=False) -> Counter:
+    """Identifier counts over the package, the benchmark scripts and the
+    acceptance tests."""
+    uses = sum((_names(tree, attributes_only=attributes_only) for tree in TREES.values()), Counter())
+    uses += sum((_names(tree, True, attributes_only) for tree in BENCH), Counter())
+    return uses + _names(ACCEPTANCE, attributes_only=attributes_only)
+
+
+USES = _uses()
+ATTRIBUTE_USES = _uses(attributes_only=True)
 
 
 def _unreached():
@@ -110,3 +128,100 @@ def test_kept_names_exist_and_are_unreached(qualname):
 def test_every_public_definition_has_a_user():
     orphans = [name for name in _unreached() if name.split(".", 1)[1] not in KEEP]
     assert not orphans, f"reached only from unit tests (delete them or give them a caller): {orphans}"
+
+
+def _options(tree):
+    """(option, callee, parameter, position, node) for each defaulted
+    parameter of the public functions, public methods and `__init__` of the
+    public classes of a module. A call reaches the definition through the
+    callee name (a class name for `__init__`); position is the number of
+    positional arguments a call passes before the parameter, None for a
+    keyword-only one."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__"
+                                                         or not sub.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    callee = node.name if sub.name == "__init__" else sub.name
+                    yield from _defaulted(f"{node.name}.{sub.name}", callee, sub, 0 if static else 1)
+
+
+def _defaulted(qualname, callee, node, implicit):
+    """The options of one definition whose first `implicit` parameters
+    (self) a call does not pass."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield f"{qualname}({arg.arg}=)", callee, arg.arg, i - implicit, node
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualname}({arg.arg}=)", callee, arg.arg, None, node
+
+
+def _settings(tree) -> Counter:
+    """How often the calls of the tree pass each (callee, keyword) and each
+    (callee, number of positional arguments); `ctx.call(f, *args, **kwargs)`
+    calls f. Positional arguments count up to the first starred one."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute) and func.attr == "call" and args:
+            func, args = args[0], args[1:]
+        callee = getattr(func, "id", None) or getattr(func, "attr", None)
+        starred = [i for i, arg in enumerate(args) if isinstance(arg, ast.Starred)]
+        found[callee, starred[0] if starred else len(args)] += 1
+        found.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    return found
+
+
+def _unset_options(modules, users):
+    """The options of the modules, a dict of module name to tree, that no
+    call in users, a list of trees, sets."""
+    settings = sum(map(_settings, users), Counter())
+    for module, tree in modules.items():
+        for option, callee, param, position, node in _options(tree):
+            found = settings - _settings(node)  # keeps the positive counts only
+            by_position = position is not None and any(
+                name == callee and isinstance(n, int) and n > position for name, n in found)
+            if not (found[callee, param] or by_position):
+                yield f"{module}.{option}"
+
+
+UNSET = sorted(_unset_options({name[:-3]: tree for name, tree in TREES.items()},
+                              [*TREES.values(), *BENCH, ACCEPTANCE]))
+
+
+def test_the_option_guard_flags_unset_and_test_only_options():
+    """A fixed package and its users: one option nobody sets, one only a
+    unit test sets, one set by position and one through ctx.call."""
+    package = ast.parse(
+        "def unset(x, a=1): pass\n"
+        "def tested(x, a=1): pass\n"
+        "class Box:\n"
+        "    def __init__(self, x, a=1): pass\n"
+        "    def put(self, x, *, a=1): return self.put(x, a=a)\n"
+    )
+    users = [package, ast.parse("box = Box(0, 2)\nctx.call(box.put, 0, a=3)\n")]
+    unit_test = ast.parse("tested(0, a=2)\n")
+    assert list(_unset_options({"m": package}, users)) == ["m.unset(a=)", "m.tested(a=)"]
+    assert list(_unset_options({"m": package}, users + [unit_test])) == ["m.unset(a=)"]
+    assert "m.Box.put(a=)" in _unset_options({"m": package}, [package])
+
+
+@pytest.mark.parametrize("option", sorted(OPTION_KEEP))
+def test_kept_options_exist_and_are_unset(option):
+    """A kept option that is gone or has gained a caller leaves the list."""
+    assert option in UNSET, option
+
+
+def test_every_option_has_a_caller():
+    unset = [option for option in UNSET if option not in OPTION_KEEP]
+    assert not unset, ("options set only by unit tests (delete them with their branch, "
+                       f"or give them a caller): {unset}")

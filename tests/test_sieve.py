@@ -63,7 +63,8 @@ def test_build_conditions_pi_prime():
     cond = build_conditions(C, sp, "pi_prime")
     assert cond.insoluble_at is None
     assert set(cond.bad_primes) == {2}
-    assert cond.bad_primes[2].verify(C, x_indices=sp.x_indices)
+    witness = cond.bad_primes[2]
+    assert witness.index in sp.x_indices and witness.verify(C)
     assert len(cond.good_polys) == 5
 
 
@@ -452,14 +453,15 @@ def _rank_r_fibres(draw):
 
 
 def _fibre_point_reference(f, r, bound):
-    """The first zero in [-min(bound, 6), min(bound, 6)]^m; failing that, for
-    bound > 6 and rank r < 5, the first in [-bound, bound]^m. A box of more
-    than 10^6 points yields None."""
-    def first(b):
-        return _first_zero_reference(f, b) if (2 * b + 1) ** f.num_vars <= 10 ** 6 else None
-    pt = first(min(bound, 6))
+    """The first zero in [-min(bound, 6), min(bound, 6)]^m, none when that box
+    has more than 10^6 points; failing that, for bound > 6 and rank r < 5,
+    the first in [-w, w]^m for the largest w <= bound whose box has at most
+    10^6 points."""
+    def fits(b):
+        return (2 * b + 1) ** f.num_vars <= 10 ** 6
+    pt = _first_zero_reference(f, min(bound, 6)) if fits(min(bound, 6)) else None
     if pt is None and bound > 6 and r < 5:
-        pt = first(bound)
+        pt = _first_zero_reference(f, max(filter(fits, range(bound + 1))))
     return pt
 
 
@@ -478,12 +480,23 @@ def _seven_fibre(m, r):
 @settings(max_examples=40, deadline=None)
 @given(_rank_r_fibres())
 # zeros only at x_0 = +-7: none within bound 6; within 7 and 8 the rank-4
-# fibre is searched again and the rank-5 one is not
+# fibres are searched again and the rank-5 one is not; in five variables
+# the search widens to 7 at most (15^5 <= 10^6 < 17^5)
 @example((_seven_fibre(4, 4), 4, 6))
 @example((_seven_fibre(4, 4), 4, 7))
 @example((_seven_fibre(4, 4), 4, 8))
+@example((_seven_fibre(5, 4), 4, 8))
 @example((_seven_fibre(5, 5), 5, 7))
 def test_quadric_fibre_point_is_the_capped_first_zero(case):
     f, r, bound = case
     assert QuadraticPolynomial.from_polynomial(f).rank_support()[0] == r
     assert sieve.quadric_fibre_point(f, bound) == _fibre_point_reference(f, r, bound)
+
+
+def test_quadric_fibre_point_widening_is_monotone():
+    """x_0^2 + 50 (x_1^2 + x_2^2 + x_3^2) - 49 in five variables has rank 4:
+    past bound 6 the search widens to the widest box of at most 10^6
+    points, so a larger bound never loses the zero a smaller one finds."""
+    f = _seven_fibre(5, 4)
+    found = [sieve.quadric_fibre_point(f, bound) for bound in (6, 7, 8, 9, 40)]
+    assert found == [None] + [(-7, 0, 0, 0, -7)] * 4
