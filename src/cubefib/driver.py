@@ -11,7 +11,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -126,7 +125,6 @@ def parse_form_document(text: str) -> FormDocument:
 class CountSeries:
     rows: List[Tuple[int, int]]          # (B, N(B)), monotone in B
     predicate: str                       # "primitive-box" | "fibration-lower-bound"
-    config_hash: str = ""
     samples: List[Tuple[int, ...]] = field(default_factory=list)
     per_B_fibres: Dict[int, int] = field(default_factory=dict)
 
@@ -203,9 +201,10 @@ def fibration_count(
     `hyperplane_counts` call (the first four with samples), and the rows
     are labeled "certified-lower-bound". pi (quadric fibres): the
     admissible y run over the unit box, and each fibre adds at most the one
-    point `quadric_fibre_point` finds: a search capped at min(B, 6), widened
-    only on a fibre of rank < 5 to the widest box within min(B, 8) that
-    holds at most 10^6 points (min(B, 7) for five x-variables); the rows
+    point `quadric_fibre_point` finds: a search of the widest box within
+    min(B, 6) that holds at most 10^6 points (width 4 for six x-variables),
+    widened only on a fibre of rank < 5 to the widest such box within
+    min(B, 8) (min(B, 7) for five x-variables); the rows
     are labeled "sampling-lower-bound". A cubic that is insoluble at a bad
     prime gets the empty box and the label "locally insoluble at p".
 
@@ -304,10 +303,11 @@ class RepresentationCount:
     precondition_ok: bool
 
 
-def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> List[Tuple[int, ...]]:
-    """All integer z with F(z) = N, for positive-definite quadratic part, in
-    enumeration order: the exact-root leaf of the lattice enumeration kernel
-    (never scans a full box). 2(F(z) - N) = z^t 2Q z + 2 B.z + 2(F.N - N)."""
+def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> np.ndarray:
+    """All integer z with F(z) = N, for positive-definite quadratic part, as
+    the rows of one array in enumeration order (int64, or object when a
+    coordinate does not fit): the exact-root leaf of the lattice enumeration
+    kernel (never scans a full box). 2(F(z) - N) = z^t 2Q z + 2 B.z + 2(F.N - N)."""
     return enumerate_quadratic(F.two_q, F.B, 2 * (F.N - N), "roots")[1]
 
 
@@ -337,13 +337,19 @@ def representation_count_coprime(
     delta = disc // 2 ** F.m if disc % 2 ** F.m == 0 else disc
     precondition_ok = (F.to_polynomial().evaluate(list(xi)) - N_target) % (2 * delta) == 0
     bound = isqrt(N_target) if N_target > 0 else 1
-    # solutions in the box by gcd(x, 2 disc); d | 2 disc divides x iff it
-    # divides that gcd
+    # |x| = |z - xi| in int64 when no value can reach 2^63, else in Python
+    # integers; then the solutions in the box by gcd(x, 2 disc), from one
+    # class per distinct gcd(x): d | 2 disc divides x iff it divides that gcd
+    z = _solutions_of_definite(F, N_target)
+    top = max(map(abs, xi)) + (max(-int(z.min()), int(z.max())) if len(z) else 0)
+    if z.dtype == object or max(top, bound) >= 2 ** 63:
+        x = np.abs(z.astype(object) - np.array([int(v) for v in xi], dtype=object))
+    else:
+        x = np.abs(z - np.array(xi, dtype=np.int64))
+    g, counts = np.unique(np.gcd.reduce(x[(x <= bound).all(axis=1)], axis=1), return_counts=True)
     by_gcd = Counter()
-    for z in _solutions_of_definite(F, N_target):
-        x = tuple(map(sub, z, xi))
-        if max(map(abs, x)) <= bound:
-            by_gcd[gcd(*x, 2 * disc)] += 1
+    for gx, c in zip(g.tolist(), counts.tolist()):
+        by_gcd[gcd(gx, 2 * disc)] += c
     divisors = squarefree_divisors(2 * disc)
     by_divisor = {d: sum(c for g, c in by_gcd.items() if g % d == 0) for d, _mu in divisors}
     count = by_gcd[1]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -186,7 +187,7 @@ class QuadraticSolvedLevels:
 
 def enumerate_quadratic(
     G: Sequence[Sequence[int]], w: Sequence[int], c: int, leaf: str = "count"
-) -> Tuple[Optional[int], List[Tuple[int, ...]]]:
+) -> Tuple[Optional[int], Sequence]:
     """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
     for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
 
@@ -201,7 +202,9 @@ def enumerate_quadratic(
     (value, points):
 
       "count"  (#solutions, [])
-      "roots"  (#roots, every t with Q(t) = 0): D a square, a0 | -bq +- s
+      "roots"  (#roots, every t with Q(t) = 0 as the rows of a (#roots, k)
+               array): D a square, a0 | -bq +- s; int64 when every
+               coordinate fits, else object (Python integers)
       "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
 
     "count" and "roots" are a one-system call of `enumerate_quadratics`,
@@ -280,10 +283,16 @@ def _python_rows(solver: QuadraticSolvedLevels, leaf: str, sample_limit: int):
         _, bq, cq = solver.quadratic_at(0, ())
         if bq * bq >= a0 * cq:
             rows(0, 0, bq, bq * bq - a0 * cq, 0, ())
-        return value, [t[:1] for t in points]  # drop the phantom t_1 = 0
-    for cnt, lo, P, dP, vec in _intervals(solver, 1):
-        rows(lo, lo + cnt - 1, dot(lin0, vec), -P, -dP, vec[1:-1])
-    return value, points
+        points = [t[:1] for t in points]  # drop the phantom t_1 = 0
+    else:
+        for cnt, lo, P, dP, vec in _intervals(solver, 1):
+            rows(lo, lo + cnt - 1, dot(lin0, vec), -P, -dP, vec[1:-1])
+    if leaf != "roots":
+        return value, points
+    try:
+        return value, np.array(points, dtype=np.int64).reshape(value, k)
+    except OverflowError:
+        return value, np.array(points, dtype=object).reshape(value, k)
 
 
 _INT64_SAFE = 2 ** 62
@@ -291,10 +300,10 @@ _ROW_CHUNK = 1 << 16
 _NODE_FLUSH = 1 << 15  # level-1 nodes a batch holds before it runs
 
 
-def enumerate_quadratics(systems, roots: bool = False) -> List[Tuple[int, List[Tuple[int, ...]]]]:
+def enumerate_quadratics(systems, roots: bool = False) -> list:
     """The "count" leaf of `enumerate_quadratic` with the first sample_limit
-    solutions, or with roots=True its "roots" leaf, for each
-    (G, w, c, sample_limit) of `systems`, in order.
+    solutions as tuples, or with roots=True its "roots" leaf (one array per
+    system), for each (G, w, c, sample_limit) of `systems`, in order.
 
     A system of k >= 3 stops the recursion at level 2 and adds its level-2
     intervals to the batch, six integers per node in one flat list.
@@ -331,7 +340,7 @@ def enumerate_quadratics(systems, roots: bool = False) -> List[Tuple[int, List[T
             if outers is not None:
                 outers.append(vec[1:-1])
         consts = (lev0["a"], lev1["a"], lev2["a"], lev0["lin"][0], lin1[0], rest0[0])
-        if len(flat) == start or not _fits_int64(flat[start:], consts):
+        if len(flat) == start or not _fits_int64(flat[start:], consts, outers or ()):
             del flat[start:]
             out[i] = _python_rows(solver, leaf, limit)
             continue
@@ -345,11 +354,12 @@ def enumerate_quadratics(systems, roots: bool = False) -> List[Tuple[int, List[T
     return out
 
 
-def _fits_int64(nodes: List[int], consts) -> bool:
+def _fits_int64(nodes: List[int], consts, outers) -> bool:
     """Whether every value `_levels_1_0` computes for a system (its level-2
-    nodes flat in `nodes`, consts (a0, a1, a2, b1, db, dbeta)) stays below
-    2^62, bounded from its column maxima in Python integers; the caller
-    tests it with an `if`, so the check holds under `python -O`."""
+    nodes flat in `nodes`, consts (a0, a1, a2, b1, db, dbeta), the nodes'
+    coordinates (t_3, ...) in `outers`) stays below 2^62, bounded from its
+    column maxima in Python integers; the caller tests it with an `if`, so
+    the check holds under `python -O`."""
     a0, a1, a2, b1, db, dbeta = consts
     N = max(nodes[0::6])
     mP, mdP, mb, mbeta, mlo = (max(map(abs, nodes[c::6])) for c in range(1, 6))
@@ -361,7 +371,8 @@ def _fits_int64(nodes: List[int], consts) -> bool:
     Bq = abs(b1) * T + mbeta + abs(dbeta) * N  # |bq|
     row = 2 * (S + Bq) // a0 + 1  # one row's count
     rows = _ROW_CHUNK + 2 * S // a1 + 1  # rows summed at once
-    return max(BD, a1 * T + Bb, S + Bq, row * rows, mlo + N) < _INT64_SAFE
+    mout = max(map(abs, chain.from_iterable(outers)), default=0)
+    return max(BD, a1 * T + Bb, S + Bq, row * rows, mlo + N, mout) < _INT64_SAFE
 
 
 def _isqrt64(x: np.ndarray) -> np.ndarray:
@@ -378,8 +389,8 @@ def _isqrt64(x: np.ndarray) -> np.ndarray:
 def _levels_1_0(flat, batch, roots: bool = False):
     """Levels 1 and 0 below the level-2 intervals in `flat`, for each system
     of `batch` (both built by `enumerate_quadratics`), in numpy int64: its
-    (count, first sample_limit points), or with roots=True (#roots, roots),
-    in enumeration order.
+    (count, first sample_limit points), or with roots=True (#roots, the
+    roots as the rows of one int64 array), in enumeration order.
 
     Along t_2 = lo + i, P_2 = P + i (dP + a2 (i - 1)) <= 0, and level 1's
     reduced discriminant is d1 = b^2 - a1 c1 = -a0 P_2 (Sylvester), so
@@ -410,6 +421,8 @@ def _levels_1_0(flat, batch, roots: bool = False):
         # the system's level-1 nodes in slices of at most _ROW_CHUNK rows plus one node's
         cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, int(ends[-1]), _ROW_CHUNK), "right").tolist()
         count, pts = 0, []
+        if roots:
+            outers = np.array(outers, dtype=np.int64)  # (t_3, ...) per level-2 node
         for s, e in zip([0, *cuts], [*cuts, len(m)]):
             mc = m[s:e]
             r = np.repeat(np.arange(s, e), mc)
@@ -426,9 +439,7 @@ def _levels_1_0(flat, batch, roots: bool = False):
                 hit[:, 1] &= sq > 0
                 hr, side = np.nonzero(hit)
                 p = r[hr]
-                found = np.stack((num[hr, side] // a0, t1[hr], t2s[p]), axis=1).tolist()
-                pts += [tuple(t) + outers[q] for t, q in zip(found, (node[u0 + p] - w0).tolist())]
-                count += len(found)
+                pts.append(np.column_stack((num[hr, side] // a0, t1[hr], t2s[p], outers[node[u0 + p] - w0])))
                 continue
             row = (sq - bq) // a0 + (sq + bq) // a0 + 1
             count += int(row.sum())
@@ -436,6 +447,9 @@ def _levels_1_0(flat, batch, roots: bool = False):
                 t0, q = -(int(sq[h] + bq[h]) // a0), int(r[h])
                 head = (int(t1[h]), int(t2s[q])) + outers[node[u0 + q] - w0]
                 pts += [(t,) + head for t in range(t0, t0 + min(int(row[h]), limit - len(pts)))]
+        if roots:
+            pts = np.concatenate(pts)
+            count = len(pts)
         results.append((count, pts))
         u0, w0 = u1, w1
     return results

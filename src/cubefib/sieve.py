@@ -252,21 +252,26 @@ def density_estimate(
 
 
 def quadric_fibre_point(fibre: IntPolynomial, bound: int) -> Optional[Tuple[int, ...]]:
-    """The first zero of the quadric fibre in [-b, b]^m, b = min(bound, 6),
-    in lexicographic order. When there is none and bound > 6, the first zero
-    in [-w, w]^m for the largest w <= bound whose box holds at most 10^6
-    points, but only on a fibre whose quadric has rank < 5; that rank is
-    computed only here. None when the searches find no zero."""
-    pt = _search_integer_point(fibre, min(bound, 6))
-    if pt is None and bound > 6:
-        if QuadraticPolynomial.from_polynomial(fibre).rank_support()[0] < 5:
-            # the largest w <= bound with (2w + 1)^m <= 10^6; the float
-            # root starts at most one above it
-            w = min(bound, int(10 ** (6 / fibre.num_vars) + 1) // 2)
-            while (2 * w + 1) ** fibre.num_vars > 10 ** 6:
-                w -= 1
-            pt = _search_integer_point(fibre, w)
+    """The first zero of the quadric fibre in [-b, b]^m in lexicographic
+    order, b the largest width <= min(bound, 6) whose box holds at most 10^6
+    points. When there is none and a wider box within bound holds at most
+    10^6 points, the first zero in the widest such box, but only on a fibre
+    whose quadric has rank < 5; that rank is computed only here. None when
+    the searches find no zero."""
+    first, w = _widest_box(fibre.num_vars, min(bound, 6)), _widest_box(fibre.num_vars, bound)
+    pt = _search_integer_point(fibre, first)
+    if pt is None and w > first and QuadraticPolynomial.from_polynomial(fibre).rank_support()[0] < 5:
+        pt = _search_integer_point(fibre, w)
     return pt
+
+
+def _widest_box(m: int, bound: int) -> int:
+    """The largest w <= bound with (2w + 1)^m <= 10^6; the float root starts
+    at most one above it."""
+    w = min(bound, int(10 ** (6 / m) + 1) // 2)
+    while (2 * w + 1) ** m > 10 ** 6:
+        w -= 1
+    return w
 
 
 def _search_integer_point(f: IntPolynomial, bound: int) -> Optional[Tuple[int, ...]]:

@@ -404,6 +404,25 @@ def test_representation_count_matches_a_box_scan(problem):
         assert res.inclusion_exclusion_ok
 
 
+def test_representation_count_with_roots_past_int64():
+    """F = x^2 at N = 2^140 has the roots +-2^70, which the kernel returns
+    as Python integers; the count is done by hand. With xi = 0 both roots
+    are even (gcd(x, 4) = 4); with xi = 1, x = 2^70 - 1 is odd and in the
+    box |x| <= 2^70, and x = -2^70 - 1 is outside it."""
+    F = QuadraticPolynomial([[2]], [0], 0)
+    res = representation_count_coprime(F, [0], 2 ** 140)
+    assert (res.count, res.by_divisor, res.precondition_ok) == (0, {1: 2, 2: 2}, True)
+    res = representation_count_coprime(F, [1], 2 ** 140)
+    assert (res.count, res.by_divisor, res.precondition_ok) == (1, {1: 1, 2: 0}, False)
+    assert res.inclusion_exclusion_ok and type(res.count) is int
+    # |z - (0, 0, 0, 2^70)|^2 = 1 with xi at the centre: the eight unit
+    # vectors, all with gcd(x, 32) = 1
+    two_q = [[2 * (i == j) for j in range(4)] for i in range(4)]
+    F = QuadraticPolynomial(two_q, [0, 0, 0, -2 ** 71], 2 ** 140)
+    res = representation_count_coprime(F, [0, 0, 0, 2 ** 70], 1)
+    assert (res.count, res.by_divisor) == (8, {1: 8, 2: 0}) and res.inclusion_exclusion_ok
+
+
 def test_representation_growth_trend():
     terms = {tuple(2 if i == j else 0 for i in range(5)): 1 for j in range(5)}
     F = QuadraticPolynomial.from_polynomial(IntPolynomial(5, terms))

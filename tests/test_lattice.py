@@ -414,12 +414,25 @@ def test_kernel_count_leaf_matches_box(Gwc, sample_limit):
     assert samples == inside[:sample_limit]
 
 
+def root_rows(result, k, dtype=np.int64):
+    """(count, rows as tuples) of a "roots" result, which must be one array
+    of shape (count, k) and the given dtype."""
+    count, roots = result
+    assert isinstance(roots, np.ndarray) and roots.dtype == dtype and roots.shape == (count, k)
+    return count, [tuple(t) for t in roots.tolist()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(definite_quadratics())
+@example(([[2]], [0], 1))  # no root, k = 1
+@example(([[2]], [0], -2))  # roots +-1
+@example(([[2, 0], [0, 2]], [0, 0], -3))  # no root, k = 2
+@example(([[2, 0], [0, 2]], [0, 0], -10))  # 8 roots
+@example(([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [0, 0, 0], -14))  # no root, k = 3
 def test_kernel_roots_leaf_matches_box(Gwc):
     G, w, c = Gwc
     roots, _ = box_points(G, w, c, lambda q: q == 0)
-    assert enumerate_quadratic(G, w, c, "roots") == (len(roots), roots)
+    assert root_rows(enumerate_quadratic(G, w, c, "roots"), len(G)) == (len(roots), roots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,13 +482,13 @@ def int64_spy(passes):
     """`lattice._fits_int64`, recording its verdict on each system."""
     check = lattice._fits_int64
 
-    def spy(nodes, consts):
-        passes.append(check(nodes, consts))
+    def spy(nodes, consts, outers):
+        passes.append(check(nodes, consts, outers))
         return passes[-1]
     return spy
 
 
-def python_rows_only(nodes, consts):
+def python_rows_only(nodes, consts, outers):
     """`lattice._fits_int64` failing every system."""
     return False
 
@@ -494,20 +507,40 @@ def check_int64_passes(passes, k, scale):
 @example(([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [0, 0, 0], -18), 1)  # 30 roots
 @example(([[2 if i == j else 0 for j in range(4)] for i in range(4)], [0] * 4, -18), 1)  # 104
 @example(([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 4]], [1, 0, -1, 2], -40), 1)  # 240
+@example(([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [0] * 4, -13), 2 ** 8)  # 0
+@example(([[2]], [1], -3), 2 ** 60)  # k = 1
+@example(([[2, 1], [1, 2]], [0, 1], -5), 1)  # k = 2
 def test_int64_roots_leaf_matches_python_rows_and_box(Gwc, scale):
     """Scaling Q by a positive integer keeps its roots; the int64 roots, the
-    Python rows' roots and the box's roots agree, in enumeration order. The
-    examples have many roots, both signs of t_0 and rows with s = 0."""
+    Python rows' roots and the box's roots agree: one int64 array each, of
+    shape (count, k), in enumeration order. The examples have many roots,
+    both signs of t_0, rows with s = 0, no root and k = 1, 2."""
     G, w, c = Gwc
     roots, _ = box_points(G, w, c, lambda q: q == 0)
     sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
     passes = []
     with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
-        found = enumerate_quadratic(sG, sw, sc, "roots")
+        found = root_rows(enumerate_quadratic(sG, sw, sc, "roots"), len(G))
     with mock.patch.object(lattice, "_fits_int64", python_rows_only):
-        python_rows = enumerate_quadratic(sG, sw, sc, "roots")
+        python_rows = root_rows(enumerate_quadratic(sG, sw, sc, "roots"), len(G))
     assert found == python_rows == (len(roots), roots)
     check_int64_passes(passes, len(G), scale)
+
+
+@pytest.mark.parametrize("M", [2 ** 62, 2 ** 70])
+def test_roots_far_out_take_the_python_rows(M):
+    """|t - (0, 0, 0, M)|^2 = 1: every level-2 value is small, but t_3 is
+    about M, so the bound check sends the system to the Python rows. Their
+    roots come back as int64 when they fit and as one object array of
+    Python integers when they do not, exact either way."""
+    I = [[int(i == j) for j in range(4)] for i in range(4)]
+    roots, _ = box_points(I, [0] * 4, -1, lambda q: q == 0)
+    dtype = np.int64 if M < 2 ** 63 else object
+    count, found = root_rows(enumerate_quadratic(I, [0, 0, 0, -M], M * M - 1, "roots"), 4, dtype)
+    assert (count, found) == (len(roots), [t[:3] + (t[3] + M,) for t in roots])
+    assert all(type(v) is int for t in found for v in t)
+    count, found = root_rows(enumerate_quadratic([[2]], [0], -2 * M * M, "roots"), 1, dtype)
+    assert (count, found) == (2, [(-M,), (M,)])
 
 
 def test_int64_isqrt_is_exact_up_to_2_62():
@@ -596,7 +629,8 @@ def test_rung_batch_equals_one_at_a_time_and_the_python_rows(fibres, flush_chunk
 @pytest.mark.parametrize("roots", [False, True])
 def test_one_system_past_the_int64_guard_leaves_the_others_in_the_batch(roots):
     """Scaled by 2^60, one system fails the bound check alone and takes the
-    Python rows; the rest of its batch stays int64."""
+    Python rows; the rest of its batch stays int64, with the same results
+    when the batch runs every few level-1 nodes and slices its rows by two."""
     base = [([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [1, -1, 0], -40, 3),
             ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [0, 0, 0, 0], -18, 2),
             ([[3, 1, 1], [1, 3, 1], [1, 1, 3]], [2, 0, -1], -30, 0),
@@ -610,4 +644,9 @@ def test_one_system_past_the_int64_guard_leaves_the_others_in_the_batch(roots):
         batched = enumerate_quadratics(systems, roots)
     assert passes == [True, False, True, True, True]
     alone = [enumerate_quadratics([system], roots)[0] for system in systems]
-    assert batched == alone and batched[1] == batched[2] and batched[1][0] > 0
+    with mock.patch.object(lattice, "_NODE_FLUSH", 3), mock.patch.object(lattice, "_ROW_CHUNK", 2):
+        sliced = enumerate_quadratics(systems, roots)
+    if roots:
+        batched, alone, sliced = ([root_rows(res, len(G)) for res, (G, *_) in zip(results, systems)]
+                                  for results in (batched, alone, sliced))
+    assert batched == alone == sliced and batched[1] == batched[2] and batched[1][0] > 0

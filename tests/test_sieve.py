@@ -453,13 +453,13 @@ def _rank_r_fibres(draw):
 
 
 def _fibre_point_reference(f, r, bound):
-    """The first zero in [-min(bound, 6), min(bound, 6)]^m, none when that box
-    has more than 10^6 points; failing that, for bound > 6 and rank r < 5,
+    """The first zero in [-w, w]^m for the largest w <= min(bound, 6) whose
+    box has at most 10^6 points; failing that, for bound > 6 and rank r < 5,
     the first in [-w, w]^m for the largest w <= bound whose box has at most
     10^6 points."""
     def fits(b):
         return (2 * b + 1) ** f.num_vars <= 10 ** 6
-    pt = _first_zero_reference(f, min(bound, 6)) if fits(min(bound, 6)) else None
+    pt = _first_zero_reference(f, max(filter(fits, range(min(bound, 6) + 1))))
     if pt is None and bound > 6 and r < 5:
         pt = _first_zero_reference(f, max(filter(fits, range(bound + 1))))
     return pt
@@ -500,3 +500,15 @@ def test_quadric_fibre_point_widening_is_monotone():
     f = _seven_fibre(5, 4)
     found = [sieve.quadric_fibre_point(f, bound) for bound in (6, 7, 8, 9, 40)]
     assert found == [None] + [(-7, 0, 0, 0, -7)] * 4
+
+
+def test_quadric_fibre_point_in_six_variables_at_every_bound():
+    """In six variables the first search is capped at width 4 (9^6 <= 10^6
+    < 11^6), so bounds 5 to 8 find the zero that bound 4 finds, on a rank-6
+    and on a rank-1 fibre."""
+    xs = [X(6, i) for i in range(6)]
+    one = IntPolynomial.constant(6, 1)
+    sphere = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2] + xs[3] * xs[3] + xs[4] * xs[4] \
+        + xs[5] * xs[5] - one
+    for f, pt in ((sphere, (-1, 0, 0, 0, 0, 0)), (xs[0] * xs[0] - one, (-1, -4, -4, -4, -4, -4))):
+        assert [sieve.quadric_fibre_point(f, bound) for bound in range(4, 9)] == [pt] * 5
