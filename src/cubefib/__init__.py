@@ -2,14 +2,13 @@
 cubic hypersurfaces (structural analysis, local densities, lattice counts,
 sieve-admissible sets, growth-exponent experiments)."""
 
-from .polynomials import IntPolynomial, LinearChange, VariableSplit
+from .polynomials import IntPolynomial, VariableSplit
 from .linalg import QuadraticPolynomial, rank_signature_over_Q
 
 __version__ = "0.1.0"
 
 __all__ = [
     "IntPolynomial",
-    "LinearChange",
     "VariableSplit",
     "QuadraticPolynomial",
     "rank_signature_over_Q",

@@ -273,7 +273,9 @@ def cmd_fit_exponent(args):
         raise SystemExit(f"--slack must be at least 0, got {args.slack}")
     rows = []
     with open(args.csv_path) as f:
-        header = f.readline()
+        if f.readline().strip().split(",")[:2] != ["B", "count"]:
+            raise SystemExit(f"fit-exponent: {args.csv_path} does not start with "
+                             "the header B,count")
         for line in f:
             parts = line.strip().split(",")
             if len(parts) >= 2 and parts[0]:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import gridcount
 from .fibration import FalsificationAlarm, fibre_polynomial, linear_fibre_parts, split_cubic
-from .lattice import enumerate_quadratic, hyperplane_counts
-from .linalg import QuadraticPolynomial, int_matrix_det
+from .lattice import QuadraticSolvedLevels, enumerate_quadratic, hyperplane_counts
+from .linalg import QuadraticPolynomial
 from .nt import squarefree_divisors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
 from .sieve import (AdmissibleSetSpec, box_with_large_Q, build_conditions, enumerate_admissible,
@@ -38,8 +38,6 @@ class FormDocument:
     name: str = ""
     split: Optional[VariableSplit] = None
     mode: Optional[str] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
-    degree: int = 3
 
 
 class FormValidationError(ValueError):
@@ -107,14 +105,18 @@ def parse_form_document(text: str) -> FormDocument:
                 and isinstance(s.get("y_vars"), list)):
             raise FormValidationError('"split" needs "x_vars" and "y_vars" lists', line=line)
         mode = s.get("mode", "pi")
-        role = mode if mode in ("pi", "pi_prime") else "pi"
+        if mode not in ("pi", "pi_prime"):
+            raise FormValidationError(f'split mode must be "pi" or "pi_prime", got {mode!r}',
+                                      line=line)
+        if degree != 3:
+            raise FormValidationError(f"a split needs a cubic form, got degree {degree}",
+                                      line=line)
         try:
-            split = VariableSplit(n, tuple(s["x_vars"]), tuple(s["y_vars"]), role=role)
+            split = VariableSplit(n, tuple(s["x_vars"]), tuple(s["y_vars"]), role=mode)
             split.validate_against(poly)
         except (TypeError, ValueError) as e:
             raise FormValidationError(str(e), line=line)
-    return FormDocument(n, poly, obj.get("name", ""), split, mode,
-                        dict(obj.get("metadata", {})), degree)
+    return FormDocument(n, poly, obj.get("name", ""), split, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,6 @@ def brute_force_N(C: IntPolynomial, B_list: Sequence[int],
 class FibrationCountResult:
     series: CountSeries
     Y_values: Dict[int, int]
-    mode: str
     label: str                           # "certified-lower-bound" | "sampling-lower-bound"
     spec: AdmissibleSetSpec
 
@@ -274,7 +275,7 @@ def fibration_count(
         fibre_counts[B] = len(fibres)
     series = CountSeries(rows, "fibration-lower-bound", samples=samples,
                          per_B_fibres=fibre_counts)
-    return FibrationCountResult(series, Yvals, mode, label, spec)
+    return FibrationCountResult(series, Yvals, label, spec)
 
 
 def _linear_fibre(q_list, R, y, g, B, sample_limit):
@@ -320,20 +321,22 @@ def representation_count_coprime(
     plus the Mobius decomposition over d | 2 disc.
 
     F must be definite (Sylvester): the leading principal minors of 2Q are
-    all positive, or alternate in sign from a negative one."""
-    minors = [int_matrix_det([row[:j] for row in F.two_q[:j]]) for j in range(1, F.m + 1)]
-    sign = -1 if minors[0] < 0 else 1
-    if not all(sign ** j * d > 0 for j, d in enumerate(minors, 1)):
-        raise ValueError("F must be definite")
-    if sign < 0:
+    all positive, or alternate in sign from a negative one. The sign comes
+    from 2Q[0][0]; the minors of +-2Q are the pivots of one fraction-free
+    elimination, the one `QuadraticSolvedLevels` runs, and must all be
+    positive. The last pivot is |det(2Q)|."""
+    if F.two_q[0][0] < 0:
         F = QuadraticPolynomial([[-v for v in row] for row in F.two_q], [-b for b in F.B], -F.N)
         N_target = -N_target
+    try:
+        disc = QuadraticSolvedLevels(F.two_q, [0] * F.m, 0).levels[-1]["a"]
+    except ValueError:
+        raise ValueError("F must be definite") from None
     if N_target < 0:
         return RepresentationCount(0, {}, True, True)
     # Delta is det Q = det(2Q) / 2^m when that is an integer, else det(2Q);
     # the coprimality predicate gcd(x, 2 Delta) = 1 has the same prime support
     # either way
-    disc = abs(minors[-1])
     delta = disc // 2 ** F.m if disc % 2 ** F.m == 0 else disc
     precondition_ok = (F.to_polynomial().evaluate(list(xi)) - N_target) % (2 * delta) == 0
     bound = isqrt(N_target) if N_target > 0 else 1
@@ -365,7 +368,6 @@ def representation_count_coprime(
 class ExponentFit:
     slope: float
     intercept: float
-    residuals: List[float]
     points_used: int
 
 
@@ -381,8 +383,7 @@ def fit_exponent(series: CountSeries) -> ExponentFit:
     sxy = sum(p[0] * p[1] for p in pts)
     slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     intercept = (sy - slope * sx) / n
-    residuals = [y - (slope * x + intercept) for x, y in pts]
-    return ExponentFit(slope, intercept, residuals, n)
+    return ExponentFit(slope, intercept, n)
 
 
 @dataclass
@@ -422,12 +423,8 @@ def report_to_json(report: dict) -> str:
 
 
 def _json_default(obj):
+    """A Fraction as {"num", "den"}; every other value of a report is plain
+    JSON, and any other object is refused rather than written as a string."""
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, IntPolynomial):
-        return obj.to_text()
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in obj.__dict__.items() if not k.startswith("_")}
-    if hasattr(obj, "_asdict"):
-        return obj._asdict()
-    return str(obj)
+    raise TypeError(f"a report holds no {type(obj).__name__}")

@@ -15,7 +15,6 @@ class ExponentPrediction:
     n: int
     h: int
     r: int
-    eps: Fraction
     shape: str
     gamma: Optional[Fraction]
     delta: Optional[Fraction]
@@ -87,5 +86,5 @@ def predicted_exponents(
             warnings.append("general lower bound requires n >= h + 17")
         total = n - h + alpha
     return ExponentPrediction(
-        n, h, r, eps, shape, gamma, delta, beta, alpha, total, ingredients, tuple(warnings)
+        n, h, r, shape, gamma, delta, beta, alpha, total, ingredients, tuple(warnings)
     )

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import gridcount
 from .linalg import bareiss, congruence_diagonalize, rank_signature_over_Q, unimodular_split
 from .nt import divisors
-from .polynomials import IntPolynomial, LinearChange, VariableSplit
+from .polynomials import IntPolynomial, VariableSplit
 
 
 class FalsificationAlarm(RuntimeError):
@@ -108,9 +108,6 @@ class ConfidenceRecord:
 @dataclass
 class FibrationData:
     split: VariableSplit
-    F_list: List[IntPolynomial]        # x-quadratics, one per y variable
-    q_list: List[IntPolynomial]        # y-quadratics, one per x variable
-    R: IntPolynomial                   # cubic in y
     M2: List[List[IntPolynomial]]      # 2 * M[y], entries linear in y
     rank: int
     witness: Tuple[Tuple[int, ...], Tuple[int, ...], IntPolynomial]
@@ -278,11 +275,9 @@ def fibration_rank(
 
 
 def build_fibration(C: IntPolynomial, split: VariableSplit, seed: int = 0) -> FibrationData:
-    F_list, q_list, R = split_cubic(C, split)
-    h = len(split.y_indices)
-    M2 = bundle_matrix(F_list)
-    rank, witness, record = fibration_rank(M2, h, seed)
-    return FibrationData(split, F_list, q_list, R, M2, rank, witness, record)
+    M2 = bundle_matrix(split_cubic(C, split)[0])
+    rank, witness, record = fibration_rank(M2, len(split.y_indices), seed)
+    return FibrationData(split, M2, rank, witness, record)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +286,6 @@ def build_fibration(C: IntPolynomial, split: VariableSplit, seed: int = 0) -> Fi
 
 @dataclass
 class LinearBlockResult:
-    change: LinearChange             # x-side substitution (scaled integer)
-    combination: Tuple[int, ...]     # y-combination whose matrix attains rank r
     block_size: int                  # n - h - r certified linear variables
     certificate: List[List[IntPolynomial]]  # the (i,j > r) entries, all zero
 
@@ -324,10 +317,10 @@ def _search_rank_r_combination(M2, h, r, seed):
 
 
 def _bundle_normal_form(M, h: int, r: int, seed: int):
-    """(c, S, S^t M S) for the bundle M of verified rank r over Q(y), or None
-    when no small integer combination c has rank M[c] = r.
+    """S^t M S for the bundle M of verified rank r over Q(y), or None when no
+    small integer combination c has rank M[c] = r.
 
-    S, a scaled integer LinearChange, diagonalises M[c] with its r nonzero
+    S, a nonsingular integer matrix, diagonalises M[c] with its r nonzero
     pivots first; as the bundle has rank r, every entry of S^t M[y] S past
     row and column r must vanish identically."""
     c = _search_rank_r_combination(M, h, r, seed)
@@ -338,6 +331,8 @@ def _bundle_normal_form(M, h: int, r: int, seed: int):
         raise FalsificationAlarm("diagonalized combination lost rank")
     den = lcm(*(v.denominator for row in t for v in row))
     S = [[int(v * den) for v in row] for row in t]
+    if bareiss(S).det == 0:
+        raise FalsificationAlarm("the diagonalizing change of variables is singular")
     zero = IntPolynomial.zero(M[0][0].num_vars)
 
     def dot(polys, ints):
@@ -354,24 +349,22 @@ def _bundle_normal_form(M, h: int, r: int, seed: int):
                 f"an order-{r + 1} minor must be nonzero (found {offender}), "
                 "contradicting the verified rank"
             )
-    return c, LinearChange(S, den), SMS
+    return SMS
 
 
 def extract_linear_block(fd: FibrationData) -> LinearBlockResult:
-    """Change of x-variables after which the last n-h-r of them occur only
-    linearly; certified by the vanishing of the corresponding second
+    """The n-h-r x-variables that occur only linearly after a change of the
+    x-variables; certified by the vanishing of the corresponding second
     partials as polynomials."""
     m, h, r = fd.m, fd.h, fd.rank
     if r >= m:
-        return LinearBlockResult(LinearChange.identity(m), (1,) + (0,) * (h - 1), 0, [])
+        return LinearBlockResult(0, [])
     if r == 0:
-        cert = [list(row) for row in fd.M2]
-        return LinearBlockResult(LinearChange.identity(m), (1,) + (0,) * (h - 1), m, cert)
-    found = _bundle_normal_form(fd.M2, h, r, 0)
-    if found is None:
+        return LinearBlockResult(m, [list(row) for row in fd.M2])
+    transformed = _bundle_normal_form(fd.M2, h, r, 0)
+    if transformed is None:
         raise ValueError("no small integer combination attains the fibration rank")
-    c, change, transformed = found
-    return LinearBlockResult(change, c, m - r, [row[r:] for row in transformed[r:]])
+    return LinearBlockResult(m - r, [row[r:] for row in transformed[r:]])
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +374,8 @@ def extract_linear_block(fd: FibrationData) -> LinearBlockResult:
 @dataclass
 class H1Result:
     holds: bool
-    l: Optional[IntPolynomial]               # the common linear form in y
-    N1: Optional[Tuple[Tuple[Fraction, ...], ...]]  # constant matrix, 2 M[y] = l(y) N1
+    l: Optional[IntPolynomial]               # the common linear form in y: 2 M[y] = l(y) N1,
+                                             # N1 a constant matrix
     F_definite_full: Optional[bool]          # semidefinite of full rank n-h
     signature: Optional[Tuple[int, int, int]]
     certificate: Optional[IntPolynomial]     # 2 Q_y - l * (x^t N1 x), must be 0
@@ -395,7 +388,7 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     m, h, r = fd.m, fd.h, fd.rank
     pivot = next((e for row in fd.M2 for e in row if not e.is_zero()), None)
     if pivot is None:
-        return H1Result(False, None, None, None, None, None, "zero bundle")
+        return H1Result(False, None, None, None, None, "zero bundle")
     # primitive form l from the pivot entry
     lead_key = min(pivot.terms)
     g = pivot.content() * (1 if pivot.terms[lead_key] > 0 else -1)
@@ -405,20 +398,20 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     for i, j in product(range(m), repeat=2):
         e = fd.M2[i][j]
         if not e.terms.keys() <= l.terms.keys():
-            return H1Result(False, None, None, None, None, None,
+            return H1Result(False, None, None, None, None,
                             "entry support exceeds the candidate line")
         ratios[i][j] = _ratio(e, l)
         if ratios[i][j] is None:
-            return H1Result(False, None, None, None, None, None,
+            return H1Result(False, None, None, None, None,
                             "entries are not proportional to a single linear form")
     N1 = tuple(map(tuple, ratios))
     rank, pos, neg = rank_signature_over_Q(N1)
     if rank != r:
-        return H1Result(False, l, N1, None, (rank, pos, neg), None,
+        return H1Result(False, l, None, (rank, pos, neg), None,
                         f"factor matrix has rank {rank} != fibration rank {r}")
     semidefinite = pos == 0 or neg == 0
     if not semidefinite:
-        return H1Result(False, l, N1, False, (rank, pos, neg), None,
+        return H1Result(False, l, False, (rank, pos, neg), None,
                         "factor matrix is indefinite")
     # certificate: 2 Q_y(x) == l(y) * x^t N1 x after clearing denominators,
     # in the variables (x, y)
@@ -434,7 +427,7 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     cert = lhs - rhs
     if not cert.is_zero():
         raise FalsificationAlarm("H1 certificate failed after proportionality checks")
-    return H1Result(True, l, N1, rank == m, (rank, pos, neg), cert, "")
+    return H1Result(True, l, rank == m, (rank, pos, neg), cert, "")
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +618,6 @@ class Rank2Shape:
     shape: str                        # "option1" | "exps2psi" | "integral" | "low-rank"
     rank_over_K: int
     kappa: Optional[Fraction] = None
-    y_change: Optional[LinearChange] = None
-    combination: Optional[Tuple[int, ...]] = None
-    factor_pieces: Optional[dict] = None
     delta_relations_ok: Optional[bool] = None
     notes: str = ""
 
@@ -672,16 +662,13 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
     if rank < 2:
         return Rank2Shape("low-rank", rank, notes="rank over K below 2")
 
-    found = _bundle_normal_form(A2, v, 2, seed)
-    if found is None:
+    At = _bundle_normal_form(A2, v, 2, seed)
+    if At is None:
         raise FalsificationAlarm("rank 2 over K but no rank-2 specialization found")
-    c, ych, At = found
     a00, a01, a11 = At[0][0], At[0][1], At[1][1]
     S = [i for i in range(2, my) if not (At[0][i].is_zero() and At[1][i].is_zero())]
     if not S:
-        pieces = {"a00": a00, "a01": a01, "a11": a11}
-        return Rank2Shape("option1", 2, y_change=ych, combination=c, factor_pieces=pieces,
-                          notes="depends on two y-variables after the change")
+        return Rank2Shape("option1", 2, notes="depends on two y-variables after the change")
     # Schur quantities D(i,j) = a00 a_ij - a0i a0j for the matrix convention;
     # rank 2 with a00 in K^* forces D(1,1) D(i,j) = D(1,i) D(1,j)
     deltas = {i: a00 * At[1][i] - a01 * At[0][i] for i in range(2, my)}
@@ -720,14 +707,7 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
              + sum((lift[0][i] * ys[i] for i in S), IntPolynomial.zero(nv)) * (2 * kd))
     if quad * (kd * kd) != left * inner:
         raise FalsificationAlarm("rank-2 factorization identity failed")
-    pieces = {
-        "constant_factor": (kd, kn),   # kd y0 + kn y1
-        "a00": a00,
-        "a01": a01,
-        "linear_coeffs": {i: At[0][i] for i in S},
-    }
-    return Rank2Shape("exps2psi", 2, kappa=kappa, y_change=ych, combination=c,
-                      factor_pieces=pieces, delta_relations_ok=True)
+    return Rank2Shape("exps2psi", 2, kappa=kappa, delta_relations_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +719,6 @@ class Order3FactorResult:
     status: str                       # "factor-found" | "no-common-factor" |
                                       # "suspected-nonlinear" | "unknown"
     factor: Optional[IntPolynomial]
-    y_change: Optional[LinearChange]
     slice_rank_ok: Optional[bool]     # order-3 minors vanish on the z1 = 0 slice
     nonzero_minors: int
     codim_probe: Optional[dict]
@@ -803,11 +782,11 @@ def order3_minor_common_factor(
     probe = _codim_probe(minors, h, budget)
     if factor is not None:
         # unimodular V with factor(V z) = z_0 (the factor is primitive)
-        ych = LinearChange(unimodular_split([_linear_coefficients(factor)[0]])[1])
-        slice_ok = _slice_minors_vanish(fd.M2, ych)
+        V = unimodular_split([_linear_coefficients(factor)[0]])[1]
+        slice_ok = _slice_minors_vanish(fd.M2, V)
         if not slice_ok:
             raise FalsificationAlarm("factor found but the y1 = 0 slice keeps rank >= 3")
-        return Order3FactorResult("factor-found", factor, ych, slice_ok, len(minors), probe)
+        return Order3FactorResult("factor-found", factor, slice_ok, len(minors), probe)
     # no common linear factor: probe for a nonlinear common divisor along pencils
     rng = random.Random(seed)
     suspicious = 0
@@ -819,14 +798,15 @@ def order3_minor_common_factor(
             suspicious += 1
     if suspicious == 6:
         status = "suspected-nonlinear" if fd.rank >= 5 else "unknown"
-        return Order3FactorResult(status, None, None, None, len(minors), probe)
-    return Order3FactorResult("no-common-factor", None, None, None, len(minors), probe)
+        return Order3FactorResult(status, None, None, len(minors), probe)
+    return Order3FactorResult("no-common-factor", None, None, len(minors), probe)
 
 
-def _slice_minors_vanish(M2, ych: LinearChange) -> bool:
-    """All order-3 minors of M2[V z] vanish identically on z_1 = 0."""
+def _slice_minors_vanish(M2, V) -> bool:
+    """All order-3 minors of M2[V z] vanish identically on z_1 = 0, for
+    the unimodular matrix V."""
     # y_k = sum_s V[k][s] z_s with z_0 = 0 (the slice)
-    images = [IntPolynomial.linear_form((0,) + row[1:]) for row in ych.matrix]
+    images = [IntPolynomial.linear_form((0,) + row[1:]) for row in V]
     transformed = [[e.substitute_polys(images) for e in row] for row in M2]
     return all_minors_vanish(transformed, 3, {}) is None
 
@@ -859,7 +839,6 @@ def _codim_probe(minors: List[IntPolynomial], h: int, budget) -> dict:
 class SingularLocusProbe:
     estimate: int
     counts: Dict[int, int]
-    primes: Tuple[int, ...]
 
 
 def singular_locus_dim_probe(
@@ -874,4 +853,4 @@ def singular_locus_dim_probe(
         raise ValueError("zero form")
     grads = f.gradient()
     counts = {p: gridcount.count_system_zeros_mod_p(grads, p) for p in primes}
-    return SingularLocusProbe(_dimension_estimate(counts, -1), counts, tuple(primes))
+    return SingularLocusProbe(_dimension_estimate(counts, -1), counts)

@@ -24,7 +24,6 @@ class GaussSumData:
 
     p: int
     r: int                 # rank of the quadratic part mod p
-    eps_tag: str           # "1" if p = 1 mod 4 else "i"
     jacobi_det: int        # (prod of diagonal pivots / p)
     w: int                 # 4N - B^t M^{-1} B mod p, 2Q-block inverse sense
     kappa: int             # 1 iff p | w
@@ -58,9 +57,8 @@ def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCo
     R, diag = congruence_diagonalize([[v * inv2 % p for v in row] for row in F.two_q], p)
     D = [sum(R[i][j] * F.B[i] for i in range(m)) % p for j in range(m)]
     r = sum(1 for d in diag if d)
-    eps_tag = "1" if p % 4 == 1 else "i"
     if any(D[i] for i in range(r, m)):
-        data = GaussSumData(p, r, eps_tag, 0, 0, 0, 0, "linear-unit")
+        data = GaussSumData(p, r, 0, 0, 0, 0, "linear-unit")
         c = p ** (m - 1)
         return QuadricCount(c, c, data)
     det_part = 1
@@ -84,7 +82,7 @@ def count_quadric_mod_p_closed_form(F: QuadraticPolynomial, p: int) -> QuadricCo
     if not 0 <= nonsingular <= total:
         raise FalsificationAlarm(
             f"assembled nonsingular count {nonsingular} is outside [0, {total}]")
-    data = GaussSumData(p, r, eps_tag, jac, w, kappa, gauss, "gauss")
+    data = GaussSumData(p, r, jac, w, kappa, gauss, "gauss")
     return QuadricCount(nonsingular, total, data)
 
 

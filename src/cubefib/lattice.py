@@ -658,7 +658,6 @@ class HyperplaneAsymptotic:
     err_eta: float
     err_lambda: float
     lambda1_sq: Fraction
-    lambda1_is_exact: bool
 
     @property
     def budget(self) -> float:
@@ -701,4 +700,4 @@ def hyperplane_count_asymptotic(a: Sequence[int], b: int, B) -> HyperplaneAsympt
     err_lambda = LATTICE_ERROR_CONSTANT * sum(
         float(B) ** j / l1 ** j for j in range(n - 1)
     )
-    return HyperplaneAsymptotic(main, err_eta, err_lambda, l1sq, lat.rank <= _EXACT_SVP_RANK)
+    return HyperplaneAsymptotic(main, err_eta, err_lambda, l1sq)

@@ -36,7 +36,6 @@ class LocalDensityEstimate:
     p: int
     t: int
     sigma: Fraction            # N(p^t) / p^(t(m-1)), exact
-    stability_gap: Fraction    # |sigma^(t) - sigma^(t-1)|
     counts: Tuple[int, ...]    # N(p^0), ..., N(p^t)
     method: str                # "recursion" or "enumeration"
     stable: bool
@@ -138,7 +137,7 @@ def sigma_p(
         if closed.data.case == "linear-unit":
             counts = tuple(p ** (k * (m - 1)) for k in range(t + 1))
             return LocalDensityEstimate(
-                p, t, Fraction(1), Fraction(0), counts, "linear-unit", True
+                p, t, Fraction(1), counts, "linear-unit", True
             )
     if p != 2 and F.disc() % p != 0:
         counts = counts_good_prime(F, p, t + 1, closed.nonsingular)
@@ -155,8 +154,7 @@ def sigma_p(
         counts = counts[: t + 1]
     else:
         stable = sig[t] == sig[t - 1]
-    gap = abs(sig[t] - sig[t - 1])
-    return LocalDensityEstimate(p, t, sig[t], gap, tuple(counts), method, stable)
+    return LocalDensityEstimate(p, t, sig[t], tuple(counts), method, stable)
 
 
 def S_pk_extract(F: QuadraticPolynomial, p: int, k: int, counts: Sequence[int]) -> int:
@@ -184,7 +182,6 @@ def S_q_character_sum(F: QuadraticPolynomial, q: int) -> int:
 
 @dataclass(frozen=True)
 class SingularSeriesEstimate:
-    P_max: int
     locals_: Tuple[LocalDensityEstimate, ...]
     product: Fraction
     certified: bool
@@ -262,7 +259,7 @@ def singular_series(
         product *= est.sigma
     certified = rank >= 5 and all(p <= P_max for p in bad)
     tail = _tail_lower_bound(P_max) if certified else None
-    return SingularSeriesEstimate(P_max, tuple(locals_), product, certified, tail)
+    return SingularSeriesEstimate(tuple(locals_), product, certified, tail)
 
 
 @dataclass(frozen=True)

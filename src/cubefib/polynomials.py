@@ -325,65 +325,3 @@ class VariableSplit:
     def __repr__(self):
         return f"VariableSplit(n={self.n}, x={self.x_indices}, y={self.y_indices}, role={self.role!r})"
 
-
-class LinearChange:
-    """Invertible substitution x -> T x / den with an integer matrix T."""
-
-    __slots__ = ("matrix", "den")
-
-    def __init__(self, matrix: Sequence[Sequence[int]], den: int = 1):
-        m = [tuple(int(v) for v in row) for row in matrix]
-        n = len(m)
-        if any(len(r) != n for r in m):
-            raise ValueError("matrix must be square")
-        if den == 0:
-            raise ValueError("zero denominator")
-        object.__setattr__(self, "matrix", tuple(m))
-        object.__setattr__(self, "den", int(den))
-        from .linalg import int_matrix_det
-
-        if int_matrix_det(m) == 0:
-            raise ValueError("singular change of variables")
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinearChange is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearChange":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def inverse(self) -> "LinearChange":
-        """Exact inverse, represented as adj(T) * den / det(T)."""
-        from .linalg import bareiss
-
-        _, _, det, adj = bareiss(self.matrix, adjugate=True)
-
-        num = [[v * self.den for v in row] for row in adj]
-        g = gcd(det, *(v for row in num for v in row))
-        if det < 0:
-            num = [[-v for v in row] for row in num]
-            det = -det
-        return LinearChange([[v // g for v in row] for row in num], det // g)
-
-    def apply(self, p: IntPolynomial) -> IntPolynomial:
-        """Return den^deg(p) * p(T x / den), an exact integer polynomial.
-
-        For homogeneous p this is p(T x) when den == 1; in general each
-        degree-k part is scaled by den^(deg-k).
-        """
-        n = p.num_vars
-        if n != len(self.matrix):
-            raise ValueError("dimension mismatch")
-        # substitution x = T z: old variable x_i becomes (T z)_i
-        images = [IntPolynomial.linear_form(list(self.matrix[i])) for i in range(n)]
-        q = p.substitute_polys(images)
-        if self.den == 1:
-            return q
-        deg = max(0, p.total_degree())
-        out: Dict[Monomial, int] = {}
-        for exps, coef in q.terms.items():
-            out[exps] = coef * self.den ** (deg - sum(exps))
-        return IntPolynomial(n, out)
-
-    def __repr__(self):
-        return f"LinearChange({[list(r) for r in self.matrix]}, den={self.den})"

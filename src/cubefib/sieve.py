@@ -35,10 +35,8 @@ from .polynomials import IntPolynomial, VariableSplit
 
 @dataclass
 class LocalConditionSet:
-    mode: str                                   # "pi" | "pi_prime"
     bad_primes: Dict[int, PadicWitness]         # p -> witness (full residues)
     good_polys: List[IntPolynomial]             # define L: all must vanish mod p to fail
-    M: int                                      # product of bad primes (with 2)
     y_indices: Tuple[int, ...]                  # positions of y in the witness residues
     insoluble_at: Optional[int] = None          # prime where witness search failed
 
@@ -145,9 +143,9 @@ def build_conditions(
     for p in prime_factors(M):
         wit = find_padic_nonsingular(C, p, 3, x_indices=xs, budget=budget)
         if wit is None:
-            return LocalConditionSet(mode, {}, good, M, ys, insoluble_at=p)
+            return LocalConditionSet({}, good, ys, insoluble_at=p)
         bad[p] = wit
-    return LocalConditionSet(mode, bad, good, M, ys)
+    return LocalConditionSet(bad, good, ys)
 
 
 def _good_prime_ok(spec: AdmissibleSetSpec, y: Sequence[int]) -> Tuple[bool, str]:

@@ -416,13 +416,13 @@ def test_criterion_10_character_sums():
 def test_criterion_11_sieve_density_and_gcd():
     # unconditional: density exactly (2Y+1)^k / Y^k
     for k in (1, 2):
-        cond = LocalConditionSet("pi_prime", {}, [], 2, tuple(range(k)))
+        cond = LocalConditionSet({}, [], tuple(range(k)))
         spec = AdmissibleSetSpec(k, [(Fraction(-1), Fraction(1))] * k, cond)
         est = density_estimate(spec, [20, 40])
         for Y, count, dens, _ in est.rows:
             assert count == (2 * Y + 1) ** k
     # single-prime condition matches the residue density within 2/Y
-    cond = LocalConditionSet("pi_prime", {}, [IntPolynomial.variable(1, 0)], 2, (0,))
+    cond = LocalConditionSet({}, [IntPolynomial.variable(1, 0)], (0,))
     spec = AdmissibleSetSpec(1, [(Fraction(-1), Fraction(1))], cond, good_primes_only=(3,))
     est = density_estimate(spec, [30, 60, 120])
     for Y, count, dens, _ in est.rows:

@@ -360,3 +360,73 @@ def test_out_into_a_missing_directory_exits_5_naming_the_target(capsys, tmp_path
     rc = main(["lattice-count", "--a", "1,1", "-B", "5", "--out", str(out_path)])
     assert rc == 5
     assert capsys.readouterr() == ("", f"cubefib: {out_path}: No such file or directory\n")
+
+
+def _pi_n7_with(tmp_path, **changes):
+    """forms/pi_n7.json with some top-level keys replaced, as a new file."""
+    with open(os.path.join(FORMS, "pi_n7.json")) as f:
+        doc = json.load(f)
+    doc.update(changes)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc, indent=2))
+    return str(path)
+
+
+WEIRD_SPLIT = {"split": {"mode": "weird", "x_vars": [0, 1, 2, 3, 4], "y_vars": [5, 6]}}
+QUADRATIC = {"n": 3, "degree": 2, "split": {"x_vars": [0], "y_vars": [1, 2]},
+             "terms": [{"exps": [2, 0, 0], "coef": 1}, {"exps": [0, 1, 1], "coef": 1}]}
+
+
+@pytest.mark.parametrize("changes, message", [
+    (WEIRD_SPLIT, """split mode must be "pi" or "pi_prime", got 'weird'"""),
+    (QUADRATIC, "a split needs a cubic form, got degree 2"),
+])
+@pytest.mark.parametrize("command", [["analyze"], ["local", "--y", "1,0"]])
+def test_split_documents_the_commands_cannot_read_exit_3(tmp_path, changes, message, command):
+    """A split mode other than pi and pi_prime, and a split of a form that is
+    not cubic, are defects of the document: exit 3 with one line."""
+    path = _pi_n7_with(tmp_path, **changes)
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *command, "--form", path],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cubefib: invalid form: line ")
+    assert proc.stderr.endswith(f": {message}\n") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["local", "--y", "1,0", "--pmax", "7"],
+    ["count", "--B", "1"],
+    ["count", "--B", "2,4", "--method", "fibration"],
+    ["density", "--Y", "2"],
+])
+def test_form_metadata_is_not_read(capsys, tmp_path, command):
+    """Any "metadata" value, a number here, leaves every report as it is."""
+    path = _pi_n7_with(tmp_path, metadata=5)
+    rc, out = run_cli([*command, "--form", path], capsys)
+    assert rc == 0
+    _, reference = run_cli([*command, "--form", os.path.join(FORMS, "pi_n7.json")], capsys)
+    assert out == reference
+
+
+ROWS = "2,10\n4,80\n8,640\n16,5120\n32,40960\n"
+
+
+def test_fit_exponent_reads_every_row_after_the_header(capsys, tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("B,count\n" + ROWS)
+    rc, out = run_cli(["fit-exponent", str(path)], capsys)
+    assert rc == 0
+    sections = json.loads(out)["sections"]
+    assert sections["points_used"] == 5 and abs(sections["slope"] - 3) < 1e-12
+
+
+def test_fit_exponent_without_a_header_exits_1_naming_the_file(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text(ROWS)
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", "fit-exponent", str(path)],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"fit-exponent: {path} does not start with the header B,count\n"

@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from cubefib.gridcount import BudgetExceeded
 from cubefib.lattice import HyperplaneCount
 from cubefib.linalg import QuadraticPolynomial
 from cubefib.polynomials import IntPolynomial, VariableSplit
-from cubefib.sieve import enumerate_admissible
+from cubefib.sieve import enumerate_admissible, membership
 
 FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
 
@@ -208,6 +210,39 @@ def test_fibration_count_never_exceeds_brute_force(case):
     for (B, lower), (_, total) in zip(res.series.rows, brute_force_N(C, Bs).rows):
         assert lower <= total, f"lower bound {lower} > N({B}) = {total}"
 
+@example(case=NON_NESTED, B=2)
+@settings(max_examples=100, deadline=None)
+@given(case=_linear_fibre_cubics(), B=st.integers(2, 6))
+def test_fibre_sum_equals_a_box_count(case, B):
+    """The pi_prime fibre sum at one B is the plain count of the (x, y) with
+    y in the bounding box of the spec, passing `membership`, some Q_j(y) != 0;
+    x in [-B, B]^m with |x|^2 + 1 <= B^2; gcd(x, y) = 1; and C(x, y) = 0."""
+    C, split = case
+    q_list = split_cubic(C, split)[1]
+    assume(not all(q.is_zero() for q in q_list))
+    try:
+        res = fibration_count(C, split, "pi_prime", [B])
+    except BudgetExceeded:
+        return
+    Y = res.Y_values[B]
+    _, cmin, cmax, _, _ = res.spec.plan()
+    m = len(split.x_indices)
+    xs = [g.ravel() for g in np.meshgrid(*[np.arange(-B, B + 1)] * m, indexing="ij")]
+    ball = sum(x * x for x in xs) + 1 <= B * B
+    gx = np.gcd.reduce(np.abs(np.stack(xs)), axis=0)
+    total = 0
+    for y in itertools.product(*[range(math.ceil(Y * lo), math.floor(Y * hi) + 1)
+                                 for lo, hi in zip(cmin, cmax)]):
+        if not membership(y, res.spec, Y).member or not any(q.evaluate(y) for q in q_list):
+            continue
+        point = [0] * split.n
+        for i, v in zip(split.x_indices + split.y_indices, (*xs, *y)):
+            point[i] = v
+        zero = C.evaluate(point) == 0
+        total += int((ball & zero & (np.gcd(gx, math.gcd(*y)) == 1)).sum())
+    assert res.series.rows == [(B, total)]
+
+
 def test_fibration_count_ladder_is_frozen():
     """Rows, fibre counts, Y and the 16 samples in order on pi_prime_n8,
     frozen before every fibre of a rung went to one lattice batch."""
@@ -342,9 +377,12 @@ def test_representation_count_rejects_indefinite():
     [[2, 3, 0], [3, 2, 0], [0, 0, 2]],
 ])
 def test_representation_count_rejects_forms_that_are_not_definite(two_q):
+    """Also for N < 0, which has no representation by a positive definite
+    form: the definiteness check comes first."""
     F = QuadraticPolynomial(two_q, [0] * len(two_q), 0)
-    with pytest.raises(ValueError, match="F must be definite"):
-        representation_count_coprime(F, [0] * len(two_q), 4)
+    for N in (4, -1):
+        with pytest.raises(ValueError, match="F must be definite"):
+            representation_count_coprime(F, [0] * len(two_q), N)
 
 
 @st.composite
@@ -462,6 +500,14 @@ def test_report_deterministic():
     assert r1["config_hash"] == config_hash(config)
     parsed = json.loads(report_to_json(r1))
     assert parsed["schema"] == "cubefib-report-v1"
+
+
+@pytest.mark.parametrize("value", [object(), IntPolynomial(1, {(1,): 2}), {1, 2}])
+def test_reports_refuse_values_that_are_not_json_or_fractions(value):
+    """Only a Fraction has a report form of its own; any other object raises
+    instead of being written as its str()."""
+    with pytest.raises(TypeError, match="a report holds no"):
+        report_to_json(build_report({}, {"x": value}))
 
 
 def test_empty_report_valid():

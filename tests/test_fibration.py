@@ -683,6 +683,22 @@ def test_bundle_normal_form_alarms(monkeypatch):
             run()
 
 
+def test_bundle_normal_form_refuses_a_singular_change(monkeypatch):
+    """The certificate S^t M S says nothing for a singular S: both callers
+    raise when the diagonalisation hands back a matrix with a zero column."""
+    C = poly(4, lambda x1, x2, x3, y1: y1 * (x1 * x1 + x2 * x2) + x3 * y1 * y1)
+    fd = build_fibration(C, VariableSplit(4, (0, 1, 2), (3,)))
+
+    def singular(q):
+        t, diag = congruence_diagonalize(q)
+        return [list(row[:-1]) + [Fraction(0)] for row in t], diag
+
+    monkeypatch.setattr(fibration, "congruence_diagonalize", singular)
+    for run in (lambda: extract_linear_block(fd), lambda: classify_rank2_bundle(_rank2_psis())):
+        with pytest.raises(FalsificationAlarm, match="change of variables is singular"):
+            run()
+
+
 @pytest.mark.parametrize("entries, message", [
     ({(1, 2): (0, 1)}, "a1i nonzero with a0i zero"),
     ({(0, 2): (0, 1), (1, 2): (1, 0)}, "a1i not proportional to a0i"),
@@ -696,8 +712,7 @@ def test_rank2_kappa_alarms(monkeypatch, entries, message):
     At[0][0] = At[1][1] = X(3, 0)
     for (i, j), (c1, c2) in entries.items():
         At[i][j] = At[j][i] = X(3, 1) * c1 + X(3, 2) * c2
-    monkeypatch.setattr(fibration, "_bundle_normal_form",
-                        lambda *args: ((1, 0, 0), None, At))
+    monkeypatch.setattr(fibration, "_bundle_normal_form", lambda *args: At)
     with pytest.raises(FalsificationAlarm, match=message):
         classify_rank2_bundle(_rank2_psis())
 

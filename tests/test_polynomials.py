@@ -1,11 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubefib.polynomials import IntPolynomial, LinearChange, VariableSplit
+from cubefib.linalg import bareiss, int_matrix_det
+from cubefib.polynomials import IntPolynomial, VariableSplit
+from cubefib.sieve import AdmissibleSetSpec, LocalConditionSet
 
 
 def P(num_vars, terms):
@@ -78,20 +81,32 @@ def test_evaluate_mod_matches_exact():
             assert p.evaluate_mod(v, q) == p.evaluate(v) % q
 
 
+def images_of(mat):
+    """The linear forms (T x)_i, the images of the substitution x -> T x."""
+    return [IntPolynomial.linear_form(row) for row in mat]
+
+
+def random_nonsingular(rng, n):
+    while True:
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if int_matrix_det(mat):
+            return mat
+
+
 def test_substitute_identity():
     rng = random.Random(3)
     p = random_poly(rng, 3)
-    assert LinearChange.identity(3).apply(p) == p
+    assert p.substitute_polys(images_of([[int(i == j) for j in range(3)] for i in range(3)])) == p
 
 
 def test_substitute_hand_example():
     # x1 x2 under (x1, x2) -> (u + v, u - v) becomes u^2 - v^2
     p = P(2, {(1, 1): 1})
-    t = LinearChange([[1, 1], [1, -1]])
-    assert t.apply(p) == P(2, {(2, 0): 1, (0, 2): -1})
+    assert p.substitute_polys(images_of([[1, 1], [1, -1]])) == P(2, {(2, 0): 1, (0, 2): -1})
 
 
 def test_substitute_round_trip_scalar_multiple():
+    # p(T adj(T) x) = p(det(T) x) = det(T)^deg p(x) for a form p of degree deg
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(2, 4)
@@ -100,25 +115,19 @@ def test_substitute_round_trip_scalar_multiple():
         p = P(n, {e: c for e, c in p.terms.items() if sum(e) == deg})
         if p.is_zero():
             continue
-        while True:
-            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            try:
-                t = LinearChange(mat)
-                break
-            except ValueError:
-                continue
-        back = t.inverse().apply(t.apply(p))
-        # result is c * p for a nonzero constant c
-        items = list(p.terms.items())
-        e0, c0 = items[0]
-        assert back.coefficient(e0) % c0 == 0
-        c = back.coefficient(e0) // c0
-        assert c != 0 and back == p * c
+        mat = random_nonsingular(rng, n)
+        e = bareiss(mat, adjugate=True)
+        back = p.substitute_polys(images_of(mat)).substitute_polys(images_of(e.adjugate))
+        assert back == p * e.det ** deg
 
 
 def test_substitute_singular_rejected():
-    with pytest.raises(ValueError):
-        LinearChange([[1, 1], [1, 1]])
+    """A singular change of variables has no inverse: the admissible-set
+    plan refuses a singular box change."""
+    spec = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, LocalConditionSet({}, [], (0, 1)),
+                             box_change=[[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    with pytest.raises(ValueError, match="singular box change"):
+        spec.plan()
 
 
 def test_chain_rule_symbolically():
@@ -127,15 +136,9 @@ def test_chain_rule_symbolically():
     for _ in range(10):
         n = rng.randint(2, 3)
         p = random_poly(rng, n)
-        while True:
-            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            try:
-                t = LinearChange(mat)
-                break
-            except ValueError:
-                continue
-        lhs = [t.apply(p).derivative(j) for j in range(n)]
-        grad_at_T = [t.apply(g) for g in p.gradient()]
+        mat = random_nonsingular(rng, n)
+        lhs = [p.substitute_polys(images_of(mat)).derivative(j) for j in range(n)]
+        grad_at_T = [g.substitute_polys(images_of(mat)) for g in p.gradient()]
         rhs = [
             sum((grad_at_T[i] * mat[i][j] for i in range(n)), IntPolynomial.zero(n))
             for j in range(n)

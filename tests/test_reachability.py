@@ -18,7 +18,13 @@ public class's `__init__`), must likewise be set by some caller there: by
 keyword, by a positional argument past the required ones, or through the
 benchmark's `ctx.call(f, *args, **kwargs)`. A call inside the definition
 itself does not count. OPTION_KEEP lists the exceptions, each with its
-reason."""
+reason.
+
+Each annotated field of a public dataclass of the package must be read as
+an attribute (`obj.field`) in the package, the benchmark scripts or any
+test: a unit test that checks a field's value is a reader that can fail.
+A field nobody reads is deleted with the code that only fills it.
+FIELD_KEEP lists the exceptions, each with its reason."""
 
 import ast
 import re
@@ -30,18 +36,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cubefib"
 
+SERIES_LOWER_BOUND = ("a rigorous lower bound for the singular series; the local densities "
+                      "roadmap item gives it a caller, a lower_bound section of `local`")
+
 KEEP = {
     "S_q_character_sum":
         "the character-sum oracle that tests S_pk_extract, the closed form used by local densities",
-    "series_lower_bound_certificate":
-        "a rigorous lower bound for the singular series; the local densities roadmap item "
-        "gives it a caller, a lower_bound section of `local`",
-    "LinearChange.apply":
-        "the substitution a LinearChange stands for: extract_linear_block, "
-        "classify_rank2_bundle and order3_minor_common_factor return one to the caller",
-    "LinearChange.inverse":
-        "undoes a returned LinearChange, as LinearChange.apply applies it",
+    "series_lower_bound_certificate": SERIES_LOWER_BOUND,
 }
+
+FIELD_KEEP = {f"localdensity.SeriesLowerBound.{name}": SERIES_LOWER_BOUND
+              for name in ("bad_factors", "medium_factors", "P_tail")}
 
 OPTION_KEEP = {
     "cli.main(argv=)":
@@ -89,6 +94,7 @@ TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
 BENCH = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("bench/*.py"))]
 ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+TESTS = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("tests/*.py"))]
 
 
 def _uses(attributes_only=False) -> Counter:
@@ -225,3 +231,70 @@ def test_every_option_has_a_caller():
     unset = [option for option in UNSET if option not in OPTION_KEEP]
     assert not unset, ("options set only by unit tests (delete them with their branch, "
                        f"or give them a caller): {unset}")
+
+
+def _fields(tree):
+    """(class, field) for each annotated field of the public dataclasses of
+    a module, `@dataclass` or `@dataclass(...)`."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node.name, sub.target.id
+
+
+def _unread_fields(modules, readers):
+    """The fields of the dataclasses of the modules, a dict of module name
+    to tree, that no attribute load (`obj.field`) in readers, a list of
+    trees, reads."""
+    reads = Counter(node.attr for tree in readers for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    for module, tree in modules.items():
+        for cls, name in _fields(tree):
+            if not reads[name]:
+                yield f"{module}.{cls}.{name}"
+
+
+UNREAD = sorted(_unread_fields({name[:-3]: tree for name, tree in TREES.items()},
+                               [*TREES.values(), *BENCH, *TESTS]))
+
+
+def test_the_field_guard_flags_unread_fields():
+    """A fixed package and its users: a field nobody reads, one only a unit
+    test reads, one a function of the package reads, a field that is only
+    written and the annotation of a class that is not a dataclass."""
+    package = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Result:\n"
+        "    read: int\n"
+        "    unread: int = 0\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    tested: int\n"
+        "    written: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "def use(r, f):\n"
+        "    f.written = r.read\n"
+    )
+    unit_test = ast.parse("assert Frozen(1, 2).tested == 1\n")
+    assert list(_unread_fields({"m": package}, [package])) == [
+        "m.Result.unread", "m.Frozen.tested", "m.Frozen.written"]
+    assert list(_unread_fields({"m": package}, [package, unit_test])) == [
+        "m.Result.unread", "m.Frozen.written"]
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_KEEP))
+def test_kept_fields_exist_and_are_unread(field):
+    """A kept field that is gone or has gained a reader leaves the list."""
+    assert field in UNREAD, field
+
+
+def test_every_dataclass_field_is_read():
+    unread = [field for field in UNREAD if field not in FIELD_KEEP]
+    assert not unread, ("dataclass fields nobody reads (delete them with the code that "
+                        f"fills them, or give them a reader): {unread}")

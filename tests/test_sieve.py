@@ -54,7 +54,7 @@ def sample_pi_prime():
 
 
 def unconditional_spec(k):
-    cond = LocalConditionSet("pi_prime", {}, [], 2, tuple(range(k)))
+    cond = LocalConditionSet({}, [], tuple(range(k)))
     return AdmissibleSetSpec(k, [(Fraction(-1), Fraction(1))] * k, cond)
 
 
@@ -93,7 +93,7 @@ def test_membership_reason_traces():
 
     # good polynomials y1, y2 with no bad prime: a point fails at every
     # common prime factor of its coordinates
-    cond = LocalConditionSet("pi_prime", {}, [X(2, 0), X(2, 1)], 2, (0, 1))
+    cond = LocalConditionSet({}, [X(2, 0), X(2, 1)], (0, 1))
     spec2 = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
     assert membership((3, 6), spec2, 8).reason == "good prime 3 divides all predicate values"
     assert membership((0, 0), spec2, 8).reason == (
@@ -118,7 +118,7 @@ def test_density_no_conditions_2k():
 
 def test_density_single_prime_condition():
     # k = 1, condition y != 0 mod 3: density -> 2 * (2/3) = 4/3
-    cond = LocalConditionSet("pi_prime", {}, [X(1, 0)], 2, (0,))
+    cond = LocalConditionSet({}, [X(1, 0)], (0,))
     spec = AdmissibleSetSpec(1, [(Fraction(-1), Fraction(1))], cond,
                              good_primes_only=(3,))
     est = density_estimate(spec, [30, 60, 120])
@@ -262,7 +262,7 @@ def changed_boxes(draw, k_max=3):
 
 def _changed_box_spec(change, box):
     k = len(box)
-    cond = LocalConditionSet("pi_prime", {}, [], 2, tuple(range(k)))
+    cond = LocalConditionSet({}, [], tuple(range(k)))
     return AdmissibleSetSpec(k, list(box), cond, box_change=change)
 
 
@@ -317,7 +317,7 @@ def congruence_specs(draw):
                 e[draw(st.integers(0, k - 1))] += 1
             terms[tuple(e)] = draw(st.integers(-6, 6))
         good = [IntPolynomial(k, terms)]
-    cond = LocalConditionSet("pi_prime", bad, good, 2, tuple(range(1, k + 1)))
+    cond = LocalConditionSet(bad, good, tuple(range(1, k + 1)))
     return T, AdmissibleSetSpec(k, list(box), cond, box_change=change), Y
 
 
@@ -341,7 +341,7 @@ def test_enumerate_admissible_class_walk_is_the_filtered_bounding_box(case):
 def test_enumerate_admissible_joins_two_bad_primes_by_crt():
     # y odd, and y = 7 resp. 20 mod 27 (v = 2 at p = 3): y = 7 resp. 47 mod 54
     bad = {2: PadicWitness(2, 1, (0, 1, 1), 0), 3: PadicWitness(3, 2, (0, 7, 47), 0)}
-    cond = LocalConditionSet("pi_prime", bad, [], 2, (1, 2))
+    cond = LocalConditionSet(bad, [], (1, 2))
     spec = AdmissibleSetSpec(2, [(Fraction(-1), Fraction(1))] * 2, cond)
     assert spec.plan()[3:] == ((54, 54), (7, 47))
     assert list(enumerate_admissible(spec, 60)) == list(product([-47, 7], [-7, 47]))
@@ -353,7 +353,7 @@ def test_enumerate_admissible_joins_two_bad_primes_by_crt():
 def test_enumerate_admissible_insoluble_spec_yields_nothing():
     # as driver.fibration_count builds it: no bad prime, so the class is
     # the plain box (modulus 1), and empty intervals that charge nothing
-    cond = LocalConditionSet("pi_prime", {}, [X(2, 0)], 2, (0, 1), insoluble_at=3)
+    cond = LocalConditionSet({}, [X(2, 0)], (0, 1), insoluble_at=3)
     spec = AdmissibleSetSpec(2, [(Fraction(1), Fraction(-1))] * 2, cond)
     assert spec.plan()[3:] == ((1, 1), (0, 0))
     assert list(enumerate_admissible(spec, 7, budget=0)) == []
@@ -378,7 +378,7 @@ def test_density_rows_of_the_shipped_forms_are_frozen(form, mode, counts):
 
 
 def test_spec_rejects_a_box_of_the_wrong_length():
-    cond = LocalConditionSet("pi_prime", {}, [], 2, (0, 1))
+    cond = LocalConditionSet({}, [], (0, 1))
     for box in ([], [(Fraction(-1), Fraction(1))] * 3):
         with pytest.raises(ValueError, match="expected k = 2"):
             AdmissibleSetSpec(2, box, cond)
