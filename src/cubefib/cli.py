@@ -1,6 +1,10 @@
 """Command-line interface: analyze, local, lattice-count, density, count,
 fit-exponent. JSON to stdout unless --out is given.
 
+The fibration mode, quadric (pi) or linear (pi_prime) fibres, is the one the
+form's split declares. Only analyze, whose rank samples and probes are
+random, takes --seed; every other report has seed 0.
+
 Errors print one line on stderr, with no traceback. Exit codes: 1 a bad
 argument value, 2 an argparse usage error, 3 an invalid form document
 (`FormValidationError`), 4 an enumeration over its point budget
@@ -76,15 +80,12 @@ def _int_list(text: str, flag: str, least: int | None = None) -> list:
     return values
 
 
-def _options(sub, form=True, mode=True):
-    """--seed and --out on every subcommand; --form (required), --budget and
-    --mode on those that read a form, --mode only where it is read."""
+def _options(sub, form=True):
+    """--out on every subcommand; --form (required) and --budget on those
+    that read a form."""
     if form:
         sub.add_argument("--form", required=True, help="path to a form document (JSON)")
         sub.add_argument("--budget", type=int, default=None)
-        if mode:
-            sub.add_argument("--mode", choices=["pi", "pi_prime"], default=None)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None)
 
 
@@ -97,13 +98,9 @@ def cmd_analyze(args):
     )
 
     doc = _load_split_form(args.form, "analyze")
-    mode = args.mode or doc.mode or "pi"
-    if mode == "pi_prime" and doc.split.role != "pi_prime":
-        raise SystemExit("analyze: mode pi_prime requires a linear-fibre (pi_prime) split, "
-                         f"the form declares {doc.split.role}")
-    config = {"command": "analyze", "form": doc.name, "mode": mode, "seed": args.seed}
+    config = {"command": "analyze", "form": doc.name, "mode": doc.mode, "seed": args.seed}
     sections = {}
-    if mode == "pi":
+    if doc.mode == "pi":
         fd = build_fibration(doc.poly, doc.split, seed=args.seed)
         sections["fibration"] = fd.to_report()
         sections["linear_block_size"] = fd.m - fd.rank
@@ -166,7 +163,7 @@ def cmd_local(args):
         "certified": est.certified,
         "tail_lower": est.tail_lower,
     }
-    _emit(args, build_report(config, sections, args.seed))
+    _emit(args, build_report(config, sections))
 
 
 def cmd_lattice_count(args):
@@ -193,7 +190,7 @@ def cmd_lattice_count(args):
         )
     except ValueError as e:
         sections["asymptotic_error"] = str(e)
-    _emit(args, build_report(config, sections, args.seed))
+    _emit(args, build_report(config, sections))
 
 
 def cmd_density(args):
@@ -209,30 +206,29 @@ def cmd_density(args):
         raise SystemExit("density: --csv does not apply to --points")
     doc = _load_split_form(args.form, "density")
     Ys = _int_list(args.Y, "--Y", least=1)
-    mode = args.mode or doc.mode or "pi_prime"
+    if args.points and len(Ys) > 1:
+        raise SystemExit(f"density: --points takes a single --Y, got {args.Y!r}")
     try:
-        cond = build_conditions(doc.poly, doc.split, mode, budget=args.budget)
+        cond = build_conditions(doc.poly, doc.split, doc.mode, budget=args.budget)
     except ValueError as e:
         raise SystemExit(f"density: {e}")
     k = len(doc.split.y_indices)
     box = [(Fraction(-1), Fraction(1))] * k
     spec = AdmissibleSetSpec(k, box, cond)
     if args.points:
-        points = enumerate_admissible(spec, max(Ys), args.budget)
+        points = enumerate_admissible(spec, Ys[0], args.budget)
         _write(args, admissible_points_lines(points) + "\n")
         return
     est = density_estimate(spec, Ys, budget=args.budget)
-    config = {"command": "density", "form": doc.name, "mode": mode, "Y": Ys}
+    config = {"command": "density", "form": doc.name, "mode": doc.mode, "Y": Ys}
     if args.csv:
         _write(args, est.to_csv() + "\n")
         return
     sections = {"rows": est.rows}
-    _emit(args, build_report(config, sections, args.seed))
+    _emit(args, build_report(config, sections))
 
 
 def cmd_count(args):
-    if args.method == "brute" and args.mode:
-        raise SystemExit("count: --mode applies to --method fibration only")
     if args.method == "fibration":
         doc = _load_split_form(args.form, "count --method fibration")
     else:
@@ -243,15 +239,13 @@ def cmd_count(args):
         "form": doc.name,
         "B": Bs,
         "method": args.method,
-        "seed": args.seed,
     }
     if args.method == "brute":
         series = brute_force_N(doc.poly, Bs, budget=args.budget)
         sections = {"series": series.rows, "predicate": series.predicate}
     else:
-        mode = args.mode or doc.mode or "pi_prime"
         try:
-            res = fibration_count(doc.poly, doc.split, mode, Bs, budget=args.budget)
+            res = fibration_count(doc.poly, doc.split, doc.mode, Bs, budget=args.budget)
         except ValueError as e:
             raise SystemExit(f"count: {e}")
         sections = {
@@ -265,11 +259,13 @@ def cmd_count(args):
         series = CountSeries(sections["series"], sections["predicate"])
         _write(args, series.to_csv() + "\n")
         return
-    _emit(args, build_report(config, sections, args.seed))
+    _emit(args, build_report(config, sections))
 
 
 def cmd_fit_exponent(args):
-    if args.slack < 0:
+    if args.slack is not None and args.predicted is None:
+        raise SystemExit("fit-exponent: --slack applies to --predicted only")
+    if args.slack is not None and args.slack < 0:
         raise SystemExit(f"--slack must be at least 0, got {args.slack}")
     rows = []
     with open(args.csv_path) as f:
@@ -277,13 +273,14 @@ def cmd_fit_exponent(args):
             raise SystemExit(f"fit-exponent: {args.csv_path} does not start with "
                              "the header B,count")
         for line in f:
+            if not line.strip():
+                continue
             parts = line.strip().split(",")
-            if len(parts) >= 2 and parts[0]:
-                try:
-                    rows.append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise SystemExit(f"fit-exponent: B and count must be integers, "
-                                     f"got {line.strip()!r}")
+            try:
+                rows.append((int(parts[0]), int(parts[1])))
+            except (IndexError, ValueError):
+                raise SystemExit(f"fit-exponent: B and count must be integers, "
+                                 f"got {line.strip()!r}")
     try:
         fit = fit_exponent(CountSeries(rows, "loaded"))
     except ValueError as e:
@@ -294,12 +291,13 @@ def cmd_fit_exponent(args):
         "points_used": fit.points_used,
     }
     if args.predicted is not None:
-        verdict = compare_fit(fit, args.predicted, args.slack)
+        slack = 0.5 if args.slack is None else args.slack
+        verdict = compare_fit(fit, args.predicted, slack)
         sections["verdict"] = "PASS" if verdict.passed else "FAIL"
         sections["predicted"] = args.predicted
-        sections["slack"] = args.slack
+        sections["slack"] = slack
     config = {"command": "fit-exponent", "csv": args.csv_path, "predicted": args.predicted}
-    _emit(args, build_report(config, sections, args.seed))
+    _emit(args, build_report(config, sections))
 
 
 def main(argv=None):
@@ -312,10 +310,11 @@ def main(argv=None):
 
     p = subs.add_parser("analyze", help="fibration structure and shape detectors")
     _options(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the rank samples and probes")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("local", help="local densities of a fibre quadric")
-    _options(p, mode=False)
+    _options(p)
     p.add_argument("--y", required=True, help="comma-separated fibre point")
     p.add_argument("--pmax", type=int, default=31)
     p.set_defaults(func=cmd_local)
@@ -347,7 +346,8 @@ def main(argv=None):
     _options(p, form=False)
     p.add_argument("csv_path", help="CSV with B,count columns")
     p.add_argument("--predicted", type=float, default=None)
-    p.add_argument("--slack", type=float, default=0.5)
+    p.add_argument("--slack", type=float, default=None,
+                   help="allowed shortfall of the slope below --predicted (default 0.5)")
     p.set_defaults(func=cmd_fit_exponent)
 
     args = parser.parse_args(argv)

@@ -54,10 +54,14 @@ def _find_line(text: str, needle: str) -> Optional[int]:
 
 
 def _int_field(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise FormValidationError(f"{what} must be an integer, got {value!r}") from None
+    """A JSON integer, or a string of one; a float or a boolean is refused,
+    not truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise FormValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def parse_form_document(text: str) -> FormDocument:
@@ -112,10 +116,11 @@ def parse_form_document(text: str) -> FormDocument:
             raise FormValidationError(f"a split needs a cubic form, got degree {degree}",
                                       line=line)
         try:
-            split = VariableSplit(n, tuple(s["x_vars"]), tuple(s["y_vars"]), role=mode)
-            split.validate_against(poly)
+            split = VariableSplit(n, tuple(s["x_vars"]), tuple(s["y_vars"]))
         except (TypeError, ValueError) as e:
             raise FormValidationError(str(e), line=line)
+        if mode == "pi_prime" and poly.block_degree(split.x_indices) > 1:
+            raise FormValidationError("pi_prime split requires total x-degree <= 1", line=line)
     return FormDocument(n, poly, obj.get("name", ""), split, mode)
 
 

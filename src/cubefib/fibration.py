@@ -590,9 +590,7 @@ def detect_common_linear_factor_Qi(
 ) -> Optional[CommonFactorResult]:
     """For C = sum x_i Q_i(y) + R(y): a linear form dividing every Q_i, with
     the certified cofactors, or None."""
-    if split.role != "pi_prime":
-        raise ValueError("requires a linear-fibre split")
-    _, q_list, _ = split_cubic(C, split)
+    q_list, _ = linear_fibre_parts(C, split)
     l = common_linear_factor(q_list)
     if l is None:
         return None

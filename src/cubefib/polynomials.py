@@ -294,24 +294,17 @@ class IntPolynomial:
 
 
 class VariableSplit:
-    """Partition of the variables into an x-block and a y-block.
+    """Partition of the variables into an x-block and a y-block."""
 
-    role "pi" tags the quadric-fibre split (y-block of size h), role
-    "pi_prime" tags the linear-fibre split (x-block jointly linear).
-    """
+    __slots__ = ("n", "x_indices", "y_indices")
 
-    __slots__ = ("n", "x_indices", "y_indices", "role")
-
-    def __init__(self, n: int, x_indices: Sequence[int], y_indices: Sequence[int], role: str = "pi"):
-        if role not in ("pi", "pi_prime"):
-            raise ValueError(f"unknown role {role!r}")
+    def __init__(self, n: int, x_indices: Sequence[int], y_indices: Sequence[int]):
         xs, ys = tuple(x_indices), tuple(y_indices)
         if sorted(xs + ys) != list(range(n)):
             raise ValueError("x_indices and y_indices must partition 0..n-1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "x_indices", xs)
         object.__setattr__(self, "y_indices", ys)
-        object.__setattr__(self, "role", role)
 
     def __setattr__(self, *a):
         raise AttributeError("VariableSplit is immutable")
@@ -319,9 +312,7 @@ class VariableSplit:
     def validate_against(self, p: IntPolynomial):
         if p.num_vars != self.n:
             raise ValueError("split size does not match polynomial")
-        if self.role == "pi_prime" and p.block_degree(self.x_indices) > 1:
-            raise ValueError("pi_prime split requires total x-degree <= 1")
 
     def __repr__(self):
-        return f"VariableSplit(n={self.n}, x={self.x_indices}, y={self.y_indices}, role={self.role!r})"
+        return f"VariableSplit(n={self.n}, x={self.x_indices}, y={self.y_indices})"
 

@@ -39,7 +39,7 @@ def test_analyze_pi_mode(capsys, tmp_path):
 
 def test_analyze_pi_prime_mode(capsys):
     form = os.path.join(FORMS, "pi_prime_n7.json")
-    rc, out = run_cli(["analyze", "--form", form, "--mode", "pi_prime"], capsys)
+    rc, out = run_cli(["analyze", "--form", form], capsys)
     rep = json.loads(out)
     assert "common_linear_factor" in rep["sections"]
 
@@ -91,7 +91,7 @@ def test_fit_exponent_rejects_unsorted_rows(tmp_path):
 def test_density_command(capsys):
     form = os.path.join(FORMS, "pi_prime_n7.json")
     rc, out = run_cli(
-        ["density", "--form", form, "--mode", "pi_prime", "--Y", "6,12", "--csv"],
+        ["density", "--form", form, "--Y", "6,12", "--csv"],
         capsys,
     )
     lines = out.strip().splitlines()
@@ -133,7 +133,7 @@ def test_analyze_reports_are_frozen(capsys, form, digest):
 def test_density_points_export(capsys):
     form = os.path.join(FORMS, "pi_prime_n7.json")
     rc, out = run_cli(
-        ["density", "--form", form, "--mode", "pi_prime", "--Y", "8", "--points"],
+        ["density", "--form", form, "--Y", "8", "--points"],
         capsys,
     )
     lines = [ln for ln in out.strip().splitlines() if ln]
@@ -146,7 +146,7 @@ def test_density_points_export(capsys):
 @pytest.mark.parametrize("mode_args", [["--Y", "6,12", "--csv"], ["--Y", "8", "--points"]])
 def test_density_out_file_matches_stdout(capsys, tmp_path, mode_args):
     form = os.path.join(FORMS, "pi_prime_n7.json")
-    args = ["density", "--form", form, "--mode", "pi_prime"] + mode_args
+    args = ["density", "--form", form] + mode_args
     _, out = run_cli(args, capsys)
     out_path = tmp_path / "density.txt"
     _, nothing = run_cli(args + ["--out", str(out_path)], capsys)
@@ -220,27 +220,29 @@ def test_errors_exit_with_one_line_and_their_own_code(tmp_path, args, code, mess
     ["lattice-count", "--a", "1,2", "-B", "5", "--g", "0"],
     ["density", "--form", "forms/pi_prime_n8.json", "--Y", "0"],
     ["count", "--form", "forms/pi_prime_n7.json", "--B", "-2"],
-    ["count", "--form", "forms/pi_n7.json", "--B", "1,2,3", "--method", "fibration",
-     "--mode", "pi_prime"],
-    ["count", "--form", "forms/pi_prime_n7.json", "--B", "4", "--method", "fibration",
-     "--mode", "pi"],
-    ["density", "--form", "forms/pi_n7.json", "--Y", "4", "--mode", "pi_prime"],
+    ["fit-exponent", "ONE_CELL"],
+    ["fit-exponent", "NO_B"],
+    ["fit-exponent", "NO_COUNT"],
     ["lattice-count", "--a", "1,2", "-B", "-3"],
     ["density", "--form", "forms/pi_n7.json", "--Y", "2", "--budget", "-5"],
     ["local", "--form", "forms/pi_n7.json", "--y", "0,1", "--pmax", "-3"],
     ["fit-exponent", "SERIES", "--predicted", "3", "--slack", "-1"],
 ])
 def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
-    """A non-integer CSV cell, a form without a split, a non-primitive
-    vector, out-of-range bounds (a negative height bound B, a negative
-    point budget, a prime bound below 2 and a negative slack among them)
-    and a mode the cubic does not support: one stderr line and exit code 1."""
-    csv = tmp_path / "series.csv"
-    csv.write_text("B,count\n2,x\n4,5\n")
-    # a well-formed series of slope 3, so that only the option is at fault
-    series = tmp_path / "slope3.csv"
-    series.write_text("B,count\n2,10\n4,80\n8,640\n16,5120\n")
-    args = [{"CSV": str(csv), "SERIES": str(series)}.get(a, a) for a in args]
+    """A non-integer or missing CSV cell, a form without a split, a
+    non-primitive vector and out-of-range bounds (a negative height bound
+    B, a negative point budget, a prime bound below 2 and a negative slack
+    among them): one stderr line and exit code 1."""
+    files = {
+        "CSV": "B,count\n2,x\n4,5\n",
+        # a well-formed series of slope 3, so that only the option is at fault
+        "SERIES": "B,count\n2,10\n4,80\n8,640\n16,5120\n",
+        **{name: f"B,count\n{row}\n4,80\n8,640\n16,5120\n"
+           for name, row in (("ONE_CELL", "2"), ("NO_B", ",10"), ("NO_COUNT", "2,"))},
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    args = [str(tmp_path / f"{a}.csv") if a in files else a for a in args]
     proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
                           capture_output=True, text=True, cwd=os.path.dirname(FORMS))
     assert proc.returncode == 1
@@ -249,16 +251,17 @@ def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["count", "--form", "forms/norm_form_n9.json", "--B", "1", "--method", "brute",
-      "--mode", "pi_prime"], "count: --mode applies to --method fibration only"),
-    (["count", "--form", "forms/norm_form_n9.json", "--B", "1", "--mode", "pi"],
-     "count: --mode applies to --method fibration only"),
+    (["density", "--form", "forms/pi_prime_n8.json", "--Y", "3,5", "--points"],
+     "density: --points takes a single --Y, got '3,5'"),
+    (["fit-exponent", "series.csv", "--slack", "1"],
+     "fit-exponent: --slack applies to --predicted only"),
     (["density", "--form", "forms/pi_prime_n7.json", "--Y", "2", "--points", "--csv"],
      "density: --csv does not apply to --points"),
 ])
 def test_options_the_chosen_path_does_not_read_exit_1(args, message):
-    """An option that another option's value makes unread (`--mode` with the
-    brute count, `--csv` with `--points`) is an error, not ignored."""
+    """An option that another option's value makes unread (a second --Y
+    with `--points`, `--slack` without `--predicted`, `--csv` with
+    `--points`) is an error, not ignored."""
     proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
                           capture_output=True, text=True, cwd=os.path.dirname(FORMS))
     assert proc.returncode == 1
@@ -279,11 +282,26 @@ def test_options_the_chosen_path_does_not_read_exit_1(args, message):
      "unrecognized arguments: --mode pi"),
     (["count", "--form", "forms/pi_n7.json", "--B", "2", "--pmax", "7"],
      "unrecognized arguments: --pmax 7"),
+    (["analyze", "--form", "forms/pi_n7.json", "--mode", "pi"], "unrecognized arguments: --mode pi"),
+    (["density", "--form", "forms/pi_n7.json", "--Y", "2", "--mode", "pi"],
+     "unrecognized arguments: --mode pi"),
+    (["count", "--form", "forms/pi_n7.json", "--B", "2", "--mode", "pi"],
+     "unrecognized arguments: --mode pi"),
+    (["local", "--form", "forms/pi_n7.json", "--y", "1,0", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["lattice-count", "--a", "1,2", "-B", "3", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["density", "--form", "forms/pi_n7.json", "--Y", "2", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["count", "--form", "forms/pi_n7.json", "--B", "2", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["fit-exponent", "series.csv", "--seed", "1"], "unrecognized arguments: --seed 1"),
 ])
 def test_missing_or_unknown_options_are_usage_errors(args, message):
     """Each subcommand declares only the options it reads, and --form is
     required where it is read: a missing or unknown option is an argparse
-    error, exit 2 with usage and one error line, no traceback."""
+    error, exit 2 with usage and one error line, no traceback. The
+    fibration mode comes from the form's split, not from --mode, and only
+    analyze, which samples at random, takes --seed."""
     proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
                           capture_output=True, text=True, cwd=os.path.dirname(FORMS))
     assert proc.returncode == 2
@@ -305,6 +323,16 @@ SCHEMA = '"schema": "cubefib-form-v1"'
     ('{%s, "n": 1}' % SCHEMA, 'missing "terms"'),
     ('{%s, "n": 2, "terms": [], "split": {"y_vars": [1]}}' % SCHEMA,
      'line 1: "split" needs "x_vars" and "y_vars" lists'),
+    # a float or a boolean is refused, not truncated; an integer string is read
+    ('{%s, "n": 1, "terms": [{"exps": [3], "coef": 1.5}]}' % SCHEMA,
+     'term 0: "coef" must be an integer, got 1.5'),
+    ('{%s, "n": 1, "terms": [{"exps": [3], "coef": true}]}' % SCHEMA,
+     'term 0: "coef" must be an integer, got True'),
+    ('{%s, "n": 1, "terms": [{"exps": [3.0], "coef": "1"}]}' % SCHEMA,
+     "term 0: an exponent must be an integer, got 3.0"),
+    ('{%s, "n": 7.0, "terms": []}' % SCHEMA, '"n" must be an integer, got 7.0'),
+    ('{%s, "n": 1, "degree": 3.0, "terms": []}' % SCHEMA,
+     '"degree" must be an integer, got 3.0'),
 ])
 def test_malformed_form_documents_exit_3_with_one_line(tmp_path, document, message):
     path = tmp_path / "form.json"
@@ -314,17 +342,6 @@ def test_malformed_form_documents_exit_3_with_one_line(tmp_path, document, messa
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"cubefib: invalid form: {message}\n"
-
-
-def test_analyze_pi_prime_mode_on_a_pi_split_exits_with_one_line():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cubefib.cli", "analyze", "--form", "forms/pi_n7.json",
-         "--mode", "pi_prime"],
-        capture_output=True, text=True, cwd=os.path.dirname(FORMS))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == ("analyze: mode pi_prime requires a linear-fibre (pi_prime) split, "
-                           "the form declares pi\n")
 
 
 class _FailingFile:
@@ -373,6 +390,8 @@ def _pi_n7_with(tmp_path, **changes):
 
 
 WEIRD_SPLIT = {"split": {"mode": "weird", "x_vars": [0, 1, 2, 3, 4], "y_vars": [5, 6]}}
+# pi_n7's split declared as linear-fibre, though its x-block is quadratic
+LINEAR_QUADRICS = {"split": {"mode": "pi_prime", "x_vars": [0, 1, 2, 3, 4], "y_vars": [5, 6]}}
 QUADRATIC = {"n": 3, "degree": 2, "split": {"x_vars": [0], "y_vars": [1, 2]},
              "terms": [{"exps": [2, 0, 0], "coef": 1}, {"exps": [0, 1, 1], "coef": 1}]}
 
@@ -380,11 +399,13 @@ QUADRATIC = {"n": 3, "degree": 2, "split": {"x_vars": [0], "y_vars": [1, 2]},
 @pytest.mark.parametrize("changes, message", [
     (WEIRD_SPLIT, """split mode must be "pi" or "pi_prime", got 'weird'"""),
     (QUADRATIC, "a split needs a cubic form, got degree 2"),
+    (LINEAR_QUADRICS, "pi_prime split requires total x-degree <= 1"),
 ])
 @pytest.mark.parametrize("command", [["analyze"], ["local", "--y", "1,0"]])
 def test_split_documents_the_commands_cannot_read_exit_3(tmp_path, changes, message, command):
-    """A split mode other than pi and pi_prime, and a split of a form that is
-    not cubic, are defects of the document: exit 3 with one line."""
+    """A split mode other than pi and pi_prime, a split of a form that is
+    not cubic and a pi_prime split whose x-block is not linear are defects
+    of the document: exit 3 with one line."""
     path = _pi_n7_with(tmp_path, **changes)
     proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *command, "--form", path],
                           capture_output=True, text=True, cwd=os.path.dirname(FORMS))
@@ -414,8 +435,9 @@ ROWS = "2,10\n4,80\n8,640\n16,5120\n32,40960\n"
 
 
 def test_fit_exponent_reads_every_row_after_the_header(capsys, tmp_path):
+    """Every row but a blank one is a point of the fit."""
     path = tmp_path / "series.csv"
-    path.write_text("B,count\n" + ROWS)
+    path.write_text("B,count\n\n" + ROWS + "\n")
     rc, out = run_cli(["fit-exponent", str(path)], capsys)
     assert rc == 0
     sections = json.loads(out)["sections"]
@@ -430,3 +452,15 @@ def test_fit_exponent_without_a_header_exits_1_naming_the_file(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"fit-exponent: {path} does not start with the header B,count\n"
+
+
+@pytest.mark.parametrize("row", ["2", ",80"])
+def test_fit_exponent_malformed_row_exits_1_quoting_it(tmp_path, row):
+    """A row with one cell or an empty B is not skipped."""
+    path = tmp_path / "series.csv"
+    path.write_text(f"B,count\n{row}\n" + ROWS)
+    proc = subprocess.run([sys.executable, "-m", "cubefib.cli", "fit-exponent", str(path)],
+                          capture_output=True, text=True, cwd=os.path.dirname(FORMS))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"fit-exponent: B and count must be integers, got {row!r}\n"

@@ -108,7 +108,7 @@ def test_fibration_count_alarms_on_non_admissible_fibre(monkeypatch):
     # C = 2 x0 y0^2 + 2 x1 y1^2 + y0^3: over y = (1, 1) the fibre
     # 2 x0 + 2 x1 + 1 = 0 is insoluble mod 2, so y is not admissible
     C = IntPolynomial(4, {(1, 0, 2, 0): 2, (0, 1, 0, 2): 2, (0, 0, 3, 0): 1})
-    split = VariableSplit(4, (0, 1), (2, 3), role="pi_prime")
+    split = VariableSplit(4, (0, 1), (2, 3))
     monkeypatch.setattr(driver, "enumerate_admissible",
                         lambda spec, Y, budget=None: iter([(1, 1)]))
     with pytest.raises(FalsificationAlarm, match="not locally soluble"):
@@ -121,7 +121,7 @@ def test_locally_insoluble_result_spec_enumerates_to_nothing():
     # search at 2 finds nothing
     C = IntPolynomial(4, {(1, 0, 2, 0): 2, (0, 1, 0, 2): 2, (0, 0, 3, 0): 1,
                           (0, 0, 2, 1): 1, (0, 0, 0, 3): 1})
-    split = VariableSplit(4, (0, 1), (2, 3), role="pi_prime")
+    split = VariableSplit(4, (0, 1), (2, 3))
     res = fibration_count(C, split, "pi_prime", [4, 8])
     assert res.label == "locally insoluble at 2"
     assert res.series.rows == [(4, 0), (8, 0)]
@@ -164,7 +164,7 @@ NON_NESTED = (
     IntPolynomial(5, {(0, 0, 0, 2, 1): -3, (0, 0, 1, 1, 1): -1, (0, 1, 0, 0, 2): -1,
                       (0, 1, 0, 1, 1): -1, (0, 1, 0, 2, 0): 1, (1, 0, 0, 0, 2): 1,
                       (1, 0, 0, 1, 1): -1, (1, 0, 0, 2, 0): -2}),
-    VariableSplit(5, (0, 1, 2), (3, 4), role="pi_prime"),
+    VariableSplit(5, (0, 1, 2), (3, 4)),
 )
 
 
@@ -193,7 +193,7 @@ def _linear_fibre_cubics(draw):
     monos += [tuple([0] * m + [3 - k, k]) for k in range(4)]
     coefs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
     return (IntPolynomial(m + 2, dict(zip(monos, coefs))),
-            VariableSplit(m + 2, range(m), (m, m + 1), role="pi_prime"))
+            VariableSplit(m + 2, range(m), (m, m + 1)))
 
 
 @example(case=NON_NESTED)
@@ -325,7 +325,7 @@ def test_fibration_count_places_samples_by_the_split():
     doc = parse_form_document(load("pi_prime_n7.json"))
     order = (5, 6, 0, 1, 2, 3, 4)          # new variable i is old variable order[i]
     C = IntPolynomial(7, {tuple(e[j] for j in order): c for e, c in doc.poly.terms.items()})
-    split = VariableSplit(7, (2, 3, 4, 5, 6), (0, 1), role="pi_prime")
+    split = VariableSplit(7, (2, 3, 4, 5, 6), (0, 1))
     res = fibration_count(C, split, "pi_prime", [8, 16])
     ref = fibration_count(doc.poly, doc.split, "pi_prime", [8, 16])
     assert res.series.rows == ref.series.rows

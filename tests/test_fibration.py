@@ -535,7 +535,7 @@ def test_detect_common_linear_factor():
             key = tuple([1 if i == xi else 0 for i in range(2)] + list(e))
             terms[key] = c
     C = IntPolynomial(7, terms)
-    sp = VariableSplit(7, (0, 1), tuple(range(2, 7)), role="pi_prime")
+    sp = VariableSplit(7, (0, 1), tuple(range(2, 7)))
     res = detect_common_linear_factor_Qi(C, sp)
     assert res is not None
     assert res.factor == IntPolynomial.linear_form([1, 0, 0, 0, 0])
@@ -551,7 +551,7 @@ def test_detect_common_linear_factor():
             key = tuple([1 if i == xi else 0 for i in range(2)] + list(e))
             terms[key] = c
     C = IntPolynomial(5, terms)
-    sp = VariableSplit(5, (0, 1), (2, 3, 4), role="pi_prime")
+    sp = VariableSplit(5, (0, 1), (2, 3, 4))
     assert detect_common_linear_factor_Qi(C, sp) is None
 
     # all Q_i zero: degenerate
@@ -721,7 +721,7 @@ def test_common_factor_cofactor_alarm(monkeypatch):
     """A cofactor that does not satisfy l * quotient = den * Q_i raises."""
     y = [X(5, i) for i in range(5)]
     C = y[0] * y[2] * (y[2] + y[3]) + y[1] * y[2] * y[4]
-    sp = VariableSplit(5, (0, 1), (2, 3, 4), role="pi_prime")
+    sp = VariableSplit(5, (0, 1), (2, 3, 4))
     assert detect_common_linear_factor_Qi(C, sp).verified
     monkeypatch.setattr(fibration, "divide_form_by_linear", lambda f, l: (f, 1))
     with pytest.raises(FalsificationAlarm, match="cofactor"):

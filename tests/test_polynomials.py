@@ -166,17 +166,13 @@ def test_grlex_order_deterministic():
 
 
 def test_variable_split_validation():
-    s = VariableSplit(4, (0, 1), (2, 3), role="pi")
+    s = VariableSplit(4, (0, 1), (2, 3))
     assert s.x_indices == (0, 1)
     with pytest.raises(ValueError):
         VariableSplit(4, (0, 1), (2,))
-    # pi_prime split demands joint x-degree <= 1
-    c = P(4, {(2, 0, 1, 0): 1})  # x0^2 x2
-    sp = VariableSplit(4, (0, 1), (2, 3), role="pi_prime")
     with pytest.raises(ValueError):
-        sp.validate_against(c)
-    ok = P(4, {(1, 0, 2, 0): 1})  # x0 x2^2
-    sp.validate_against(ok)
+        s.validate_against(P(3, {(1, 1, 1): 1}))
+    s.validate_against(P(4, {(2, 0, 1, 0): 1}))  # x0^2 x2
 
 
 def test_degrees_and_homogeneity():

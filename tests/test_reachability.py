@@ -14,11 +14,12 @@ from its own unit tests fails here. KEEP lists the exceptions, each with
 its reason.
 
 Each option, a defaulted parameter of such a function or method (or of a
-public class's `__init__`), must likewise be set by some caller there: by
-keyword, by a positional argument past the required ones, or through the
-benchmark's `ctx.call(f, *args, **kwargs)`. A call inside the definition
-itself does not count. OPTION_KEEP lists the exceptions, each with its
-reason.
+public class's `__init__`, among them the defaulted fields of a public
+dataclass, which its generated `__init__` takes in field order), must
+likewise be set by some caller there: by keyword, by a positional argument
+past the required ones, or through the benchmark's `ctx.call(f, *args,
+**kwargs)`. A call inside the definition itself does not count.
+OPTION_KEEP lists the exceptions, each with its reason.
 
 Each annotated field of a public dataclass of the package must be read as
 an attribute (`obj.field`) in the package, the benchmark scripts or any
@@ -136,17 +137,35 @@ def test_every_public_definition_has_a_user():
     assert not orphans, f"reached only from unit tests (delete them or give them a caller): {orphans}"
 
 
+def _is_dataclass(node) -> bool:
+    """Whether a class is decorated `@dataclass` or `@dataclass(...)`."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def _annotated_fields(node):
+    """The annotated fields (AnnAssign nodes) of a class body, in order."""
+    return [sub for sub in node.body
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
+
+
 def _options(tree):
     """(option, callee, parameter, position, node) for each defaulted
     parameter of the public functions, public methods and `__init__` of the
-    public classes of a module. A call reaches the definition through the
-    callee name (a class name for `__init__`); position is the number of
-    positional arguments a call passes before the parameter, None for a
-    keyword-only one."""
+    public classes of a module, the generated `__init__` of a dataclass
+    included. A call reaches the definition through the callee name (a
+    class name for `__init__`); position is the number of positional
+    arguments a call passes before the parameter, None for a keyword-only
+    one."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             yield from _defaulted(node.name, node.name, node, 0)
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if _is_dataclass(node):
+                for i, sub in enumerate(_annotated_fields(node)):
+                    if sub.value is not None:
+                        yield (f"{node.name}.__init__({sub.target.id}=)", node.name,
+                               sub.target.id, i, sub)
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__"
                                                          or not sub.name.startswith("_")):
@@ -206,18 +225,26 @@ UNSET = sorted(_unset_options({name[:-3]: tree for name, tree in TREES.items()},
 
 def test_the_option_guard_flags_unset_and_test_only_options():
     """A fixed package and its users: one option nobody sets, one only a
-    unit test sets, one set by position and one through ctx.call."""
+    unit test sets, one set by position and one through ctx.call; a
+    dataclass field nobody sets and one set by position."""
     package = ast.parse(
         "def unset(x, a=1): pass\n"
         "def tested(x, a=1): pass\n"
         "class Box:\n"
         "    def __init__(self, x, a=1): pass\n"
         "    def put(self, x, *, a=1): return self.put(x, a=a)\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    x: int\n"
+        "    placed: int = 0\n"
+        "    unset: int = 0\n"
     )
-    users = [package, ast.parse("box = Box(0, 2)\nctx.call(box.put, 0, a=3)\n")]
+    users = [package, ast.parse("box = Box(0, 2)\nctx.call(box.put, 0, a=3)\nrow = Row(0, 1)\n")]
     unit_test = ast.parse("tested(0, a=2)\n")
-    assert list(_unset_options({"m": package}, users)) == ["m.unset(a=)", "m.tested(a=)"]
-    assert list(_unset_options({"m": package}, users + [unit_test])) == ["m.unset(a=)"]
+    assert list(_unset_options({"m": package}, users)) == [
+        "m.unset(a=)", "m.tested(a=)", "m.Row.__init__(unset=)"]
+    assert list(_unset_options({"m": package}, users + [unit_test])) == [
+        "m.unset(a=)", "m.Row.__init__(unset=)"]
     assert "m.Box.put(a=)" in _unset_options({"m": package}, [package])
 
 
@@ -237,13 +264,9 @@ def _fields(tree):
     """(class, field) for each annotated field of the public dataclasses of
     a module, `@dataclass` or `@dataclass(...)`."""
     for node in tree.body:
-        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-            continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
-            for sub in node.body:
-                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                    yield node.name, sub.target.id
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
+            for sub in _annotated_fields(node):
+                yield node.name, sub.target.id
 
 
 def _unread_fields(modules, readers):

@@ -40,8 +40,7 @@ def _pi_prime_form(q_polys, R, k):
     for e, c in R.terms.items():
         key = tuple([0] * k + list(e))
         terms[key] = terms.get(key, 0) + c
-    return IntPolynomial(n, terms), VariableSplit(n, tuple(range(k)), tuple(range(k, n)),
-                                                  role="pi_prime")
+    return IntPolynomial(n, terms), VariableSplit(n, tuple(range(k)), tuple(range(k, n)))
 
 
 def sample_pi_prime():
