@@ -136,6 +136,8 @@ def cmd_analyze(args):
             "kappa": shape.kappa,
             "notes": shape.notes,
         }
+    if args.budget is not None and "order3_common_factor" not in sections:  # its search alone reads it
+        raise SystemExit("analyze: --budget applies to a pi split of rank at least 3 only")
     _emit(args, build_report(config, sections, args.seed))
 
 

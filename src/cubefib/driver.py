@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gridcount
 from .fibration import FalsificationAlarm, fibre_polynomial, linear_fibre_parts, split_cubic
-from .lattice import QuadraticSolvedLevels, enumerate_quadratic, hyperplane_counts
+from .lattice import QuadraticSolvedLevels, enumerate_quadratics, hyperplane_counts
 from .linalg import QuadraticPolynomial
 from .nt import squarefree_divisors, vector_gcd
 from .polynomials import IntPolynomial, VariableSplit
@@ -309,12 +309,11 @@ class RepresentationCount:
     precondition_ok: bool
 
 
-def _solutions_of_definite(F: QuadraticPolynomial, N: int) -> np.ndarray:
-    """All integer z with F(z) = N, for positive-definite quadratic part, as
-    the rows of one array in enumeration order (int64, or object when a
-    coordinate does not fit): the exact-root leaf of the lattice enumeration
-    kernel (never scans a full box). 2(F(z) - N) = z^t 2Q z + 2 B.z + 2(F.N - N)."""
-    return enumerate_quadratic(F.two_q, F.B, 2 * (F.N - N), "roots")[1]
+def _solutions_of_definite(solver: QuadraticSolvedLevels) -> np.ndarray:
+    """All integer z with F(z) = N, as the rows of one array in enumeration
+    order (int64, or object when a value does not fit): the exact-root leaf
+    of the lattice kernel, no box scan, on solver, the levels of 2(F(z) - N)."""
+    return enumerate_quadratics([(solver, 0)], roots=True)[0][1]
 
 
 def representation_count_coprime(
@@ -329,12 +328,13 @@ def representation_count_coprime(
     all positive, or alternate in sign from a negative one. The sign comes
     from 2Q[0][0]; the minors of +-2Q are the pivots of one fraction-free
     elimination, the one `QuadraticSolvedLevels` runs, and must all be
-    positive. The last pivot is |det(2Q)|."""
+    positive. The last pivot is |det(2Q)|; the pivots do not depend on B or
+    N, so that one solver of 2(F(z) - N) also enumerates the roots."""
     if F.two_q[0][0] < 0:
         F = QuadraticPolynomial([[-v for v in row] for row in F.two_q], [-b for b in F.B], -F.N)
         N_target = -N_target
     try:
-        disc = QuadraticSolvedLevels(F.two_q, [0] * F.m, 0).levels[-1]["a"]
+        disc = (solver := QuadraticSolvedLevels(F.two_q, F.B, 2 * (F.N - N_target))).levels[-1]["a"]
     except ValueError:
         raise ValueError("F must be definite") from None
     if N_target < 0:
@@ -348,7 +348,7 @@ def representation_count_coprime(
     # |x| = |z - xi| in int64 when no value can reach 2^63, else in Python
     # integers; then the solutions in the box by gcd(x, 2 disc), from one
     # class per distinct gcd(x): d | 2 disc divides x iff it divides that gcd
-    z = _solutions_of_definite(F, N_target)
+    z = _solutions_of_definite(solver)
     top = max(map(abs, xi)) + (max(-int(z.min()), int(z.max())) if len(z) else 0)
     if z.dtype == object or max(top, bound) >= 2 ** 63:
         x = np.abs(z.astype(object) - np.array([int(v) for v in xi], dtype=object))

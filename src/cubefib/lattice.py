@@ -10,9 +10,9 @@ the ball counts (count plus samples), the representation numbers of the
 driver (exact roots) and exact shortest vectors (minimum). Counts and roots
 run in batches (`enumerate_quadratics`): a fibration rung hands all its
 hyperplanes, Mobius terms and sample requests to one `hyperplane_counts`
-call, and levels 1 and 0 of every system run in one segmented numpy int64
-pass; a system whose bound check in Python integers fails, and the minimum,
-take the Python rows. Ball shifts are first moved next to the centre.
+call, and each system enters one numpy int64 pass at the highest level its
+pivots bound; a system that no level bounds, and the minimum, take the
+Python rows. Ball shifts are first moved next to the centre.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, isqrt
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -169,15 +168,11 @@ class QuadraticSolvedLevels:
 
     def quadratic_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
         """(a, bq, cq) with P_j = a t_j^2 + 2 bq t_j + cq at outer."""
-        lev = self.levels[j]
-        vec = tuple(outer) + (1,)
-        bq = 0
-        for l, v in zip(lev["lin"], vec):
-            bq += l * v
+        lev, vec = self.levels[j], tuple(outer) + (1,)
         cq = 0
         for i, l, c in lev["rest"]:
             cq += c * vec[i] * vec[l]
-        return lev["a"], bq, cq
+        return lev["a"], dot(lev["lin"], vec), cq
 
     def bounds_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
         """(count, lo, hi) for t_j given outer = (t_{j+1}, ..., t_{k-1})."""
@@ -191,13 +186,12 @@ def enumerate_quadratic(
     """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
     for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
 
-    The outer levels take their t_j-interval from `bounds_at`, the last one
-    visited (level 1, or 2 for the int64 pass) its interval and set-up from
-    one `quadratic_at`. Level 0's row is Q = a0 t_0^2 + 2 bq t_0 + cq; bq
-    and the reduced discriminant D = bq^2 - a0 cq = -P_1 are stepped by
-    finite differences along t_1, and the row is
-    [ceil((-bq - s) / a0), floor((-bq + s) / a0)] with s = isqrt(D),
-    exactly: floor(x / a) = floor(floor(x) / a) for integer a > 0. Leaves,
+    The levels above the last one walked in Python (level 1 for the Python
+    rows, else the entry level of the int64 pass) take their t_j-interval
+    from `bounds_at`, the last one from one `quadratic_at`. Level 0's row
+    Q = a0 t_0^2 + 2 bq t_0 + cq is [ceil((-bq - s) / a0), floor((s - bq) / a0)]
+    with s = isqrt(D), D = bq^2 - a0 cq = -P_1, exactly (floor(x / a) =
+    floor(floor(x) / a) for integer a > 0); bq and D step along t_1. Leaves,
     in enumeration order (t_{k-1} outermost, each level ascending), return
     (value, points):
 
@@ -208,12 +202,11 @@ def enumerate_quadratic(
       "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
 
     "count" and "roots" are a one-system call of `enumerate_quadratics`,
-    which also samples the first solutions of the "count" leaf; "min" takes
-    the Python rows.
+    which also samples the "count" leaf; "min" takes the Python rows.
     """
     if leaf == "min":
         return _python_rows(QuadraticSolvedLevels(G, w, c), leaf, 0)
-    return enumerate_quadratics([(G, w, c, 0)], {"count": False, "roots": True}[leaf])[0]
+    return enumerate_quadratics([(QuadraticSolvedLevels(G, w, c), 0)], leaf == "roots")[0]
 
 
 def _intervals(solver: QuadraticSolvedLevels, top: int):
@@ -241,52 +234,36 @@ def _python_rows(solver: QuadraticSolvedLevels, leaf: str, sample_limit: int):
     b1, dd = (lin0[0], -2 * solver.levels[1]["a"]) if k > 1 else (0, 0)
     points: List[Tuple[int, ...]] = []
     value = None if leaf == "min" else 0
-
-    def count_rows(lo, hi, bq, D, dD, outer):
-        nonlocal value
-        n = 0
-        for t1 in range(lo, hi + 1):
+    if k == 1:
+        _, bq, cq = solver.quadratic_at(0, ())
+        rows = [(1, 0, bq, bq * bq - a0 * cq, 0, ())] if bq * bq >= a0 * cq else []
+    else:
+        rows = ((cnt, lo, dot(lin0, vec), -P, -dP, vec[1:-1])
+                for cnt, lo, P, dP, vec in _intervals(solver, 1))
+    for cnt, lo, bq, D, dD, outer in rows:
+        for t1 in range(lo, lo + cnt):
             s = isqrt(D)
-            row = (s - bq) // a0 + (s + bq) // a0 + 1
-            if row and len(points) < sample_limit:
-                first = -((s + bq) // a0)
-                points.extend((t0, t1) + outer for t0 in
-                              range(first, first + min(row, sample_limit - len(points))))
-            n += row
-            bq, D, dD = bq + b1, D + dD, dD + dd
-        value += n
-
-    def root_rows(lo, hi, bq, D, dD, outer):
-        nonlocal value
-        for t1 in range(lo, hi + 1):
-            s = isqrt(D)
-            if s * s == D:
+            if leaf == "count":
+                row = (s - bq) // a0 + (s + bq) // a0 + 1
+                if row and len(points) < sample_limit:
+                    first = -((s + bq) // a0)
+                    points += [(t0, t1) + outer
+                               for t0 in range(first, first + min(row, sample_limit - len(points)))]
+                value += row
+            elif leaf == "roots" and s * s == D:
                 for num in (-s - bq, s - bq) if s else (-bq,):
                     if num % a0 == 0:
                         points.append((num // a0, t1) + outer)
                         value += 1
+            elif leaf == "min":
+                for t0 in range(-((s + bq) // a0), (s - bq) // a0 + 1):
+                    u = a0 * t0 + bq
+                    q = (u * u - D) // a0  # = Q(t), exactly
+                    if (value is None or q < value) and (t0 or t1 or any(outer)):
+                        value, points[:] = q, [(t0, t1) + outer]
             bq, D, dD = bq + b1, D + dD, dD + dd
-
-    def min_rows(lo, hi, bq, D, dD, outer):
-        nonlocal value
-        for t1 in range(lo, hi + 1):
-            s = isqrt(D)
-            for t0 in range(-((s + bq) // a0), (s - bq) // a0 + 1):
-                u = a0 * t0 + bq
-                q = (u * u - D) // a0  # = Q(t), exactly
-                if (value is None or q < value) and (t0 or t1 or any(outer)):
-                    value, points[:] = q, [(t0, t1) + outer]
-            bq, D, dD = bq + b1, D + dD, dD + dd
-
-    rows = {"count": count_rows, "roots": root_rows, "min": min_rows}[leaf]
     if k == 1:
-        _, bq, cq = solver.quadratic_at(0, ())
-        if bq * bq >= a0 * cq:
-            rows(0, 0, bq, bq * bq - a0 * cq, 0, ())
         points = [t[:1] for t in points]  # drop the phantom t_1 = 0
-    else:
-        for cnt, lo, P, dP, vec in _intervals(solver, 1):
-            rows(lo, lo + cnt - 1, dot(lin0, vec), -P, -dP, vec[1:-1])
     if leaf != "roots":
         return value, points
     try:
@@ -295,58 +272,52 @@ def _python_rows(solver: QuadraticSolvedLevels, leaf: str, sample_limit: int):
         return value, np.array(points, dtype=object).reshape(value, k)
 
 
-_INT64_SAFE = 2 ** 62
 _ROW_CHUNK = 1 << 16
-_NODE_FLUSH = 1 << 15  # level-1 nodes a batch holds before it runs
+_NODE_FLUSH = 1 << 14  # nodes below the entry levels a batch holds before it runs, and per run
 
 
 def enumerate_quadratics(systems, roots: bool = False) -> list:
     """The "count" leaf of `enumerate_quadratic` with the first sample_limit
     solutions as tuples, or with roots=True its "roots" leaf (one array per
-    system), for each (G, w, c, sample_limit) of `systems`, in order.
-
-    A system of k >= 3 stops the recursion at level 2 and adds its level-2
-    intervals to the batch, six integers per node in one flat list.
-    `_levels_1_0` runs levels 1 and 0 of a whole batch in numpy int64, once
-    the batch holds _NODE_FLUSH level-1 nodes and at the end. A system that
-    has no level-2 interval or fails the bound check of `_fits_int64`, and
-    every system of k <= 2, takes the Python rows."""
+    system), for each (QuadraticSolvedLevels, sample_limit) of `systems`.
+    A system enters the numpy int64 pass at the highest level L that
+    `_entry_level` bounds below 2^62 (k = 1 at a phantom level 1, a_1 = 1,
+    t_1 = 0): Python walks the levels above L and adds each t_L-interval to
+    the batch of its (k, L) as k + 4 integers: the system, #t_L, lo, P_L
+    and its step at lo, each b_i (i < L) without its t_0..t_L terms, and
+    t_{L+1}, ... `_descend` runs the batches once they hold _NODE_FLUSH
+    nodes below L, and at the end. A system with L = 0 takes the Python
+    rows alone; the rest of its batch stays int64."""
     leaf = "roots" if roots else "count"
-    # six integers per level-2 node: #t_2, then P_2, its step, b of P_1 and
-    # bq - b1 t_1, all at t_2 = lo, then lo
-    flat: List[int] = []
-    # per system of the batch: its node end, (a0, a1, a2, b1, db, dbeta),
-    # sample limit and its nodes' outer coordinates (if it returns points)
-    batch, ids, out, nodes = [], [], [], 0
+    batches, out, nodes = {}, [], 0
 
     def flush():
-        for i, res in zip(ids, _levels_1_0(flat, batch, roots) if batch else ()):
-            out[i] = res
-        for col in (flat, batch, ids):
-            col.clear()
+        for (k, level), (held, flat) in batches.items():
+            for (i, _, _), res in zip(held, _descend(k, level, held, flat, roots)):
+                out[i] = res
+        batches.clear()
 
-    for i, (G, w, c, limit) in enumerate(systems):
-        solver = QuadraticSolvedLevels(G, w, c)
-        out.append(None)
-        if solver.k < 3:
-            out[i] = _python_rows(solver, leaf, limit)
+    for i, (solver, limit) in enumerate(systems):
+        k, lev, level = solver.k, solver.levels, _entry_level(solver)
+        out.append(None if level else _python_rows(solver, leaf, limit))
+        if not level:
             continue
-        lev0, lev1, lev2 = solver.levels[:3]
-        lin1, rest0 = lev1["lin"], lev0["lin"][1:]
-        outers = [] if roots or limit else None
-        start = len(flat)
-        for cnt, t2, P2, dP2, vec in _intervals(solver, 2):
-            flat += (cnt, P2, dP2, dot(lin1, vec), dot(rest0, vec), t2)
-            if outers is not None:
-                outers.append(vec[1:-1])
-        consts = (lev0["a"], lev1["a"], lev2["a"], lev0["lin"][0], lin1[0], rest0[0])
-        if len(flat) == start or not _fits_int64(flat[start:], consts, outers or ()):
-            del flat[start:]
-            out[i] = _python_rows(solver, leaf, limit)
-            continue
-        batch.append((len(flat) // 6, consts, limit, outers))
-        ids.append(i)
-        nodes += sum(flat[start::6])
+        held, flat = batches.setdefault((k, level), ([], []))
+        if k == 1:
+            _, b, c = solver.quadratic_at(0, ())
+            d = b * b - lev[0]["a"] * c
+            flat += (len(held), 1, 0, -d, 0, b) if d >= 0 else ()
+            nodes, consts = nodes + 1, (lev[0]["a"], 1, 0, 0)
+        else:
+            lins = [lev[j]["lin"][level - j:] for j in range(level)]  # each b_j beyond t_L
+            for cnt, lo, P, dP, vec in _intervals(solver, level):
+                outer = vec[1:]
+                flat += (len(held), cnt, lo, P, dP, *[dot(lin, outer) for lin in lins], *outer[:-1])
+                nodes += cnt
+            # a_0..a_L, then the t_j-coefficient of b_i for i < L, j <= L
+            coef = [lev[i]["lin"][j - i - 1] if j > i else 0 for i in range(level) for j in range(level + 1)]
+            consts = (*(l["a"] for l in lev[:level + 1]), *coef)
+        held.append((i, limit, consts))
         if nodes >= _NODE_FLUSH:
             flush()
             nodes = 0
@@ -354,105 +325,131 @@ def enumerate_quadratics(systems, roots: bool = False) -> list:
     return out
 
 
-def _fits_int64(nodes: List[int], consts, outers) -> bool:
-    """Whether every value `_levels_1_0` computes for a system (its level-2
-    nodes flat in `nodes`, consts (a0, a1, a2, b1, db, dbeta), the nodes'
-    coordinates (t_3, ...) in `outers`) stays below 2^62, bounded from its
-    column maxima in Python integers; the caller tests it with an `if`, so
-    the check holds under `python -O`."""
-    a0, a1, a2, b1, db, dbeta = consts
-    N = max(nodes[0::6])
-    mP, mdP, mb, mbeta, mlo = (max(map(abs, nodes[c::6])) for c in range(1, 6))
-    BP = mP + N * (mdP + a2 * N)  # |P_2| and its partial terms
-    BD = a0 * BP  # d1 and its partial terms, u^2, d1 - u^2
-    S = isqrt(BD) + 1  # isqrt(d1), isqrt(D)
-    Bb = mb + abs(db) * N
-    T = (S + Bb) // a1 + 2  # |t_1|
-    Bq = abs(b1) * T + mbeta + abs(dbeta) * N  # |bq|
-    row = 2 * (S + Bq) // a0 + 1  # one row's count
-    rows = _ROW_CHUNK + 2 * S // a1 + 1  # rows summed at once
-    mout = max(map(abs, chain.from_iterable(outers)), default=0)
-    return max(BD, a1 * T + Bb, S + Bq, row * rows, mlo + N, mout) < _INT64_SAFE
+def _entry_level(solver: QuadraticSolvedLevels) -> int:
+    """The highest level L >= 1 whose int64 pass provably stays below 2^62,
+    else 0, in Python integers (tested with an `if`: it holds under -O).
+    On a visited node -d_j / a_j <= P_j <= 0, d_j = -a_{j-1} P_{j+1}, so
+    d_{j-1} <= D_{j-1} = a_{j-2} (D_j // a_j) from the top discriminant on;
+    S_j = isqrt(D_j) + 1, |b_j| <= B_j, |t_j| <= T_j. Rows need a_0, D_0,
+    S_0 + 2 B_0, each T_j and a row sum; P_j stepped along t_j D_{j-1} and
+    D_j // a_j + 2 S_j + 4 a_j; a t_j-interval from d_j (S_j + a_j)^2 and a_j T_j + B_j."""
+    k, lev, a = solver.k, solver.levels, [l["a"] for l in solver.levels]
+    _, b, c = solver.quadratic_at(k - 1, ())
+    D = [0] * (k - 1) + [max(b * b - a[-1] * c, 0)]
+    for j in range(k - 1, 0, -1):
+        D[j - 1] = (a[j - 2] if j > 1 else 1) * (D[j] // a[j])
+    S, T, B = [isqrt(x) + 1 for x in D], [0] * k + [1], [0] * k
+    for j in range(k - 1, -1, -1):
+        B[j] = dot(map(abs, lev[j]["lin"]), T[j + 1:])
+        T[j] = (S[j] + B[j]) // a[j] + 1
+    row_sum = (2 * (S[0] + B[0]) // a[0] + 1) * (_ROW_CHUNK + (2 * S[1] // a[1] if k > 1 else 0) + 1)
+
+    def safe(j, *values):  # and P_j stepped along t_j, d_{j-1}
+        step = (D[j] // a[j] + 2 * S[j] + 4 * a[j], D[j - 1]) if j < k else ()
+        return max(*values, *step) < 2 ** 62
+
+    level = int(safe(1, a[0], D[0], S[0] + 2 * B[0], row_sum, *T))
+    while 0 < level < k - 1 and safe(level + 1, (S[level] + a[level]) ** 2, a[level] * T[level] + B[level]):
+        level += 1
+    return level
 
 
 def _isqrt64(x: np.ndarray) -> np.ndarray:
     """floor(sqrt(x)) for int64 0 <= x < 2^62: the float square root is
-    within 1 of it there, and one exact step each way corrects it. (With a
-    correctly rounded sqrt only the downward step can fire; the upward one
-    keeps the result exact without relying on that.)"""
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    within 1 of it there, and one exact step each way corrects it (with a
+    correctly rounded sqrt only the downward one can fire)."""
+    s = np.sqrt(x).astype(np.int64)
     s -= s * s > x
     s += (s + 1) * (s + 1) <= x
     return s
 
 
-def _levels_1_0(flat, batch, roots: bool = False):
-    """Levels 1 and 0 below the level-2 intervals in `flat`, for each system
-    of `batch` (both built by `enumerate_quadratics`), in numpy int64: its
-    (count, first sample_limit points), or with roots=True (#roots, the
-    roots as the rows of one int64 array), in enumeration order.
+def _runs(cnt, size):
+    """(r, i) per run of consecutive intervals with at most `size` children
+    plus one interval's: each interval's index r once per t = lo[r] + i."""
+    ends = np.cumsum(cnt)
+    starts, total = ends - cnt, int(ends[-1])
+    cuts = np.searchsorted(ends, np.arange(size, total, size), "right").tolist() if total > size else []
+    for s, e in zip([0, *cuts], [*cuts, len(cnt)]):
+        r = np.repeat(np.arange(s, e), cnt[s:e])
+        yield r, np.arange(starts[s], starts[s] + len(r)) - starts[r]
 
-    Along t_2 = lo + i, P_2 = P + i (dP + a2 (i - 1)) <= 0, and level 1's
-    reduced discriminant is d1 = b^2 - a1 c1 = -a0 P_2 (Sylvester), so
-    t_1 runs over |u| <= isqrt(d1) with u = a1 t1 + b. Level 0's discriminant
-    is D = -P_1 = (d1 - u^2) / a1, an exact division, and a row is counted,
-    sampled or tested for roots as in the Python rows. The level-1 nodes of
-    the whole batch are one array pass; the rows run per system, in slices
-    of about _ROW_CHUNK rows, with its divisors as scalars (floor division
-    by an array is several times slower)."""
-    n, P, dP, b, beta, lo = np.array(flat, dtype=np.int64).reshape(-1, 6).T
-    system = np.searchsorted([end for end, *_ in batch], np.arange(len(n)), "right")
-    a0, _, a2, _, db, dbeta = np.array([sys[1] for sys in batch], dtype=np.int64)[system].T  # per node
-    ends1 = np.cumsum(n)  # level-1 node ends of the level-2 nodes
-    node = np.repeat(np.arange(len(n)), n)  # level-1 node -> level-2 node
-    i = np.arange(len(node)) - (ends1 - n)[node]
-    d1 = -((a0 * P)[node] + i * ((a0 * dP)[node] + (a0 * a2)[node] * (i - 1)))  # -a0 P_2
-    b = b[node] + db[node] * i
-    beta = beta[node] + dbeta[node] * i
-    t2 = lo[node] + i
-    s1 = _isqrt64(d1)
-    results, u0, w0 = [], 0, 0
-    for w1, (a0, a1, _, b1, _, _), limit, outers in batch:
-        u1 = int(ends1[w1 - 1])
-        d1s, bs, betas, t2s, s1s = (x[u0:u1] for x in (d1, b, beta, t2, s1))
-        lo1 = -((s1s + bs) // a1)
-        m = np.maximum((s1s - bs) // a1 - lo1 + 1, 0)
-        ends = np.cumsum(m)
-        # the system's level-1 nodes in slices of at most _ROW_CHUNK rows plus one node's
-        cuts = np.searchsorted(ends, np.arange(_ROW_CHUNK, int(ends[-1]), _ROW_CHUNK), "right").tolist()
-        count, pts = 0, []
-        if roots:
-            outers = np.array(outers, dtype=np.int64)  # (t_3, ...) per level-2 node
-        for s, e in zip([0, *cuts], [*cuts, len(m)]):
-            mc = m[s:e]
-            r = np.repeat(np.arange(s, e), mc)
-            t1 = lo1[r] + (np.arange(len(r)) - np.repeat(np.cumsum(mc) - mc, mc))
-            u = a1 * t1 + bs[r]
-            D = (d1s[r] - u * u) // a1
-            sq = _isqrt64(D)
-            bq = b1 * t1 + betas[r]
-            if roots:
-                # per row, t_0 = (-s - bq) / a0 before (s - bq) / a0, the
-                # second only when s > 0; nonzero reads them in that order
-                num = np.stack((-sq - bq, sq - bq), axis=1)
-                hit = (sq * sq == D)[:, None] & (num % a0 == 0)
-                hit[:, 1] &= sq > 0
-                hr, side = np.nonzero(hit)
-                p = r[hr]
-                pts.append(np.column_stack((num[hr, side] // a0, t1[hr], t2s[p], outers[node[u0 + p] - w0])))
-                continue
-            row = (sq - bq) // a0 + (sq + bq) // a0 + 1
-            count += int(row.sum())
-            for h in np.flatnonzero(row)[:limit - len(pts)].tolist() if len(pts) < limit else ():
-                t0, q = -(int(sq[h] + bq[h]) // a0), int(r[h])
-                head = (int(t1[h]), int(t2s[q])) + outers[node[u0 + q] - w0]
-                pts += [(t,) + head for t in range(t0, t0 + min(int(row[h]), limit - len(pts)))]
-        if roots:
-            pts = np.concatenate(pts)
-            count = len(pts)
-        results.append((count, pts))
-        u0, w0 = u1, w1
-    return results
+
+def _descend(k, level, held, flat, roots: bool = False):
+    """The int64 pass of one batch of `enumerate_quadratics` (systems held as
+    (index, sample_limit, consts)): per system (count, first sample_limit
+    points), or (#roots, one int64 array). One generic `step` takes the
+    t_j-intervals of level j >= 2 of the whole batch, in runs of about
+    _NODE_FLUSH nodes, to those of level j - 1: along t_j = lo + i,
+    P_j = P + i (dP + a_j (i - 1)), d_{j-1} = -a_{j-2} P_j (Sylvester), each
+    lower b_i steps by its t_j coefficient, s = isqrt(d_{j-1}), t_{j-1} in
+    [ceil((-b - s) / a), floor((s - b) / a)] and P_{j-1} = (u^2 - d_{j-1}) / a
+    at its lo, u = a t + b, exactly, with divisors per node; a row of X holds
+    b_0..b_{j-1}, then t_{j+1}, ... The rows run per system in runs of about
+    _ROW_CHUNK, with scalar divisors (floor division by an array is several
+    times slower): D = -P_1 steps along t_1, and a row is counted, sampled or
+    tested for roots as in the Python rows."""
+    E = np.array(flat, dtype=np.int64).reshape(-1, max(k, 2) + 4)
+    cs = np.array([consts for _, _, consts in held], dtype=np.int64)
+    A, C = cs[:, :level + 1].T.copy(), cs[:, level + 1:].reshape(len(cs), level, level + 1)
+    counts, points = [0] * len(held), [[] for _ in held]
+
+    def rows(system, cnt, lo, P, dP, X):
+        # along t_1 = lo + i: D = -P_1 = nP + i (nq - a_1 i) and bq = c0 + b_1 i
+        nP, nq, c0 = -P, A[1][system] - dP, X[:, 0] + C[:, 0, 1][system] * lo
+        cut = (np.flatnonzero(system[1:] != system[:-1]) + 1).tolist() if system[0] != system[-1] else []
+        for s0, e0 in zip([0, *cut], [*cut, len(system)]):
+            sy = int(system[s0])
+            (_, limit, consts), pts = held[sy], points[sy]
+            a0, a1, b1 = consts[0], consts[1], consts[level + 2]
+            for r, i in _runs(cnt[s0:e0], _ROW_CHUNK):
+                r += s0
+                D = nP[r] + i * (nq[r] - a1 * i)
+                if roots:
+                    # D = s^2 < 2^62 has rint(sqrt(D)) = s exactly; then t_0 = (-s - bq) / a0
+                    # before (s - bq) / a0, the second only when s > 0 (nonzero reads that order)
+                    sq = np.rint(np.sqrt(D)).astype(np.int64)
+                    h = np.flatnonzero(sq * sq == D)
+                    r, i, sq = r[h], i[h], sq[h]
+                    num = np.stack((-sq - c0[r] - b1 * i, sq - c0[r] - b1 * i), axis=1)
+                    hit = num % a0 == 0
+                    hit[:, 1] &= sq > 0
+                    hr, side = np.nonzero(hit)
+                    pts.append(np.column_stack((num[hr, side] // a0, lo[r[hr]] + i[hr], X[r[hr], 1:])))
+                    continue
+                sq, bq = _isqrt64(D), c0[r] + b1 * i
+                row = (sq - bq) // a0 + (sq + bq) // a0 + 1
+                counts[sy] += int(row.sum())
+                for h in np.flatnonzero(row)[:limit - len(pts)].tolist() if len(pts) < limit else ():
+                    t0, q = -(int(sq[h] + bq[h]) // a0), int(r[h])
+                    head = (int(lo[q] + i[h]), *X[q, 1:].tolist())
+                    pts += [(t,) + head for t in range(t0, t0 + min(int(row[h]), limit - len(pts)))]
+
+    def step(j, system, lo, P, dP, X, r, i):  # the t_{j-1}-intervals of the nodes t_j = lo[r] + i
+        t, sy, X = lo[r] + i, system[r], X[r]
+        d = -A[j - 2][sy] * (P[r] + i * (dP[r] + A[j][sy] * (i - 1)))
+        X[:, :j] += C[:, :j, j][sy] * t[:, None]
+        a, bj = A[j - 1][sy], X[:, j - 1]
+        sq = _isqrt64(d)
+        lo = -((sq + bj) // a)
+        cnt, u = np.maximum((sq - bj) // a - lo + 1, 0), a * lo + bj
+        X[:, j - 1] = t
+        return sy, cnt, lo, (u * u - d) // a, 2 * u + a, X
+
+    def descend(j, system, cnt, lo, P, dP, X):
+        if not len(cnt):
+            return
+        if j == 1:
+            return rows(system, cnt, lo, P, dP, X)
+        for run in _runs(cnt, _NODE_FLUSH):
+            descend(j - 1, *step(j, system, lo, P, dP, X, *run))
+
+    descend(level, *E[:, :5].T.copy(), E[:, 5:])
+    del descend  # the recursive closure is a reference cycle: free it now, not at a gc pass
+    if roots:  # [:k] drops the phantom t_1 = 0 of k = 1
+        points = [np.concatenate(p)[:, :k] if p else np.zeros((0, k), dtype=np.int64) for p in points]
+        counts = [len(p) for p in points]
+    return [(count, p if roots else [t[:k] for t in p]) for count, p in zip(counts, points)]
 
 
 def _centred_shifts(balls) -> List[List[int]]:
@@ -506,7 +503,8 @@ def ball_counts(balls) -> List[Tuple[int, List[Tuple[int, ...]]]]:
             where.append(idx)
             den, G = r2.denominator, gram_matrix(basis)
             G = G if den == 1 else [[den * v for v in row] for row in G]
-            yield G, [den * dot(u, shift) for u in basis], den * dot(shift, shift) - r2.numerator, limit
+            w = [den * dot(u, shift) for u in basis]
+            yield QuadraticSolvedLevels(G, w, den * dot(shift, shift) - r2.numerator), limit
 
     for idx, (count, ts) in zip(where, enumerate_quadratics(systems())):
         cols = list(zip(*balls[idx][0]))

@@ -366,6 +366,9 @@ def test_criterion_9_end_to_end_desk_scale():
     with open(os.path.join(FORMS, "pi_prime_n8.json")) as f:
         doc8 = parse_form_document(f.read())
     res = fibration_count(doc8.poly, doc8.split, "pi_prime", [16, 32, 64, 128, 256, 512])
+    # the ladder's exact rows, as recorded in BENCH_22.json ("criterion_9_ladder")
+    assert res.series.rows == [(16, 0), (32, 2506), (64, 48334), (128, 1921882), (256, 62528171),
+                               (512, 1543706711)]
     fit = fit_exponent(res.series)
     slope_ok = fit.slope >= (8 - 3) - 0.5
     for pt in res.series.samples:

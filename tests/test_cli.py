@@ -257,11 +257,20 @@ def test_bad_argument_values_exit_1_with_one_line(tmp_path, args):
      "fit-exponent: --slack applies to --predicted only"),
     (["density", "--form", "forms/pi_prime_n7.json", "--Y", "2", "--points", "--csv"],
      "density: --csv does not apply to --points"),
+    (["analyze", "--form", "forms/pi_prime_n7.json", "--budget", "0"],
+     "analyze: --budget applies to a pi split of rank at least 3 only"),
+    (["analyze", "--form", "PI_RANK_2", "--budget", "1000"],
+     "analyze: --budget applies to a pi split of rank at least 3 only"),
 ])
-def test_options_the_chosen_path_does_not_read_exit_1(args, message):
-    """An option that another option's value makes unread (a second --Y
-    with `--points`, `--slack` without `--predicted`, `--csv` with
-    `--points`) is an error, not ignored."""
+def test_options_the_chosen_path_does_not_read_exit_1(tmp_path, args, message):
+    """An option that another option's value or the form's split makes
+    unread (a second --Y with `--points`, `--slack` without `--predicted`,
+    `--csv` with `--points`, `--budget` on a pi_prime split or a pi split
+    of rank < 3) is an error, not ignored. PI_RANK_2 is pi_n7 split with
+    two x-variables."""
+    if "PI_RANK_2" in args:
+        path = _pi_n7_with(tmp_path, split={"mode": "pi", "x_vars": [0, 1], "y_vars": [2, 3, 4, 5, 6]})
+        args = [path if a == "PI_RANK_2" else a for a in args]
     proc = subprocess.run([sys.executable, "-m", "cubefib.cli", *args],
                           capture_output=True, text=True, cwd=os.path.dirname(FORMS))
     assert proc.returncode == 1

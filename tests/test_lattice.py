@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -409,7 +410,7 @@ def test_kernel_count_leaf_matches_box(Gwc, sample_limit):
     G, w, c = Gwc
     inside, _ = box_points(G, w, c, lambda q: q <= 0)
     assert enumerate_quadratic(G, w, c, "count") == (len(inside), [])
-    count, samples = enumerate_quadratics([(G, w, c, sample_limit)])[0]
+    count, samples = enumerate_quadratics([(QuadraticSolvedLevels(G, w, c), sample_limit)])[0]
     assert count == len(inside)
     assert samples == inside[:sample_limit]
 
@@ -464,42 +465,45 @@ def small_definite_quadratics(draw):
 @settings(max_examples=120, deadline=None)
 @given(small_definite_quadratics(), st.sampled_from([1, 2 ** 8, 2 ** 60]))
 def test_int64_count_leaf_matches_python_rows_and_box(Gwc, scale):
-    """Scaling Q by a positive integer keeps {Q <= 0}; at 2^60 every
-    level-2 batch fails the int64 bound check and the Python rows count."""
+    """Scaling Q by a positive integer keeps {Q <= 0}; at 2^60 no level
+    passes the int64 guard and the Python rows count."""
     G, w, c = Gwc
     inside, _ = box_points(G, w, c, lambda q: q <= 0)
     sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
-    passes = []
-    with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
+    levels = []
+    with mock.patch.object(lattice, "_entry_level", entry_level_spy(levels)):
         count, samples = enumerate_quadratic(sG, sw, sc, "count")
-    with mock.patch.object(lattice, "_fits_int64", python_rows_only):
+    with mock.patch.object(lattice, "_entry_level", python_rows_only):
         python_rows, _ = enumerate_quadratic(sG, sw, sc, "count")
     assert count == python_rows == len(inside) and samples == []
-    check_int64_passes(passes, len(G), scale)
+    check_entry_levels(levels, Gwc, scale)
 
 
-def int64_spy(passes):
-    """`lattice._fits_int64`, recording its verdict on each system."""
-    check = lattice._fits_int64
+def entry_level_spy(levels):
+    """`lattice._entry_level`, recording its level for each system."""
+    guard = lattice._entry_level
 
-    def spy(nodes, consts, outers):
-        passes.append(check(nodes, consts, outers))
-        return passes[-1]
+    def spy(solver):
+        levels.append(guard(solver))
+        return levels[-1]
     return spy
 
 
-def python_rows_only(nodes, consts, outers):
-    """`lattice._fits_int64` failing every system."""
-    return False
+def python_rows_only(solver):
+    """`lattice._entry_level` with no level for any system."""
+    return 0
 
 
-def check_int64_passes(passes, k, scale):
-    if k < 3:
-        assert passes == []
-    elif scale == 1:
-        assert False not in passes
+def check_entry_levels(levels, Gwc, scale):
+    """Small systems enter at their top level (k = 1 at its phantom level
+    1); at 2^60 every system takes the Python rows, but for k = 1 with a
+    discriminant <= 0 and a_0 < 2^62: its row of at most one point stays
+    small."""
+    (G, w, c), k = Gwc, len(Gwc[0])
+    if scale == 1:
+        assert levels == [max(k - 1, 1)]
     elif scale == 2 ** 60:
-        assert True not in passes
+        assert levels == [1 if k == 1 and w[0] ** 2 <= G[0][0] * c and G[0][0] < 4 else 0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -518,19 +522,19 @@ def test_int64_roots_leaf_matches_python_rows_and_box(Gwc, scale):
     G, w, c = Gwc
     roots, _ = box_points(G, w, c, lambda q: q == 0)
     sG, sw, sc = [[scale * v for v in row] for row in G], [scale * v for v in w], scale * c
-    passes = []
-    with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
+    levels = []
+    with mock.patch.object(lattice, "_entry_level", entry_level_spy(levels)):
         found = root_rows(enumerate_quadratic(sG, sw, sc, "roots"), len(G))
-    with mock.patch.object(lattice, "_fits_int64", python_rows_only):
+    with mock.patch.object(lattice, "_entry_level", python_rows_only):
         python_rows = root_rows(enumerate_quadratic(sG, sw, sc, "roots"), len(G))
     assert found == python_rows == (len(roots), roots)
-    check_int64_passes(passes, len(G), scale)
+    check_entry_levels(levels, Gwc, scale)
 
 
 @pytest.mark.parametrize("M", [2 ** 62, 2 ** 70])
 def test_roots_far_out_take_the_python_rows(M):
-    """|t - (0, 0, 0, M)|^2 = 1: every level-2 value is small, but t_3 is
-    about M, so the bound check sends the system to the Python rows. Their
+    """|t - (0, 0, 0, M)|^2 = 1: every discriminant is small, but t_3 is
+    about M, so the int64 guard sends the system to the Python rows. Their
     roots come back as int64 when they fit and as one object array of
     Python integers when they do not, exact either way."""
     I = [[int(i == j) for j in range(4)] for i in range(4)]
@@ -620,7 +624,7 @@ def test_rung_batch_equals_one_at_a_time_and_the_python_rows(fibres, flush_chunk
     with mock.patch.object(lattice, "_NODE_FLUSH", flush), mock.patch.object(lattice, "_ROW_CHUNK", chunk):
         batched = hyperplane_counts(fibres)
     alone = [hyperplane_counts([fibre])[0] for fibre in fibres]
-    with mock.patch.object(lattice, "_fits_int64", python_rows_only):
+    with mock.patch.object(lattice, "_entry_level", python_rows_only):
         python_rows = hyperplane_counts(fibres)
     assert batched == alone == python_rows
     assert [hyperplane_count_exact(*fibre[:4]).exact for fibre in fibres] == [r.exact for r in batched]
@@ -628,25 +632,182 @@ def test_rung_batch_equals_one_at_a_time_and_the_python_rows(fibres, flush_chunk
 
 @pytest.mark.parametrize("roots", [False, True])
 def test_one_system_past_the_int64_guard_leaves_the_others_in_the_batch(roots):
-    """Scaled by 2^60, one system fails the bound check alone and takes the
-    Python rows; the rest of its batch stays int64, with the same results
-    when the batch runs every few level-1 nodes and slices its rows by two."""
+    """Scaled by 2^60, one system passes the int64 guard at no level and
+    takes the Python rows; the rest of its batch stays int64, with the same
+    results when the batch runs every few nodes and slices its rows by two."""
     base = [([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [1, -1, 0], -40, 3),
             ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [0, 0, 0, 0], -18, 2),
             ([[3, 1, 1], [1, 3, 1], [1, 1, 3]], [2, 0, -1], -30, 0),
             ([[4, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 3]], [1, 0, 1, -2], -25, 1)]
     scale = 2 ** 60
     G, w, c, limit = base[1]
-    systems = base[:1] + [([[scale * v for v in row] for row in G], [scale * v for v in w], scale * c,
-                           limit)] + base[1:]
-    passes = []
-    with mock.patch.object(lattice, "_fits_int64", int64_spy(passes)):
+    systems = [(QuadraticSolvedLevels(G, w, c), limit) for G, w, c, limit in base]
+    systems.insert(1, (QuadraticSolvedLevels([[scale * v for v in row] for row in G], [scale * v for v in w],
+                                             scale * c), limit))
+    levels = []
+    with mock.patch.object(lattice, "_entry_level", entry_level_spy(levels)):
         batched = enumerate_quadratics(systems, roots)
-    assert passes == [True, False, True, True, True]
+    assert levels == [2, 0, 3, 2, 3]
     alone = [enumerate_quadratics([system], roots)[0] for system in systems]
     with mock.patch.object(lattice, "_NODE_FLUSH", 3), mock.patch.object(lattice, "_ROW_CHUNK", 2):
         sliced = enumerate_quadratics(systems, roots)
     if roots:
-        batched, alone, sliced = ([root_rows(res, len(G)) for res, (G, *_) in zip(results, systems)]
+        batched, alone, sliced = ([root_rows(res, solver.k) for res, (solver, _) in zip(results, systems)]
                                   for results in (batched, alone, sliced))
     assert batched == alone == sliced and batched[1] == batched[2] and batched[1][0] > 0
+
+
+@st.composite
+def quadratics_to_rank_6(draw):
+    """(G, w, c) with G = A^T A + e I, e >= 1, for k = 1..6, with w and c
+    small enough that the box of `box_points` stays below 160,000 points."""
+    k = draw(st.integers(1, 6))
+    A = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(k)]
+    e = draw(st.integers(1, 3))
+    G = [[sum(A[r][i] * A[r][j] for r in range(k)) + (e if i == j else 0) for j in range(k)]
+         for i in range(k)]
+    if k <= 4:
+        return G, [draw(st.integers(-2, 2)) for _ in range(k)], draw(st.integers(-12, 4))
+    if k == 5:
+        return G, [draw(st.integers(-1, 1)) for _ in range(2)] + [0] * 3, draw(st.integers(-6, 2))
+    return G, [0] * 6, draw(st.integers(-3, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratics_to_rank_6(), st.integers(0, 3))
+def test_int64_pass_entered_at_every_level_matches_python_rows_and_box(Gwc, sample_limit):
+    """The int64 pass entered at each level that fits (every level up to the
+    guard's, which for these small systems is the top) counts, samples and
+    finds roots as the Python rows and the box scan do."""
+    G, w, c = Gwc
+    k, solver = len(G), QuadraticSolvedLevels(G, w, c)
+    inside, qs = box_points(G, w, c, lambda q: q <= 0)
+    roots = [t for t, q in zip(inside, qs) if q == 0]
+    count = lattice._python_rows(solver, "count", sample_limit)
+    found = root_rows(lattice._python_rows(solver, "roots", 0), k)
+    assert count == (len(inside), inside[:sample_limit]) and found == (len(roots), roots)
+    assert lattice._entry_level(solver) == max(k - 1, 1)
+    for level in range(1, max(k - 1, 1) + 1):
+        with mock.patch.object(lattice, "_entry_level", lambda solver: level):
+            assert enumerate_quadratics([(solver, sample_limit)])[0] == count
+            assert root_rows(enumerate_quadratics([(solver, 0)], roots=True)[0], k) == found
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(quadratics_to_rank_6(), min_size=2, max_size=6), st.data(),
+       st.sampled_from([(1 << 14, 1 << 16), (3, 2)]))
+def test_batch_mixing_entry_levels_equals_the_python_rows(quadratics, data, flush_chunk):
+    """One batch whose systems enter at different levels, with a 2^60-scaled
+    system that the guard sends to the Python rows alone, gives every
+    system the Python rows' count, samples and roots, also when it runs
+    every few nodes and slices its rows by two."""
+    scale = 2 ** 60
+    far = QuadraticSolvedLevels([[2 * scale if i == j else 0 for j in range(3)] for i in range(3)],
+                                [0] * 3, -10 * scale)
+    assert lattice._entry_level(far) == 0
+    systems = [(QuadraticSolvedLevels(*Gwc), data.draw(st.integers(0, 3))) for Gwc in quadratics]
+    systems.insert(data.draw(st.integers(0, len(systems))), (far, 2))
+    levels = {id(solver): data.draw(st.integers(1, max(solver.k - 1, 1))) if solver is not far else 0
+              for solver, _ in systems}
+    flush, chunk = flush_chunk
+    for roots in (False, True):
+        leaf = "roots" if roots else "count"
+        with mock.patch.object(lattice, "_entry_level", lambda solver: levels[id(solver)]), \
+                mock.patch.object(lattice, "_NODE_FLUSH", flush), mock.patch.object(lattice, "_ROW_CHUNK", chunk):
+            batched = enumerate_quadratics(systems, roots)
+        python_rows = [lattice._python_rows(solver, leaf, 0 if roots else limit) for solver, limit in systems]
+        if roots:
+            batched, python_rows = ([root_rows(res, solver.k) for res, (solver, _) in zip(results, systems)]
+                                    for results in (batched, python_rows))
+        assert batched == python_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratics_to_rank_6(), st.sampled_from([2 ** e for e in (20, 26, 28, 29, 30, 31, 32, 33, 40)]),
+       st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3))
+def test_int64_guard_near_2_62_matches_python_rows(Gwc, scale, dw, dc, sample_limit):
+    """Scaled so that the pass's values come near 2^62, with the centre and
+    the constant moved off the scaled ones: whatever level the guard picks,
+    the int64 pass counts, samples and finds roots as the Python rows do."""
+    G, w, c = Gwc
+    solver = QuadraticSolvedLevels([[scale * v for v in row] for row in G], [scale * v + dw for v in w],
+                                   scale * c + dc)
+    count = lattice._python_rows(solver, "count", sample_limit)
+    found = root_rows(lattice._python_rows(solver, "roots", 0), solver.k)
+    assert enumerate_quadratics([(solver, sample_limit)])[0] == count
+    assert root_rows(enumerate_quadratics([(solver, 0)], roots=True)[0], solver.k) == found
+
+
+def test_the_int64_pass_leaves_no_reference_cycle():
+    """A batch's arrays and closures are freed by reference counting when it
+    returns: garbage that only the cyclic collector frees makes collections,
+    and their pauses, more frequent."""
+    systems = [(QuadraticSolvedLevels([[2, 1, 0], [1, 3, 1], [0, 1, 4]], [1, -1, 0], -40), 3),
+               (QuadraticSolvedLevels([[2]], [1], -9), 1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for roots in (False, True):
+            enumerate_quadratics(systems, roots)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def unimodular_pairs(draw, k):
+    """(U, U^-1) for U a product of elementary moves: add a multiple of one
+    column to another, swap two columns, negate a column."""
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    V = [row[:] for row in U]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        move = draw(st.sampled_from(["add", "swap", "negate"]))
+        if move == "add" and i != j:
+            m = draw(st.sampled_from([-2, -1, 1, 2]))
+            for row in U:  # column j += m column i
+                row[j] += m * row[i]
+            V[i] = [x - m * y for x, y in zip(V[i], V[j])]  # row i -= m row j
+        elif move == "swap":
+            for row in U:
+                row[i], row[j] = row[j], row[i]
+            V[i], V[j] = V[j], V[i]
+        elif move == "negate":
+            for row in U:
+                row[i] = -row[i]
+            V[i] = [-x for x in V[i]]
+    return U, V
+
+
+@settings(max_examples=80, deadline=None)
+@given(definite_quadratics(), st.data())
+def test_unimodular_change_keeps_the_count_and_maps_the_roots(Gwc, data):
+    """Q(U t) has the matrix U^T G U and the linear term U^T w, so for
+    unimodular U its count is that of Q and its roots are U^-1 times Q's."""
+    G, w, c = Gwc
+    k = len(G)
+    U, V = data.draw(unimodular_pairs(k))
+    assert [[dot(row, col) for col in zip(*V)] for row in U] == [[int(i == j) for j in range(k)]
+                                                                for i in range(k)]
+    UGU = [[dot(ui, [dot(row, uj) for row in G]) for uj in zip(*U)] for ui in zip(*U)]
+    Uw = [dot(ui, w) for ui in zip(*U)]
+    assert enumerate_quadratic(UGU, Uw, c, "count") == enumerate_quadratic(G, w, c, "count")
+    _, roots = root_rows(enumerate_quadratic(G, w, c, "roots"), k)
+    _, moved = root_rows(enumerate_quadratic(UGU, Uw, c, "roots"), k)
+    assert sorted(moved) == sorted(tuple(dot(row, t) for row in V) for t in roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hyperplane_count_is_invariant_under_signed_permutations(data):
+    """x -> P x for a signed permutation P keeps ||x||, gcd(x, g) and
+    <P a, P x> = <a, x>, so N(a, b, B) with the gcd filter does not move."""
+    n = data.draw(st.integers(2, 5))
+    a = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+                  .filter(lambda v: np.gcd.reduce(v) == 1))
+    b, B = data.draw(st.integers(-20, 20)), data.draw(st.integers(0, 12))
+    g = data.draw(st.sampled_from([None, 1, 2, 6, 30]))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    moved = [s * a[p] for s, p in zip(signs, perm)]
+    assert hyperplane_count_exact(moved, b, B, g).exact == hyperplane_count_exact(a, b, B, g).exact
