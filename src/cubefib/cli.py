@@ -2,8 +2,9 @@
 fit-exponent. JSON to stdout unless --out is given.
 
 The fibration mode, quadric (pi) or linear (pi_prime) fibres, is the one the
-form's split declares. Only analyze, whose rank samples and probes are
-random, takes --seed; every other report has seed 0.
+form's split declares. No command draws random input: analyze decides ranks
+and common factors exactly, at deterministic points, and its dimension
+probes count points at fixed primes.
 
 Errors print one line on stderr, with no traceback. Exit codes: 1 a bad
 argument value, 2 an argparse usage error, 3 an invalid form document
@@ -98,10 +99,10 @@ def cmd_analyze(args):
     )
 
     doc = _load_split_form(args.form, "analyze")
-    config = {"command": "analyze", "form": doc.name, "mode": doc.mode, "seed": args.seed}
+    config = {"command": "analyze", "form": doc.name, "mode": doc.mode}
     sections = {}
     if doc.mode == "pi":
-        fd = build_fibration(doc.poly, doc.split, seed=args.seed)
+        fd = build_fibration(doc.poly, doc.split)
         sections["fibration"] = fd.to_report()
         sections["linear_block_size"] = fd.m - fd.rank
         h1 = detect_hypothesis_h1(fd)
@@ -112,7 +113,7 @@ def cmd_analyze(args):
             "l": h1.l.to_text() if h1.l is not None else None,
         }
         if fd.rank >= 3:
-            o3 = order3_minor_common_factor(fd, seed=args.seed, budget=args.budget)
+            o3 = order3_minor_common_factor(fd, budget=args.budget)
             sections["order3_common_factor"] = {
                 "status": o3.status,
                 "factor": o3.factor.to_text() if o3.factor else None,
@@ -129,7 +130,7 @@ def cmd_analyze(args):
             else {"factor": res.factor.to_text(), "verified": res.verified}
         )
         _, q_list, _ = split_cubic(doc.poly, doc.split)
-        shape = classify_rank2_bundle(q_list, seed=args.seed)
+        shape = classify_rank2_bundle(q_list)
         sections["bundle_shape"] = {
             "shape": shape.shape,
             "rank_over_K": shape.rank_over_K,
@@ -138,7 +139,7 @@ def cmd_analyze(args):
         }
     if args.budget is not None and "order3_common_factor" not in sections:  # its search alone reads it
         raise SystemExit("analyze: --budget applies to a pi split of rank at least 3 only")
-    _emit(args, build_report(config, sections, args.seed))
+    _emit(args, build_report(config, sections))
 
 
 def cmd_local(args):
@@ -312,7 +313,6 @@ def main(argv=None):
 
     p = subs.add_parser("analyze", help="fibration structure and shape detectors")
     _options(p)
-    p.add_argument("--seed", type=int, default=0, help="seed of the rank samples and probes")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("local", help="local densities of a fibre quadric")

@@ -413,10 +413,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def build_report(config: dict, sections: dict, seed: int = 0) -> dict:
+def build_report(config: dict, sections: dict) -> dict:
     return {
         "schema": REPORT_SCHEMA,
-        "seed": seed,
         "config_hash": config_hash(config),
         "config": config,
         "sections": sections,

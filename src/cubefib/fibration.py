@@ -1,7 +1,8 @@
 """Structural analysis of split cubic forms: the matrix of linear forms
-M[y], fibration rank with symbolic verification, linear-block extraction,
+M[y], its rank over Q(y) by bordered minors, linear-block extraction,
 degenerate-shape detectors, function-field rank classification of bilinear
-bundles, and randomized dimension probes.
+bundles, the exact common factor of the order-3 minors, and point-count
+dimension estimates.
 
 Convention: the symbolic matrix carried around is M2[y] = 2 M[y], the
 integer matrix of twice the fibre quadratic part; ranks, minors-vanishing
@@ -11,10 +12,9 @@ minors are IntPolynomials in y.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import gcd, lcm, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,10 +32,8 @@ class FalsificationAlarm(RuntimeError):
 # ---------------------------------------------------------------------------
 # symbolic minors
 
-# the largest matrix whose minors are enumerated, and the random points the
-# rank of M[y] is sampled at before the symbolic proof
+# the largest matrix whose minors are expanded
 _DIM_CAP = 12
-_TRIALS = 6
 
 
 def minor_det(entries: Sequence[Sequence[IntPolynomial]], rows: Tuple[int, ...],
@@ -100,18 +98,11 @@ def all_minors_vanish(entries, size: int, memo: dict) -> Optional[Tuple]:
 
 
 @dataclass
-class ConfidenceRecord:
-    seed: int
-    sample_ranks: Tuple[int, ...]    # the rank at each of the _TRIALS sample points
-
-
-@dataclass
 class FibrationData:
     split: VariableSplit
     M2: List[List[IntPolynomial]]      # 2 * M[y], entries linear in y
     rank: int
     witness: Tuple[Tuple[int, ...], Tuple[int, ...], IntPolynomial]
-    confidence: ConfidenceRecord
 
     @property
     def m(self) -> int:
@@ -133,8 +124,6 @@ class FibrationData:
             "witness_rows": list(rows),
             "witness_cols": list(cols),
             "witness_minor": poly.to_text(),
-            "seed": self.confidence.seed,
-            "trials": len(self.confidence.sample_ranks),
         }
 
 
@@ -231,53 +220,37 @@ def fibre_polynomial(F_list: Sequence[IntPolynomial], q_list: Sequence[IntPolyno
 
 
 def fibration_rank(
-    M2: List[List[IntPolynomial]],
-    h: int,
-    seed: int = 0,
-) -> Tuple[int, Tuple[Tuple[int, ...], Tuple[int, ...], IntPolynomial], ConfidenceRecord]:
-    """Rank of M[y] over Q(y): randomized guess, then symbolic proof.
+    M2: List[List[IntPolynomial]], h: int
+) -> Tuple[int, Tuple[Tuple[int, ...], Tuple[int, ...], IntPolynomial]]:
+    """Rank of M[y] over Q(y) and a nonzero minor (rows, cols, det) of that
+    order, by bordering.
 
-    The witness minor is expanded symbolically and must be nonzero; every
-    minor of the next order is expanded and must vanish identically. A
-    mismatch with the randomized phase raises FalsificationAlarm.
+    Starting from the empty minor, the current nonzero minor gains one more
+    row i and column j, the first (i, j) in lexicographic order whose
+    bordered minor is not identically zero, until every bordering minor
+    vanishes. By Kronecker's bordered-minor theorem over the field Q(y),
+    the order reached is the rank.
     """
-    rng = random.Random(seed)
-    best_rank = 0
-    best_pivots = ()
-    sample_ranks = []
-    for _ in range(_TRIALS):
-        y = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(h)]
-        rk, pivots, _, _ = bareiss(_at(M2, y))
-        sample_ranks.append(rk)
-        if rk > best_rank:
-            best_rank = rk
-            best_pivots = pivots
-    record = ConfidenceRecord(seed, tuple(sample_ranks))
+    m = len(M2)
+    if m > _DIM_CAP:
+        raise ValueError(f"matrix dimension {m} exceeds the minor-enumeration cap {_DIM_CAP}")
     memo: dict = {}
-    if best_rank == 0:
-        missing = all_minors_vanish(M2, 1, memo)
-        if missing is not None:
-            raise FalsificationAlarm("sampling said rank 0 but an entry is nonzero")
-        return 0, ((), (), IntPolynomial.constant(h, 1)), record
-    # witness subset: the pivot rows and columns of the best sample
-    rows = tuple(sorted(i for i, _ in best_pivots))
-    cols = tuple(sorted(j for _, j in best_pivots))
-    det = minor_det(M2, rows, cols, memo)
-    if det.is_zero():
-        raise FalsificationAlarm("randomized witness minor vanished symbolically")
-    offender = all_minors_vanish(M2, best_rank + 1, memo)
-    if offender is not None:
-        raise FalsificationAlarm(
-            f"randomized rank {best_rank} but minor {offender} of order "
-            f"{best_rank + 1} is not identically zero"
-        )
-    return best_rank, (rows, cols, det), record
+    rows, cols, det = (), (), IntPolynomial.constant(h, 1)
+    while True:
+        for i, j in product(range(m), repeat=2):
+            if i not in rows and j not in cols:
+                bordered = tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,)))
+                bordered_det = minor_det(M2, *bordered, memo)
+                if not bordered_det.is_zero():
+                    (rows, cols), det = bordered, bordered_det
+                    break
+        else:
+            return len(rows), (rows, cols, det)
 
 
-def build_fibration(C: IntPolynomial, split: VariableSplit, seed: int = 0) -> FibrationData:
+def build_fibration(C: IntPolynomial, split: VariableSplit) -> FibrationData:
     M2 = bundle_matrix(split_cubic(C, split)[0])
-    rank, witness, record = fibration_rank(M2, len(split.y_indices), seed)
-    return FibrationData(split, M2, rank, witness, record)
+    return FibrationData(split, M2, *fibration_rank(M2, len(split.y_indices)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,42 +263,20 @@ class LinearBlockResult:
     certificate: List[List[IntPolynomial]]  # the (i,j > r) entries, all zero
 
 
-# the y-combinations in {-2..2}^h tried before the random ones
-_COMBINATION_BUDGET = 4000
+def _bundle_normal_form(M, r: int, minor: IntPolynomial):
+    """S^t M S for the bundle M of verified rank r over Q(y), whose order-r
+    minor `minor` is not identically zero.
 
-
-def _search_rank_r_combination(M2, h, r, seed):
-    """Small integer y-combination c with rank M2[c] = r."""
-
-    def rank_at(c):
-        return bareiss(_at(M2, c)).rank
-
-    for i in range(h):
-        c = [0] * h
-        c[i] = 1
-        if rank_at(c) == r:
-            return tuple(c)
-    for c in islice((c for c in product(range(-2, 3), repeat=h) if any(c)), _COMBINATION_BUDGET):
-        if rank_at(c) == r:
-            return c
-    rng = random.Random(seed)
-    for _ in range(200):
-        c = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(h)]
-        if rank_at(c) == r:
-            return tuple(c)
-    return None
-
-
-def _bundle_normal_form(M, h: int, r: int, seed: int):
-    """S^t M S for the bundle M of verified rank r over Q(y), or None when no
-    small integer combination c has rank M[c] = r.
-
-    S, a nonsingular integer matrix, diagonalises M[c] with its r nonzero
+    M is diagonalised at c, the first point of {0..r}^h where the minor is
+    nonzero. It exists because the minor has degree <= r in each variable,
+    and such a nonzero polynomial cannot vanish on the whole grid (Alon,
+    Combinatorial Nullstellensatz, 1999); so rank M[c] = r. S, a
+    nonsingular integer matrix, diagonalises M[c] with its r nonzero
     pivots first; as the bundle has rank r, every entry of S^t M[y] S past
     row and column r must vanish identically."""
-    c = _search_rank_r_combination(M, h, r, seed)
+    c = next((c for c in product(range(r + 1), repeat=minor.num_vars) if minor.evaluate(c)), None)
     if c is None:
-        return None
+        raise FalsificationAlarm(f"the order-{r} witness minor vanishes on the grid {{0..{r}}}^h")
     t, diag = congruence_diagonalize(_at(M, c))
     if sum(1 for d in diag if d != 0) != r:
         raise FalsificationAlarm("diagonalized combination lost rank")
@@ -356,14 +307,12 @@ def extract_linear_block(fd: FibrationData) -> LinearBlockResult:
     """The n-h-r x-variables that occur only linearly after a change of the
     x-variables; certified by the vanishing of the corresponding second
     partials as polynomials."""
-    m, h, r = fd.m, fd.h, fd.rank
+    m, r = fd.m, fd.rank
     if r >= m:
         return LinearBlockResult(0, [])
     if r == 0:
         return LinearBlockResult(m, [list(row) for row in fd.M2])
-    transformed = _bundle_normal_form(fd.M2, h, r, 0)
-    if transformed is None:
-        raise ValueError("no small integer combination attains the fibration rank")
+    transformed = _bundle_normal_form(fd.M2, r, fd.witness[2])
     return LinearBlockResult(m - r, [row[r:] for row in transformed[r:]])
 
 
@@ -458,7 +407,7 @@ def _rational_roots(a: Sequence[int]) -> List[Fraction]:
 def _form_from_rationals(coeffs: Sequence[Fraction]) -> IntPolynomial:
     """The primitive integer linear form proportional to sum coeffs[j] y_j."""
     den = lcm(*(v.denominator for v in coeffs))
-    return _primitive_form([int(v * den) for v in coeffs])
+    return _primitive(IntPolynomial.linear_form([int(v * den) for v in coeffs]))
 
 
 def linear_factors(f: IntPolynomial) -> List[IntPolynomial]:
@@ -517,12 +466,12 @@ def _linear_coefficients(l: IntPolynomial) -> Tuple[List[int], int]:
     return coeffs, next(j for j, c in enumerate(coeffs) if c)
 
 
-def _primitive_form(coeffs: Sequence[int]) -> IntPolynomial:
-    """The linear form with the given integer coefficients divided by their
-    gcd, first nonzero coefficient made positive."""
-    g = gcd(*coeffs)
-    sgn = 1 if next(v for v in coeffs if v) > 0 else -1
-    return IntPolynomial.linear_form([sgn * v // g for v in coeffs])
+def _primitive(f: IntPolynomial) -> IntPolynomial:
+    """The nonzero form f divided by its content, its leading coefficient
+    (of the grlex-first term, the first line of `to_text`) made positive;
+    for a linear form, its first nonzero coefficient."""
+    g = f.content() * (1 if f.sorted_terms()[0][1] > 0 else -1)
+    return IntPolynomial(f.num_vars, {e: c // g for e, c in f.terms.items()})
 
 
 def divides_form(l: IntPolynomial, f: IntPolynomial) -> bool:
@@ -628,7 +577,7 @@ def _psi_independent(psi_list: Sequence[IntPolynomial]) -> bool:
     return bareiss([[psi.terms.get(e, 0) for e in keys] for psi in psi_list]).rank == len(psi_list)
 
 
-def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> Rank2Shape:
+def classify_rank2_bundle(psi_list: Sequence[IntPolynomial]) -> Rank2Shape:
     """Classify Psi = sum x_i psi_i(y) by its rank over K = Q(x).
 
     rank >= 3 with irreducible, x-nondegenerate Psi reports the
@@ -640,7 +589,7 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
     v = len(psi_list)
     my = psi_list[0].num_vars
     A2 = bundle_matrix(psi_list)
-    rank = fibration_rank(A2, v, seed=seed)[0]
+    rank, witness = fibration_rank(A2, v)
     if rank >= 3:
         nondeg = _psi_independent(psi_list)
         # rank >= 3 over K: some psi_i is nonzero
@@ -660,9 +609,7 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
     if rank < 2:
         return Rank2Shape("low-rank", rank, notes="rank over K below 2")
 
-    At = _bundle_normal_form(A2, v, 2, seed)
-    if At is None:
-        raise FalsificationAlarm("rank 2 over K but no rank-2 specialization found")
+    At = _bundle_normal_form(A2, 2, witness[2])
     a00, a01, a11 = At[0][0], At[0][1], At[1][1]
     S = [i for i in range(2, my) if not (At[0][i].is_zero() and At[1][i].is_zero())]
     if not S:
@@ -709,14 +656,14 @@ def classify_rank2_bundle(psi_list: Sequence[IntPolynomial], seed: int = 0) -> R
 
 
 # ---------------------------------------------------------------------------
-# order-3 minors: common linear factor and the codimension probe
+# order-3 minors: their common factor and the codimension probe
 
 
 @dataclass
 class Order3FactorResult:
-    status: str                       # "factor-found" | "no-common-factor" |
-                                      # "suspected-nonlinear" | "unknown"
-    factor: Optional[IntPolynomial]
+    status: str                       # "factor-found" (linear) | "nonlinear-factor" |
+                                      # "no-common-factor"
+    factor: Optional[IntPolynomial]   # primitive, leading coefficient positive
     slice_rank_ok: Optional[bool]     # order-3 minors vanish on the z1 = 0 slice
     nonzero_minors: int
     codim_probe: Optional[dict]
@@ -727,57 +674,17 @@ def order3_minors(M2: List[List[IntPolynomial]]) -> List[IntPolynomial]:
     return [det for _, _, det in _nonzero_minors(M2, 3, {})]
 
 
-def _binary_gcd_degree(coeff_lists: List[List[int]]) -> int:
-    """Degree of the gcd of binary cubics given by t-coefficient lists."""
-
-    def poly_mod(a, b):
-        a = [Fraction(x) for x in a]
-        b = [Fraction(x) for x in b]
-        while a and a[-1] == 0:
-            a.pop()
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            return a
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] -= f * b[i]
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    cur = None
-    for c in coeff_lists:
-        c = list(c)
-        if all(v == 0 for v in c):
-            continue
-        if cur is None:
-            cur = [Fraction(v) for v in c]
-            continue
-        a, b = cur, [Fraction(v) for v in c]
-        while b:
-            a, b = b, poly_mod(a, b)
-        cur = a
-    if cur is None:
-        return -1
-    return len(cur) - 1
-
-
-def order3_minor_common_factor(
-    fd: FibrationData, seed: int = 0, budget: int | None = None
-) -> Order3FactorResult:
-    """Common linear factor of the order-3 minors, with the normalized
-    bundle certificate and a point-count probe of the minor variety."""
+def order3_minor_common_factor(fd: FibrationData, budget: int | None = None) -> Order3FactorResult:
+    """The common factor of the order-3 minors: a linear one with the
+    normalized bundle certificate, else an irreducible quadric or cubic,
+    else none; and a point-count probe of the minor variety."""
     if fd.rank < 3:
         raise ValueError("order-3 minors require fibration rank >= 3")
-    h = fd.h
     minors = order3_minors(fd.M2)
     if not minors:
         raise FalsificationAlarm("rank >= 3 but no nonzero order-3 minor")
     factor = common_linear_factor(minors)
-    probe = _codim_probe(minors, h, budget)
+    probe = _codim_probe(minors, fd.h, budget)
     if factor is not None:
         # unimodular V with factor(V z) = z_0 (the factor is primitive)
         V = unimodular_split([_linear_coefficients(factor)[0]])[1]
@@ -785,19 +692,28 @@ def order3_minor_common_factor(
         if not slice_ok:
             raise FalsificationAlarm("factor found but the y1 = 0 slice keeps rank >= 3")
         return Order3FactorResult("factor-found", factor, slice_ok, len(minors), probe)
-    # no common linear factor: probe for a nonlinear common divisor along pencils
-    rng = random.Random(seed)
-    suspicious = 0
-    for _ in range(6):
-        u = [rng.randint(-20, 20) for _ in range(h)]
-        w = [rng.randint(-20, 20) for _ in range(h)]
-        coeffs = [_restrict_to_pencil(q, u, w) for q in minors]
-        if _binary_gcd_degree(coeffs) >= 1:
-            suspicious += 1
-    if suspicious == 6:
-        status = "suspected-nonlinear" if fd.rank >= 5 else "unknown"
-        return Order3FactorResult(status, None, None, len(minors), probe)
-    return Order3FactorResult("no-common-factor", None, None, len(minors), probe)
+    factor = _nonlinear_common_factor(minors)
+    status = "no-common-factor" if factor is None else "nonlinear-factor"
+    return Order3FactorResult(status, factor, None, len(minors), probe)
+
+
+def _nonlinear_common_factor(minors: List[IntPolynomial]) -> Optional[IntPolynomial]:
+    """The common factor of nonzero cubic forms that share no linear factor,
+    primitive, or None.
+
+    Such a factor has no linear factor, so it is irreducible over Q: a cubic
+    is then the first form q0 itself, which every form is proportional to;
+    a quadric is q0 / l for a linear factor l of q0, and equals each other
+    form divided by one of its own linear factors."""
+    q0, rest = minors[0], minors[1:]
+    if all(_ratio(q, q0) is not None for q in rest):
+        return _primitive(q0)
+    for l in linear_factors(q0):
+        quadric = divide_form_by_linear(q0, l)[0]
+        if all(any(_ratio(divide_form_by_linear(q, k)[0], quadric) is not None
+                   for k in linear_factors(q)) for q in rest):
+            return _primitive(quadric)
+    return None
 
 
 def _slice_minors_vanish(M2, V) -> bool:
@@ -844,8 +760,8 @@ def singular_locus_dim_probe(
 ) -> SingularLocusProbe:
     """Estimated affine dimension of {grad f = 0} from F_p point counts.
 
-    Randomized evidence only, never a proof: counts c ~ p^dim are fitted by
-    rounding the mean of log_p(c).
+    A heuristic estimate, never a proof: the counts c ~ p^dim at the given
+    primes are fitted by rounding the mean of log_p(c).
     """
     if f.is_zero():
         raise ValueError("zero form")

@@ -257,13 +257,13 @@ def _random_split_cubic(rng, n):
 
 def test_criterion_7_fibration_structure():
     rng = random.Random(10**6 + 7)
-    # 50 random cubics: randomized rank equals symbolic verification
+    # 50 random cubics: the rank at a random point never exceeds the symbolic rank
     done = 0
     while done < 50:
         n = rng.randint(3, 8)
         C, sp = _random_split_cubic(rng, n)
         try:
-            fd = build_fibration(C, sp, seed=done)
+            fd = build_fibration(C, sp)
         except ValueError:
             continue
         # build_fibration only returns after the symbolic proof; re-probe once
@@ -337,7 +337,7 @@ def test_criterion_7_fibration_structure():
             psis.append(IntPolynomial(ydim, terms))
         if all(p.is_zero() for p in psis):
             continue
-        res = classify_rank2_bundle(psis, seed=r2_done)
+        res = classify_rank2_bundle(psis)
         if res.rank_over_K != 2:
             continue
         assert res.shape in ("exps2psi", "option1")

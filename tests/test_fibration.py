@@ -23,7 +23,7 @@ from cubefib.fibration import (
     extract_linear_block,
     fibre_polynomial,
     _linear_coefficients,
-    _primitive_form,
+    _primitive,
     common_linear_factor,
     linear_factors,
     order3_minor_common_factor,
@@ -110,23 +110,22 @@ def random_split_cubic(rng, n):
     return IntPolynomial(n, terms), VariableSplit(n, xs, ys)
 
 
-def test_fibration_rank_randomized_agrees_with_symbolic():
-    # acceptance-style: randomized rank equals the verified symbolic rank
+def test_fibration_rank_bounds_the_rank_at_random_points():
+    # acceptance-style: the rank of M[y] at a random integer point never
+    # exceeds its rank over Q(y), and the witness minor has that order
     rng = random.Random(2024)
     done = 0
     while done < 50:
         n = rng.randint(3, 8)
         C, sp = random_split_cubic(rng, n)
         try:
-            fd = build_fibration(C, sp, seed=done)
+            fd = build_fibration(C, sp)
         except ValueError:
             continue
-        # independent check at one fresh random point: rank there never exceeds fd.rank
         probe = [rng.randint(-50, 50) for _ in range(len(sp.y_indices))]
         rk = bareiss(fd.M2_at(probe)).rank
-        assert rk <= fd.rank
+        assert rk <= fd.rank == len(fd.witness[0]) == len(fd.witness[1])
         done += 1
-
 
 
 @st.composite
@@ -152,14 +151,22 @@ def test_symbolic_minors_evaluate_to_the_numeric_minors(case, data):
     fd = build_fibration(*case)
     y = data.draw(st.lists(st.integers(-9, 9), min_size=fd.h, max_size=fd.h))
     mat = fd.M2_at(y)
+    largest = 0
     for size in range(1, fd.m + 1):
         found = {(rows, cols): det
                  for rows, cols, det in fibration._nonzero_minors(fd.M2, size, {})}
+        largest = size if found else largest
         for rows in itertools.combinations(range(fd.m), size):
             for cols in itertools.combinations(range(fd.m), size):
                 det = found.get((rows, cols))
                 value = det.evaluate(y) if det is not None else 0
                 assert value == int_matrix_det([[mat[i][j] for j in cols] for i in rows])
+    # the bordered rank is the largest order of a nonzero minor, and the
+    # witness is one of them
+    rows, cols, det = fd.witness
+    assert fd.rank == largest == len(rows) == len(cols)
+    assert not det.is_zero()
+    assert fd.rank == 0 or det == fibration.minor_det(fd.M2, rows, cols, {})
 
 def test_extract_linear_block_hand_example():
     # F1 = x1^2 + x2^2 in three x variables: rank 2, x3 certified linear
@@ -187,7 +194,7 @@ def test_extract_linear_block_random_certificates():
         n = rng.randint(4, 7)
         C, sp = random_split_cubic(rng, n)
         try:
-            fd = build_fibration(C, sp, seed=done)
+            fd = build_fibration(C, sp)
         except ValueError:
             continue
         if fd.rank == 0 or fd.rank >= fd.m:
@@ -315,7 +322,7 @@ def _diagonalisation_factors(q: IntPolynomial):
 
     def row_form(coeffs):
         den = lcm(*(v.denominator for v in coeffs))
-        return _primitive_form([int(v * den) for v in coeffs])
+        return _primitive(IntPolynomial.linear_form([int(v * den) for v in coeffs]))
 
     if rank == 1:
         i = nonzero[0]
@@ -344,7 +351,7 @@ def _diagonalisation_factors(q: IntPolynomial):
 def _primitive_linear(draw, h):
     coeffs = draw(st.lists(st.integers(-4, 4), min_size=h, max_size=h)
                   .filter(lambda c: any(c)))
-    return _primitive_form(coeffs)
+    return _primitive(IntPolynomial.linear_form(coeffs))
 
 
 def _form_of_degree(draw, h, degree):
@@ -370,7 +377,7 @@ def _products_of_linear_forms(draw):
 
 def _assert_canonical(fs, f):
     assert all(divides_form(l, f) for l in fs)
-    assert all(l == _primitive_form(_linear_coefficients(l)[0]) for l in fs)
+    assert all(l == _primitive(l) for l in fs)
     keys = [_linear_coefficients(l)[0] for l in fs]
     assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
 
@@ -646,7 +653,7 @@ def test_classify_rank2_random_roundtrip():
         if all(p.is_zero() for p in psis):
             continue
         try:
-            res = classify_rank2_bundle(psis, seed=done)
+            res = classify_rank2_bundle(psis)
         except FalsificationAlarm:
             raise
         if res.rank_over_K != 2:
@@ -668,12 +675,18 @@ def _rank2_psis():
 
 def test_bundle_normal_form_alarms(monkeypatch):
     """Both callers of the rank-r normal form raise when the diagonalised
-    combination loses rank, and a bundle of rank 2 taken for rank 1 leaves
-    a nonzero entry past row and column 1."""
+    combination loses rank; a bundle of rank 2 taken for rank 1 leaves a
+    nonzero entry past row and column 1, and a zero witness minor gives no
+    point of rank r."""
     diag = build_fibration(poly(4, lambda x1, x2, y1, y2: y1 * x1 * x1 + y2 * x2 * x2),
                            VariableSplit(4, (0, 1), (2, 3)))
+    # rank 1 with the order-1 witness 2 y1: the normal form at (1, 0) keeps 2 y2
+    witness = ((0,), (0,), diag.M2[0][0])
     with pytest.raises(FalsificationAlarm, match=r"second partial \(1,1\) nonzero"):
-        extract_linear_block(dataclasses.replace(diag, rank=1))
+        extract_linear_block(dataclasses.replace(diag, rank=1, witness=witness))
+    zero = ((0,), (1,), diag.M2[0][1])
+    with pytest.raises(FalsificationAlarm, match="witness minor vanishes on the grid"):
+        extract_linear_block(dataclasses.replace(diag, rank=1, witness=zero))
     C = poly(4, lambda x1, x2, x3, y1: y1 * (x1 * x1 + x2 * x2) + x3 * y1 * y1)
     fd = build_fibration(C, VariableSplit(4, (0, 1, 2), (3,)))
     monkeypatch.setattr(fibration, "congruence_diagonalize",
@@ -762,9 +775,63 @@ def test_order3_no_common_factor_generic():
     if fd.rank < 3:
         pytest.skip("degenerate random draw")
     res = order3_minor_common_factor(fd)
-    assert res.status in ("no-common-factor", "suspected-nonlinear", "unknown")
-    if res.status == "no-common-factor":
-        assert res.codim_probe["estimated_codim"] >= 2
+    assert res.status == "no-common-factor" and res.factor is None
+    assert res.codim_probe["estimated_codim"] >= 2
+
+
+def _cofactor(q, f):
+    """q / f by division on grlex-leading terms, or None when the division
+    leaves a remainder or a fraction."""
+    lead, lc = f.sorted_terms()[0]
+    quotient = IntPolynomial.zero(q.num_vars)
+    while not q.is_zero():
+        e, c = q.sorted_terms()[0]
+        shift = tuple(a - b for a, b in zip(e, lead))
+        if min(shift) < 0 or c % lc:
+            return None
+        term = IntPolynomial(q.num_vars, {shift: c // lc})
+        quotient, q = quotient + term, q - term * f
+    return quotient
+
+
+def _planted(m, x_quadrics):
+    """The fibration of C = y_1 F_1(x) + y_2 F_2(x), for the (F_1, F_2)
+    built from the m x-variables by x_quadrics."""
+    xs, ys = [X(m + 2, i) for i in range(m)], [X(m + 2, m), X(m + 2, m + 1)]
+    F1, F2 = x_quadrics(*xs)
+    return build_fibration(ys[0] * F1 + ys[1] * F2,
+                           VariableSplit(m + 2, tuple(range(m)), (m, m + 1)))
+
+
+@pytest.mark.parametrize("m, x_quadrics, factor", [
+    # diag(A, A), det A = -4 (y1^2 + y2^2): every minor is det A times an entry
+    (4, lambda a, b, c, d: (a * a - b * b + c * c - d * d, (a * b + c * d) * 2),
+     poly(2, lambda y1, y2: y1 * y1 + y2 * y2)),
+    # one 3 x 3 bundle whose determinant -2 (y1^3 - 4 y1^2 y2 + y2^3) has no rational root
+    (3, lambda a, b, c: (a * a + c * c + b * c, b * b + a * c + a * b),
+     poly(2, lambda y1, y2: y1 ** 3 - y1 * y1 * y2 * 4 + y2 ** 3)),
+])
+def test_order3_planted_nonlinear_factor(m, x_quadrics, factor):
+    """A planted irreducible quadric or cubic is found exactly, primitive
+    with a positive leading coefficient, and every minor is the factor
+    times a cofactor."""
+    fd = _planted(m, x_quadrics)
+    res = order3_minor_common_factor(fd)
+    assert res.status == "nonlinear-factor" and res.factor == factor
+    assert linear_factors(factor) == []
+    minors = order3_minors(fd.M2)
+    cofactors = [_cofactor(q, factor) for q in minors]
+    assert None not in cofactors
+    assert all(q == factor * c for q, c in zip(minors, cofactors))
+    # the factor is the whole gcd: constant cofactors, or linear ones not all proportional
+    assert (cofactors[0].total_degree() == 0
+            or any(fibration._ratio(c, cofactors[0]) is None for c in cofactors))
+
+
+def test_order3_two_different_quadrics_share_no_factor():
+    """diag(A, B) with det A = -4 (y1^2 + y2^2) and det B = -4 (2 y1^2 + y2^2)."""
+    fd = _planted(4, lambda a, b, c, d: (a * a - b * b + c * c - d * d * 2, (a * b + c * d) * 2))
+    assert order3_minor_common_factor(fd).status == "no-common-factor"
 
 
 def test_order3_requires_rank3():
