@@ -19,7 +19,7 @@ from . import gridcount
 from .fibration import FalsificationAlarm, fibre_polynomial, linear_fibre_parts, split_cubic
 from .lattice import QuadraticSolvedLevels, enumerate_quadratics, hyperplane_counts
 from .linalg import QuadraticPolynomial
-from .nt import squarefree_divisors, vector_gcd
+from .nt import squarefree_divisors
 from .polynomials import IntPolynomial, VariableSplit
 from .sieve import (AdmissibleSetSpec, box_with_large_Q, build_conditions, enumerate_admissible,
                     quadric_fibre_point)
@@ -79,6 +79,8 @@ def parse_form_document(text: str) -> FormDocument:
         if key not in obj:
             raise FormValidationError(f'missing "{key}"')
     n = _int_field(obj["n"], '"n"')
+    if n < 1:
+        raise FormValidationError(f'"n" must be positive, got {n}')
     degree = _int_field(obj.get("degree", 3), '"degree"')
     if not isinstance(obj["terms"], list):
         raise FormValidationError('"terms" must be a list')
@@ -91,6 +93,11 @@ def parse_form_document(text: str) -> FormDocument:
         if len(exps) != n:
             raise FormValidationError(
                 f"term {idx}: exponent vector has length {len(exps)}, expected {n}",
+                line=_find_line(text, json.dumps(item["exps"])),
+            )
+        if min(exps, default=0) < 0:
+            raise FormValidationError(
+                f"term {idx}: exponents must be nonnegative, got {list(exps)}",
                 line=_find_line(text, json.dumps(item["exps"])),
             )
         if sum(exps) != degree:
@@ -249,12 +256,12 @@ def fibration_count(
         # (y, g) and the pi count or the pi_prime hyperplane of each fibre
         fibres, jobs = [], []
         for y in enumerate_admissible(spec, Y, budget):
-            g = vector_gcd(y)
+            g = gcd(*y)
             if mode == "pi_prime":
                 job = _linear_fibre(q_list, R, y, g, B, 3 if len(jobs) < 4 else 0)
             else:  # the fibre's search point, if of height <= B and gcd(x, g) = 1
                 pt = quadric_fibre_point(fibre_polynomial(F_list, q_list, R, y), min(B, 8))
-                ok = pt is not None and max(map(abs, pt)) <= B and gcd(vector_gcd(pt), g) == 1
+                ok = pt is not None and max(map(abs, pt)) <= B and gcd(*pt, g) == 1
                 job = (1, [pt]) if ok else (0, [])
             if job is not None:
                 fibres.append((y, g))
@@ -265,7 +272,7 @@ def fibration_count(
         for (y, g), (count, points) in zip(fibres, jobs):
             total += count
             for pt in points:
-                if len(samples) < 16 and gcd(vector_gcd(pt), g) == 1:
+                if len(samples) < 16 and gcd(*pt, g) == 1:
                     full = [0] * split.n
                     for i, v in zip(split.x_indices + split.y_indices, (*pt, *y)):
                         full[i] = v
@@ -289,7 +296,7 @@ def _linear_fibre(q_list, R, y, g, B, sample_limit):
     vals = [q.evaluate(list(y)) for q in q_list]
     if all(v == 0 for v in vals):
         return None
-    d0 = vector_gcd(vals)
+    d0 = gcd(*vals)
     rval = R.evaluate(list(y))
     if rval % d0:
         raise FalsificationAlarm(

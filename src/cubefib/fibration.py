@@ -338,10 +338,7 @@ def detect_hypothesis_h1(fd: FibrationData) -> H1Result:
     pivot = next((e for row in fd.M2 for e in row if not e.is_zero()), None)
     if pivot is None:
         return H1Result(False, None, None, None, None, "zero bundle")
-    # primitive form l from the pivot entry
-    lead_key = min(pivot.terms)
-    g = pivot.content() * (1 if pivot.terms[lead_key] > 0 else -1)
-    l = IntPolynomial(h, {e: c // g for e, c in pivot.terms.items()})
+    l = _primitive(pivot)
     # every entry a rational multiple of l
     ratios = [[Fraction(0)] * m for _ in range(m)]
     for i, j in product(range(m), repeat=2):

@@ -1,6 +1,8 @@
-"""Geometry of numbers: kernel lattices of linear forms, exact LLL
-reduction, exact shortest vectors, and exact / asymptotic counts of
-lattice points on affine hyperplanes inside balls.
+"""Geometry of numbers: exact / asymptotic counts of lattice points on
+affine hyperplanes <a, x> + b = 0 inside balls. A lattice is a plain basis,
+a tuple of int tuples: `kernel_lattice(a)` spans {x : <a, x> = 0}, its exact
+LLL reduction (`lll_reduce`) is memoised per hyperplane, and
+`shortest_vector` gives the exact lambda_1^2 of a reduced basis.
 
 One kernel, `enumerate_quadratic`, walks {t : t^T G t + 2 w.t + c <= 0} for
 positive-definite G: the outer levels recurse with integer Schur-complement
@@ -26,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import unimodular_split
+from .linalg import int_matrix_det, unimodular_split
 from .nt import count_quadratic_interval, solve_linear_diophantine, squarefree_divisors
 from .volumes import _DEFAULT_TABLE
 
@@ -40,8 +42,6 @@ def gram_matrix(basis: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 def gram_det(basis: Sequence[Sequence[int]]) -> int:
-    from .linalg import int_matrix_det
-
     return int_matrix_det(gram_matrix(basis))
 
 
@@ -53,20 +53,17 @@ def gram_det(basis: Sequence[Sequence[int]]) -> int:
 _LLL_DELTA = Fraction(3, 4)
 
 
-def lll_reduce(basis: Sequence[Sequence[int]]):
-    """LLL-reduced basis of the same lattice plus the unimodular transform.
+def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
+    """LLL-reduced basis of the same lattice.
 
     Integral (fraction-free) variant tracking the scaled Gram-Schmidt data
-    d[i], lambda[i][j]; returns (reduced, U) with
-    reduced[i] = sum_j U[i][j] basis[j].
+    d[i], lambda[i][j]; a dependent basis of two or more vectors raises
+    ValueError.
     """
     b = [list(map(int, v)) for v in basis]
     k_dim = len(b)
-    if k_dim == 0:
-        return [], []
-    if k_dim == 1:
-        return [list(b[0])], [[1]]
-    u = [[1 if i == j else 0 for j in range(k_dim)] for i in range(k_dim)]
+    if k_dim < 2:
+        return b
     dn, dd = _LLL_DELTA.numerator, _LLL_DELTA.denominator
     d = [0] * (k_dim + 1)
     d[0] = 1
@@ -90,7 +87,6 @@ def lll_reduce(basis: Sequence[Sequence[int]]):
             q = (two + d[l + 1]) // (2 * d[l + 1]) if two > 0 else -((-two + d[l + 1]) // (2 * d[l + 1]))
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[l])]
                 lam[k][l] -= q * d[l + 1]
                 for i in range(l):
                     lam[k][i] -= q * lam[l][i]
@@ -109,7 +105,6 @@ def lll_reduce(basis: Sequence[Sequence[int]]):
         # Lovasz: swap iff d[k+1] d[k-1] < delta d[k]^2 - lam^2
         if dd * d[k + 1] * d[k - 1] < dn * d[k] * d[k] - dd * lam_ * lam_:
             b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
@@ -123,7 +118,7 @@ def lll_reduce(basis: Sequence[Sequence[int]]):
             for l in range(k - 2, -1, -1):
                 redi(k, l)
             k += 1
-    return b, u
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +148,18 @@ class QuadraticSolvedLevels:
             piv = mat[0][0]  # Delta_{j+1}; all > 0 iff G is positive definite
             if piv <= 0:
                 raise ValueError("Gram matrix is not positive definite")
-            self.levels.append(self._extract_level(mat, j))
+            self.levels.append(self._extract_level(mat))
             mat = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], mat[0][1:])]
                    for row in mat[1:]]
             prev = piv
 
     @staticmethod
-    def _extract_level(mat, j):
+    def _extract_level(mat):
         # flattened upper triangle of the block after t_j, off-diagonals doubled
         size = len(mat)
         rest = tuple((i - 1, l - 1, v if i == l else 2 * v)
                      for i in range(1, size) for l in range(i, size) if (v := mat[i][l]))
-        return {"a": mat[0][0], "lin": tuple(mat[0][1:]), "rest": rest, "j": j}
+        return {"a": mat[0][0], "lin": tuple(mat[0][1:]), "rest": rest}
 
     def quadratic_at(self, j: int, outer: Sequence[int]) -> Tuple[int, int, int]:
         """(a, bq, cq) with P_j = a t_j^2 + 2 bq t_j + cq at outer."""
@@ -513,77 +508,40 @@ def ball_counts(balls) -> List[Tuple[int, List[Tuple[int, ...]]]]:
 
 
 # ---------------------------------------------------------------------------
-# lattices
+# kernel lattices and shortest vectors
 
 
 # the largest rank whose shortest vector is found by exact enumeration
 _EXACT_SVP_RANK = 8
 
 
-class IntegerLattice:
-    """Full-precision integer lattice of any rank in Z^n."""
-
-    def __init__(self, basis: Sequence[Sequence[int]]):
-        b = [tuple(int(x) for x in v) for v in basis]
-        if not b:
-            raise ValueError("empty basis")
-        n = len(b[0])
-        if any(len(v) != n for v in b):
-            raise ValueError("ragged basis")
-        self.ambient = n
-        self.rank = len(b)
-        self.basis = b
-        if gram_det(b) <= 0:
-            raise ValueError("basis vectors are dependent")
-        self._reduced: Optional[List[List[int]]] = None
-        self._lambda1_sq: Optional[int] = None
-
-    def covolume_squared(self) -> int:
-        return gram_det(self.basis)
-
-    def reduced_basis(self) -> List[List[int]]:
-        if self._reduced is None:
-            self._reduced, _ = lll_reduce(self.basis)
-        return self._reduced
-
-    def shortest_vector_exact(self) -> Tuple[int, Tuple[int, ...]]:
-        """(lambda_1^2, vector) by enumeration below the first reduced vector."""
-        if self.rank > _EXACT_SVP_RANK:
-            raise ValueError(f"rank {self.rank} exceeds exact-SVP budget {_EXACT_SVP_RANK}")
-        red = self.reduced_basis()
-        best_vec = min(red, key=lambda v: dot(v, v))
-        bound = dot(best_vec, best_vec)
-        # the region holds best_vec's coefficient vector, so low <= 0
-        low, ts = enumerate_quadratic(gram_matrix(red), [0] * self.rank, -bound, "min")
-        best = low + bound
-        if low < 0:
-            best_vec = [dot(ts[0], col) for col in zip(*red)]
-        self._lambda1_sq = best
-        return best, tuple(best_vec)
-
-    def lambda1_squared_lower_bound(self) -> Fraction:
-        """Exact lambda_1^2 when the rank budget allows, else the LLL bound
-        ||b_1||^2 / 2^(k-1)."""
-        if self.rank <= _EXACT_SVP_RANK:
-            if self._lambda1_sq is None:
-                self.shortest_vector_exact()
-            return Fraction(self._lambda1_sq)
-        red = self.reduced_basis()
-        first = min(dot(v, v) for v in red)
-        return Fraction(first, 2 ** (self.rank - 1))
-
-
-def kernel_lattice(a: Sequence[int]) -> IntegerLattice:
-    """Lambda_a = {x in Z^n : <a, x> = 0}; rank n-1; for primitive a the
-    Gram determinant equals ||a||_2^2. The basis is columns 1.. of U from
-    the unimodular split [a] U = [g | 0]."""
+def kernel_lattice(a: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """A basis of Lambda_a = {x in Z^n : <a, x> = 0}, rank n-1: columns 1..
+    of U from the unimodular split [a] U = [g | 0]. U is unimodular, so the
+    columns are independent, and for primitive a their Gram determinant
+    equals ||a||_2^2."""
     a = [int(v) for v in a]
     if all(v == 0 for v in a):
         raise ValueError("zero vector has no kernel lattice of rank n-1")
     if len(a) == 1:
         raise ValueError("kernel of a nonzero form on Z^1 is trivial")
     _, u = unimodular_split([a])
-    return IntegerLattice(list(zip(*u))[1:])
+    return tuple(zip(*u))[1:]
+
+
+def shortest_vector(basis: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
+    """(lambda_1^2, a shortest vector) of the lattice `basis` spans, by the
+    "min" leaf below its shortest basis vector; an LLL-reduced basis keeps
+    the enumeration small. A rank above _EXACT_SVP_RANK raises ValueError."""
+    if len(basis) > _EXACT_SVP_RANK:
+        raise ValueError(f"rank {len(basis)} exceeds exact-SVP budget {_EXACT_SVP_RANK}")
+    best_vec = min(basis, key=lambda v: dot(v, v))
+    bound = dot(best_vec, best_vec)
+    # the region holds best_vec's coefficient vector, so low <= 0
+    low, ts = enumerate_quadratic(gram_matrix(basis), [0] * len(basis), -bound, "min")
+    if low < 0:
+        best_vec = [dot(ts[0], col) for col in zip(*basis)]
+    return low + bound, tuple(best_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +600,7 @@ def hyperplane_counts(fibres) -> List[HyperplaneCount]:
 def _reduced_kernel_basis(a: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     """LLL-reduced basis of kernel_lattice(a), once per hyperplane: a
     fibration count meets the same fibre at every B of its ladder."""
-    return tuple(map(tuple, kernel_lattice(a).reduced_basis()))
+    return tuple(map(tuple, lll_reduce(kernel_lattice(a))))
 
 
 # frozen after measurement on the calibration family (max observed ratio
@@ -684,16 +642,17 @@ def hyperplane_count_asymptotic(a: Sequence[int], b: int, B) -> HyperplaneAsympt
     p_, q_ = _ETA.numerator, _ETA.denominator
     if abs(b) > 0 and Fraction(abs(b)) ** (2 * q_) > (B * B) ** (q_ - p_) * Fraction(norm2) ** q_:
         raise ValueError("B below the (|b|/||a||)^(1/(1-eta)) threshold")
-    table = _DEFAULT_TABLE
-    c = table.constant_float(n - 1)
+    c = _DEFAULT_TABLE.constant_float(n - 1)
     norm = norm2 ** 0.5
     main = c * float(B) ** (n - 1) / norm
-    rho2 = float(B * B - 1) - b * b / norm2
-    rho2 = max(rho2, 0.0)
+    rho2 = max(float(B * B - 1) - b * b / norm2, 0.0)
     true_vol = c * rho2 ** ((n - 1) / 2) / norm
     err_eta = abs(main - true_vol)
-    lat = kernel_lattice(a)
-    l1sq = lat.lambda1_squared_lower_bound()
+    red = _reduced_kernel_basis(tuple(a))
+    if len(red) <= _EXACT_SVP_RANK:
+        l1sq = Fraction(shortest_vector(red)[0])
+    else:  # the LLL bound ||b_1||^2 / 2^(k-1)
+        l1sq = Fraction(min(dot(v, v) for v in red), 2 ** (len(red) - 1))
     l1 = float(l1sq) ** 0.5
     err_lambda = LATTICE_ERROR_CONSTANT * sum(
         float(B) ** j / l1 ** j for j in range(n - 1)

@@ -9,7 +9,7 @@ Everything is deterministic; primality is provably correct below 2^64
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -25,13 +25,6 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def vector_gcd(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 def solve_linear_diophantine(coeffs: List[int], target: int) -> List[int] | None:

@@ -29,7 +29,7 @@ from .finitefield import PadicWitness, find_padic_nonsingular
 from .fibration import build_fibration, linear_fibre_parts, order3_minors
 from .gridcount import box_point_count, check_budget, eval_on_box
 from .linalg import QuadraticPolynomial, bareiss, congruence_diagonalize
-from .nt import prime_factors, vector_gcd
+from .nt import prime_factors
 from .polynomials import IntPolynomial, VariableSplit
 
 
@@ -157,7 +157,7 @@ def _good_prime_ok(spec: AdmissibleSetSpec, y: Sequence[int]) -> Tuple[bool, str
                 return False, f"good prime {p} kills all predicate values"
         return True, ""
     vals = [g.evaluate(list(y)) for g in spec.conditions.good_polys]
-    d = vector_gcd(vals)
+    d = gcd(*vals)
     if d == 0:
         return False, "good-prime predicate fails at every prime (all values zero)"
     bad_set = set(spec.conditions.bad_primes)

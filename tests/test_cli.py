@@ -343,6 +343,11 @@ SCHEMA = '"schema": "cubefib-form-v1"'
     ('{%s, "n": 7.0, "terms": []}' % SCHEMA, '"n" must be an integer, got 7.0'),
     ('{%s, "n": 1, "degree": 3.0, "terms": []}' % SCHEMA,
      '"degree" must be an integer, got 3.0'),
+    # a form needs a variable, and a monomial no negative power
+    ('{%s, "n": -1, "terms": []}' % SCHEMA, '"n" must be positive, got -1'),
+    ('{%s, "n": 0, "terms": []}' % SCHEMA, '"n" must be positive, got 0'),
+    ('{%s, "n": 2, "terms": [{"exps": [-1, 4], "coef": 1}]}' % SCHEMA,
+     "line 1: term 0: exponents must be nonnegative, got [-1, 4]"),
 ])
 def test_malformed_form_documents_exit_3_with_one_line(tmp_path, document, message):
     path = tmp_path / "form.json"

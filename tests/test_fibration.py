@@ -218,6 +218,15 @@ def test_detect_h1_positive():
     assert res.l == IntPolynomial(1, {(1,): 1})
 
 
+def test_detect_h1_line_has_a_positive_first_coefficient():
+    # (y1 - y2)(x1^2 + x2^2): l reads y1 - y2, as every primitive form does
+    C = poly(4, lambda x1, x2, y1, y2: (y1 - y2) * (x1 * x1 + x2 * x2))
+    res = detect_hypothesis_h1(build_fibration(C, VariableSplit(4, (0, 1), (2, 3))))
+    assert res.holds
+    assert res.l == IntPolynomial.linear_form([1, -1])
+    assert res.signature == (2, 2, 0)
+
+
 def test_detect_h1_negative_diag_bundle():
     # diag(y1, y2): entries not proportional to one form
     C = poly(4, lambda x1, x2, y1, y2: y1 * x1 * x1 + y2 * x2 * x2)
@@ -265,6 +274,7 @@ def test_h1_roundtrip_constructed_instances():
         res = detect_hypothesis_h1(fd)
         assert res.holds
         assert res.certificate.is_zero()
+        assert res.l == _primitive(IntPolynomial.linear_form(lcoef))
         # reconstruct: l * N1 must reproduce 2 Q_y exactly (checked in cert)
         done += 1
 

@@ -12,25 +12,28 @@ from hypothesis import strategies as st
 
 from cubefib import lattice
 from cubefib.lattice import (
-    IntegerLattice,
     QuadraticSolvedLevels,
     ball_counts,
     dot,
     enumerate_quadratic,
     enumerate_quadratics,
     gram_det,
+    gram_matrix,
     hyperplane_count_asymptotic,
     hyperplane_count_exact,
     hyperplane_counts,
     kernel_lattice,
     lll_reduce,
+    shortest_vector,
 )
+from cubefib.linalg import int_matrix_det
 from cubefib.volumes import (
     VolumeConstantTable,
     ball_volume_exact,
     beta_product,
     gamma_half,
 )
+from strategies import unimodular_pairs
 
 
 def random_primitive(rng, n, bound=20):
@@ -44,20 +47,29 @@ def random_primitive(rng, n, bound=20):
 
 
 def test_kernel_lattice_hand_values():
-    lat = kernel_lattice([1, 0, 0, 0])
-    assert lat.rank == 3
-    assert lat.covolume_squared() == 1
-    for v in lat.basis:
+    basis = kernel_lattice([1, 0, 0, 0])
+    assert len(basis) == 3
+    assert gram_det(basis) == 1
+    for v in basis:
         assert v[0] == 0
 
-    lat = kernel_lattice([1, 1, 1])
-    assert lat.rank == 2
-    assert lat.covolume_squared() == 3  # = ||a||^2 for primitive a
+    basis = kernel_lattice([1, 1, 1])
+    assert len(basis) == 2
+    assert gram_det(basis) == 3  # = ||a||^2 for primitive a
 
     # non-primitive a spans the same lattice as its primitive part
-    lat2 = kernel_lattice([2, 2])
-    assert lat2.rank == 1
-    assert lat2.covolume_squared() == 2
+    basis = kernel_lattice([2, 2])
+    assert len(basis) == 1
+    assert gram_det(basis) == 2
+
+
+def test_kernel_lattice_is_a_tuple_of_int_tuples():
+    basis = kernel_lattice([3, -5, 7])
+    assert type(basis) is tuple and all(type(v) is tuple for v in basis)
+    assert all(type(x) is int for v in basis for x in v)
+    for a in ([0, 0, 0], [5]):
+        with pytest.raises(ValueError):
+            kernel_lattice(a)
 
 
 def old_kernel_basis(a):
@@ -96,7 +108,7 @@ def old_kernel_basis(a):
     lambda n: st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=n, max_size=n)
     .filter(lambda v: any(v))))
 def test_kernel_lattice_basis_equals_the_old_column_reduction(a):
-    assert kernel_lattice(a).basis == old_kernel_basis(a)
+    assert list(kernel_lattice(a)) == old_kernel_basis(a)
 
 
 def test_kernel_lattice_covolume_is_norm_squared():
@@ -104,10 +116,10 @@ def test_kernel_lattice_covolume_is_norm_squared():
     for _ in range(100):
         n = rng.randint(2, 6)
         a = random_primitive(rng, n)
-        lat = kernel_lattice(a)
-        assert lat.rank == n - 1
-        assert lat.covolume_squared() == dot(a, a)
-        for v in lat.basis:
+        basis = kernel_lattice(a)
+        assert len(basis) == n - 1
+        assert gram_det(basis) == dot(a, a)
+        for v in basis:
             assert dot(a, v) == 0
 
 
@@ -120,33 +132,49 @@ def test_lll_reduce_properties():
             basis = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(k)]
             if gram_det(basis) > 0:
                 break
-        red, U = lll_reduce(basis)
-        # same lattice: U unimodular and red = U basis
-        from cubefib.linalg import int_matrix_det
-
-        assert abs(int_matrix_det(U)) == 1
-        for i in range(k):
-            expect = [sum(U[i][j] * basis[j][l] for j in range(k)) for l in range(n)]
-            assert red[i] == expect
+        red = lll_reduce(basis)
+        # same lattice: every reduced vector is an integer combination of
+        # the basis (so red spans a sublattice), of the same covolume
+        assert len(red) == k
+        for v in red:
+            assert all(c.denominator == 1 for c in combination_coefficients(basis, v))
         assert gram_det(red) == gram_det(basis)
 
 
+def combination_coefficients(basis, v):
+    """The exact c with sum_j c_j basis[j] = v, for independent basis
+    vectors: Cramer's rule on G c = (<b_i, v>), G the Gram matrix."""
+    G, r = gram_matrix(basis), [dot(u, v) for u in basis]
+    det = int_matrix_det(G)
+    c = [Fraction(int_matrix_det([row[:j] + [x] + row[j + 1:] for row, x in zip(G, r)]), det)
+         for j in range(len(basis))]
+    assert [sum(cj * u[l] for cj, u in zip(c, basis)) for l in range(len(v))] == list(v)
+    return c
+
+
+def test_lll_reduce_rejects_a_dependent_basis():
+    for basis in ([[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="basis is not independent"):
+            lll_reduce(basis)
+
+
 def test_lll_hand_example():
-    red, _ = lll_reduce([[1, 0], [10 ** 6, 1]])
+    red = lll_reduce([[1, 0], [10 ** 6, 1]])
     norms = sorted(dot(v, v) for v in red)
     assert norms == [1, 1]
 
 
 def test_shortest_vector_examples():
-    lat = IntegerLattice([[1, 0], [0, 1]])
-    l2, v = lat.shortest_vector_exact()
+    l2, v = shortest_vector([[1, 0], [0, 1]])
     assert l2 == 1
 
     # Lambda_(3,4): shortest is (4, -3) with squared length 25
-    lat = kernel_lattice([3, 4])
-    l2, v = lat.shortest_vector_exact()
+    l2, v = shortest_vector(lll_reduce(kernel_lattice([3, 4])))
     assert l2 == 25
     assert tuple(map(abs, v)) == (4, 3)
+
+    with pytest.raises(ValueError, match="exceeds exact-SVP budget"):
+        shortest_vector([[int(i == j) for j in range(9)] for i in range(9)])
 
 
 def test_shortest_vector_vs_bruteforce():
@@ -154,8 +182,8 @@ def test_shortest_vector_vs_bruteforce():
     for _ in range(40):
         n = rng.randint(2, 4)
         a = random_primitive(rng, n, bound=9)
-        lat = kernel_lattice(a)
-        l2, vec = lat.shortest_vector_exact()
+        basis = kernel_lattice(a)
+        l2, vec = shortest_vector(lll_reduce(basis))
         assert dot(vec, vec) == l2
         assert dot(a, vec) == 0
         # brute force over a box
@@ -168,8 +196,8 @@ def test_shortest_vector_vs_bruteforce():
         if best is not None and best <= R * R:
             assert l2 == best
         # Minkowski sanity: lambda1 <= 2 covol^(1/rank), with slack recorded
-        covol = lat.covolume_squared() ** 0.5
-        assert l2 ** 0.5 <= 2 * covol ** (1 / lat.rank) + 1e-9
+        covol = gram_det(basis) ** 0.5
+        assert l2 ** 0.5 <= 2 * covol ** (1 / len(basis)) + 1e-9
 
 
 def test_ball_counts_bruteforce():
@@ -177,10 +205,9 @@ def test_ball_counts_bruteforce():
     for _ in range(60):
         n = rng.randint(2, 4)
         a = random_primitive(rng, n, bound=6)
-        lat = kernel_lattice(a)
         shift = [rng.randint(-3, 3) for _ in range(n)]
         R2 = Fraction(rng.randint(1, 120))
-        count, samples = ball_counts([(lat.reduced_basis(), shift, R2, 5)])[0]
+        count, samples = ball_counts([(lll_reduce(kernel_lattice(a)), shift, R2, 5)])[0]
         # brute force: x = shift + ker, i.e. <a, x> = <a, shift>
         target = dot(a, shift)
         R = isqrt(int(R2)) + 1
@@ -350,14 +377,13 @@ def schur_levels(G, w, c):
     mat = [[Fraction(v) for v in row] + [Fraction(wi)] for row, wi in zip(G, w)]
     mat.append([Fraction(v) for v in w] + [Fraction(c)])
     delta, levels = Fraction(1), []
-    for j in range(len(G)):
+    for _ in range(len(G)):
         m = [[delta * v for v in row] for row in mat]
         assert all(v.denominator == 1 for row in m for v in row)
         size = len(m)
         rest = tuple((i - 1, l - 1, int(m[i][l]) * (1 if i == l else 2))
                      for i in range(1, size) for l in range(i, size) if m[i][l])
-        levels.append({"a": int(m[0][0]), "lin": tuple(int(v) for v in m[0][1:]),
-                       "rest": rest, "j": j})
+        levels.append({"a": int(m[0][0]), "lin": tuple(int(v) for v in m[0][1:]), "rest": rest})
         piv = mat[0][0]
         mat = [[mat[i][l] - mat[i][0] * mat[0][l] / piv for l in range(1, size)]
                for i in range(1, size)]
@@ -563,7 +589,7 @@ def test_centred_shift_keeps_counts_and_samples(data):
     n = data.draw(st.integers(2, 5))
     a = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)
                   .filter(lambda v: np.gcd.reduce(v) == 1))
-    basis = kernel_lattice(a).reduced_basis()
+    basis = lll_reduce(kernel_lattice(a))
     far = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n - 1, max_size=n - 1))
     near = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     shift = [s + dot(far, col) for s, col in zip(near, zip(*basis))]
@@ -754,31 +780,6 @@ def test_the_int64_pass_leaves_no_reference_cycle():
         gc.enable()
 
 
-@st.composite
-def unimodular_pairs(draw, k):
-    """(U, U^-1) for U a product of elementary moves: add a multiple of one
-    column to another, swap two columns, negate a column."""
-    U = [[int(i == j) for j in range(k)] for i in range(k)]
-    V = [row[:] for row in U]
-    for _ in range(draw(st.integers(0, 6))):
-        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-        move = draw(st.sampled_from(["add", "swap", "negate"]))
-        if move == "add" and i != j:
-            m = draw(st.sampled_from([-2, -1, 1, 2]))
-            for row in U:  # column j += m column i
-                row[j] += m * row[i]
-            V[i] = [x - m * y for x, y in zip(V[i], V[j])]  # row i -= m row j
-        elif move == "swap":
-            for row in U:
-                row[i], row[j] = row[j], row[i]
-            V[i], V[j] = V[j], V[i]
-        elif move == "negate":
-            for row in U:
-                row[i] = -row[i]
-            V[i] = [-x for x in V[i]]
-    return U, V
-
-
 @settings(max_examples=80, deadline=None)
 @given(definite_quadratics(), st.data())
 def test_unimodular_change_keeps_the_count_and_maps_the_roots(Gwc, data):
@@ -811,3 +812,19 @@ def test_hyperplane_count_is_invariant_under_signed_permutations(data):
     signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     moved = [s * a[p] for s, p in zip(signs, perm)]
     assert hyperplane_count_exact(moved, b, B, g).exact == hyperplane_count_exact(a, b, B, g).exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lambda1_and_covolume_are_invariant_under_signed_permutations(data):
+    """A signed permutation P maps Lambda_a isometrically onto Lambda_(P a),
+    so its covolume and, up to the exact-SVP rank, its lambda_1^2 do not
+    move, whatever basis `kernel_lattice` picks for either."""
+    n = data.draw(st.integers(2, 9))
+    a = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n).filter(any))
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    moved = [s * a[p] for s, p in zip(signs, perm)]
+    assert gram_det(kernel_lattice(moved)) == gram_det(kernel_lattice(a))
+    assert (hyperplane_count_asymptotic(moved, 0, 10).lambda1_sq
+            == hyperplane_count_asymptotic(a, 0, 10).lambda1_sq)

@@ -20,6 +20,7 @@ from cubefib.localdensity import (
 )
 from cubefib.nt import primes_up_to
 from cubefib.polynomials import IntPolynomial
+from strategies import unimodular_pairs
 
 
 def quad(m, terms):
@@ -298,3 +299,52 @@ def test_tail_lower_bound_equals_the_per_call_sum(P):
     total_fp = sum(-(-scale // (q * isqrt(q))) for q in primes_up_to(sieve_to) if q > P)
     expected = 1 - 4 * (Fraction(total_fp, scale) + Fraction(2, isqrt(sieve_to - 1)))
     assert _tail_lower_bound(P) == expected
+
+
+@st.composite
+def quadratic_polynomials(draw, m_max):
+    m = draw(st.integers(1, m_max))
+    ints = st.integers(-3, 3)
+    two_q = [[0] * m for _ in range(m)]
+    for i in range(m):
+        two_q[i][i] = 2 * draw(ints)
+        for j in range(i + 1, m):
+            two_q[i][j] = two_q[j][i] = draw(ints)
+    return QuadraticPolynomial(two_q, [draw(ints) for _ in range(m)], draw(ints))
+
+
+def moved_by(F, U, x):
+    """F(U x) as a QuadraticPolynomial: 2Q -> U^t 2Q U and B -> U^t B;
+    checked against F at U x for the point x."""
+    cols = list(zip(*U))
+    two_q = [[sum(u[a] * F.two_q[a][b] * v[b] for a in range(F.m) for b in range(F.m))
+              for v in cols] for u in cols]
+    G = QuadraticPolynomial(two_q, [sum(map(int.__mul__, u, F.B)) for u in cols], F.N)
+    Ux = [sum(map(int.__mul__, row, x)) for row in U]
+    assert G.to_polynomial().evaluate(x) == F.to_polynomial().evaluate(Ux)
+    return G
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), t=st.integers(1, 2))
+def test_sigma_p_is_invariant_under_unimodular_changes(data, p, t):
+    """x -> U x is a bijection of (Z/p^k)^m for unimodular U, so it keeps
+    every count N(p^k), hence sigma_p, its stability and its path."""
+    F = data.draw(quadratic_polynomials(4))
+    U, _ = data.draw(unimodular_pairs(F.m))
+    G = moved_by(F, U, data.draw(st.lists(st.integers(-5, 5), min_size=F.m, max_size=F.m)))
+    a, b = sigma_p(F, p, t), sigma_p(G, p, t)
+    assert (b.counts, b.sigma, b.stable, b.method) == (a.counts, a.sigma, a.stable, a.method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_singular_series_is_invariant_under_unimodular_changes(data):
+    """The truncations, the local factors and the certificate of the
+    singular series depend on F only up to a unimodular change."""
+    F = data.draw(quadratic_polynomials(4))
+    U, _ = data.draw(unimodular_pairs(F.m))
+    G = moved_by(F, U, data.draw(st.lists(st.integers(-5, 5), min_size=F.m, max_size=F.m)))
+    a, b = singular_series(F, 5), singular_series(G, 5)
+    assert (b.product, b.certified, b.locals_, b.tail_lower) == (a.product, a.certified, a.locals_,
+                                                                  a.tail_lower)
