@@ -218,8 +218,9 @@ def fibration_count(
     min(B, 6) that holds at most 10^6 points (width 4 for six x-variables),
     widened only on a fibre of rank < 5 to the widest such box within
     min(B, 8) (min(B, 7) for five x-variables); the rows
-    are labeled "sampling-lower-bound". A cubic that is insoluble at a bad
-    prime gets the empty box and the label "locally insoluble at p".
+    are labeled "sampling-lower-bound". A cubic with no x-nonsingular
+    witness at a bad prime p up to v = 3 gets the empty box and the label
+    "no x-nonsingular witness at p up to v = 3": a witness may need a larger v.
 
     The scaled box Y [lo, hi] with lo > 0 is not monotone in Y, so a larger
     B can admit fewer fibres. N(B) is non-decreasing, so each row reports
@@ -239,7 +240,7 @@ def fibration_count(
         if cond.insoluble_at is not None:
             # empty intervals: the spec admits nothing and charges nothing
             spec = AdmissibleSetSpec(h, [(Fraction(1), Fraction(-1))] * h, cond)
-            label = f"locally insoluble at {cond.insoluble_at}"
+            label = f"no x-nonsingular witness at {cond.insoluble_at} up to v = 3"
         elif mode == "pi_prime":
             box = box_with_large_Q(next(q for q in q_list if not q.is_zero()), P=100)
             spec = AdmissibleSetSpec(h, box.intervals, cond, box_change=box.change)

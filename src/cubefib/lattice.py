@@ -2,19 +2,21 @@
 affine hyperplanes <a, x> + b = 0 inside balls. A lattice is a plain basis,
 a tuple of int tuples: `kernel_lattice(a)` spans {x : <a, x> = 0}, its exact
 LLL reduction (`lll_reduce`) is memoised per hyperplane, and
-`shortest_vector` gives the exact lambda_1^2 of a reduced basis.
+`shortest_vector` gives the exact lambda_1^2 of a basis at every rank.
 
 One kernel, `enumerate_quadratic`, walks {t : t^T G t + 2 w.t + c <= 0} for
 positive-definite G: the outer levels recurse with integer Schur-complement
 bounds from fraction-free (Bareiss) elimination, and each innermost row is
-one isqrt of a discriminant stepped incrementally along t_1. Its leaves are
-the ball counts (count plus samples), the representation numbers of the
-driver (exact roots) and exact shortest vectors (minimum). Counts and roots
-run in batches (`enumerate_quadratics`): a fibration rung hands all its
-hyperplanes, Mobius terms and sample requests to one `hyperplane_counts`
-call, and each system enters one numpy int64 pass at the highest level its
-pivots bound; a system that no level bounds, and the minimum, take the
-Python rows. Ball shifts are first moved next to the centre.
+one isqrt of a discriminant stepped incrementally along t_1. Its two leaves
+are the ball counts (count plus samples) and the representation numbers of
+the driver (exact roots); lambda_1^2 is a bisection on the count leaf and
+its shortest vector the first root. Both leaves run in batches
+(`enumerate_quadratics`): a fibration rung hands all its hyperplanes,
+Mobius terms and sample requests to one `hyperplane_counts` call, and each
+system enters one numpy int64 pass at the highest level its pivots bound,
+under a tripwire that raises on an invalid (wrapped, negative) square
+root; a system that no level bounds takes the Python rows. Ball shifts are
+first moved next to the centre.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -177,7 +179,7 @@ class QuadraticSolvedLevels:
 
 def enumerate_quadratic(
     G: Sequence[Sequence[int]], w: Sequence[int], c: int, leaf: str = "count"
-) -> Tuple[Optional[int], Sequence]:
+) -> Tuple[int, Sequence]:
     """One exact enumeration of {t in Z^k : Q(t) = t^T G t + 2 w.t + c <= 0},
     for positive-definite G and k >= 1 (Fincke-Pohst interval recursion).
 
@@ -194,13 +196,10 @@ def enumerate_quadratic(
       "roots"  (#roots, every t with Q(t) = 0 as the rows of a (#roots, k)
                array): D a square, a0 | -bq +- s; int64 when every
                coordinate fits, else object (Python integers)
-      "min"    (min Q(t) over t != 0, [first minimiser]), or (None, [])
 
-    "count" and "roots" are a one-system call of `enumerate_quadratics`,
-    which also samples the "count" leaf; "min" takes the Python rows.
+    Either is a one-system call of `enumerate_quadratics`, which also
+    samples the "count" leaf.
     """
-    if leaf == "min":
-        return _python_rows(QuadraticSolvedLevels(G, w, c), leaf, 0)
     return enumerate_quadratics([(QuadraticSolvedLevels(G, w, c), 0)], leaf == "roots")[0]
 
 
@@ -223,12 +222,13 @@ def _intervals(solver: QuadraticSolvedLevels, top: int):
 
 
 def _python_rows(solver: QuadraticSolvedLevels, leaf: str, sample_limit: int):
-    """`enumerate_quadratic` in Python integers: the rows of `leaf` below each level-1 interval."""
+    """`enumerate_quadratic` in Python integers, for a system that no int64
+    level bounds: the rows of `leaf` below each level-1 interval."""
     k, a0, lin0 = solver.k, solver.levels[0]["a"], solver.levels[0]["lin"]
     # bq = b1 t_1 + (terms in t_2, ...); D steps by dD, which steps by dd
     b1, dd = (lin0[0], -2 * solver.levels[1]["a"]) if k > 1 else (0, 0)
     points: List[Tuple[int, ...]] = []
-    value = None if leaf == "min" else 0
+    value = 0
     if k == 1:
         _, bq, cq = solver.quadratic_at(0, ())
         rows = [(1, 0, bq, bq * bq - a0 * cq, 0, ())] if bq * bq >= a0 * cq else []
@@ -245,21 +245,15 @@ def _python_rows(solver: QuadraticSolvedLevels, leaf: str, sample_limit: int):
                     points += [(t0, t1) + outer
                                for t0 in range(first, first + min(row, sample_limit - len(points)))]
                 value += row
-            elif leaf == "roots" and s * s == D:
+            elif s * s == D:  # "roots"
                 for num in (-s - bq, s - bq) if s else (-bq,):
                     if num % a0 == 0:
                         points.append((num // a0, t1) + outer)
                         value += 1
-            elif leaf == "min":
-                for t0 in range(-((s + bq) // a0), (s - bq) // a0 + 1):
-                    u = a0 * t0 + bq
-                    q = (u * u - D) // a0  # = Q(t), exactly
-                    if (value is None or q < value) and (t0 or t1 or any(outer)):
-                        value, points[:] = q, [(t0, t1) + outer]
             bq, D, dD = bq + b1, D + dD, dD + dd
     if k == 1:
         points = [t[:1] for t in points]  # drop the phantom t_1 = 0
-    if leaf != "roots":
+    if leaf == "count":
         return value, points
     try:
         return value, np.array(points, dtype=np.int64).reshape(value, k)
@@ -287,9 +281,11 @@ def enumerate_quadratics(systems, roots: bool = False) -> list:
     batches, out, nodes = {}, [], 0
 
     def flush():
-        for (k, level), (held, flat) in batches.items():
-            for (i, _, _), res in zip(held, _descend(k, level, held, flat, roots)):
-                out[i] = res
+        # tripwire: a wrapped int64 discriminant goes negative and its square root raises
+        with np.errstate(invalid="raise"):
+            for (k, level), (held, flat) in batches.items():
+                for (i, _, _), res in zip(held, _descend(k, level, held, flat, roots)):
+                    out[i] = res
         batches.clear()
 
     for i, (solver, limit) in enumerate(systems):
@@ -511,10 +507,6 @@ def ball_counts(balls) -> List[Tuple[int, List[Tuple[int, ...]]]]:
 # kernel lattices and shortest vectors
 
 
-# the largest rank whose shortest vector is found by exact enumeration
-_EXACT_SVP_RANK = 8
-
-
 def kernel_lattice(a: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """A basis of Lambda_a = {x in Z^n : <a, x> = 0}, rank n-1: columns 1..
     of U from the unimodular split [a] U = [g | 0]. U is unimodular, so the
@@ -530,18 +522,25 @@ def kernel_lattice(a: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
 
 
 def shortest_vector(basis: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, ...]]:
-    """(lambda_1^2, a shortest vector) of the lattice `basis` spans, by the
-    "min" leaf below its shortest basis vector; an LLL-reduced basis keeps
-    the enumeration small. A rank above _EXACT_SVP_RANK raises ValueError."""
-    if len(basis) > _EXACT_SVP_RANK:
-        raise ValueError(f"rank {len(basis)} exceeds exact-SVP budget {_EXACT_SVP_RANK}")
+    """(lambda_1^2, a shortest vector) of the lattice `basis` spans, at any
+    rank: lambda_1^2 is the least integer r with more than the point t = 0
+    in {t^T G t <= r}, bisected on the count leaf between 0 and the shortest
+    basis vector's squared length; below that length the vector is the first
+    root of t^T G t = r, else that basis vector. An LLL-reduced basis keeps
+    each enumeration small."""
+    G, zero = gram_matrix(basis), [0] * len(basis)
     best_vec = min(basis, key=lambda v: dot(v, v))
-    bound = dot(best_vec, best_vec)
-    # the region holds best_vec's coefficient vector, so low <= 0
-    low, ts = enumerate_quadratic(gram_matrix(basis), [0] * len(basis), -bound, "min")
-    if low < 0:
-        best_vec = [dot(ts[0], col) for col in zip(*basis)]
-    return low + bound, tuple(best_vec)
+    lo, hi = 0, dot(best_vec, best_vec)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if enumerate_quadratic(G, zero, -mid)[0] > 1:
+            hi = mid
+        else:
+            lo = mid
+    if hi < dot(best_vec, best_vec):
+        t = enumerate_quadratic(G, zero, -hi, "roots")[1][0].tolist()
+        best_vec = [dot(t, col) for col in zip(*basis)]
+    return hi, tuple(best_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +647,7 @@ def hyperplane_count_asymptotic(a: Sequence[int], b: int, B) -> HyperplaneAsympt
     rho2 = max(float(B * B - 1) - b * b / norm2, 0.0)
     true_vol = c * rho2 ** ((n - 1) / 2) / norm
     err_eta = abs(main - true_vol)
-    red = _reduced_kernel_basis(tuple(a))
-    if len(red) <= _EXACT_SVP_RANK:
-        l1sq = Fraction(shortest_vector(red)[0])
-    else:  # the LLL bound ||b_1||^2 / 2^(k-1)
-        l1sq = Fraction(min(dot(v, v) for v in red), 2 ** (len(red) - 1))
+    l1sq = Fraction(shortest_vector(_reduced_kernel_basis(tuple(a)))[0])
     l1 = float(l1sq) ** 0.5
     err_lambda = LATTICE_ERROR_CONSTANT * sum(
         float(B) ** j / l1 ** j for j in range(n - 1)

@@ -1,6 +1,15 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
 
 from hypothesis import strategies as st
+
+from cubefib.polynomials import IntPolynomial
+
+
+def affine_image(poly, A, b):
+    """poly(A x + b), by `substitute_polys` on the images (A x + b)_i."""
+    m = len(A[0])
+    return poly.substitute_polys([IntPolynomial.linear_form(row) + IntPolynomial.constant(m, c)
+                                  for row, c in zip(A, b)])
 
 
 @st.composite

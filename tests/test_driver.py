@@ -29,6 +29,7 @@ from cubefib.lattice import HyperplaneCount
 from cubefib.linalg import QuadraticPolynomial
 from cubefib.polynomials import IntPolynomial, VariableSplit
 from cubefib.sieve import enumerate_admissible, membership
+from strategies import affine_image
 
 FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
 
@@ -95,6 +96,22 @@ def test_norm_form_has_no_points():
     assert series.rows == [(1, 0), (2, 0)]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_brute_force_is_invariant_under_signed_permutations(data):
+    """x -> P x for a signed permutation P keeps the height max |x_i|, the
+    gcd and the zero set's primitive points, so every row of brute_force_N."""
+    n = data.draw(st.integers(2, 4))
+    monomials = [e for e in itertools.product(range(4), repeat=n) if sum(e) == 3]
+    C = IntPolynomial(n, {e: data.draw(st.integers(-2, 2))
+                          for e in data.draw(st.lists(st.sampled_from(monomials), max_size=5))})
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    P = [[s * (j == perm[i]) for j in range(n)] for i, s in enumerate(signs)]
+    B = [1, 2, 3]
+    assert brute_force_N(affine_image(C, P, [0] * n), B).rows == brute_force_N(C, B).rows
+
+
 def test_count_series_monotone_guard():
     with pytest.raises(ValueError):
         CountSeries([(2, 5), (4, 3)], "primitive-box")
@@ -123,10 +140,25 @@ def test_locally_insoluble_result_spec_enumerates_to_nothing():
                           (0, 0, 2, 1): 1, (0, 0, 0, 3): 1})
     split = VariableSplit(4, (0, 1), (2, 3))
     res = fibration_count(C, split, "pi_prime", [4, 8])
-    assert res.label == "locally insoluble at 2"
+    assert res.label == "no x-nonsingular witness at 2 up to v = 3"
     assert res.series.rows == [(4, 0), (8, 0)]
     assert res.spec.k == len(res.spec.box) == 2
     assert list(enumerate_admissible(res.spec, 4, budget=0)) == []
+
+
+def test_no_witness_label_names_the_search_not_insolubility():
+    # C = 8 (x0 (y1^2 + y2^2 + y3^2) + x1 y1 y2) + y1^3 + 2 y2^3 + 4 y3^3 has
+    # the rational zero (-1, 0, 0, 0, 2), whose x0-partial 32 makes it a
+    # witness at 2 only at v = 6: the search to v = 3 finds none, and the
+    # label must not call the cubic locally insoluble
+    C = IntPolynomial(5, {(1, 0, 2, 0, 0): 8, (1, 0, 0, 2, 0): 8, (1, 0, 0, 0, 2): 8,
+                          (0, 1, 1, 1, 0): 8, (0, 0, 3, 0, 0): 1, (0, 0, 0, 3, 0): 2,
+                          (0, 0, 0, 0, 3): 4})
+    assert C.evaluate([-1, 0, 0, 0, 2]) == 0
+    res = fibration_count(C, VariableSplit(5, (0, 1), (2, 3, 4)), "pi_prime", [4, 8])
+    assert res.label == "no x-nonsingular witness at 2 up to v = 3"
+    assert res.series.rows == [(4, 0), (8, 0)]
+    assert brute_force_N(C, [4]).rows == [(4, 118)]
 
 
 def test_fibration_count_alarms_on_sample_off_the_cubic(monkeypatch):

@@ -16,9 +16,10 @@ from cubefib.finitefield import (
     quadratic_residue_value_count,
 )
 from cubefib.gridcount import BudgetExceeded
-from cubefib.linalg import QuadraticPolynomial, congruence_diagonalize
+from cubefib.linalg import QuadraticPolynomial, congruence_diagonalize, int_matrix_det
 from cubefib.nt import primes_up_to
 from cubefib.polynomials import IntPolynomial
+from strategies import affine_image
 
 
 def random_quadratic(rng, m, coef_bound=9):
@@ -165,6 +166,23 @@ def test_closed_form_vs_bruteforce_random():
         poly = F.to_polynomial()
         assert res.total == count_mod_q_bruteforce(poly, p)
         assert res.nonsingular == count_mod_q_bruteforce(poly, p, nonsingular_only=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closed_form_is_invariant_under_affine_bijections_mod_p(data):
+    """x -> A x + b with A invertible mod p permutes F_p^m and maps the
+    gradient by A^T, so F(A x + b) has the total and nonsingular counts of F."""
+    p, m = data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 4))
+    terms = {e: data.draw(st.integers(-9, 9)) for e in itertools.product(range(3), repeat=m)
+             if sum(e) <= 2}
+    F = QuadraticPolynomial.from_polynomial(IntPolynomial(m, terms))
+    residues = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    A = data.draw(st.lists(residues, min_size=m, max_size=m)
+                  .filter(lambda A: int_matrix_det(A) % p))
+    moved = QuadraticPolynomial.from_polynomial(affine_image(F.to_polynomial(), A, data.draw(residues)))
+    a, b = count_quadric_mod_p_closed_form(F, p), count_quadric_mod_p_closed_form(moved, p)
+    assert (b.nonsingular, b.total) == (a.nonsingular, a.total)
 
 
 def test_bruteforce_hand_values():

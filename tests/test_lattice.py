@@ -1,5 +1,6 @@
 import gc
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -7,10 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubefib import lattice
+from cubefib.driver import fibration_count, parse_form_document
 from cubefib.lattice import (
     QuadraticSolvedLevels,
     ball_counts,
@@ -34,6 +36,8 @@ from cubefib.volumes import (
     gamma_half,
 )
 from strategies import unimodular_pairs
+
+FORMS = os.path.join(os.path.dirname(__file__), "..", "forms")
 
 
 def random_primitive(rng, n, bound=20):
@@ -173,8 +177,13 @@ def test_shortest_vector_examples():
     assert l2 == 25
     assert tuple(map(abs, v)) == (4, 3)
 
-    with pytest.raises(ValueError, match="exceeds exact-SVP budget"):
-        shortest_vector([[int(i == j) for j in range(9)] for i in range(9)])
+    # exact at every rank: Z^9, and Lambda_(1..10), whose shortest vectors,
+    # such as (1, 1, -1, 0, ..., 0), have lambda_1^2 = 3
+    l2, v = shortest_vector([[int(i == j) for j in range(9)] for i in range(9)])
+    assert l2 == 1 and sorted(map(abs, v)) == [0] * 8 + [1]
+    l2, v = shortest_vector(lattice._reduced_kernel_basis(tuple(range(1, 11))))
+    assert l2 == dot(v, v) == 3
+    assert dot(v, range(1, 11)) == 0
 
 
 def test_shortest_vector_vs_bruteforce():
@@ -419,11 +428,13 @@ def test_levels_reject_a_gram_matrix_that_is_not_positive_definite(G):
         enumerate_quadratic(G, [0] * k, -1)
 
 
-def box_points(G, w, c, keep):
-    """(t, Q(t)) for every t in a box holding {Q <= 0} with keep(Q(t)), in
-    enumeration order (t_{k-1} outermost, every coordinate ascending)."""
+def box_points(G, w, c, keep, R=None):
+    """(t, Q(t)) for every t in the box [-R, R]^k with keep(Q(t)), in
+    enumeration order (t_{k-1} outermost, every coordinate ascending). The
+    default R holds {Q <= 0} when G - I is positive semi-definite."""
     k = len(G)
-    R = isqrt(dot(w, w)) + isqrt(max(0, dot(w, w) - c)) + 2
+    if R is None:
+        R = isqrt(dot(w, w)) + isqrt(max(0, dot(w, w) - c)) + 2
     ts = np.array(list(itertools.product(range(-R, R + 1), repeat=k)))[:, ::-1]
     q = np.einsum("ni,ij,nj->n", ts, np.array(G), ts) + 2 * ts @ np.array(w) + c
     mask = keep(q)
@@ -462,18 +473,37 @@ def test_kernel_roots_leaf_matches_box(Gwc):
     assert root_rows(enumerate_quadratic(G, w, c, "roots"), len(G)) == (len(roots), roots)
 
 
+@st.composite
+def independent_bases(draw):
+    """k independent integer vectors in Z^n, k in 1..5, n in k..k+2."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, k + 2))
+    rows = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    return draw(st.lists(rows, min_size=k, max_size=k).filter(lambda b: gram_det(b) > 0))
+
+
 @settings(max_examples=150, deadline=None)
-@given(definite_quadratics())
-def test_kernel_min_leaf_is_lambda1(Gwc):
-    G, _, _ = Gwc
-    k = len(G)
-    bound = min(G[i][i] for i in range(k))
-    ts, qs = box_points(G, [0] * k, -bound, lambda q: q <= 0)
-    norms = [(q + bound, t) for t, q in zip(ts, qs) if any(t)]
-    lam1 = min(n for n, _ in norms)
-    low, first = enumerate_quadratic(G, [0] * k, -bound, "min")
-    assert low + bound == lam1
-    assert first == [next(t for n, t in norms if n == lam1)]
+@given(independent_bases())
+def test_shortest_vector_is_the_box_minimum(basis):
+    """lambda_1^2 is the least t^T G t over t != 0 in a box that holds
+    {t^T G t <= min G_ii}: t_i^2 <= (t^T G t) (G^-1)_ii by Cauchy-Schwarz,
+    and (G^-1)_ii is a principal minor over det G. Below the shortest basis
+    vector the vector is the first minimiser in enumeration order."""
+    G, k = gram_matrix(basis), len(basis)
+    bound, det = min(G[i][i] for i in range(k)), int_matrix_det(G)
+    minors = [int_matrix_det([r[:i] + r[i + 1:] for r in G[:i] + G[i + 1:]]) if k > 1 else 1
+              for i in range(k)]
+    R = isqrt(bound * max(minors) // det) + 1
+    assume((2 * R + 1) ** k <= 200_000)
+    ts, qs = box_points(G, [0] * k, 0, lambda q: q <= bound, R)
+    lam1 = min(q for t, q in zip(ts, qs) if any(t))
+    l2, v = shortest_vector(basis)
+    assert l2 == lam1 == dot(v, v)
+    if lam1 < bound:
+        first = next(t for t, q in zip(ts, qs) if q == lam1)
+        assert v == tuple(dot(first, col) for col in zip(*basis))
+    else:
+        assert v == tuple(min(basis, key=lambda u: dot(u, u)))
 
 
 @st.composite
@@ -683,6 +713,18 @@ def test_one_system_past_the_int64_guard_leaves_the_others_in_the_batch(roots):
     assert batched == alone == sliced and batched[1] == batched[2] and batched[1][0] > 0
 
 
+def test_int64_pass_past_its_guard_raises_at_criterion_9_scale():
+    """Entered at the top level, 19 fibres of the B = 512 rung of pi_prime_n8
+    wrap int64 (the rung reads 1,539,601,881 in place of 1,543,706,711); a
+    wrapped discriminant is negative, and the tripwire raises at its square
+    root rather than let the rung return."""
+    with open(os.path.join(FORMS, "pi_prime_n8.json")) as f:
+        doc = parse_form_document(f.read())
+    with mock.patch.object(lattice, "_entry_level", lambda solver: solver.k - 1):
+        with pytest.raises(FloatingPointError, match="invalid value"):
+            fibration_count(doc.poly, doc.split, "pi_prime", [512])
+
+
 @st.composite
 def quadratics_to_rank_6(draw):
     """(G, w, c) with G = A^T A + e I, e >= 1, for k = 1..6, with w and c
@@ -818,9 +860,9 @@ def test_hyperplane_count_is_invariant_under_signed_permutations(data):
 @given(st.data())
 def test_lambda1_and_covolume_are_invariant_under_signed_permutations(data):
     """A signed permutation P maps Lambda_a isometrically onto Lambda_(P a),
-    so its covolume and, up to the exact-SVP rank, its lambda_1^2 do not
-    move, whatever basis `kernel_lattice` picks for either."""
-    n = data.draw(st.integers(2, 9))
+    so its covolume and its exact lambda_1^2 do not move, whatever basis
+    `kernel_lattice` picks for either."""
+    n = data.draw(st.integers(2, 17))
     a = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n).filter(any))
     perm = data.draw(st.permutations(range(n)))
     signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
